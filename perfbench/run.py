@@ -3,8 +3,9 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from a source checkout; the package is imported from its `src/`.  With
-`--trace 0` it measures the end-to-end metrics; with `--trace 1` it makes one
-untraced pass, then traced passes, and reports the per-layer metrics.  The
+`--trace 0` it measures the end-to-end metrics; with `--trace 1` it makes
+untraced passes for half of `--seconds`, then traced passes, and reports the
+per-layer metrics.  The
 last line of standard output is the JSON result; the lines before it record
 the environment, a sha256 per cell answer and a readable summary.  Spans of
 the last traced pass go to `.perfbench_out/` in the checkout.  README.md next
@@ -23,6 +24,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -30,7 +32,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
-SETUP_PROBES = 7
+SETUP_PROBES = 20
 
 
 def fail(message: str) -> None:
@@ -70,15 +72,33 @@ def environment(args) -> dict:
     }
 
 
-def setup_seconds() -> float:
-    """Median wall time of fresh interpreters that import the package and
-    load the catalog, expectations and shipped candidates."""
-    times = []
-    for _ in range(SETUP_PROBES):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, str(HERE / "workloads.py"), str(SRC)], check=True, cwd=ROOT)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+def setup_probe() -> float:
+    """Wall time of a fresh interpreter that imports the package and loads
+    the catalog, expectations and shipped candidates."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, str(HERE / "workloads.py"), str(SRC)], check=True, cwd=ROOT)
+    return time.perf_counter() - t0
+
+
+def setup_probes(seconds: float):
+    """An after-pass hook that spreads the set-up probes evenly over
+    `seconds`, so that a slow phase of the host lasting several seconds
+    cannot hold all of them, and the list it fills."""
+    times, start = [], time.perf_counter()
+
+    def hook():
+        while len(times) < SETUP_PROBES and time.perf_counter() - start >= len(times) * seconds / SETUP_PROBES:
+            times.append(setup_probe())
+
+    return hook, times
+
+
+def setup_seconds(times) -> float:
+    """The fastest probe: the set-up work is fixed, so slower probes measure
+    the host."""
+    while len(times) < SETUP_PROBES:
+        times.append(setup_probe())
+    return min(times)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +191,20 @@ def fastest_by_group(cells, passes) -> dict:
     for i, cell in enumerate(cells):
         groups[cell.group] += min(p[i][0] for p in passes)
     return groups
+
+
+def memory_pass(cells, generate_system):
+    """One cold pass under tracemalloc, untimed: its results and the peak of
+    the memory the cells allocated, in MiB."""
+    generate_system.cache_clear()
+    tracemalloc.start()
+    try:
+        results = run_pass(cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        generate_system.cache_clear()
+    return results, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +346,6 @@ def main(argv=None) -> int:
     generate_system = solver.generate_system  # the cached original, never a wrapper
     self_test()
     print(json.dumps({"env": environment(args)}))
-    setup_s = None if args.trace else setup_seconds()
     cells = workloads.build(args.workload, workloads.setup(), args.seed)
 
     if args.trace:
@@ -324,16 +357,22 @@ def main(argv=None) -> int:
             print(f"group {c['group']}: {c['seconds']:.3f} s traced; self s: {layers};"
                   f" unattributed {c['unattributed_s']:.3f} ({c['unattributed_s'] / c['seconds']:.1%})")
     else:
-        passes, failed, problems = measure(cells, args.seconds, generate_system)
+        memory, alloc_mb = memory_pass(cells, generate_system)
+        probe, probe_times = setup_probes(args.seconds)
+        passes, failed, problems = measure(cells, args.seconds, generate_system, after_pass=probe)
+        f, p = tally(cells, memory, passes[0])
+        failed, problems = failed + f, problems + p
         groups = fastest_by_group(cells, passes)
         walls = [sum(r[0] for r in p) for p in passes]
         print(f"pass seconds: min {min(walls):.4g} median {statistics.median(walls):.4g} max {max(walls):.4g}")
         metrics = {
-            "setup_s": (setup_s, "s"),
+            "setup_s": (setup_seconds(probe_times), "s"),
             "wall_s": (sum(groups.values()), "s"),
             "slowest_cell_s": (max(groups.values()), "s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
+            "pass_alloc_peak_mb": (alloc_mb, "MB"),
         }
+        passes.append(memory)
 
     attempted = len(cells) * len(passes)
     for cell, (_, answer, _) in zip(cells, passes[0]):
