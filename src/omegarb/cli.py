@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -31,6 +30,7 @@ from .catalog import (
     parse_catalog,
     parse_operator_file,
     algebra_to_catalog_dict,
+    format_linear_combination,
     serialize_constructed,
 )
 from .constructions import (
@@ -51,7 +51,6 @@ from .ideals import (
     PrimalityCertificate,
     make_ideal,
     sample_points,
-    sample_points_generic,
 )
 from .poly import PolyParseError, VariableTable, grevlex_order, lex_order, parse_polynomial, parse_rational
 from .solver import (
@@ -175,10 +174,7 @@ def component_labels(
     be sampled."""
     rng = random.Random(seed)
     try:
-        if cert is not None:
-            points = sample_points(component, cert, count, rng)
-        else:
-            points = sample_points_generic(component, count, rng)
+        points = sample_points(component, cert, count, rng)
     except CertificateError as exc:
         return None, [f"sampling failed: {exc}"]
     n = L.dim
@@ -311,25 +307,14 @@ def run_table(
     table_id: int,
     expectations: dict,
     catalog: dict[str, CatalogEntry],
-    jobs: int = 1,
     alpha_override: Optional[str] = None,
 ) -> dict:
     profile_name = expectations.get("profile")
     rows = expectations.get("rows") or []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    run_table_row, catalog, profile_name, row, table_id, alpha_override
-                )
-                for row in rows
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            run_table_row(catalog, profile_name, row, table_id, alpha_override)
-            for row in rows
-        ]
+    results = [
+        run_table_row(catalog, profile_name, row, table_id, alpha_override)
+        for row in rows
+    ]
     statuses = [r["status"] for r in results]
     return {
         "table": table_id,
@@ -457,7 +442,7 @@ def cmd_table(args) -> int:
     else:
         expectations = _builtin_expectations(args.table_id)
     t0 = time.monotonic()
-    report = run_table(args.table_id, expectations, catalog, jobs=args.jobs)
+    report = run_table(args.table_id, expectations, catalog)
     elapsed = time.monotonic() - t0
     lines = [f"table {args.table_id} (profile {report['profile']})"]
     for r in report["rows"]:
@@ -520,11 +505,9 @@ def cmd_construct(args) -> int:
             for i in range(A.dim):
                 for j in range(A.dim):
                     if any(A.m[i][j]):
-                        from .catalog import format_linear_combination as _format_vector
-
                         products.append(
                             f"{A.basis_names[i]}*{A.basis_names[j]} = "
-                            + _format_vector(A.basis_names, A.m[i][j])
+                            + format_linear_combination(A.basis_names, A.m[i][j])
                         )
             payload = {
                 "name": f"{args.algebra}_lsa",
@@ -552,14 +535,12 @@ def cmd_construct(args) -> int:
         elif args.kind == "homlie":
             g = homlie_from_rb(L, R)
             brackets = []
-            from .catalog import format_linear_combination as _format_vector
-
             for i in range(g.dim):
                 for j in range(i + 1, g.dim):
                     if any(g.c[i][j]):
                         brackets.append(
                             f"[{g.basis_names[i]},{g.basis_names[j]}] = "
-                            + _format_vector(g.basis_names, g.c[i][j])
+                            + format_linear_combination(g.basis_names, g.c[i][j])
                         )
             series = homlie_structure(g)
             payload = {
@@ -678,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="reproduce a survey table")
     p.add_argument("table_id", type=int, choices=[1, 2, 3])
     p.add_argument("--expect", help="expectations file (default: shipped)")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_table)
 

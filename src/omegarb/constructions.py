@@ -21,7 +21,17 @@ from .algebras import (
     kernel_omega,
     validate_algebra,
 )
-from .linalg import Matrix, Vector, mat
+from .linalg import (
+    Matrix,
+    Vector,
+    identity,
+    mat,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    nullspace,
+)
 
 
 class PreconditionError(ValueError):
@@ -382,42 +392,17 @@ def validate_module(L: OmegaAlgebra, V: ModuleAction) -> ModuleValidation:
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             lhs = V.act_matrix(L.c[i][j])
-            comm = _mat_sub(
-                _mat_mul(V.rho[i], V.rho[j]), _mat_mul(V.rho[j], V.rho[i])
-            )
-            rhs = _mat_add(comm, _mat_scale_id(L.omega[i][j], m))
+            comm = mat_sub(mat_mul(V.rho[i], V.rho[j]), mat_mul(V.rho[j], V.rho[i]))
+            rhs = mat_add(comm, mat_scale(identity(m), L.omega[i][j]))
             if lhs != rhs:
-                failures.append((i, j, _mat_sub(lhs, rhs)))
+                failures.append((i, j, mat_sub(lhs, rhs)))
     return ModuleValidation(not failures, failures)
-
-
-def _mat_mul(a, b):
-    from .linalg import mat_mul
-
-    return mat_mul(a, b)
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale_id(q, n):
-    return tuple(
-        tuple(Fraction(q) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
 
 
 def annihilator(L: OmegaAlgebra, V: ModuleAction) -> Subspace:
     """{x in L : x . v = 0 for all v}: solve sum_i coords_i rho_i = 0."""
     if V.module_dim == 0:
         return Subspace.span(L.dim, [L.basis_vector(i) for i in range(L.dim)])
-    from .linalg import nullspace
-
     rows = []
     for r in range(V.module_dim):
         for s in range(V.module_dim):

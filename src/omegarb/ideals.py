@@ -2,35 +2,39 @@
 
 Ideal algebra (membership, elimination, intersection, colon, saturation,
 product, radical membership), Krull dimension via independent variable sets
-on the leading-term ideal, certificate-checked primality, and verification
-of candidate irreducible-component decompositions.
+on the leading-term ideal, certificate-checked primality, rational points on
+certified components, and verification of candidate irreducible-component
+decompositions.
 
-Primality is certified, never decided: the two accepted certificate shapes
-are (a) a triangular set of generators each solving one designated variable
-with a constant coefficient, so the quotient is a polynomial ring, and
-(b) a pivot variable f with I : f = I such that after formally inverting f
-every generator solves a designated variable with a unit coefficient, so the
-localization is an integral domain into which the quotient embeds.
+Primality is certified, never decided.  A certificate names a set S of
+inverted variables with I : (prod S)^inf = I, so the quotient embeds in its
+localization at S, and a solve chain over that localization that consumes
+every generator: each step solves a variable occurring linearly with a
+one-term coefficient over S and the inverses, and substitutes the value into
+the remaining generators.  The localization is then a localized polynomial
+ring, an integral domain, and I is prime.  Shipped certificates have S empty
+(``linear_vars``; the saturation condition is void and the quotient is a
+polynomial ring) or S = {pivot}, where the saturation condition is checked
+as the single colon I : pivot = I.  The same chain, allowed to invert
+variables on demand, parameterizes components without a certificate for
+point sampling.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .groebner import GroebnerBasis, buchberger, exact_divide, reduce
 from .poly import (
-    Mono,
     MonomialOrder,
     Polynomial,
     VariableTable,
     grevlex_order,
     lex_order,
     mono_degree,
-    mono_div,
     mono_support,
     parse_polynomial,
 )
@@ -58,16 +62,12 @@ class Ideal:
 
     Generators equal to zero are dropped; an empty generator tuple denotes
     the zero ideal.  Values are treated as immutable after construction; the
-    cache is filled at most once per order behind a lock so concurrent
-    readers observe a consistent basis.
+    cache holds one basis per order, computed on first use.
     """
 
     table: VariableTable
     generators: tuple[Polynomial, ...]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def __post_init__(self):
         gens = []
@@ -84,12 +84,11 @@ class Ideal:
     def groebner(self, order: MonomialOrder | None = None) -> GroebnerBasis:
         if order is None:
             order = self.default_order()
-        with self._lock:
-            gb = self._cache.get(order)
-            if gb is None:
-                gb = buchberger(self.generators, order)
-                self._cache[order] = gb
-            return gb
+        gb = self._cache.get(order)
+        if gb is None:
+            gb = buchberger(self.generators, order)
+            self._cache[order] = gb
+        return gb
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -206,13 +205,18 @@ def colon(I: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
-    """I : f^infinity (iterated colon until stabilization)."""
-    current = I
-    while True:
-        nxt = colon(current, f)
-        if ideal_equal(nxt, current):
-            return current
-        current = nxt
+    """I : f^infinity = (I + <1 - t*f>) cap Q[x], by one elimination of a
+    fresh variable t (Rabinowitsch)."""
+    if f.is_zero():
+        raise ValueError("saturation by the zero polynomial")
+    if f.is_constant():
+        return I
+    ext, tname = _with_fresh_variable(I, "t_")
+    t = Polynomial.variable(ext, tname)
+    gens = [g.lift(ext) for g in I.generators]
+    gens.append(Polynomial.constant(ext, 1) - t * f.lift(ext))
+    eliminated = elimination(make_ideal(ext, gens), I.table.names)
+    return make_ideal(I.table, [g.restrict(I.table) for g in eliminated.generators])
 
 
 def product(I: Ideal, J: Ideal) -> Ideal:
@@ -289,15 +293,18 @@ def krull_dim(I: Ideal):
 
 
 # ---------------------------------------------------------------------------
-# primality certificates
+# primality certificates, the localized solve chain, and rational points
 
 
 @dataclass(frozen=True)
 class PrimalityCertificate:
-    """Either a triangular-linear certificate (``linear_vars``) or a pivot
-    localization certificate (``pivot``); pivot wins when both are set.  The
-    empty linear certificate is valid only for the zero ideal (the quotient
-    is the full polynomial ring)."""
+    """One certificate shape: a set S of inverted variables with
+    p : (prod S)^inf = p, and a solve chain over the localization at S that
+    consumes every generator of p (see the module docstring).  S is empty for
+    a ``linear_vars`` certificate, which also names the variables the chain
+    may solve, and is ``{pivot}`` for a pivot certificate; the pivot wins
+    when both are set.  The empty linear certificate fits only the zero
+    ideal (the quotient is the full polynomial ring)."""
 
     linear_vars: frozenset[str] = frozenset()
     pivot: Optional[str] = None
@@ -321,112 +328,120 @@ def _without_variable_terms(g: Polynomial, vidx: int) -> Polynomial:
     return Polynomial(g.table, {m: c for m, c in g.terms.items() if m[vidx] == 0})
 
 
-def _solve_linear_chain(
-    gens: Sequence[Polynomial],
-    table: VariableTable,
-    allowed: Optional[frozenset[str]] = None,
-) -> Optional[list[tuple[str, Polynomial]]]:
-    """Repeatedly solve a variable that occurs linearly, with a constant
-    coefficient, in exactly one remaining generator.  Returns the solve
-    steps when every generator is consumed; None otherwise."""
-    remaining = [g for g in gens if not g.is_zero()]
-    todo = set(allowed) if allowed is not None else set(table.names)
-    steps: list[tuple[str, Polynomial]] = []
-    progress = True
-    while remaining and progress:
-        progress = False
-        for name in sorted(todo):
-            vidx = table.index(name)
-            occ = [g for g in remaining if g.degree_in(name) > 0]
-            if len(occ) != 1 or occ[0].degree_in(name) != 1:
-                continue
-            g = occ[0]
-            coeff = _coefficient_of_variable(g, vidx)
-            if not coeff.is_constant() or coeff.is_zero():
-                continue
-            c = coeff.constant_value()
-            expr = _without_variable_terms(g, vidx).scale(Fraction(-1) / c)
-            steps.append((name, expr))
-            remaining.remove(g)
-            todo.discard(name)
-            progress = True
-            break
-    if remaining:
-        return None
-    return steps
+@dataclass
+class _Chain:
+    """A consumed solve chain.  ``table`` extends the ideal's table by one
+    inverse per inverted variable (``inverses`` maps each inverted variable
+    to its inverse's name); ``steps`` lists (variable, value) in solve order,
+    and each value involves only free, inverted, inverse and later-solved
+    variables."""
+
+    table: VariableTable
+    inverses: dict[str, str]
+    steps: list[tuple[str, Polynomial]]
 
 
-def _localized_normalize(p: Polynomial, fidx: int, widx: int) -> Polynomial:
-    """Rewrite modulo w*f - 1 by cancelling w against f in each term."""
-    out = {}
-    for m, c in p.terms.items():
-        k = min(m[fidx], m[widx])
-        if k:
-            mm = list(m)
-            mm[fidx] -= k
-            mm[widx] -= k
-            m = tuple(mm)
-        out[m] = out.get(m, Fraction(0)) + c
-    return Polynomial(p.table, out)
+def _solve_chain(
+    p: Ideal, solvable: Collection[str], inverted: Sequence[str], grow: bool
+) -> Optional[_Chain]:
+    """Solve the generators of p one variable at a time over the
+    localization at the ``inverted`` variables S.
 
-
-def _solve_localized_chain(
-    p: Ideal, pivot: str
-) -> Optional[tuple[VariableTable, str, list[tuple[str, Polynomial]]]]:
-    """Eliminate variables with unit coefficients after inverting ``pivot``.
-
-    Returns (extended table, inverse variable name, solve steps) when every
-    generator is consumed, so the localization of the quotient at the pivot
-    is a localized polynomial ring; None when the procedure gets stuck.
-    """
+    A step takes the first ``solvable`` variable (in table order) that occurs
+    linearly in a remaining generator whose coefficient of it is one term
+    c*m over S and the inverses, writes the variable as -(rest)/(c*m), and
+    substitutes that value into the other generators, cancelling x*w_x = 1.
+    With ``grow`` the term m may also contain unsolved variables, which then
+    join S.  Returns the chain once every generator is consumed; None when no
+    step applies."""
     table = p.table
-    fidx = table.index(pivot)
-    ext, wname = _with_fresh_variable(p, "w_")
-    widx = ext.index(wname)
-    base = p.groebner().elements or p.generators
-    gens = [_localized_normalize(g.lift(ext), fidx, widx) for g in base]
-    gens = [g for g in gens if not g.is_zero()]
-    solvable = [n for n in table.names if n != pivot]
+    gens = list(p.groebner().elements or p.generators)
     steps: list[tuple[str, Polynomial]] = []
-    progress = True
-    while gens and progress:
-        progress = False
-        for name in solvable:
-            vidx = ext.index(name)
-            candidates = [g for g in gens if g.degree_in(name) == 1]
-            for g in candidates:
-                coeff = _coefficient_of_variable(g, vidx)
-                if coeff.num_terms() != 1:
-                    continue
-                (cmono, ccoef) = next(iter(coeff.terms.items()))
-                if not mono_support(cmono) <= {fidx, widx}:
-                    continue
-                # v = -h / (c * f^a * w^b)  =  -h * w^a * f^b / c
-                a, b = cmono[fidx], cmono[widx]
-                inv = [0] * len(ext)
-                inv[fidx], inv[widx] = b, a
-                h = _without_variable_terms(g, vidx)
-                expr = _localized_normalize(
-                    h.mul_term(tuple(inv), Fraction(-1) / ccoef), fidx, widx
-                )
-                new_gens = []
-                for other in gens:
-                    if other is g:
-                        continue
-                    sub = other.substitute({name: expr})
-                    sub = _localized_normalize(sub, fidx, widx)
-                    if not sub.is_zero():
-                        new_gens.append(sub)
-                gens = new_gens
-                solvable.remove(name)
-                steps.append((name, expr))
-                progress = True
-                break
-            if progress:
-                break
-    if gens:
-        return None
-    return ext, wname, steps
+    pairs: list[tuple[int, int]] = []  # (inverted variable, its inverse)
+    todo = [n for n in table.names if n in solvable and n not in inverted]
+
+    def invert(names: Sequence[str]) -> None:
+        nonlocal table, gens, steps
+        if not names:
+            return
+        for n in names:
+            table = table.extend(table.fresh_name(f"w_{n}_"))
+            pairs.append((table.index(n), len(table) - 1))
+            if n in todo:
+                todo.remove(n)
+        gens = [g.lift(table) for g in gens]
+        steps = [(v, e.lift(table)) for v, e in steps]
+
+    def to_invert(name: str, g: Polynomial) -> Optional[list[str]]:
+        """Variables to invert before solving ``name`` from g; None when g
+        does not give ``name`` a usable coefficient."""
+        if g.degree_in(name) != 1:
+            return None
+        coeff = _coefficient_of_variable(g, table.index(name))
+        if coeff.num_terms() != 1:
+            return None
+        (mono,) = coeff.terms
+        new = mono_support(mono) - {i for pair in pairs for i in pair}
+        if new and not grow:
+            return None
+        return [table.names[i] for i in sorted(new)]
+
+    def cancel(poly: Polynomial) -> Polynomial:
+        out: dict = {}
+        for m, c in poly.terms.items():
+            mm = list(m)
+            for i, j in pairs:
+                k = min(mm[i], mm[j])
+                mm[i] -= k
+                mm[j] -= k
+            key = tuple(mm)
+            out[key] = out.get(key, Fraction(0)) + c
+        return Polynomial(table, out)
+
+    invert(inverted)
+    while gens:
+        pick = next(
+            (
+                (name, k, new)
+                for name in todo
+                for k, g in enumerate(gens)
+                if (new := to_invert(name, g)) is not None
+            ),
+            None,
+        )
+        if pick is None:
+            return None
+        name, k, new = pick
+        invert(new)
+        g = gens.pop(k)
+        vidx = table.index(name)
+        ((mono, c),) = _coefficient_of_variable(g, vidx).terms.items()
+        # v = -rest / (c * m) = -rest * m^-1 / c, where m^-1 swaps x and w_x
+        inv = [0] * len(table)
+        for i, j in pairs:
+            inv[i], inv[j] = mono[j], mono[i]
+        rest = _without_variable_terms(g, vidx)
+        expr = cancel(rest.mul_term(tuple(inv), Fraction(-1) / c))
+        subs = (
+            cancel(other.substitute({name: expr})) if other.degree_in(name) else other
+            for other in gens
+        )
+        gens = [s for s in subs if not s.is_zero()]
+        todo.remove(name)
+        steps.append((name, expr))
+    inverses = {table.names[i]: table.names[j] for i, j in pairs}
+    return _Chain(table, inverses, steps)
+
+
+def _certificate_chain(p: Ideal, cert: PrimalityCertificate) -> Optional[_Chain]:
+    if cert.pivot is not None:
+        if cert.pivot not in p.table:
+            raise CertificateError(f"pivot {cert.pivot!r} is not a table variable")
+        return _solve_chain(p, p.table.names, (cert.pivot,), False)
+    unknown = cert.linear_vars - set(p.table.names)
+    if unknown:
+        raise CertificateError(f"unknown certificate variables {sorted(unknown)}")
+    return _solve_chain(p, cert.linear_vars, (), False)
 
 
 def check_primality(p: Ideal, cert: PrimalityCertificate) -> bool:
@@ -434,231 +449,78 @@ def check_primality(p: Ideal, cert: PrimalityCertificate) -> bool:
     not apply (not that the ideal is composite)."""
     if not isinstance(cert, PrimalityCertificate):
         raise CertificateError(f"not a certificate: {cert!r}")
-    if p.contains_one():
+    if p.contains_one() or _certificate_chain(p, cert) is None:
         return False
-    if cert.pivot is not None:
-        if cert.pivot not in p.table:
-            raise CertificateError(f"pivot {cert.pivot!r} is not a table variable")
-        f = Polynomial.variable(p.table, cert.pivot)
-        if not ideal_equal(colon(p, f), p):
-            return False
-        return _solve_localized_chain(p, cert.pivot) is not None
-    unknown = cert.linear_vars - set(p.table.names)
-    if unknown:
-        raise CertificateError(f"unknown certificate variables {sorted(unknown)}")
-    gens = p.groebner().elements or p.generators
-    return _solve_linear_chain(gens, p.table, cert.linear_vars) is not None
+    if cert.pivot is None:
+        return True
+    f = Polynomial.variable(p.table, cert.pivot)
+    return ideal_equal(colon(p, f), p)
 
 
 def find_certificate(p: Ideal) -> Optional[PrimalityCertificate]:
-    """Best-effort certificate discovery: try the triangular-linear shape,
+    """Best-effort certificate discovery: the chain with nothing inverted,
     then each support variable as a pivot."""
     if p.contains_one():
         return None
-    gens = p.groebner().elements or p.generators
-    steps = _solve_linear_chain(gens, p.table)
-    if steps is not None:
-        cert = PrimalityCertificate(linear_vars=frozenset(v for v, _ in steps))
-        if check_primality(p, cert):
-            return cert
+    chain = _solve_chain(p, p.table.names, (), False)
+    if chain is not None:
+        return PrimalityCertificate(linear_vars=frozenset(v for v, _ in chain.steps))
     support = sorted(
         {n for g in p.generators for n in g.support_vars()},
         key=p.table.index,
     )
     for name in support:
-        if _solve_localized_chain(p, name) is None:
-            continue
         cert = PrimalityCertificate(pivot=name)
         if check_primality(p, cert):
             return cert
     return None
 
 
-# ---------------------------------------------------------------------------
-# rational points on certified components
+_SAMPLE_ATTEMPTS = 800
 
 
 def sample_points(
     p: Ideal,
-    cert: PrimalityCertificate,
+    cert: Optional[PrimalityCertificate],
     count: int,
     rng: random.Random,
-    max_attempts: int = 400,
 ) -> list[dict[str, Fraction]]:
-    """Random rational points of V(p), derived from the certificate's solve
-    chain.  Every returned point is checked against the generators."""
+    """Random rational points of V(p), read off a solve chain: the
+    certificate's, or for ``cert=None`` a greedy chain that inverts
+    variables on demand (it yields points, not a primality proof).  The free
+    variables are drawn in table order, then each inverted variable
+    (nonzero); the chain gives the rest.  Every returned point is checked
+    against the generators."""
+    if cert is None:
+        chain = _solve_chain(p, p.table.names, (), True)
+    else:
+        chain = _certificate_chain(p, cert)
+    if chain is None:
+        raise CertificateError("no solve chain consumes the generators")
+    solved = {v for v, _ in chain.steps}
+    free = [n for n in p.table.names if n not in solved and n not in chain.inverses]
 
     def random_value() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
 
-    if cert.pivot is not None:
-        solved = _solve_localized_chain(p, cert.pivot)
-        if solved is None:
-            raise CertificateError("pivot certificate does not apply")
-        ext, wname, steps = solved
-        fixed = {v for v, _ in steps} | {wname, cert.pivot}
-        free = [n for n in ext.names if n not in fixed]
-    else:
-        gens = p.groebner().elements or p.generators
-        steps = _solve_linear_chain(gens, p.table, cert.linear_vars)
-        if steps is None:
-            raise CertificateError("linear certificate does not apply")
-        ext = p.table
-        wname = None
-        fixed = {v for v, _ in steps}
-        free = [n for n in ext.names if n not in fixed]
-
     points: list[dict[str, Fraction]] = []
     attempts = 0
-    while len(points) < count and attempts < max_attempts:
+    while len(points) < count and attempts < _SAMPLE_ATTEMPTS:
         attempts += 1
-        point: dict[str, Fraction] = {n: random_value() for n in free}
-        if cert.pivot is not None:
-            fval = random_value()
-            while fval == 0:
-                fval = random_value()
-            point[cert.pivot] = fval
-            point[wname] = 1 / fval
-        ok = True
-        for name, expr in reversed(steps):
-            try:
-                point[name] = expr.evaluate(point)
-            except ValueError:
-                ok = False
-                break
-        if not ok:
-            continue
-        restricted = {n: point[n] for n in p.table.names if n in point}
+        point = {n: random_value() for n in free}
+        for n, w in chain.inverses.items():
+            value = random_value()
+            while value == 0:
+                value = random_value()
+            point[n], point[w] = value, 1 / value
+        for name, expr in reversed(chain.steps):
+            point[name] = expr.evaluate(point)
+        restricted = {n: point[n] for n in p.table.names}
         if all(g.evaluate(restricted) == 0 for g in p.generators):
             points.append(restricted)
     if len(points) < count:
         raise CertificateError(
             f"could not sample {count} points (got {len(points)})"
-        )
-    return points
-
-
-def _solve_multi_pivot_chain(
-    p: Ideal,
-) -> Optional[tuple[VariableTable, dict[str, str], list[tuple[str, Polynomial]]]]:
-    """Greedy parameterization of a dense open subset of V(p): solve
-    variables whose coefficient is a single term, inverting the variables of
-    that term on demand.  Unlike the pivot certificate this may invert
-    several variables, so it proves nothing about primality; it only yields
-    points (each checked against the generators by the caller)."""
-    table = p.table
-    ext = table
-    inverses: dict[str, str] = {}
-    gens = list(p.groebner().elements or p.generators)
-    solved: list[tuple[str, Polynomial]] = []
-    solvable = list(table.names)
-
-    def normalize(poly: Polynomial) -> Polynomial:
-        for name, wname in inverses.items():
-            poly = _localized_normalize(poly, ext.index(name), ext.index(wname))
-        return poly
-
-    progress = True
-    while gens and progress:
-        progress = False
-        for name in solvable:
-            vidx = ext.index(name)
-            for g in gens:
-                if g.degree_in(name) != 1:
-                    continue
-                coeff = _coefficient_of_variable(g, vidx)
-                if coeff.num_terms() != 1:
-                    continue
-                (cmono, ccoef) = next(iter(coeff.terms.items()))
-                support_names = [ext.names[i] for i in mono_support(cmono)]
-                if any(n not in solvable and n not in inverses for n in support_names):
-                    continue
-                if name in support_names:
-                    continue
-                # invert every variable of the coefficient term
-                for n in support_names:
-                    if n not in inverses:
-                        wname = ext.fresh_name(f"w_{n}_")
-                        ext = ext.extend(wname)
-                        inverses[n] = wname
-                        gens = [g2.lift(ext) for g2 in gens]
-                        solved = [(v, e.lift(ext)) for v, e in solved]
-                        if n in solvable:
-                            solvable.remove(n)
-                g = g.lift(ext) if g.table != ext else g
-                vidx = ext.index(name)
-                coeff = _coefficient_of_variable(g, vidx)
-                (cmono, ccoef) = next(iter(coeff.terms.items()))
-                inv = [0] * len(ext)
-                for i in mono_support(cmono):
-                    inv[ext.index(inverses[ext.names[i]])] = cmono[i]
-                h = _without_variable_terms(g, vidx)
-                expr = normalize(h.mul_term(tuple(inv), Fraction(-1) / ccoef))
-                new_gens = []
-                for other in gens:
-                    if other == g:
-                        continue
-                    sub = normalize(other.substitute({name: expr}))
-                    if not sub.is_zero():
-                        new_gens.append(sub)
-                gens = new_gens
-                solvable.remove(name)
-                solved.append((name, expr))
-                progress = True
-                break
-            if progress:
-                break
-    if gens:
-        return None
-    return ext, inverses, solved
-
-
-def sample_points_generic(
-    p: Ideal, count: int, rng: random.Random, max_attempts: int = 800
-) -> list[dict[str, Fraction]]:
-    """Random rational points of V(p) from the multi-pivot parameterization;
-    raises when no parameterization is found."""
-    solved = _solve_multi_pivot_chain(p)
-    if solved is None:
-        raise CertificateError("no rational parameterization found")
-    ext, inverses, steps = solved
-    fixed = {v for v, _ in steps} | set(inverses.values())
-    free = [n for n in ext.names if n not in fixed]
-
-    def random_value() -> Fraction:
-        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
-
-    points: list[dict[str, Fraction]] = []
-    attempts = 0
-    while len(points) < count and attempts < max_attempts:
-        attempts += 1
-        point: dict[str, Fraction] = {}
-        ok = True
-        for n in free:
-            if n in inverses:
-                v = random_value()
-                while v == 0:
-                    v = random_value()
-                point[n] = v
-                point[inverses[n]] = 1 / v
-            else:
-                point[n] = random_value()
-        for name, expr in reversed(steps):
-            try:
-                point[name] = expr.evaluate(point)
-            except ValueError:
-                ok = False
-                break
-        if not ok:
-            continue
-        restricted = {n: point[n] for n in p.table.names if n in point}
-        if len(restricted) == len(p.table.names) and all(
-            g.evaluate(restricted) == 0 for g in p.generators
-        ):
-            points.append(restricted)
-    if len(points) < count:
-        raise CertificateError(
-            f"could not sample {count} generic points (got {len(points)})"
         )
     return points
 

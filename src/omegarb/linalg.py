@@ -35,6 +35,10 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 def mat_scale(a: Matrix, q) -> Matrix:
     q = Fraction(q)
     return tuple(tuple(x * q for x in r) for r in a)

@@ -570,6 +570,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         for kind in ("number", "name", "op"):
             val = m.group(kind)
             if val is not None:
+                if kind == "number" and "/" in val and int(val.split("/")[1]) == 0:
+                    raise PolyParseError(f"zero denominator in {val!r} at position {m.start()}")
                 tokens.append((kind, val, m.start()))
                 break
     return tokens

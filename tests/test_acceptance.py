@@ -47,7 +47,6 @@ from omegarb.ideals import (
     make_ideal,
     radical_membership,
     sample_points,
-    sample_points_generic,
     verify_components,
 )
 from omegarb.poly import VariableTable, grevlex_order, lex_order, parse_polynomial
@@ -77,9 +76,7 @@ def _operator_from_point(pt, n):
 def _sample_component(ideal_p, cert, count, rng):
     if cert is None:
         cert = find_certificate(ideal_p)
-    if cert is not None:
-        return sample_points(ideal_p, cert, count, rng)
-    return sample_points_generic(ideal_p, count, rng)
+    return sample_points(ideal_p, cert, count, rng)
 
 
 NINE = [

@@ -141,6 +141,8 @@ def test_operator_errors():
         operator_from_spec({"rows": [["nope"], ["0"]]})
     with pytest.raises(CatalogError, match="square"):
         operator_from_spec({"rows": [["0", "0"], ["0"]]})
+    with pytest.raises(CatalogError, match="zero denominator"):
+        operator_from_spec({"rows": [["1/0"]]})
 
 
 def test_expression_evaluator():

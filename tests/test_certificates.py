@@ -1,9 +1,13 @@
 """Primality certificates, component verification, splitting, sampling."""
 
 import random
+from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from omegarb.catalog import load_builtin_catalog
+from omegarb.cli import _candidate_table, _load_builtin_candidates
 from omegarb.ideals import (
     CertificateError,
     PrimalityCertificate,
@@ -13,7 +17,6 @@ from omegarb.ideals import (
     ideal_equal,
     make_ideal,
     sample_points,
-    sample_points_generic,
     split_heuristic,
     verify_components,
 )
@@ -230,6 +233,54 @@ def test_generic_sampler_on_quadric():
     T = VariableTable.of("x", "y", "z")
     I = make_ideal(T, [parse_polynomial("x*y + z^2", T)])
     rng = random.Random(5)
-    pts = sample_points_generic(I, 5, rng)
+    pts = sample_points(I, None, 5, rng)
     for pt in pts:
         assert pt["x"] * pt["y"] + pt["z"] ** 2 == 0
+
+
+def test_generic_sampler_inverts_two_variables():
+    # x's coefficient y*z needs both y and z inverted; no certificate applies
+    T = VariableTable.of("x", "y", "z")
+    I = make_ideal(T, [parse_polynomial("x*y*z - 1", T)])
+    assert find_certificate(I) is None
+    pts = sample_points(I, None, 5, random.Random(5))
+    assert len(pts) == 5
+    for pt in pts:
+        assert all(g.evaluate(pt) == 0 for g in I.generators)
+
+
+def _shipped_components():
+    """Every component of data/candidates/table<N>_<algebra>.yaml."""
+    catalog = load_builtin_catalog()
+    files = resources.files("omegarb").joinpath("data/candidates").iterdir()
+    for path in sorted(files, key=lambda path: path.name):
+        name = path.name.removesuffix(".yaml")
+        table = _candidate_table(catalog[name.split("_", 1)[1]].dim)
+        for k, (ideal_p, cert) in enumerate(_load_builtin_candidates(name, table), 1):
+            yield pytest.param(ideal_p, cert, id=f"{name}#{k}")
+
+
+@pytest.mark.parametrize("ideal_p,cert", list(_shipped_components()))
+def test_shipped_certificate_passes(ideal_p, cert):
+    assert cert is not None and check_primality(ideal_p, cert)
+
+
+def _nonzero(pt):
+    return {k: v for k, v in pt.items() if v != 0}
+
+
+def test_sample_points_pinned_draws():
+    # the draw order (free variables in table order, then the pivot) fixes
+    # these points; the perfbench constructions workload depends on it
+    (p1, c1), (p2, c2) = _load_builtin_candidates("table1_L1", _candidate_table(3))
+    F = Fraction
+    assert [_nonzero(pt) for pt in sample_points(p1, c1, 3, random.Random(0))] == [
+        {"x13": F(3, 2), "x21": F(-4), "x23": F(7, 2)},
+        {"x13": F(3, 2), "x21": F(3), "x23": F(9)},
+        {"x13": F(7), "x23": F(-2)},
+    ]
+    assert [_nonzero(pt) for pt in sample_points(p2, c2, 3, random.Random(0))] == [
+        {"x11": F(4), "x12": F(7, 2), "x13": F(3, 2), "x21": F(-32, 7), "x22": F(-4), "x23": F(-12, 7)},
+        {"x11": F(-3), "x12": F(9), "x13": F(3, 2), "x21": F(-1), "x22": F(3), "x23": F(1, 2)},
+        {"x12": F(-2), "x13": F(7)},
+    ]

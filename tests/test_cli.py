@@ -128,10 +128,14 @@ def test_table_json_deterministic(capsys):
     assert out1 == out2
 
 
-def test_table_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "table", "2", "--json")
-    _, parallel, _ = run(capsys, "table", "2", "--jobs", "3", "--json")
-    assert serial == parallel
+def test_table_runs_serially_without_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "2", "--jobs", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _, first, _ = run(capsys, "table", "2", "--json")
+    _, second, _ = run(capsys, "table", "2", "--json")
+    assert first == second
 
 
 def test_table_failure_exit_code(tmp_path, capsys):
@@ -222,6 +226,15 @@ def test_classify_command(tmp_path, capsys):
     data = json.loads(out)
     assert data["rota_baxter"] and data["isometric"] and data["invertible"]
     assert not data["compatible"]
+
+
+def test_classify_zero_denominator_is_usage_error(tmp_path, capsys):
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['1/0','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    code, _, err = run(capsys, "classify", "L1", "--op", str(op))
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_solve_with_explicit_candidates_file(tmp_path, capsys):

@@ -185,8 +185,9 @@ def test_unknown_variable_rejected():
 
 
 def test_float_literal_rejected():
-    with pytest.raises(PolyParseError):
-        P("0.5*x")
+    for text in ("0.5*x", "1/0*x"):
+        with pytest.raises(PolyParseError):
+            P(text)
 
 
 def test_rational_round_trip():
