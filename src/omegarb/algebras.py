@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Vector,
     det,
+    identity,
     inverse,
     is_zero_matrix,
     mat,
@@ -142,9 +143,7 @@ class OperatorMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "OperatorMatrix":
-        from .linalg import identity as _id
-
-        return cls(_id(n))
+        return cls(identity(n))
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         n = self.dim

@@ -322,7 +322,10 @@ def evaluate_rational_expression(
             return -atom()
         raise fail(f"expected a value, found {val!r}", at)
 
-    out = expr()
+    try:
+        out = expr()
+    except RecursionError:
+        raise PolyParseError(f"expression nested too deeply: {text[:30]!r}...") from None
     if pos != len(tokens):
         _, val, at = peek()
         raise fail(f"unexpected token {val!r}", at)

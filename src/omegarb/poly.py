@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import add, le, sub
 from typing import Callable, Mapping, Sequence, Union
 
 Mono = tuple[int, ...]
@@ -103,21 +105,22 @@ def mono_one(n: int) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True iff a | b, i.e. every exponent of a is <= that of b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
 
 def mono_gcd(a: Mono, b: Mono) -> Mono:
     return tuple(min(x, y) for x, y in zip(a, b))
@@ -149,6 +152,9 @@ class MonomialOrder:
     _keyfn: Callable[[Mono], tuple] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    _desc_keyfn: Callable[[Mono], tuple] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex"):
@@ -157,16 +163,25 @@ class MonomialOrder:
         if sorted(pr) != list(range(len(pr))):
             raise ValueError(f"priority {pr!r} is not a permutation")
         object.__setattr__(self, "priority", pr)
+        # desc_keyfn negates every component of keyfn, which reverses the
+        # comparison of these equal-length integer tuples
         if self.kind == "lex":
             def keyfn(m: Mono, _pr=pr) -> tuple:
                 return tuple(m[p] for p in _pr)
+
+            def desc_keyfn(m: Mono, _pr=pr) -> tuple:
+                return tuple(-m[p] for p in _pr)
         else:
             rev = tuple(reversed(pr))
 
             def keyfn(m: Mono, _rev=rev) -> tuple:
                 return (sum(m), tuple(-m[p] for p in _rev))
 
+            def desc_keyfn(m: Mono, _rev=rev) -> tuple:
+                return (-sum(m), tuple(m[p] for p in _rev))
+
         object.__setattr__(self, "_keyfn", keyfn)
+        object.__setattr__(self, "_desc_keyfn", desc_keyfn)
 
     @property
     def nvars(self) -> int:
@@ -179,6 +194,15 @@ class MonomialOrder:
                 f"monomial has {len(m)} exponents, order expects {len(self.priority)}"
             )
         return self._keyfn(m)
+
+    def desc_key(self, m: Mono) -> tuple:
+        """Heap key: desc_key(a) < desc_key(b) iff a > b in this order, so a
+        min-heap pops the largest monomial first."""
+        if len(m) != len(self.priority):
+            raise DimensionMismatchError(
+                f"monomial has {len(m)} exponents, order expects {len(self.priority)}"
+            )
+        return self._desc_keyfn(m)
 
     def compare(self, a: Mono, b: Mono) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -228,7 +252,7 @@ class Polynomial:
         clean: dict[Mono, Fraction] = {}
         n = len(table)
         for mono, coeff in terms.items():
-            c = Fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c == 0:
                 continue
             if len(mono) != n or any(e < 0 for e in mono):
@@ -405,8 +429,6 @@ class Polynomial:
         """Positive rational c with self/c having integer coprime coefficients."""
         if not self.terms:
             return Fraction(1)
-        from math import gcd
-
         nums = [abs(c.numerator) for c in self.terms.values()]
         dens = [c.denominator for c in self.terms.values()]
         g = 0
@@ -664,7 +686,10 @@ class _Parser:
 
 def parse_polynomial(text: str, table: VariableTable) -> Polynomial:
     """Parse ``x12*x21 + x22^2`` style text ('*' optional, '^' for powers)."""
-    return _Parser(text, table).parse()
+    try:
+        return _Parser(text, table).parse()
+    except RecursionError:
+        raise PolyParseError(f"expression nested too deeply: {text[:30]!r}...") from None
 
 
 def parse_rational(text: str) -> Fraction:

@@ -13,6 +13,7 @@ from omegarb.catalog import (
     operator_from_spec,
     parse_catalog_text,
 )
+from omegarb.poly import PolyParseError
 
 SHIPPED = {"L1", "L2", "L1_1", "L1_2", "L1_8", "Atilde_alpha"}
 
@@ -152,6 +153,9 @@ def test_expression_evaluator():
     assert evaluate_rational_expression("2a - 1/2", env) == Fraction(11, 2)
     with pytest.raises(Exception):
         evaluate_rational_expression("a/(b - 1/2)", env)
+    with pytest.raises(PolyParseError, match="nested too deeply"):
+        evaluate_rational_expression("(" * 3000 + "a" + ")" * 3000, env)
+    assert evaluate_rational_expression("(" * 50 + "a" + ")" * 50, env) == 3
 
 
 # -- serialization -----------------------------------------------------------------

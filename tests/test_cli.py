@@ -1,10 +1,15 @@
 """CLI behavior: commands, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import omegarb
 from omegarb.cli import main
 
 ABELIAN_CATALOG = """
@@ -237,6 +242,16 @@ def test_classify_zero_denominator_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_classify_deeply_nested_entry_is_usage_error(tmp_path, capsys):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    op = tmp_path / "op.yaml"
+    op.write_text(f"rows:\n  - ['{deep}','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    code, _, err = run(capsys, "classify", "L1", "--op", str(op))
+    assert code == 2
+    assert "error:" in err and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_solve_with_explicit_candidates_file(tmp_path, capsys):
     from importlib import resources
 
@@ -303,3 +318,15 @@ def test_construct_deform_with_steps(tmp_path, capsys):
     assert len(data["algebras"]) == 2
     assert "[x,y] = -z" in data["algebras"][0]["brackets"]
     assert data["algebras"][1]["brackets"] == []  # R^2 = 0 here
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = Path(omegarb.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "omegarb", "table", "1", "--json"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    code, out, _ = run(capsys, "table", "1", "--json")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

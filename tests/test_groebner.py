@@ -167,3 +167,81 @@ def test_exact_divide():
     assert exact_divide(f, P("x12"), O) == L1Q
     with pytest.raises(ArithmeticError):
         exact_divide(L1Q, P("x12"), O)
+
+
+# -- determinism: divisor choice and reduction order are pinned ---------------
+
+T4 = VariableTable.of("x", "y", "z", "w")
+
+
+def test_first_divisor_in_list_order_wins():
+    # both leading monomials (x*y and x*z) divide x*y*z; the basis is not a
+    # Groebner basis, so the choice shows in the remainder
+    t = VariableTable.of("x", "y", "z")
+    o = grevlex_order(t)
+    g1 = parse_polynomial("x*y + z^2", t)
+    g2 = parse_polynomial("x*z + z^2", t)
+    f = parse_polynomial("x*y*z", t)
+    assert reduce(f, [g1, g2], o) == parse_polynomial("-z^3", t)
+    assert reduce(f, [g2, g1], o) == parse_polynomial("-y*z^2", t)
+
+
+REDUCE_BASIS = ["x*y - z^2 + 1/2", "x*z + y*w - 3", "y^2 - x*w + 2*z"]
+REDUCE_INPUTS = ["x^2*y*z + y^3*w - 5*x*z*w + 7/3", "(x + y + z + w)^3"]
+
+# remainders as (monomial, coefficient) in the remainder's term order, which
+# is descending in the monomial order
+PINNED_REMAINDERS = {
+    ("lex", 0): [
+        ((0, 3, 0, 1), "1"), ((0, 1, 2, 1), "-1"), ((0, 1, 0, 2), "5"),
+        ((0, 1, 0, 1), "1/2"), ((0, 0, 2, 0), "3"), ((0, 0, 0, 1), "-15"),
+        ((0, 0, 0, 0), "5/6"),
+    ],
+    ("lex", 1): [
+        ((3, 0, 0, 0), "1"), ((1, 0, 0, 0), "15/2"), ((0, 3, 0, 0), "1"),
+        ((0, 2, 1, 0), "3"), ((0, 2, 0, 1), "6"), ((0, 1, 2, 0), "9"),
+        ((0, 1, 0, 2), "-3"), ((0, 1, 0, 1), "-6"), ((0, 1, 0, 0), "-3"),
+        ((0, 0, 3, 0), "7"), ((0, 0, 2, 1), "6"), ((0, 0, 1, 2), "3"),
+        ((0, 0, 1, 1), "6"), ((0, 0, 1, 0), "15"), ((0, 0, 0, 3), "1"),
+        ((0, 0, 0, 1), "33/2"), ((0, 0, 0, 0), "18"),
+    ],
+    ("grevlex", 0): [
+        ((0, 1, 2, 1), "-1"), ((0, 0, 2, 2), "1"), ((0, 1, 1, 1), "-2"),
+        ((0, 1, 0, 2), "5"), ((0, 0, 2, 0), "3"), ((0, 1, 0, 1), "1/2"),
+        ((0, 0, 0, 2), "-1/2"), ((0, 0, 0, 1), "-15"), ((0, 0, 0, 0), "5/6"),
+    ],
+    ("grevlex", 1): [
+        ((3, 0, 0, 0), "1"), ((0, 1, 2, 0), "6"), ((0, 0, 3, 0), "7"),
+        ((2, 0, 0, 1), "3"), ((0, 0, 2, 1), "7"), ((1, 0, 0, 2), "6"),
+        ((0, 1, 0, 2), "-6"), ((0, 0, 1, 2), "3"), ((0, 0, 0, 3), "1"),
+        ((0, 1, 1, 0), "-2"), ((0, 0, 2, 0), "-6"), ((0, 0, 1, 1), "-6"),
+        ((1, 0, 0, 0), "15/2"), ((0, 1, 0, 0), "-3/2"), ((0, 0, 1, 0), "15"),
+        ((0, 0, 0, 1), "25"),
+    ],
+    ("grevlex_wzxy", 0): [
+        ((0, 3, 0, 1), "1"), ((0, 4, 0, 0), "-1"), ((0, 1, 0, 2), "5"),
+        ((0, 2, 1, 0), "-2"), ((1, 1, 0, 0), "3"), ((0, 0, 0, 1), "-15"),
+        ((0, 0, 0, 0), "7/3"),
+    ],
+    ("grevlex_wzxy", 1): [
+        ((0, 0, 0, 3), "1"), ((0, 0, 1, 2), "3"), ((3, 0, 0, 0), "1"),
+        ((0, 1, 0, 2), "-3"), ((0, 1, 1, 1), "6"), ((2, 1, 0, 0), "6"),
+        ((0, 2, 0, 1), "-1"), ((0, 2, 1, 0), "3"), ((1, 2, 0, 0), "9"),
+        ((0, 3, 0, 0), "7"), ((0, 0, 1, 1), "6"), ((0, 1, 0, 1), "-6"),
+        ((0, 1, 1, 0), "12"), ((0, 0, 0, 1), "39/2"), ((0, 0, 1, 0), "1/2"),
+        ((1, 0, 0, 0), "21/2"), ((0, 1, 0, 0), "45/2"), ((0, 0, 0, 0), "18"),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_REMAINDERS))
+def test_reduce_remainders_are_pinned(key):
+    orders = {
+        "lex": lex_order(T4),
+        "grevlex": grevlex_order(T4),
+        "grevlex_wzxy": grevlex_order(T4, ["w", "z", "x", "y"]),
+    }
+    name, i = key
+    basis = [parse_polynomial(s, T4) for s in REDUCE_BASIS]
+    r = reduce(parse_polynomial(REDUCE_INPUTS[i], T4), basis, orders[name])
+    assert [(m, str(c)) for m, c in r.terms.items()] == PINNED_REMAINDERS[key]

@@ -50,6 +50,16 @@ def test_compare_dimension_mismatch():
         compare_monomials(lex_order(T3), (1, 0), (0, 1, 0))
 
 
+MONO3 = st.tuples(*[st.integers(0, 4)] * 3)
+
+
+@given(MONO3, MONO3)
+def test_desc_key_reverses_key(a, b):
+    for o in (lex_order(T3), grevlex_order(T3), grevlex_order(T3, ["z", "x", "y"])):
+        assert (o.desc_key(a) < o.desc_key(b)) == (o.key(a) > o.key(b))
+        assert (o.desc_key(a) == o.desc_key(b)) == (a == b)
+
+
 def test_grevlex_priority_permutation():
     o = grevlex_order(T3, ["z", "y", "x"])
     # with z largest: z^2 > z*y
@@ -188,6 +198,13 @@ def test_float_literal_rejected():
     for text in ("0.5*x", "1/0*x"):
         with pytest.raises(PolyParseError):
             P(text)
+
+
+def test_deep_nesting_rejected():
+    deep = "(" * 3000 + "x" + ")" * 3000
+    with pytest.raises(PolyParseError, match="nested too deeply"):
+        P(deep)
+    assert P("(" * 50 + "x" + ")" * 50) == P("x")
 
 
 def test_rational_round_trip():
