@@ -91,27 +91,30 @@ class OmegaAlgebra:
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         n = self.dim
         out = [Fraction(0)] * n
+        support = [(j, v[j]) for j in range(n) if v[j]]
         for i in range(n):
-            if u[i] == 0:
+            x = u[i]
+            if not x:
                 continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                cij = self.c[i][j]
-                for k in range(n):
-                    if cij[k]:
-                        out[k] += f * cij[k]
+            ci = self.c[i]
+            for j, y in support:
+                f = x * y
+                for k, c in enumerate(ci[j]):
+                    if c:
+                        out[k] += f * c
         return tuple(out)
 
     def omega_value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
+        support = [(j, v[j]) for j in range(self.dim) if v[j]]
         for i in range(self.dim):
-            if u[i] == 0:
+            x = u[i]
+            if not x:
                 continue
-            for j in range(self.dim):
-                if v[j] != 0 and self.omega[i][j] != 0:
-                    total += u[i] * v[j] * self.omega[i][j]
+            om = self.omega[i]
+            for j, y in support:
+                if om[j]:
+                    total += x * y * om[j]
         return total
 
     def basis_vector(self, i: int) -> Vector:
@@ -146,18 +149,29 @@ class OperatorMatrix:
         return cls(identity(n))
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
+        """R(v) = sum_i v_i R(e_i), skipping zero coordinates and entries."""
         n = self.dim
-        return tuple(
-            sum(v[i] * self.entries[i][j] for i in range(n)) for j in range(n)
-        )
+        if len(v) != n:
+            raise ValueError(f"vector of length {len(v)} for a {n}x{n} operator")
+        out = [Fraction(0)] * n
+        for x, row in zip(v, self.entries):
+            if x:
+                for j, y in enumerate(row):
+                    if y:
+                        out[j] += x * y
+        return tuple(out)
 
     def then(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Composition 'self then other' (x -> other(self(x)))."""
         return OperatorMatrix(mat_mul(self.entries, other.entries))
 
     def power(self, k: int) -> "OperatorMatrix":
-        out = OperatorMatrix.identity(self.dim)
-        for _ in range(k):
+        if k < 0:
+            raise ValueError("operator power must be >= 0")
+        if k == 0:
+            return OperatorMatrix.identity(self.dim)
+        out = self
+        for _ in range(k - 1):
             out = out.then(self)
         return out
 
@@ -246,29 +260,20 @@ def validate_algebra(L: OmegaAlgebra) -> AlgebraValidation:
             if L.omega[i][j] != -L.omega[j][i]:
                 failures.append(("omega-skew", (i, j), L.omega[i][j] + L.omega[j][i]))
     if not failures:
+        basis = [L.basis_vector(t) for t in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    ei, ej, ek = (L.basis_vector(t) for t in (i, j, k))
-                    lhs = [Fraction(0)] * n
-                    for a, b, cvec in (
-                        (i, j, ek),
-                        (j, k, ei),
-                        (k, i, ej),
-                    ):
-                        inner = L.c[a][b]
-                        term = L.bracket(inner, cvec)
-                        lhs = [x + y for x, y in zip(lhs, term)]
-                    rhs = [Fraction(0)] * n
-                    for coeff, target in (
-                        (L.omega[i][j], ek),
-                        (L.omega[j][k], ei),
-                        (L.omega[k][i], ej),
-                    ):
-                        rhs = [x + coeff * y for x, y in zip(rhs, target)]
-                    residual = tuple(x - y for x, y in zip(lhs, rhs))
-                    if any(x != 0 for x in residual):
-                        failures.append(("jacobi", (i, j, k), residual))
+                    # [[e_a,e_b],e_c] - omega(e_a,e_b) e_c, summed cyclically
+                    residual = [Fraction(0)] * n
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for t, x in enumerate(L.bracket(L.c[a][b], basis[c])):
+                            if x:
+                                residual[t] += x
+                        if L.omega[a][b]:
+                            residual[c] -= L.omega[a][b]
+                    if any(residual):
+                        failures.append(("jacobi", (i, j, k), tuple(residual)))
     return AlgebraValidation(not failures, failures)
 
 
@@ -307,34 +312,31 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
         raise ValueError("operator and algebra dimensions differ")
     w = Fraction(weight)
     n = L.dim
-    images = [R.apply(L.basis_vector(i)) for i in range(n)]
+    basis = [L.basis_vector(i) for i in range(n)]
+    images = R.entries  # R(e_i) is row i
     is_rb = True
     is_compat = True
     is_isom = True
     is_der = True
     is_auto_bracket = True
     for i in range(n):
+        ei, ri = basis[i], images[i]
         for j in range(i + 1, n):
-            ei, ej = L.basis_vector(i), L.basis_vector(j)
-            ri, rj = images[i], images[j]
+            ej, rj = basis[j], images[j]
+            c_ij = L.c[i][j]
             lhs = L.bracket(ri, rj)
-            inner = tuple(
-                a + b + w * c
-                for a, b, c in zip(L.bracket(ri, ej), L.bracket(ei, rj), L.c[i][j])
-            )
-            if lhs != R.apply(inner):
-                is_rb = False
-            if L.omega_value(ri, ej) + L.omega_value(ei, rj) != 0:
-                is_compat = False
-            if L.omega_value(ri, rj) != L.omega[i][j]:
-                is_isom = False
-            bracket_ij = L.c[i][j]
-            if R.apply(bracket_ij) != tuple(
-                a + b for a, b in zip(L.bracket(ri, ej), L.bracket(ei, rj))
-            ):
-                is_der = False
-            if R.apply(bracket_ij) != lhs:
-                is_auto_bracket = False
+            cross = tuple(a + b for a, b in zip(L.bracket(ri, ej), L.bracket(ei, rj)))
+            if is_rb:
+                inner = tuple(a + w * c for a, c in zip(cross, c_ij)) if w else cross
+                is_rb = lhs == R.apply(inner)
+            if is_compat:
+                is_compat = L.omega_value(ri, ej) + L.omega_value(ei, rj) == 0
+            if is_isom:
+                is_isom = L.omega_value(ri, rj) == L.omega[i][j]
+            if is_der or is_auto_bracket:
+                r_cij = R.apply(c_ij)
+                is_der = is_der and r_cij == cross
+                is_auto_bracket = is_auto_bracket and r_cij == lhs
     invertible = R.is_invertible()
     return MapClassification(
         weight=w,
@@ -343,7 +345,7 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
         is_isometric=is_isom,
         is_derivation=is_der,
         is_automorphism=is_auto_bracket and invertible,
-        is_square_zero=R.power(2).is_zero(),
+        is_square_zero=is_zero_matrix(mat_mul(R.entries, R.entries)),
         is_invertible=invertible,
     )
 

@@ -34,6 +34,7 @@ from .catalog import (
     serialize_constructed,
 )
 from .constructions import (
+    IterationHalted,
     ModuleAction,
     PreconditionError,
     homlie_from_rb,
@@ -41,7 +42,6 @@ from .constructions import (
     iterate_deform,
     left_symmetric_from_rb,
     module_twist,
-    omega_deform,
     validate_module,
 )
 from .ideals import (
@@ -480,17 +480,25 @@ def _parse_param_overrides(pairs) -> dict[str, Fraction]:
     return out
 
 
+def _operator_for(L, args) -> OperatorMatrix:
+    """The `--op` operator, which must match the algebra's dimension."""
+    R = parse_operator_file(args.op, _parse_param_overrides(args.param))
+    if R.dim != L.dim:
+        raise UsageError(
+            f"operator is {R.dim}x{R.dim} but {args.algebra} has dimension {L.dim}"
+        )
+    return R
+
+
 def cmd_construct(args) -> int:
     catalog = _load_catalog(args.catalog)
     entry = catalog.get(args.algebra)
     if entry is None:
         raise UsageError(f"unknown algebra {args.algebra!r}")
     L, a = _algebra_for(entry, args.alpha)
-    R = parse_operator_file(args.op, _parse_param_overrides(args.param))
-    if R.dim != L.dim:
-        raise UsageError(
-            f"operator is {R.dim}x{R.dim} but {args.algebra} has dimension {L.dim}"
-        )
+    R = _operator_for(L, args)
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     provenance = [
         f"constructed: {args.kind} from {args.algebra}"
         + (f" (alpha = {a})" if a is not None else ""),
@@ -520,7 +528,7 @@ def cmd_construct(args) -> int:
             report["validated"] = True
             lines = text.splitlines() + ["validation: left-symmetric identity holds"]
         elif args.kind == "deform":
-            steps = iterate_deform(L, R, args.steps) if args.steps > 1 else [L, omega_deform(L, R)]
+            steps = iterate_deform(L, R, args.steps)
             outs = []
             for i, Li in enumerate(steps[1:], 1):
                 payload = algebra_to_catalog_dict(Li, f"{args.algebra}_deformed_{i}")
@@ -598,6 +606,9 @@ def cmd_construct(args) -> int:
     except PreconditionError as exc:
         print(f"construction rejected - {exc}", file=sys.stderr)
         return 1
+    except IterationHalted as exc:
+        print(f"construction halted - {exc}", file=sys.stderr)
+        return 1
     _emit(report, args.json, lines)
     return 0
 
@@ -608,7 +619,7 @@ def cmd_classify(args) -> int:
     if entry is None:
         raise UsageError(f"unknown algebra {args.algebra!r}")
     L, a = _algebra_for(entry, args.alpha)
-    R = parse_operator_file(args.op, _parse_param_overrides(args.param))
+    R = _operator_for(L, args)
     weight = parse_rational(args.weight)
     cls = classify_map(L, R, weight)
     report = {

@@ -1,10 +1,13 @@
 """Structures built from Rota-Baxter operators: left-symmetric algebras,
 deformed omega-Lie algebras, Hom-Lie algebras, and module twists.
 
-Every construction verifies its hypotheses before building anything and
-raises :class:`PreconditionError` naming the failed hypothesis, since a
-silently misused construction produces tables that violate the claimed
-identities.  Outputs are validated against their defining identities.
+Every construction checks its hypotheses with `classify_map` before
+building anything and raises :class:`PreconditionError` naming the failed
+hypothesis, since a silently misused construction produces tables that
+violate the claimed identities.  The deformation is built by the private
+`_deform`, which checks nothing: `omega_deform` checks R on L before calling
+it, and `iterate_deform` checks R once on L and each later power R^i on
+L_{i-1}.  Every output is validated against its defining identities.
 """
 
 from __future__ import annotations
@@ -117,18 +120,18 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
     cls = classify_map(L, R, 0)
     if not cls.is_rb:
         raise PreconditionError("R is a Rota-Baxter operator of weight 0")
+    images = R.entries  # R(e_i) is row i
     ker = kernel_omega(L)
     for i in range(L.dim):
-        if not ker.contains(R.apply(L.basis_vector(i))):
+        if not ker.contains(images[i]):
             raise PreconditionError(
                 "image(R) inside ker(omega)",
                 f"R({L.basis_names[i]}) is outside the kernel",
             )
     n = L.dim
-    images = [R.apply(L.basis_vector(i)) for i in range(n)]
+    basis = [L.basis_vector(j) for j in range(n)]
     table = tuple(
-        tuple(L.bracket(images[i], L.basis_vector(j)) for j in range(n))
-        for i in range(n)
+        tuple(L.bracket(images[i], basis[j]) for j in range(n)) for i in range(n)
     )
     A = LeftSymmetricAlgebra(n, L.basis_names, table)
     if not is_left_symmetric(A):
@@ -140,15 +143,26 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
 # deformed omega-Lie algebras
 
 
+def _is_compatible_rb(L: OmegaAlgebra, R: OperatorMatrix) -> bool:
+    cls = classify_map(L, R, 0)
+    return cls.is_rb and cls.is_compatible
+
+
 def omega_deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
     """The deformation L_R: bracket [x,y]_R = [R(x),y] + [x,R(y)] and form
     omega_R(x,y) = omega(R(x),R(y)); requires R compatible Rota-Baxter of
     weight 0.  The output is validated."""
-    cls = classify_map(L, R, 0)
-    if not (cls.is_rb and cls.is_compatible):
+    if not _is_compatible_rb(L, R):
         raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
+    return _deform(L, R)
+
+
+def _deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
+    """L_R without the hypothesis check; callers check R first.  The output
+    is still validated."""
     n = L.dim
-    images = [R.apply(L.basis_vector(i)) for i in range(n)]
+    images = R.entries  # R(e_i) is row i
+    basis = [L.basis_vector(i) for i in range(n)]
     brackets = {}
     omega_vals = {}
     for i in range(n):
@@ -156,8 +170,7 @@ def omega_deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
             bij = tuple(
                 a + b
                 for a, b in zip(
-                    L.bracket(images[i], L.basis_vector(j)),
-                    L.bracket(L.basis_vector(i), images[j]),
+                    L.bracket(images[i], basis[j]), L.bracket(basis[i], images[j])
                 )
             )
             brackets[(i, j)] = bij
@@ -174,24 +187,26 @@ def iterate_deform(
 ) -> list[OmegaAlgebra]:
     """Iterated deformation: L_0 = L and L_i deforms L_{i-1} by R^i.
 
-    Each step verifies R^i (and R itself) is a compatible weight-0
-    Rota-Baxter operator on L_{i-1}; on failure the iteration halts with
-    :class:`IterationHalted` carrying the offending step and the algebras
-    built so far.
+    R is checked once, on L, to be a compatible weight-0 Rota-Baxter
+    operator; a failure raises :class:`PreconditionError`.  That check
+    covers step 1 (R^1 on L_0).  For i >= 2, R^i is checked on L_{i-1};
+    on failure the iteration halts with :class:`IterationHalted` carrying
+    the offending step and the algebras built so far.  One `classify_map`
+    call per step, and every L_i is validated.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    cls = classify_map(L, R, 0)
-    if not (cls.is_rb and cls.is_compatible):
+    if not _is_compatible_rb(L, R):
         raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
     produced = [L]
     current = L
+    power = R
     for i in range(1, steps + 1):
-        power = R.power(i)
-        cls_pow = classify_map(current, power, 0)
-        if not (cls_pow.is_rb and cls_pow.is_compatible):
-            raise IterationHalted(i, produced)
-        current = omega_deform(current, power)
+        if i > 1:
+            power = power.then(R)
+            if not _is_compatible_rb(current, power):
+                raise IterationHalted(i, produced)
+        current = _deform(current, power)
         produced.append(current)
     return produced
 
@@ -237,7 +252,7 @@ def hom_jacobi_holds(g: HomLieAlgebra) -> bool:
                 total = [Fraction(0)] * n
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                     inner = g.c[a][b]
-                    tw = g.twist.apply(g.basis_vector(c))
+                    tw = g.twist.entries[c]  # t(e_c) is row c
                     term = g.bracket(inner, tw)
                     total = [x + y for x, y in zip(total, term)]
                 if any(x != 0 for x in total):
@@ -255,15 +270,15 @@ def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
     if not cls.is_square_zero:
         raise PreconditionError("R^2 = 0")
     n = L.dim
-    images = [R.apply(L.basis_vector(i)) for i in range(n)]
+    images = R.entries  # R(e_i) is row i
+    basis = [L.basis_vector(i) for i in range(n)]
     c = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             c[i][j] = tuple(
                 a + b
                 for a, b in zip(
-                    L.bracket(images[i], L.basis_vector(j)),
-                    L.bracket(L.basis_vector(i), images[j]),
+                    L.bracket(images[i], basis[j]), L.bracket(basis[i], images[j])
                 )
             )
     g = HomLieAlgebra(n, L.basis_names, tuple(tuple(row) for row in c), R)
@@ -423,10 +438,11 @@ def module_twist(
     if not (cls.is_rb and cls.is_isometric):
         raise PreconditionError("R is an isometric Rota-Baxter operator of weight 1")
     ann = annihilator(L, V)
-    images = [R.apply(L.basis_vector(i)) for i in range(L.dim)]
+    images = R.entries  # R(e_i) is row i
+    basis = [L.basis_vector(j) for j in range(L.dim)]
     for i in range(L.dim):
         for j in range(L.dim):
-            w = R.apply(L.bracket(images[i], L.basis_vector(j)))
+            w = R.apply(L.bracket(images[i], basis[j]))
             if not ann.contains(w):
                 raise PreconditionError(
                     "R([R(L), L]) inside the annihilator of the module",

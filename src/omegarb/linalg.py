@@ -45,12 +45,20 @@ def mat_scale(a: Matrix, q) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Row-by-row product that skips zero coefficients of either factor."""
     if not a or not b:
         return ()
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    m = len(b[0])
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * m
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:

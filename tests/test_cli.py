@@ -233,6 +233,15 @@ def test_classify_command(tmp_path, capsys):
     assert not data["compatible"]
 
 
+def test_classify_dimension_mismatch_is_usage_error(tmp_path, capsys):
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['0','0']\n  - ['0','0']\n")
+    code, _, err = run(capsys, "classify", "L1", "--op", str(op))
+    assert code == 2
+    assert "error:" in err and "2x2" in err
+    assert "Traceback" not in err
+
+
 def test_classify_zero_denominator_is_usage_error(tmp_path, capsys):
     op = tmp_path / "op.yaml"
     op.write_text("rows:\n  - ['1/0','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
@@ -330,3 +339,75 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = run(capsys, "table", "1", "--json")
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_construct_deform_steps_below_one_is_usage_error(tmp_path, capsys, steps):
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['0','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    code, out, err = run(
+        capsys, "construct", "deform", "L1", "--op", str(op), "--steps", steps, "--json"
+    )
+    assert code == 2 and out == ""
+    assert "error:" in err and "--steps" in err
+    assert "Traceback" not in err
+
+
+ONE_STEP_DEFORM_JSON = """{
+  "algebra": "L1",
+  "algebras": [
+    {
+      "basis": [
+        "x",
+        "y",
+        "z"
+      ],
+      "brackets": [
+        "[x,y] = -z",
+        "[x,z] = z",
+        "[y,z] = z"
+      ],
+      "dim": 3,
+      "name": "L1_deformed_1",
+      "omega": []
+    }
+  ],
+  "kind": "deform",
+  "validated": true
+}
+"""
+
+
+@pytest.mark.parametrize("extra", [[], ["--steps", "1"]])
+def test_construct_deform_one_step_output_is_pinned(tmp_path, capsys, extra):
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['-1','1','1']\n  - ['-1','1','1']\n  - ['0','0','0']\n")
+    code, out, _ = run(capsys, "construct", "deform", "L1", "--op", str(op), "--json", *extra)
+    assert code == 0
+    assert out == ONE_STEP_DEFORM_JSON
+
+
+HEISENBERG_CATALOG = """
+- name: heis
+  dim: 3
+  source: "test fixture"
+  basis: [x, y, z]
+  brackets:
+    - "[x,y] = z"
+  omega: []
+"""
+
+
+def test_construct_deform_halt_exits_one_without_traceback(tmp_path, capsys):
+    cat = tmp_path / "cat.yaml"
+    cat.write_text(HEISENBERG_CATALOG)
+    op = tmp_path / "op.yaml"
+    # compatible Rota-Baxter on the Heisenberg algebra; R^2 is not one on L_1
+    op.write_text("rows:\n  - ['-1','-1','-1']\n  - ['-1','0','0']\n  - ['0','0','1']\n")
+    argv = ["construct", "deform", "heis", "--catalog", str(cat), "--op", str(op)]
+    code, out, err = run(capsys, *argv, "--steps", "3")
+    assert code == 1 and out == ""
+    assert "halted at step 2" in err
+    assert "Traceback" not in err
+    code, _, _ = run(capsys, *argv, "--steps", "1")
+    assert code == 0

@@ -119,6 +119,92 @@ def test_iteration_of_zero_operator(L1):
         assert all(not any(Li.c[i][j]) for i in range(3) for j in range(3))
 
 
+def _deform_chain(L, R, steps):
+    """L_i = omega_deform(L_{i-1}, R^i), each power checked on its own;
+    returns the algebras and the step that failed, or None."""
+    produced = [L]
+    for i in range(1, steps + 1):
+        power = R.power(i)
+        cls = classify_map(produced[-1], power, 0)
+        if not (cls.is_rb and cls.is_compatible):
+            return produced, i
+        produced.append(omega_deform(produced[-1], power))
+    return produced, None
+
+
+def _assert_iteration_matches_chain(L, R, steps):
+    want, halted_at = _deform_chain(L, R, steps)
+    if halted_at is None:
+        assert iterate_deform(L, R, steps) == want
+    else:
+        with pytest.raises(IterationHalted) as exc:
+            iterate_deform(L, R, steps)
+        assert exc.value.step == halted_at and exc.value.produced == want
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """The arguments of every `classify_map` call the constructions make."""
+    import omegarb.constructions as constructions
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return classify_map(*args)
+
+    monkeypatch.setattr(constructions, "classify_map", counting)
+    return calls
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_iteration_classifies_once_per_step(L1, classify_calls, steps):
+    R = OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]])
+    assert len(iterate_deform(L1, R, steps)) == steps + 1
+    assert len(classify_calls) == steps
+
+
+def test_iteration_matches_the_omega_deform_chain(L1):
+    R = OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]])
+    for steps in (1, 2, 3):
+        _assert_iteration_matches_chain(L1, R, steps)
+
+
+def test_iteration_matches_the_chain_on_sampled_l18_points(L1_8):
+    from omegarb.cli import _load_builtin_candidates
+    from omegarb.ideals import find_certificate, sample_points
+    from omegarb.solver import GenericOperator, entry_name
+
+    rng = random.Random(18)
+    table = GenericOperator.of_dimension(4).table
+    for component, cert in _load_builtin_candidates("table3_L1_8", table):
+        cert = cert or find_certificate(component)
+        for pt in sample_points(component, cert, 3, rng):
+            R = OperatorMatrix(
+                [[pt[entry_name(i, j)] for j in range(1, 5)] for i in range(1, 5)]
+            )
+            _assert_iteration_matches_chain(L1_8, R, 3)
+
+
+def test_iteration_halts_like_the_chain(classify_calls):
+    heis = OmegaAlgebra.from_brackets(["x", "y", "z"], {(0, 1): [0, 0, 1]}, {})
+    R = OperatorMatrix([[-1, -1, -1], [-1, 0, 0], [0, 0, 1]])
+    assert _deform_chain(heis, R, 3)[1] == 2
+    for steps in (1, 2, 3):
+        _assert_iteration_matches_chain(heis, R, steps)
+    classify_calls.clear()
+    with pytest.raises(IterationHalted):
+        iterate_deform(heis, R, 3)
+    assert len(classify_calls) == 2  # R on L_0, then R^2 on L_1
+
+
+def test_iteration_precondition_failure_is_not_a_halt(L1):
+    R = OperatorMatrix([[1, 1, 0], [0, 0, 0], [0, 0, 0]])  # RB but not compatible
+    for steps in (1, 2):
+        with pytest.raises(PreconditionError, match="compatible"):
+            iterate_deform(L1, R, steps)
+
+
 def test_operator_stays_compatible_on_deformation(L1, rng):
     # deformed algebras admit the same operator as a compatible weight-0
     # Rota-Baxter operator
