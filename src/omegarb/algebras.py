@@ -41,6 +41,27 @@ class SingularOperatorError(ValueError):
 # core types
 
 
+def structure_product(
+    c: Sequence[Sequence[Sequence[Fraction]]], u: Sequence[Fraction], v: Sequence[Fraction]
+) -> Vector:
+    """The bilinear product sum_ij u_i v_j c[i][j] of structure constants
+    c[i][j][k], visiting only nonzero coordinates and constants."""
+    n = len(c)
+    out = [Fraction(0)] * n
+    support = [(j, v[j]) for j in range(n) if v[j]]
+    for i in range(n):
+        x = u[i]
+        if not x:
+            continue
+        ci = c[i]
+        for j, y in support:
+            f = x * y
+            for k, ck in enumerate(ci[j]):
+                if ck:
+                    out[k] += f * ck
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class OmegaAlgebra:
     """Structure constants c[i][j][k] with [e_i,e_j] = sum_k c[i][j][k] e_k,
@@ -85,24 +106,8 @@ class OmegaAlgebra:
             tuple(sorted(params.items())) if params else None,
         )
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
-
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        n = self.dim
-        out = [Fraction(0)] * n
-        support = [(j, v[j]) for j in range(n) if v[j]]
-        for i in range(n):
-            x = u[i]
-            if not x:
-                continue
-            ci = self.c[i]
-            for j, y in support:
-                f = x * y
-                for k, c in enumerate(ci[j]):
-                    if c:
-                        out[k] += f * c
-        return tuple(out)
+        return structure_product(self.c, u, v)
 
     def omega_value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
@@ -209,11 +214,12 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [vec(v) for v in vectors]
-        rows = [r for r in rows if any(x != 0 for x in r)]
+        rows = [r for r in map(vec, vectors) if any(r)]
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError(f"span of vectors whose length is not {ambient_dim}")
         if not rows:
             return cls(ambient_dim, ())
-        red, pivots = rref(mat(rows))
+        red, pivots = rref(rows)
         return cls(ambient_dim, tuple(red[: len(pivots)]))
 
     @property
@@ -221,10 +227,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return Subspace.span(self.ambient_dim, list(self.basis) + [vec(v)]).dim == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return Subspace.span(self.ambient_dim, list(self.basis) + [v]).dim == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.span(self.ambient_dim, list(self.basis) + list(other.basis))
@@ -260,7 +263,7 @@ def validate_algebra(L: OmegaAlgebra) -> AlgebraValidation:
             if L.omega[i][j] != -L.omega[j][i]:
                 failures.append(("omega-skew", (i, j), L.omega[i][j] + L.omega[j][i]))
     if not failures:
-        basis = [L.basis_vector(t) for t in range(n)]
+        basis = identity(n)
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
@@ -312,7 +315,7 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
         raise ValueError("operator and algebra dimensions differ")
     w = Fraction(weight)
     n = L.dim
-    basis = [L.basis_vector(i) for i in range(n)]
+    basis = identity(n)
     images = R.entries  # R(e_i) is row i
     is_rb = True
     is_compat = True

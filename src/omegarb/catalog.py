@@ -9,6 +9,11 @@ the entry can be used; reports mark such rows as skipped.
 
 Every instantiation is validated against the defining identity; an entry
 whose relations break it is rejected with the failing basis triple named.
+
+Relation right-hand sides are polynomial text (``poly.parse_polynomial``);
+operator-file entries are rational expressions over named parameters
+(:func:`evaluate_rational_expression`).  Both are read by the one grammar in
+``poly.evaluate_expression``; only operator entries may divide.
 """
 
 from __future__ import annotations
@@ -17,12 +22,19 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from operator import truediv
 from typing import Mapping, Optional, Sequence
 
 import yaml
 
 from .algebras import OmegaAlgebra, OperatorMatrix, validate_algebra
-from .poly import PolyParseError, VariableTable, _tokenize, parse_polynomial, parse_rational
+from .poly import (
+    PolyParseError,
+    VariableTable,
+    evaluate_expression,
+    parse_polynomial,
+    parse_rational,
+)
 
 
 class CatalogError(ValueError):
@@ -234,102 +246,19 @@ def load_builtin_catalog() -> dict[str, CatalogEntry]:
 
 
 # ---------------------------------------------------------------------------
-# rational expression evaluation (operator files allow division by params)
+# operator files: entries are rational expressions over named parameters
 
 
 def evaluate_rational_expression(
     text: str, bindings: Mapping[str, Fraction]
 ) -> Fraction:
-    """Exact arithmetic expression over named rational values:
-    + - * / ^ parentheses, '*' optional between factors."""
-    tokens = _tokenize(text)
-    pos = 0
+    """Exact value of an expression over named rationals: the polynomial
+    grammar of :func:`omegarb.poly.evaluate_expression` plus '/'."""
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
+    def leaf(v) -> Fraction:
+        return Fraction(bindings[v] if isinstance(v, str) else v)
 
-    def advance():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def fail(msg, at):
-        return PolyParseError(f"{msg} at position {at} in {text!r}")
-
-    def expr() -> Fraction:
-        kind, val, _ = peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            advance()
-            negate = val == "-"
-        acc = term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val, _ = peek()
-            if kind == "op" and val in "+-":
-                advance()
-                rhs = term()
-                acc = acc + rhs if val == "+" else acc - rhs
-            else:
-                return acc
-
-    def term() -> Fraction:
-        acc = factor()
-        while True:
-            kind, val, at = peek()
-            if kind == "op" and val in "*/":
-                advance()
-                rhs = factor()
-                if val == "/":
-                    if rhs == 0:
-                        raise fail("division by zero", at)
-                    acc = acc / rhs
-                else:
-                    acc = acc * rhs
-            elif kind in ("number", "name") or (kind == "op" and val == "("):
-                acc = acc * factor()
-            else:
-                return acc
-
-    def factor() -> Fraction:
-        base = atom()
-        kind, val, at = peek()
-        if kind == "op" and val == "^":
-            advance()
-            kind, val, at = advance()
-            if kind != "number" or "/" in val:
-                raise fail("exponent must be an integer", at)
-            return base ** int(val)
-        return base
-
-    def atom() -> Fraction:
-        kind, val, at = advance()
-        if kind == "number":
-            return Fraction(val)
-        if kind == "name":
-            if val not in bindings:
-                raise fail(f"unbound name {val!r}", at)
-            return Fraction(bindings[val])
-        if kind == "op" and val == "(":
-            v = expr()
-            kind, val, at = advance()
-            if val != ")":
-                raise fail("expected ')'", at)
-            return v
-        if kind == "op" and val == "-":
-            return -atom()
-        raise fail(f"expected a value, found {val!r}", at)
-
-    try:
-        out = expr()
-    except RecursionError:
-        raise PolyParseError(f"expression nested too deeply: {text[:30]!r}...") from None
-    if pos != len(tokens):
-        _, val, at = peek()
-        raise fail(f"unexpected token {val!r}", at)
-    return out
+    return evaluate_expression(text, leaf, truediv)
 
 
 def parse_operator_file(

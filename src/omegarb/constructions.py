@@ -22,6 +22,7 @@ from .algebras import (
     Subspace,
     classify_map,
     kernel_omega,
+    structure_product,
     validate_algebra,
 )
 from .linalg import (
@@ -74,25 +75,13 @@ class LeftSymmetricAlgebra:
     m: tuple[tuple[Vector, ...], ...]
 
     def multiply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                for k in range(n):
-                    if self.m[i][j][k]:
-                        out[k] += f * self.m[i][j][k]
-        return tuple(out)
+        return structure_product(self.m, u, v)
 
 
 def is_left_symmetric(A: LeftSymmetricAlgebra) -> bool:
     """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples."""
     n = A.dim
-    basis = [tuple(Fraction(1 if t == i else 0) for t in range(n)) for i in range(n)]
+    basis = identity(n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -129,7 +118,7 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
                 f"R({L.basis_names[i]}) is outside the kernel",
             )
     n = L.dim
-    basis = [L.basis_vector(j) for j in range(n)]
+    basis = identity(n)
     table = tuple(
         tuple(L.bracket(images[i], basis[j]) for j in range(n)) for i in range(n)
     )
@@ -162,7 +151,7 @@ def _deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
     is still validated."""
     n = L.dim
     images = R.entries  # R(e_i) is row i
-    basis = [L.basis_vector(i) for i in range(n)]
+    basis = identity(n)
     brackets = {}
     omega_vals = {}
     for i in range(n):
@@ -226,22 +215,7 @@ class HomLieAlgebra:
     twist: OperatorMatrix
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                for k in range(n):
-                    if self.c[i][j][k]:
-                        out[k] += f * self.c[i][j][k]
-        return tuple(out)
-
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
+        return structure_product(self.c, u, v)
 
 
 def hom_jacobi_holds(g: HomLieAlgebra) -> bool:
@@ -271,7 +245,7 @@ def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
         raise PreconditionError("R^2 = 0")
     n = L.dim
     images = R.entries  # R(e_i) is row i
-    basis = [L.basis_vector(i) for i in range(n)]
+    basis = identity(n)
     c = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -323,7 +297,7 @@ def _bracket_span(g: HomLieAlgebra, U: Subspace, W: Subspace) -> Subspace:
 def homlie_structure(g: HomLieAlgebra) -> SeriesReport:
     """Series dims start at the full space; length/class is the first index
     whose term vanishes (2 means [g,g] != 0 but the next term is zero)."""
-    full = Subspace.span(g.dim, [g.basis_vector(i) for i in range(g.dim)])
+    full = Subspace.span(g.dim, identity(g.dim))
     derived = [full]
     while not derived[-1].is_zero():
         nxt = _bracket_span(g, derived[-1], derived[-1])
@@ -417,7 +391,7 @@ def validate_module(L: OmegaAlgebra, V: ModuleAction) -> ModuleValidation:
 def annihilator(L: OmegaAlgebra, V: ModuleAction) -> Subspace:
     """{x in L : x . v = 0 for all v}: solve sum_i coords_i rho_i = 0."""
     if V.module_dim == 0:
-        return Subspace.span(L.dim, [L.basis_vector(i) for i in range(L.dim)])
+        return Subspace.span(L.dim, identity(L.dim))
     rows = []
     for r in range(V.module_dim):
         for s in range(V.module_dim):
@@ -439,7 +413,7 @@ def module_twist(
         raise PreconditionError("R is an isometric Rota-Baxter operator of weight 1")
     ann = annihilator(L, V)
     images = R.entries  # R(e_i) is row i
-    basis = [L.basis_vector(j) for j in range(L.dim)]
+    basis = identity(L.dim)
     for i in range(L.dim):
         for j in range(L.dim):
             w = R.apply(L.bracket(images[i], basis[j]))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -59,18 +59,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                         acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def vec_mat(v: Sequence[Fraction], a: Matrix) -> Vector:
-    """Row vector times matrix."""
-    if not a:
-        return ()
-    n = len(a[0])
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(n))
 
 
 def is_zero_matrix(a: Matrix) -> bool:

@@ -11,6 +11,14 @@ The empty dict is the zero polynomial.  All arithmetic is exact; there is no
 floating point anywhere.  Term order is not baked into the representation:
 monomial orders (lex / grevlex with a priority permutation) are separate
 values used for comparisons, leading terms, sorting and printing.
+
+This module also holds the package's one expression grammar.
+:func:`evaluate_expression` reads ``+ - * / ^``, parentheses and p/q
+literals with explicit stacks and evaluates over any ring the caller names;
+:func:`parse_polynomial` is its adapter for polynomial text, and
+``catalog.evaluate_rational_expression`` is the one for operator entries.
+Nesting is capped at ``MAX_NESTING`` open parentheses and exponents at
+``MAX_EXPONENT``, whatever the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Callable, Mapping, Sequence, Union
 
 Mono = tuple[int, ...]
@@ -134,10 +142,6 @@ def mono_support(a: Mono) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(a) if e)
 
 
-def mono_is_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # monomial orders
 
@@ -182,10 +186,6 @@ class MonomialOrder:
 
         object.__setattr__(self, "_keyfn", keyfn)
         object.__setattr__(self, "_desc_keyfn", desc_keyfn)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.priority)
 
     def key(self, m: Mono) -> tuple:
         """Sort key: key(a) < key(b) iff a < b in this order."""
@@ -566,7 +566,17 @@ def _term_text(table: VariableTable, mono: Mono, coeff: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: one tokenizer and one expression grammar
+#
+#   expr    := ['+'] sum               (unary '+' only at the start or after '(')
+#   sum     := product (('+' | '-') product)*
+#   product := signed (('*' | '/') signed | power)*   ('*' may be left out)
+#   signed  := '-' signed | power      (so -a^2 = -(a^2) wherever it stands)
+#   power   := atom ['^' INTEGER]      (one '^'; 0 <= INTEGER <= MAX_EXPONENT)
+#   atom    := NUMBER | NAME | '(' expr ')'   (at most MAX_NESTING open '(')
+
+MAX_NESTING = 256
+MAX_EXPONENT = 64
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -574,13 +584,19 @@ _TOKEN_RE = re.compile(
 )
 _FLOAT_RE = re.compile(r"\d+\.\d*|\.\d+")
 
+# binding strength of the pending operators; '^' is applied as soon as it is read
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
+_ARITHMETIC = {"+": add, "-": sub, "*": mul}
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, position) triples: a number is an ``int`` or, when
+    written p/q, a ``Fraction``; names and operators stay strings."""
     if _FLOAT_RE.search(text):
         raise PolyParseError(
             "floating-point literals are not supported; use exact p/q rationals"
         )
-    tokens: list[tuple[str, str, int]] = []
+    tokens: list[tuple[str, object, int]] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -589,107 +605,140 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             raise PolyParseError(f"unexpected character {text[pos]!r} at position {pos}")
         pos = m.end()
-        for kind in ("number", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                if kind == "number" and "/" in val and int(val.split("/")[1]) == 0:
-                    raise PolyParseError(f"zero denominator in {val!r} at position {m.start()}")
-                tokens.append((kind, val, m.start()))
-                break
+        kind = m.lastgroup
+        val = m.group(kind)
+        if kind == "number":
+            num, _, den = val.partition("/")
+            try:
+                val = Fraction(int(num), int(den)) if den else int(num)
+            except ZeroDivisionError:
+                raise PolyParseError(
+                    f"zero denominator in {m.group(kind)!r} at position {m.start()}"
+                ) from None
+            except ValueError:  # more digits than int() converts
+                raise PolyParseError(f"number too long at position {m.start()}") from None
+        tokens.append((kind, val, m.start()))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, table: VariableTable):
-        self.text = text
-        self.table = table
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def evaluate_expression(
+    text: str,
+    leaf: Callable[[object], object],
+    divide: Callable[[object, object], object] | None = None,
+):
+    """Evaluate ``text`` under the grammar above with explicit operator and
+    value stacks, so the work is linear in the text and needs no recursion.
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
+    ``leaf(v)`` turns a number token (an ``int`` or ``Fraction``) or a name
+    token (a ``str``) into a value, raising ``KeyError`` for an unknown
+    name.  Values must support ``+``, ``-``, ``*``, unary ``-`` and ``**``
+    by an ``int``.  ``divide(a, b)`` gives ``a / b`` and raises
+    ``ZeroDivisionError`` when ``b`` is zero; without it ``/`` is an error.
+    Every malformed input raises :class:`PolyParseError`.
+    """
+    tokens = _tokenize(text) + [(None, None, len(text))]  # end-of-text sentinel
+    values: list = []
+    pending: list[tuple[str, int]] = []  # operators, 'neg' and '(' with positions
+    depth = 0  # open parentheses
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+    def fail(message: str, at: int) -> PolyParseError:
+        return PolyParseError(f"{message} at position {at} in {text!r}")
 
-    def fail(self, message: str, at: int) -> "PolyParseError":
-        return PolyParseError(f"{message} at position {at} in {self.text!r}")
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        kind, val, at = self.peek()
-        if kind is not None:
-            raise self.fail(f"unexpected token {val!r}", at)
-        return p
-
-    def expr(self) -> Polynomial:
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
+    def apply_pending(precedence: int) -> None:
+        """Apply the pending operators, down to the innermost '(', that bind
+        at least as tightly as ``precedence``."""
+        while pending and pending[-1][0] != "(" and _PRECEDENCE[pending[-1][0]] >= precedence:
+            op, at = pending.pop()
+            if op == "neg":
+                values[-1] = -values[-1]
+                continue
+            rhs = values.pop()
+            if op == "/":
+                try:
+                    values[-1] = divide(values[-1], rhs)
+                except ZeroDivisionError:
+                    raise fail("division by zero", at) from None
             else:
-                return acc
+                values[-1] = _ARITHMETIC[op](values[-1], rhs)
 
-    def term(self) -> Polynomial:
-        acc = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                acc = acc * self.factor()
-            elif kind in ("number", "name") or (kind == "op" and val == "("):
-                acc = acc * self.factor()  # implicit multiplication
-            else:
-                return acc
-
-    def factor(self) -> Polynomial:
-        base = self.atom()
-        kind, val, at = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, at = self.next()
-            if kind != "number" or "/" in val:
-                raise self.fail("exponent must be a nonnegative integer", at)
-            return base ** int(val)
-        return base
-
-    def atom(self) -> Polynomial:
-        kind, val, at = self.next()
-        if kind == "number":
-            return Polynomial.constant(self.table, Fraction(val))
-        if kind == "name":
-            if val not in self.table:
-                raise self.fail(f"unknown variable {val!r}", at)
-            return Polynomial.variable(self.table, val)
-        if kind == "op" and val == "(":
-            p = self.expr()
-            kind, val, at = self.next()
-            if val != ")":
-                raise self.fail("expected ')'", at)
-            return p
-        if kind == "op" and val == "-":
-            return -self.atom()
-        raise self.fail(f"expected a term, found {val!r}", at)
+    i = 0
+    operand = True  # the next token must start an operand
+    start = True  # ... and may be a unary '+'
+    powerable = False  # the last value read may take '^'
+    while True:
+        kind, val, at = tokens[i]
+        i += 1
+        if operand:
+            if kind == "number" or kind == "name":
+                try:
+                    values.append(leaf(val))
+                except KeyError:
+                    raise fail(f"unknown name {val!r}", at) from None
+                operand, powerable = False, True
+            elif kind == "op" and val == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise PolyParseError(
+                        f"expression nested too deeply: more than {MAX_NESTING} open"
+                        f" parentheses at position {at} in {text[:30]!r}..."
+                    )
+                pending.append(("(", at))
+                start = True
+                continue
+            elif kind == "op" and val == "-":
+                if pending and pending[-1][0] == "neg":
+                    pending.pop()  # a double negation cancels
+                else:
+                    pending.append(("neg", at))
+            elif not (start and kind == "op" and val == "+"):
+                raise fail(f"expected a term, found {val!r}", at)
+            start = False
+            continue
+        if powerable and kind == "op" and val == "^":
+            kind, val, at = tokens[i]
+            i += 1
+            if kind != "number" or not isinstance(val, int):
+                raise fail("exponent must be a nonnegative integer", at)
+            if val > MAX_EXPONENT:
+                raise fail(f"exponent {val} is above the limit {MAX_EXPONENT}", at)
+            values[-1] = values[-1] ** val
+            powerable = False
+            continue
+        powerable = False
+        if kind is None:
+            break
+        if kind == "op" and (val in "+-*" or (val == "/" and divide is not None)):
+            apply_pending(_PRECEDENCE[val])
+            pending.append((val, at))
+            operand = True
+        elif kind != "op" or val == "(":  # implicit multiplication
+            apply_pending(_PRECEDENCE["*"])
+            pending.append(("*", at))
+            operand = True
+            i -= 1
+        elif val == ")" and depth:
+            apply_pending(0)
+            pending.pop()
+            depth -= 1
+            powerable = True
+        else:
+            raise fail("expected ')'" if depth else f"unexpected token {val!r}", at)
+    if depth:
+        raise fail("expected ')'", at)
+    apply_pending(0)
+    return values[0]
 
 
 def parse_polynomial(text: str, table: VariableTable) -> Polynomial:
-    """Parse ``x12*x21 + x22^2`` style text ('*' optional, '^' for powers)."""
-    try:
-        return _Parser(text, table).parse()
-    except RecursionError:
-        raise PolyParseError(f"expression nested too deeply: {text[:30]!r}...") from None
+    """Parse ``x12*x21 + x22^2`` style text ('*' optional, '^' for powers,
+    no '/' between terms) over the variables of ``table``."""
+
+    def leaf(v) -> Polynomial:
+        if isinstance(v, str):
+            return Polynomial.variable(table, v)
+        return Polynomial.constant(table, v)
+
+    return evaluate_expression(text, leaf)
 
 
 def parse_rational(text: str) -> Fraction:

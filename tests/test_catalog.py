@@ -13,7 +13,7 @@ from omegarb.catalog import (
     operator_from_spec,
     parse_catalog_text,
 )
-from omegarb.poly import PolyParseError
+from omegarb.poly import MAX_EXPONENT, PolyParseError
 
 SHIPPED = {"L1", "L2", "L1_1", "L1_2", "L1_8", "Atilde_alpha"}
 
@@ -156,6 +156,37 @@ def test_expression_evaluator():
     with pytest.raises(PolyParseError, match="nested too deeply"):
         evaluate_rational_expression("(" * 3000 + "a" + ")" * 3000, env)
     assert evaluate_rational_expression("(" * 50 + "a" + ")" * 50, env) == 3
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("-a^2", -9), ("2*-a^2", -18), ("b - -a^2", 10), ("b+-a^2", -8), ("b/-a^2", Fraction(-1, 9))],
+)
+def test_expression_unary_minus_binds_looser_than_power(text, value):
+    assert evaluate_rational_expression(text, {"a": Fraction(3), "b": Fraction(1)}) == value
+
+
+def test_expression_exponent_bound():
+    env = {"a": Fraction(3)}
+    assert evaluate_rational_expression(f"a^{MAX_EXPONENT}", env) == 3**MAX_EXPONENT
+    for k in (MAX_EXPONENT + 1, 1000000000):
+        with pytest.raises(PolyParseError, match=f"exponent {k} is above the limit {MAX_EXPONENT} at position 2"):
+            evaluate_rational_expression(f"3^{k}", env)
+
+
+def test_expression_errors_name_their_position():
+    env = {"a": Fraction(3)}
+    for text, message in [
+        ("a/(a - 3)", "division by zero at position 1"),
+        ("q + a", "unknown name 'q' at position 0"),
+        ("a^-1", "exponent must be a nonnegative integer at position 2"),
+        ("a^1/2", "exponent must be a nonnegative integer at position 2"),
+        ("2^2^2", "unexpected token '\\^' at position 3"),
+        ("a*", "expected a term, found None at position 2"),
+        ("(a", "expected '\\)' at position 2"),
+    ]:
+        with pytest.raises(PolyParseError, match=message):
+            evaluate_rational_expression(text, env)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -261,6 +261,24 @@ def test_classify_deeply_nested_entry_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_classify_huge_exponent_is_usage_error(tmp_path, capsys):
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['3^1000000000','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    code, _, err = run(capsys, "classify", "L1", "--op", str(op))
+    assert code == 2
+    assert "error:" in err and "above the limit" in err
+    assert "Traceback" not in err
+
+
+def test_solve_candidates_huge_exponent_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cands.yaml"
+    path.write_text("- name: p1\n  generators: [x11^9999999999, x12]\n")
+    code, _, err = run(capsys, "solve", "L1", "bc", "--candidates", str(path))
+    assert code == 2
+    assert "error:" in err and "above the limit" in err
+    assert "Traceback" not in err
+
+
 def test_solve_with_explicit_candidates_file(tmp_path, capsys):
     from importlib import resources
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegarb.poly import (
+    MAX_EXPONENT,
     DimensionMismatchError,
     PolyParseError,
     Polynomial,
@@ -205,6 +207,57 @@ def test_deep_nesting_rejected():
     with pytest.raises(PolyParseError, match="nested too deeply"):
         P(deep)
     assert P("(" * 50 + "x" + ")" * 50) == P("x")
+
+
+TAB = VariableTable.of("a", "b")
+AT_3_1 = {"a": 3, "b": 1}
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("-a^2", -9), ("2*-a^2", -18), ("b - -a^2", 10), ("b+-a^2", -8), ("2 -a^2", -7), ("(-a)^2", 9)],
+)
+def test_unary_minus_binds_looser_than_power(text, value):
+    assert parse_polynomial(text, TAB).evaluate(AT_3_1) == value
+
+
+def test_exponent_bound():
+    assert P(f"x^{MAX_EXPONENT}") == Polynomial.monomial(T3, (MAX_EXPONENT, 0, 0))
+    for text in (f"x^{MAX_EXPONENT + 1}", "y + x^100000", "x^9999999999"):
+        with pytest.raises(PolyParseError, match=f"above the limit {MAX_EXPONENT} at position {text.index('^') + 1}"):
+            P(text)
+
+
+@pytest.mark.parametrize("text", ["x/y", "x / 2", "(x/y)", "2*x/3"])
+def test_division_rejected_in_polynomial_text(text):
+    with pytest.raises(PolyParseError, match="position"):
+        P(text)
+
+
+@pytest.mark.parametrize("text", ["2^2^2", "x^2^2", "(x^2)^2^2"])
+def test_second_power_rejected(text):
+    with pytest.raises(PolyParseError, match="'\\^'"):
+        P(text)
+
+
+def test_unary_plus_only_at_the_start_or_after_open_parenthesis():
+    assert P("+x") == P("(+x)") == P("x")
+    assert P("+-x") == P("-x")
+    for text in ("x + +y", "x*+y", "-+x", "++x"):
+        with pytest.raises(PolyParseError, match="expected a term, found '\\+'"):
+            P(text)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="int() has no digit limit")
+def test_overlong_literal_is_a_parse_error():
+    n = sys.get_int_max_str_digits() + 1  # int() refuses literals this long
+    for text in ("1" * n, "x^" + "1" * n, "1/" + "3" * n):
+        with pytest.raises(PolyParseError, match="number too long"):
+            P(text)
+
+
+def test_long_minus_chain_is_not_nesting():
+    assert P("-" * 5001 + "x") == P("-x")
 
 
 def test_rational_round_trip():
