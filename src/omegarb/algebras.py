@@ -9,13 +9,22 @@ With omega identically zero this is exactly the Jacobi identity.  Operators
 are n x n rational matrices acting by R(e_i) = sum_j entries[i][j] e_j (rows
 index input basis vectors); all tables transcribed from the literature use
 this convention.
+
+The operator identities (Rota-Baxter of weight w, omega-compatibility,
+isometry, R^2 = 0) and the deformed bracket [x,y]_R = [R(x),y] + [x,R(y)]
+are written once, ring-generically, in :func:`pair_identities` and the
+product, form and operator helpers it uses.  :func:`classify_map` reads its
+flags from them over the rationals; ``solver.generate_equations`` reads the
+variety's polynomials from them over the generic operator (x_ij); the
+constructions read the deformed bracket and omega(R.,R.) from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
     Matrix,
@@ -25,7 +34,9 @@ from .linalg import (
     inverse,
     is_zero_matrix,
     mat,
+    mat_add,
     mat_mul,
+    mat_scale,
     nullspace,
     rref,
     vec,
@@ -38,28 +49,117 @@ class SingularOperatorError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# core types
+# the operator identities, over any ring: coordinates are Fractions or
+# Polynomials (falsy exactly when zero); structure constants, the form and
+# basis vectors stay rational; each function takes the ring's zero
+
+_ZERO = Fraction(0)
 
 
-def structure_product(
-    c: Sequence[Sequence[Sequence[Fraction]]], u: Sequence[Fraction], v: Sequence[Fraction]
-) -> Vector:
+def structure_product(c, u, v, zero=_ZERO) -> tuple:
     """The bilinear product sum_ij u_i v_j c[i][j] of structure constants
     c[i][j][k], visiting only nonzero coordinates and constants."""
     n = len(c)
-    out = [Fraction(0)] * n
-    support = [(j, v[j]) for j in range(n) if v[j]]
-    for i in range(n):
-        x = u[i]
+    out = [zero] * n
+    support = [(j, y) for j, y in enumerate(v) if y]
+    for i, x in enumerate(u):
         if not x:
             continue
         ci = c[i]
         for j, y in support:
-            f = x * y
+            f = None
             for k, ck in enumerate(ci[j]):
                 if ck:
+                    if f is None:
+                        f = x * y
                     out[k] += f * ck
     return tuple(out)
+
+
+def form_value(omega, u, v, zero=_ZERO):
+    """The bilinear form sum_ij u_i v_j omega[i][j]."""
+    total = zero
+    support = [(j, y) for j, y in enumerate(v) if y]
+    for i, x in enumerate(u):
+        if not x:
+            continue
+        om = omega[i]
+        for j, y in support:
+            if om[j]:
+                total += x * y * om[j]
+    return total
+
+
+def apply_operator(rows, v, zero=_ZERO) -> tuple:
+    """R(v) = sum_i v_i R(e_i), where rows[i] = R(e_i)."""
+    out = [zero] * len(rows)
+    for x, row in zip(v, rows):
+        if x:
+            for j, y in enumerate(row):
+                if y:
+                    out[j] += x * y
+    return tuple(out)
+
+
+def operator_square(rows, zero=_ZERO) -> tuple:
+    """The rows R(R(e_i)) of R^2."""
+    return tuple(apply_operator(rows, r, zero) for r in rows)
+
+
+class PairIdentities(NamedTuple):
+    """The operator identities on one basis pair (e_i, e_j).  Each defect
+    vanishes exactly when its identity holds on the pair."""
+
+    image_bracket: tuple  # [R e_i, R e_j]
+    deformed: tuple  # [e_i, e_j]_R = [R e_i, e_j] + [e_i, R e_j]
+    image_form: object  # omega(R e_i, R e_j)
+    rb: tuple  # [R e_i, R e_j] - R([e_i, e_j]_R + w [e_i, e_j])
+    compat: object  # omega(R e_i, e_j) + omega(e_i, R e_j)
+    isom: object  # omega(R e_i, R e_j) - omega(e_i, e_j)
+
+
+def pair_identities(
+    L: "OmegaAlgebra", rows, i: int, j: int, weight=_ZERO, zero=_ZERO
+) -> PairIdentities:
+    """Rota-Baxter of weight w, compatibility and isometry on (e_i, e_j),
+    with rows[k] = R(e_k) over the ring of ``zero``."""
+    c, omega = L.c, L.omega
+    e_i, e_j = L.basis_vector(i), L.basis_vector(j)
+    r_i, r_j = rows[i], rows[j]
+    image_bracket = structure_product(c, r_i, r_j, zero)
+    left, right = structure_product(c, r_i, e_j, zero), structure_product(c, e_i, r_j, zero)
+    deformed = tuple(a + b for a, b in zip(left, right))
+    inner = deformed
+    if weight:
+        inner = tuple(a + weight * ck if ck else a for a, ck in zip(deformed, c[i][j]))
+    image_form = form_value(omega, r_i, r_j, zero)
+    return PairIdentities(
+        image_bracket,
+        deformed,
+        image_form,
+        tuple(a - b for a, b in zip(image_bracket, apply_operator(rows, inner, zero))),
+        form_value(omega, r_i, e_j, zero) + form_value(omega, e_i, r_j, zero),
+        image_form - omega[i][j],
+    )
+
+
+def jacobi_defect(c, omega, twist_rows, i: int, j: int, k: int) -> tuple:
+    """The cyclic sum over (a, b, d) of [[e_a, e_b], t(e_d)] - omega(e_a, e_b)
+    t(e_d), with twist_rows[d] = t(e_d): the omega-Lie identity for t = id,
+    the Hom-Lie identity for omega = 0."""
+    out = [_ZERO] * len(c)
+    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+        t, w = twist_rows[d], omega[a][b]
+        for m, x in enumerate(structure_product(c, c[a][b], t)):
+            if w and t[m]:
+                x -= w * t[m]
+            if x:
+                out[m] += x
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# core types
 
 
 @dataclass(frozen=True)
@@ -110,17 +210,7 @@ class OmegaAlgebra:
         return structure_product(self.c, u, v)
 
     def omega_value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        support = [(j, v[j]) for j in range(self.dim) if v[j]]
-        for i in range(self.dim):
-            x = u[i]
-            if not x:
-                continue
-            om = self.omega[i]
-            for j, y in support:
-                if om[j]:
-                    total += x * y * om[j]
-        return total
+        return form_value(self.omega, u, v)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
@@ -158,13 +248,7 @@ class OperatorMatrix:
         n = self.dim
         if len(v) != n:
             raise ValueError(f"vector of length {len(v)} for a {n}x{n} operator")
-        out = [Fraction(0)] * n
-        for x, row in zip(v, self.entries):
-            if x:
-                for j, y in enumerate(row):
-                    if y:
-                        out[j] += x * y
-        return tuple(out)
+        return apply_operator(self.entries, v)
 
     def then(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Composition 'self then other' (x -> other(self(x)))."""
@@ -181,16 +265,10 @@ class OperatorMatrix:
         return out
 
     def scale(self, q) -> "OperatorMatrix":
-        q = Fraction(q)
-        return OperatorMatrix(tuple(tuple(q * x for x in r) for r in self.entries))
+        return OperatorMatrix(mat_scale(self.entries, q))
 
     def add(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(
-            tuple(
-                tuple(x + y for x, y in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return OperatorMatrix(mat_add(self.entries, other.entries))
 
     def is_zero(self) -> bool:
         return is_zero_matrix(self.entries)
@@ -264,19 +342,10 @@ def validate_algebra(L: OmegaAlgebra) -> AlgebraValidation:
                 failures.append(("omega-skew", (i, j), L.omega[i][j] + L.omega[j][i]))
     if not failures:
         basis = identity(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    # [[e_a,e_b],e_c] - omega(e_a,e_b) e_c, summed cyclically
-                    residual = [Fraction(0)] * n
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for t, x in enumerate(L.bracket(L.c[a][b], basis[c])):
-                            if x:
-                                residual[t] += x
-                        if L.omega[a][b]:
-                            residual[c] -= L.omega[a][b]
-                    if any(residual):
-                        failures.append(("jacobi", (i, j, k), tuple(residual)))
+        for i, j, k in combinations(range(n), 3):
+            residual = jacobi_defect(L.c, L.omega, basis, i, j, k)
+            if any(residual):
+                failures.append(("jacobi", (i, j, k), residual))
     return AlgebraValidation(not failures, failures)
 
 
@@ -314,32 +383,18 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
     if R.dim != L.dim:
         raise ValueError("operator and algebra dimensions differ")
     w = Fraction(weight)
-    n = L.dim
-    basis = identity(n)
-    images = R.entries  # R(e_i) is row i
-    is_rb = True
-    is_compat = True
-    is_isom = True
-    is_der = True
-    is_auto_bracket = True
-    for i in range(n):
-        ei, ri = basis[i], images[i]
-        for j in range(i + 1, n):
-            ej, rj = basis[j], images[j]
-            c_ij = L.c[i][j]
-            lhs = L.bracket(ri, rj)
-            cross = tuple(a + b for a, b in zip(L.bracket(ri, ej), L.bracket(ei, rj)))
-            if is_rb:
-                inner = tuple(a + w * c for a, c in zip(cross, c_ij)) if w else cross
-                is_rb = lhs == R.apply(inner)
-            if is_compat:
-                is_compat = L.omega_value(ri, ej) + L.omega_value(ei, rj) == 0
-            if is_isom:
-                is_isom = L.omega_value(ri, rj) == L.omega[i][j]
+    rows = R.entries  # R(e_i) is row i
+    is_rb = is_compat = is_isom = is_der = is_auto_bracket = True
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            ids = pair_identities(L, rows, i, j, w)
+            is_rb = is_rb and not any(ids.rb)
+            is_compat = is_compat and not ids.compat
+            is_isom = is_isom and not ids.isom
             if is_der or is_auto_bracket:
-                r_cij = R.apply(c_ij)
-                is_der = is_der and r_cij == cross
-                is_auto_bracket = is_auto_bracket and r_cij == lhs
+                r_cij = apply_operator(rows, L.c[i][j])
+                is_der = is_der and r_cij == ids.deformed
+                is_auto_bracket = is_auto_bracket and r_cij == ids.image_bracket
     invertible = R.is_invertible()
     return MapClassification(
         weight=w,
@@ -348,7 +403,7 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
         is_isometric=is_isom,
         is_derivation=is_der,
         is_automorphism=is_auto_bracket and invertible,
-        is_square_zero=is_zero_matrix(mat_mul(R.entries, R.entries)),
+        is_square_zero=not any(map(any, operator_square(rows))),
         is_invertible=invertible,
     )
 

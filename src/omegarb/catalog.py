@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from operator import truediv
 from typing import Mapping, Optional, Sequence
 
@@ -128,9 +129,12 @@ class CatalogEntry:
             if not poly.is_constant():
                 raise CatalogError(f"{self.name}: {rel!r} is not a rational value")
             omega[(i, j)] = poly.constant_value()
-        algebra = OmegaAlgebra.from_brackets(
-            self.basis, brackets, omega, params=values or None
-        )
+        try:
+            algebra = OmegaAlgebra.from_brackets(
+                self.basis, brackets, omega, params=values or None
+            )
+        except ValueError as exc:  # [e,e] or omega(e,e) given nonzero
+            raise CatalogError(f"{self.name}: {exc}") from None
         check = validate_algebra(algebra)
         if not check.ok:
             kind, indices, residual = check.failures[0]
@@ -192,17 +196,25 @@ def _parse_entry(raw, index: int) -> CatalogEntry:
     basis = _as_str_list(raw.get("basis"), f"{ctx}: basis")
     if len(basis) != dim:
         raise CatalogError(f"{ctx}: basis has {len(basis)} names, dim is {dim}")
+    if len(set(basis)) != len(basis):
+        raise CatalogError(f"{ctx}: basis names repeat")
+    specs = raw.get("params") or []
+    if not isinstance(specs, list):
+        raise CatalogError(f"{ctx}: 'params' must be a list")
     params = []
-    for p in raw.get("params") or []:
+    for p in specs:
         if isinstance(p, str):
             params.append(ParamSpec(p))
-        elif isinstance(p, dict) and "name" in p:
-            excluded = tuple(
-                parse_rational(str(v)) for v in (p.get("exclude") or [])
-            )
-            params.append(ParamSpec(str(p["name"]), excluded))
+        elif isinstance(p, dict) and isinstance(p.get("name"), str):
+            exclude = p.get("exclude") or []
+            if not isinstance(exclude, list):
+                raise CatalogError(f"{ctx}: parameter {p['name']}: 'exclude' must be a list")
+            params.append(ParamSpec(p["name"], tuple(parse_rational(str(v)) for v in exclude)))
         else:
             raise CatalogError(f"{ctx}: bad parameter spec {p!r}")
+    names = basis + tuple(p.name for p in params)
+    if len(set(names)) != len(names):
+        raise CatalogError(f"{ctx}: parameter names repeat or name a basis vector")
     return CatalogEntry(
         name=name,
         dim=dim,
@@ -215,11 +227,33 @@ def _parse_entry(raw, index: int) -> CatalogEntry:
     )
 
 
-def parse_catalog_text(text: str) -> list[CatalogEntry]:
+def _load_yaml(text: str, what: str):
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise CatalogError(f"catalog is not valid YAML: {exc}") from exc
+        return yaml.safe_load(text)
+    except (yaml.YAMLError, RecursionError) as exc:
+        raise CatalogError(f"{what} is not valid YAML: {exc}") from exc
+
+
+def read_yaml(path):
+    """The YAML document in the file ``path``; a file that is not UTF-8
+    text or not YAML raises :class:`CatalogError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path} is not UTF-8 text: {exc}") from exc
+    return _load_yaml(text, str(path))
+
+
+def parse_catalog_text(text: str) -> list[CatalogEntry]:
+    return _catalog_entries(_load_yaml(text, "catalog"))
+
+
+def parse_catalog(path) -> list[CatalogEntry]:
+    return _catalog_entries(read_yaml(path))
+
+
+def _catalog_entries(data) -> list[CatalogEntry]:
     if data is None:
         return []
     if not isinstance(data, list):
@@ -230,11 +264,6 @@ def parse_catalog_text(text: str) -> list[CatalogEntry]:
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise CatalogError(f"duplicate entry names: {dupes}")
     return entries
-
-
-def parse_catalog(path) -> list[CatalogEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_catalog_text(fh.read())
 
 
 def _builtin_text(relative: str) -> str:
@@ -266,9 +295,7 @@ def parse_operator_file(
 ) -> OperatorMatrix:
     """Operator file: YAML with ``rows`` (entry expressions over parameter
     names) and optional ``params`` defaults; overrides win."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh.read())
-    return operator_from_spec(data, overrides, context=str(path))
+    return operator_from_spec(read_yaml(path), overrides, context=str(path))
 
 
 def operator_from_spec(
@@ -276,8 +303,11 @@ def operator_from_spec(
 ) -> OperatorMatrix:
     if not isinstance(data, dict) or "rows" not in data:
         raise CatalogError(f"{context}: expected a mapping with a 'rows' field")
+    params = data.get("params") or {}
+    if not isinstance(params, dict):
+        raise CatalogError(f"{context}: 'params' must map names to values")
     bindings = {}
-    for k, v in (data.get("params") or {}).items():
+    for k, v in params.items():
         bindings[str(k)] = parse_rational(str(v))
     for k, v in (overrides or {}).items():
         bindings[str(k)] = Fraction(v)
@@ -322,27 +352,24 @@ def format_linear_combination(names: Sequence[str], coeffs) -> str:
     return first + ("" if len(parts) == 1 else " " + " ".join(parts[1:]))
 
 
+def format_products(names: Sequence[str], table, pairs, template: str) -> list[str]:
+    """``template.format(e_i, e_j) = combination`` for each pair (i, j) whose
+    product table[i][j] is nonzero."""
+    return [
+        f"{template.format(names[i], names[j])} = {format_linear_combination(names, table[i][j])}"
+        for i, j in pairs
+        if any(table[i][j])
+    ]
+
+
 def algebra_to_catalog_dict(L: OmegaAlgebra, name: str) -> dict:
-    brackets = []
-    omega = []
-    n = L.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if any(L.c[i][j]):
-                brackets.append(
-                    f"[{L.basis_names[i]},{L.basis_names[j]}] = "
-                    + format_linear_combination(L.basis_names, L.c[i][j])
-                )
-            if L.omega[i][j]:
-                omega.append(
-                    f"w({L.basis_names[i]},{L.basis_names[j]}) = {L.omega[i][j]}"
-                )
+    names, pairs = L.basis_names, list(combinations(range(L.dim), 2))
     return {
         "name": name,
-        "dim": n,
-        "basis": list(L.basis_names),
-        "brackets": brackets,
-        "omega": omega,
+        "dim": L.dim,
+        "basis": list(names),
+        "brackets": format_products(names, L.c, pairs, "[{},{}]"),
+        "omega": [f"w({names[i]},{names[j]}) = {L.omega[i][j]}" for i, j in pairs if L.omega[i][j]],
     }
 
 

@@ -18,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations, product
 from typing import Optional
 
 import yaml
@@ -29,8 +30,9 @@ from .catalog import (
     load_builtin_catalog,
     parse_catalog,
     parse_operator_file,
+    read_yaml,
     algebra_to_catalog_dict,
-    format_linear_combination,
+    format_products,
     serialize_constructed,
 )
 from .constructions import (
@@ -95,6 +97,14 @@ def _algebra_for(
     return L, a
 
 
+def _algebra_arg(args) -> tuple[OmegaAlgebra, Optional[Fraction]]:
+    """The algebra named on the command line, from --catalog or the shipped one."""
+    entry = _load_catalog(args.catalog).get(args.algebra)
+    if entry is None:
+        raise UsageError(f"unknown algebra {args.algebra!r}")
+    return _algebra_for(entry, args.alpha)
+
+
 def _candidate_table(dim: int) -> VariableTable:
     return GenericOperator.of_dimension(dim).table
 
@@ -104,30 +114,30 @@ def _parse_candidates_data(data, table: VariableTable, context: str):
         raise CatalogError(f"{context}: candidates file must be a YAML list")
     out = []
     for i, raw in enumerate(data):
-        if not isinstance(raw, dict) or "generators" not in raw:
-            raise CatalogError(f"{context}: candidate #{i} needs a 'generators' list")
+        where = f"{context}: candidate #{i}"
+        if not isinstance(raw, dict) or not isinstance(raw.get("generators"), list):
+            raise CatalogError(f"{where} needs a 'generators' list")
         gens = [parse_polynomial(str(s), table) for s in raw["generators"]]
         cert = None
         spec = raw.get("certificate")
         if spec:
-            if "pivot" in spec:
-                cert = PrimalityCertificate(pivot=str(spec["pivot"]))
-            elif "linear_vars" in spec:
-                cert = PrimalityCertificate(
-                    linear_vars=frozenset(str(v) for v in spec["linear_vars"])
-                )
+            pivot = spec.get("pivot") if isinstance(spec, dict) else None
+            names = spec.get("linear_vars") if isinstance(spec, dict) else None
+            if _has_shape(pivot, str) and pivot in table:
+                cert = PrimalityCertificate(pivot=pivot)
+            elif pivot is None and _has_shape(names, [str]) and set(names) <= set(table.names):
+                cert = PrimalityCertificate(linear_vars=frozenset(names))
             else:
                 raise CatalogError(
-                    f"{context}: candidate #{i}: certificate needs 'pivot' or 'linear_vars'"
+                    f"{where}: certificate needs a 'pivot' or a 'linear_vars' list"
+                    f" naming entries {table.names[0]}..{table.names[-1]}"
                 )
         out.append((make_ideal(table, gens), cert))
     return out
 
 
 def _load_candidates_file(path: str, table: VariableTable):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh.read())
-    return _parse_candidates_data(data, table, str(path))
+    return _parse_candidates_data(read_yaml(path), table, str(path))
 
 
 def _load_builtin_candidates(name: str, table: VariableTable):
@@ -148,6 +158,53 @@ def _default_candidates(algebra: str, profile_name: str, table: VariableTable):
         return _load_builtin_candidates(name, table)
     except FileNotFoundError:
         return None
+
+
+def _has_shape(v, shape) -> bool:
+    """``shape`` is a type or a tuple of types, which a bool never matches,
+    or ``[shape]`` for a list of such values."""
+    if isinstance(shape, list):
+        return isinstance(v, list) and all(_has_shape(x, shape[0]) for x in v)
+    return isinstance(v, shape) and not isinstance(v, bool)
+
+
+def _check_fields(mapping: dict, shapes: dict, where: str) -> None:
+    for name, shape in shapes.items():
+        value = mapping.get(name)
+        if value is not None and not _has_shape(value, shape):
+            raise CatalogError(f"{where}: {name!r} has the wrong type")
+
+
+# the fields of an expectations row that `run_table_row` reads, all optional
+_ROW_FIELDS = {"dim": int, "components": int, "component_dims": [int], "labels": [str],
+               "candidates": str, "alpha": (int, str), "known_discrepancies": dict}
+
+
+def _load_expectations_file(path: str) -> dict:
+    data = read_yaml(path)
+    if not isinstance(data, dict):
+        raise CatalogError(f"{path}: expectations must be a mapping with 'profile' and 'rows'")
+    _check_fields(data, {"profile": str, "rows": [dict]}, str(path))
+    for i, row in enumerate(data.get("rows") or []):
+        where = f"{path}: row #{i}"
+        if not _has_shape(row.get("algebra"), str):
+            raise CatalogError(f"{where} needs an 'algebra' name")
+        _check_fields(row, _ROW_FIELDS, where)
+        known = row.get("known_discrepancies") or {}
+        _check_fields(known, {k: _ROW_FIELDS[k] for k in ("dim", "components", "labels")}, where)
+    return data
+
+
+def _load_module_file(path: str, dim: int) -> ModuleAction:
+    data = read_yaml(path)
+    matrices = data.get("matrices") if isinstance(data, dict) else None
+    if not _has_shape(matrices, [[list]]):
+        raise CatalogError(f"{path}: expected a mapping with 'matrices', a list of row lists")
+    values = [[[parse_rational(str(x)) for x in row] for row in m] for m in matrices]
+    try:
+        return ModuleAction.from_matrices(dim, values)
+    except ValueError as exc:  # a matrix count or shape that does not fit
+        raise CatalogError(f"{path}: {exc}") from None
 
 
 def _builtin_expectations(table_id: int) -> dict:
@@ -342,11 +399,7 @@ def _emit(report: dict, as_json: bool, human_lines) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        entries = parse_catalog(args.catalog_path)
-    except (CatalogError, OSError, PolyParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entries = parse_catalog(args.catalog_path)  # a malformed file exits 2 in main
     lines = []
     report = {"entries": [], "ok": True}
     status = 0
@@ -370,11 +423,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    catalog = _load_catalog(args.catalog)
-    entry = catalog.get(args.algebra)
-    if entry is None:
-        raise UsageError(f"unknown algebra {args.algebra!r}")
-    L, a = _algebra_for(entry, args.alpha)
+    L, a = _algebra_arg(args)
     profile = profile_by_name(args.profile)
     candidates = None
     if args.candidates:
@@ -437,8 +486,7 @@ def cmd_solve(args) -> int:
 def cmd_table(args) -> int:
     catalog = _load_catalog(args.catalog)
     if args.expect:
-        with open(args.expect, "r", encoding="utf-8") as fh:
-            expectations = yaml.safe_load(fh.read())
+        expectations = _load_expectations_file(args.expect)
     else:
         expectations = _builtin_expectations(args.table_id)
     t0 = time.monotonic()
@@ -491,11 +539,7 @@ def _operator_for(L, args) -> OperatorMatrix:
 
 
 def cmd_construct(args) -> int:
-    catalog = _load_catalog(args.catalog)
-    entry = catalog.get(args.algebra)
-    if entry is None:
-        raise UsageError(f"unknown algebra {args.algebra!r}")
-    L, a = _algebra_for(entry, args.alpha)
+    L, a = _algebra_arg(args)
     R = _operator_for(L, args)
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
@@ -509,19 +553,12 @@ def cmd_construct(args) -> int:
     try:
         if args.kind == "lsa":
             A = left_symmetric_from_rb(L, R)
-            products = []
-            for i in range(A.dim):
-                for j in range(A.dim):
-                    if any(A.m[i][j]):
-                        products.append(
-                            f"{A.basis_names[i]}*{A.basis_names[j]} = "
-                            + format_linear_combination(A.basis_names, A.m[i][j])
-                        )
+            pairs = product(range(A.dim), repeat=2)
             payload = {
                 "name": f"{args.algebra}_lsa",
                 "dim": A.dim,
                 "basis": list(A.basis_names),
-                "products": products,
+                "products": format_products(A.basis_names, A.m, pairs, "{}*{}"),
             }
             text = serialize_constructed("left-symmetric", args.algebra, payload, provenance)
             report.update(payload)
@@ -542,20 +579,13 @@ def cmd_construct(args) -> int:
             lines = text.splitlines() + ["validation: defining identity holds at every step"]
         elif args.kind == "homlie":
             g = homlie_from_rb(L, R)
-            brackets = []
-            for i in range(g.dim):
-                for j in range(i + 1, g.dim):
-                    if any(g.c[i][j]):
-                        brackets.append(
-                            f"[{g.basis_names[i]},{g.basis_names[j]}] = "
-                            + format_linear_combination(g.basis_names, g.c[i][j])
-                        )
             series = homlie_structure(g)
+            pairs = combinations(range(g.dim), 2)
             payload = {
                 "name": f"{args.algebra}_homlie",
                 "dim": g.dim,
                 "basis": list(g.basis_names),
-                "brackets": brackets,
+                "brackets": format_products(g.basis_names, g.c, pairs, "[{},{}]"),
                 "twist_rows": [[str(x) for x in row] for row in g.twist.entries],
             }
             report.update(payload)
@@ -577,15 +607,7 @@ def cmd_construct(args) -> int:
         elif args.kind == "module-twist":
             if not args.module:
                 raise UsageError("module-twist requires --module FILE")
-            with open(args.module, "r", encoding="utf-8") as fh:
-                mdata = yaml.safe_load(fh.read())
-            V = ModuleAction.from_matrices(
-                L.dim,
-                [
-                    [[parse_rational(str(x)) for x in row] for row in m]
-                    for m in mdata["matrices"]
-                ],
-            )
+            V = _load_module_file(args.module, L.dim)
             check = validate_module(L, V)
             if not check.ok:
                 raise UsageError("input module violates the module identity")
@@ -614,11 +636,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    catalog = _load_catalog(args.catalog)
-    entry = catalog.get(args.algebra)
-    if entry is None:
-        raise UsageError(f"unknown algebra {args.algebra!r}")
-    L, a = _algebra_for(entry, args.alpha)
+    L, a = _algebra_arg(args)
     R = _operator_for(L, args)
     weight = parse_rational(args.weight)
     cls = classify_map(L, R, weight)
@@ -700,10 +718,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CatalogError, PolyParseError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, CatalogError, PolyParseError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

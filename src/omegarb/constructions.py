@@ -8,12 +8,18 @@ violate the claimed identities.  The deformation is built by the private
 `_deform`, which checks nothing: `omega_deform` checks R on L before calling
 it, and `iterate_deform` checks R once on L and each later power R^i on
 L_{i-1}.  Every output is validated against its defining identities.
+
+The deformed bracket [x,y]_R and the form omega(R(x),R(y)) that the
+deformation and the Hom-Lie algebra are built on come from
+``algebras.pair_identities``, the code that also decides `classify_map`'s
+flags and generates the operator varieties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .algebras import (
@@ -21,7 +27,9 @@ from .algebras import (
     OperatorMatrix,
     Subspace,
     classify_map,
+    jacobi_defect,
     kernel_omega,
+    pair_identities,
     structure_product,
     validate_algebra,
 )
@@ -35,6 +43,7 @@ from .linalg import (
     mat_scale,
     mat_sub,
     nullspace,
+    zeros,
 )
 
 
@@ -80,27 +89,15 @@ class LeftSymmetricAlgebra:
 
 def is_left_symmetric(A: LeftSymmetricAlgebra) -> bool:
     """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples."""
-    n = A.dim
-    basis = identity(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                lhs = tuple(
-                    a - b
-                    for a, b in zip(
-                        A.multiply(A.multiply(x, y), z), A.multiply(x, A.multiply(y, z))
-                    )
-                )
-                rhs = tuple(
-                    a - b
-                    for a, b in zip(
-                        A.multiply(A.multiply(y, x), z), A.multiply(y, A.multiply(x, z))
-                    )
-                )
-                if lhs != rhs:
-                    return False
-    return True
+    mul = A.multiply
+
+    def associator(x, y, z):
+        return [a - b for a, b in zip(mul(mul(x, y), z), mul(x, mul(y, z)))]
+
+    return all(
+        associator(x, y, z) == associator(y, x, z)
+        for x, y, z in product(identity(A.dim), repeat=3)
+    )
 
 
 def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricAlgebra:
@@ -117,12 +114,8 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
                 "image(R) inside ker(omega)",
                 f"R({L.basis_names[i]}) is outside the kernel",
             )
-    n = L.dim
-    basis = identity(n)
-    table = tuple(
-        tuple(L.bracket(images[i], basis[j]) for j in range(n)) for i in range(n)
-    )
-    A = LeftSymmetricAlgebra(n, L.basis_names, table)
+    table = tuple(tuple(L.bracket(r, e) for e in identity(L.dim)) for r in images)
+    A = LeftSymmetricAlgebra(L.dim, L.basis_names, table)
     if not is_left_symmetric(A):
         raise AssertionError("construction produced a non-left-symmetric table")
     return A
@@ -149,21 +142,10 @@ def omega_deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
 def _deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
     """L_R without the hypothesis check; callers check R first.  The output
     is still validated."""
-    n = L.dim
-    images = R.entries  # R(e_i) is row i
-    basis = identity(n)
-    brackets = {}
-    omega_vals = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = tuple(
-                a + b
-                for a, b in zip(
-                    L.bracket(images[i], basis[j]), L.bracket(basis[i], images[j])
-                )
-            )
-            brackets[(i, j)] = bij
-            omega_vals[(i, j)] = L.omega_value(images[i], images[j])
+    brackets, omega_vals = {}, {}
+    for ij in combinations(range(L.dim), 2):
+        ids = pair_identities(L, R.entries, *ij)
+        brackets[ij], omega_vals[ij] = ids.deformed, ids.image_form
     out = OmegaAlgebra.from_brackets(L.basis_names, brackets, omega_vals, params=None)
     check = validate_algebra(out)
     if not check.ok:
@@ -219,19 +201,11 @@ class HomLieAlgebra:
 
 
 def hom_jacobi_holds(g: HomLieAlgebra) -> bool:
-    n = g.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = [Fraction(0)] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = g.c[a][b]
-                    tw = g.twist.entries[c]  # t(e_c) is row c
-                    term = g.bracket(inner, tw)
-                    total = [x + y for x, y in zip(total, term)]
-                if any(x != 0 for x in total):
-                    return False
-    return True
+    no_form = zeros(g.dim)
+    return not any(
+        any(jacobi_defect(g.c, no_form, g.twist.entries, *ijk))
+        for ijk in combinations(range(g.dim), 3)
+    )
 
 
 def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
@@ -244,17 +218,12 @@ def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
     if not cls.is_square_zero:
         raise PreconditionError("R^2 = 0")
     n = L.dim
-    images = R.entries  # R(e_i) is row i
-    basis = identity(n)
-    c = [[None] * n for _ in range(n)]
+    c = [[(Fraction(0),) * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            c[i][j] = tuple(
-                a + b
-                for a, b in zip(
-                    L.bracket(images[i], basis[j]), L.bracket(basis[i], images[j])
-                )
-            )
+        for j in range(i + 1, n):
+            d = pair_identities(L, R.entries, i, j).deformed
+            c[i][j] = d
+            c[j][i] = tuple(-x for x in d)
     g = HomLieAlgebra(n, L.basis_names, tuple(tuple(row) for row in c), R)
     if not hom_jacobi_holds(g):
         raise AssertionError("construction violates the twisted Jacobi identity")
@@ -350,16 +319,11 @@ class ModuleAction:
         return cls(algebra_dim, mdim, ms)
 
     def act_matrix(self, coords: Sequence[Fraction]) -> Matrix:
-        n = self.module_dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i, ci in enumerate(coords):
-            if ci == 0:
-                continue
-            for r in range(n):
-                for s in range(n):
-                    if self.rho[i][r][s]:
-                        out[r][s] += ci * self.rho[i][r][s]
-        return tuple(tuple(r) for r in out)
+        out = zeros(self.module_dim)
+        for ci, m in zip(coords, self.rho):
+            if ci:
+                out = mat_add(out, mat_scale(m, ci))
+        return out
 
 
 @dataclass

@@ -15,13 +15,14 @@ the remaining generators.  The localization is then a localized polynomial
 ring, an integral domain, and I is prime.  Shipped certificates have S empty
 (``linear_vars``; the saturation condition is void and the quotient is a
 polynomial ring) or S = {pivot}, where the saturation condition is checked
-as the single colon I : pivot = I.  The same chain, allowed to invert
+as one saturation I : pivot^inf = I.  The same chain, allowed to invert
 variables on demand, parameterizes components without a certificate for
 point sampling.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -219,12 +220,26 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     return make_ideal(I.table, [g.restrict(I.table) for g in eliminated.generators])
 
 
+def _product_generators(ideals: Sequence[Ideal], cap: float) -> Optional[tuple]:
+    """The distinct products of one generator from each ideal, or None as
+    soon as there are more than ``cap``: for h != 0, g -> g*h is injective,
+    so their number never falls as factors join."""
+    gens = dict.fromkeys(ideals[0].generators)
+    for J in ideals[1:]:
+        step: dict = {}
+        for p in (g * h for g in gens for h in J.generators):
+            step[p] = None
+            if len(step) > cap:
+                return None
+        gens = step
+    return None if len(gens) > cap else tuple(gens)
+
+
 def product(I: Ideal, J: Ideal) -> Ideal:
     """Ideal generated by pairwise products of the generators."""
     if I.table != J.table:
         raise ValueError("ideals over different variable tables")
-    gens = [g * h for g in I.generators for h in J.generators]
-    return make_ideal(I.table, dict.fromkeys(gens))
+    return make_ideal(I.table, _product_generators((I, J), math.inf))
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
@@ -453,8 +468,10 @@ def check_primality(p: Ideal, cert: PrimalityCertificate) -> bool:
         return False
     if cert.pivot is None:
         return True
+    # p : f = p exactly when p : f^inf = p, and one elimination is cheaper
+    # than the intersection behind a colon
     f = Polynomial.variable(p.table, cert.pivot)
-    return ideal_equal(colon(p, f), p)
+    return ideal_equal(saturate(p, f), p)
 
 
 def find_certificate(p: Ideal) -> Optional[PrimalityCertificate]:
@@ -581,10 +598,8 @@ def verify_components(
         else:
             status = "passed" if check_primality(ideal_p, cert) else "failed"
         reports.append(CandidateReport(contains, status, krull_dim(ideal_p)))
-    prod = candidates[0][0]
-    for ideal_p, _ in candidates[1:]:
-        prod = product(prod, ideal_p)
-    if len(prod.generators) > 60:
+    gens = _product_generators([p for p, _ in candidates], 60)
+    if gens is None:
         # sqrt(product) = sqrt(intersection): test the far smaller
         # intersection generating set against sqrt(I) instead
         meet = candidates[0][0]
@@ -592,7 +607,7 @@ def verify_components(
             meet = intersect(meet, ideal_p)
         in_radical = radical_contains(I, meet)
     else:
-        in_radical = radical_contains(I, prod)
+        in_radical = radical_contains(I, make_ideal(I.table, gens))
     matrix: dict[tuple[int, int], bool] = {}
     for i, (pi, _) in enumerate(candidates):
         for j, (pj, _) in enumerate(candidates):

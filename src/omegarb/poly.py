@@ -290,6 +290,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(mono_degree(m) == 0 for m in self.terms)
 
@@ -601,23 +604,24 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise PolyParseError(f"unexpected character {text[pos]!r} at position {pos}")
+            at = len(text) - len(rest)
+            raise PolyParseError(f"unexpected character {rest[0]!r} at position {at}")
         pos = m.end()
         kind = m.lastgroup
+        at = m.start(kind)  # the token's own start, after any whitespace
         val = m.group(kind)
         if kind == "number":
             num, _, den = val.partition("/")
             try:
                 val = Fraction(int(num), int(den)) if den else int(num)
             except ZeroDivisionError:
-                raise PolyParseError(
-                    f"zero denominator in {m.group(kind)!r} at position {m.start()}"
-                ) from None
+                raise PolyParseError(f"zero denominator in {val!r} at position {at}") from None
             except ValueError:  # more digits than int() converts
-                raise PolyParseError(f"number too long at position {m.start()}") from None
-        tokens.append((kind, val, m.start()))
+                raise PolyParseError(f"number too long at position {at}") from None
+        tokens.append((kind, val, at))
     return tokens
 
 

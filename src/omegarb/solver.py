@@ -4,7 +4,10 @@ ideal cutting out the corresponding operator variety, plus its analysis.
 The pipeline: introduce a generic operator matrix (x_ij), expand the chosen
 operator identities on all basis pairs, project onto basis vectors to get one
 polynomial per (pair, coordinate), and hand the resulting ideal to the ideal
-engine for Groebner bases, dimension, and component verification.
+engine for Groebner bases, dimension, and component verification.  The
+identities themselves are not transcribed here: `generate_equations` evaluates
+``algebras.pair_identities`` and ``algebras.operator_square`` over polynomial
+entries, the same code `classify_map` evaluates over rationals.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .algebras import OmegaAlgebra, OperatorMatrix, classify_map
+from .algebras import (
+    OmegaAlgebra,
+    OperatorMatrix,
+    classify_map,
+    operator_square,
+    pair_identities,
+)
 from .ideals import (
     EMPTY_VARIETY,
     ComponentReport,
@@ -84,32 +93,10 @@ class GenericOperator:
 
     @classmethod
     def of_dimension(cls, n: int) -> "GenericOperator":
-        names = [entry_name(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        table = VariableTable(tuple(names))
-        entries = tuple(
-            tuple(
-                Polynomial.variable(table, entry_name(i, j)) for j in range(1, n + 1)
-            )
-            for i in range(1, n + 1)
-        )
-        return cls(n, table, entries)
-
-    def apply_basis(self, i: int) -> tuple[Polynomial, ...]:
-        """Image of e_i: coordinate polynomials."""
-        return self.entries[i]
-
-    def apply(self, coords: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-        n = self.dim
-        zero = Polynomial.zero(self.table)
-        out = [zero] * n
-        for i in range(n):
-            ci = coords[i]
-            if ci.is_zero():
-                continue
-            for j in range(n):
-                if not self.entries[i][j].is_zero():
-                    out[j] = out[j] + ci * self.entries[i][j]
-        return tuple(out)
+        ks = range(1, n + 1)
+        table = VariableTable(tuple(entry_name(i, j) for i in ks for j in ks))
+        variables = [Polynomial.variable(table, name) for name in table.names]
+        return cls(n, table, tuple(tuple(variables[i * n : (i + 1) * n]) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -120,100 +107,30 @@ class TaggedEquation:
     poly: Polynomial
 
 
-def _symbolic_bracket(
-    L: OmegaAlgebra, u: Sequence[Polynomial], v: Sequence[Polynomial], table
-) -> tuple[Polynomial, ...]:
-    n = L.dim
-    zero = Polynomial.zero(table)
-    out = [zero] * n
-    for i in range(n):
-        if u[i].is_zero():
-            continue
-        for j in range(n):
-            if v[j].is_zero():
-                continue
-            cij = L.c[i][j]
-            prod = None
-            for k in range(n):
-                if cij[k]:
-                    if prod is None:
-                        prod = u[i] * v[j]
-                    out[k] = out[k] + prod.scale(cij[k])
-    return tuple(out)
-
-
-def _symbolic_omega(
-    L: OmegaAlgebra, u: Sequence[Polynomial], v: Sequence[Polynomial], table
-) -> Polynomial:
-    out = Polynomial.zero(table)
-    for i in range(L.dim):
-        if u[i].is_zero():
-            continue
-        for j in range(L.dim):
-            if L.omega[i][j] and not v[j].is_zero():
-                out = out + (u[i] * v[j]).scale(L.omega[i][j])
-    return out
-
-
 def generate_equations(
-    L: OmegaAlgebra,
-    profile: ConstraintProfile,
-    *,
-    _reverse_pairs: bool = False,
+    L: OmegaAlgebra, profile: ConstraintProfile
 ) -> tuple[GenericOperator, list[TaggedEquation]]:
     """All defining polynomials for the chosen variety, tagged for
     traceability; duplicates and zeros are pruned by generate_system."""
     R = GenericOperator.of_dimension(L.dim)
-    table = R.table
-    n = L.dim
-    basis_polys = [
-        tuple(
-            Polynomial.constant(table, 1) if k == i else Polynomial.zero(table)
-            for k in range(n)
-        )
-        for i in range(n)
-    ]
-    images = [R.apply_basis(i) for i in range(n)]
+    zero = Polynomial.zero(R.table)
     out: list[TaggedEquation] = []
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if _reverse_pairs:
-        pairs = [(j, i) for (i, j) in pairs]
-    for i, j in pairs:
-        ri, rj = images[i], images[j]
-        lhs = _symbolic_bracket(L, ri, rj, table)
-        inner = [
-            a + b
-            for a, b in zip(
-                _symbolic_bracket(L, ri, basis_polys[j], table),
-                _symbolic_bracket(L, basis_polys[i], rj, table),
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            ids = pair_identities(L, R.entries, i, j, profile.weight, zero)
+            pair = f"({i + 1},{j + 1})"
+            out.extend(
+                TaggedEquation(f"rb{pair}->{k + 1}", p) for k, p in enumerate(ids.rb)
             )
-        ]
-        if profile.weight != 0:
-            for k in range(n):
-                if L.c[i][j][k]:
-                    inner[k] = inner[k] + Polynomial.constant(
-                        table, profile.weight * L.c[i][j][k]
-                    )
-        rhs = R.apply(inner)
-        for k in range(n):
-            out.append(
-                TaggedEquation(f"rb({i + 1},{j + 1})->{k + 1}", lhs[k] - rhs[k])
-            )
-        if profile.compatible:
-            p = _symbolic_omega(L, ri, basis_polys[j], table) + _symbolic_omega(
-                L, basis_polys[i], rj, table
-            )
-            out.append(TaggedEquation(f"compat({i + 1},{j + 1})", p))
-        if profile.isometric:
-            p = _symbolic_omega(L, ri, rj, table) - Polynomial.constant(
-                table, L.omega[i][j]
-            )
-            out.append(TaggedEquation(f"isom({i + 1},{j + 1})", p))
+            if profile.compatible:
+                out.append(TaggedEquation(f"compat{pair}", ids.compat))
+            if profile.isometric:
+                out.append(TaggedEquation(f"isom{pair}", ids.isom))
     if profile.square_zero:
-        for i in range(n):
-            row = R.apply(images[i])
-            for k in range(n):
-                out.append(TaggedEquation(f"sq({i + 1})->{k + 1}", row[k]))
+        for i, row in enumerate(operator_square(R.entries, zero)):
+            out.extend(
+                TaggedEquation(f"sq({i + 1})->{k + 1}", p) for k, p in enumerate(row)
+            )
     return R, out
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegarb.catalog import evaluate_rational_expression
 from omegarb.poly import (
     MAX_EXPONENT,
     DimensionMismatchError,
@@ -226,6 +228,29 @@ def test_exponent_bound():
     for text in (f"x^{MAX_EXPONENT + 1}", "y + x^100000", "x^9999999999"):
         with pytest.raises(PolyParseError, match=f"above the limit {MAX_EXPONENT} at position {text.index('^') + 1}"):
             P(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x + )", "expected a term, found ')' at position 4"),
+        ("x +  y^ 99", "exponent 99 is above the limit 64 at position 8"),
+        ("  q", "unknown name 'q' at position 2"),
+        ("x ^ y", "exponent must be a nonnegative integer at position 4"),
+        ("x + $", "unexpected character '$' at position 4"),
+        ("x +  1/0", "zero denominator in '1/0' at position 5"),
+        ("\t(x", "expected ')' at position 3"),
+    ],
+)
+@pytest.mark.parametrize(
+    "read",
+    [lambda t: P(t), lambda t: evaluate_rational_expression(t, {"x": 1, "y": 2})],
+    ids=["polynomial", "operator-entry"],
+)
+def test_error_position_is_the_token_start(text, message, read):
+    # whitespace before a token is not part of it
+    with pytest.raises(PolyParseError, match=re.escape(message)):
+        read(text)
 
 
 @pytest.mark.parametrize("text", ["x/y", "x / 2", "(x/y)", "2*x/3"])

@@ -1,12 +1,13 @@
 """System generation against the published 3-dimensional computation, the
 membership/classification cross-oracle, and the component machinery."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from omegarb.algebras import OmegaAlgebra, OperatorMatrix, classify_map
+from omegarb.algebras import OmegaAlgebra, OperatorMatrix, classify_map, pair_identities
 from omegarb.ideals import (
     ideal_contains,
     ideal_equal,
@@ -16,7 +17,7 @@ from omegarb.ideals import (
     radical_membership,
     sample_points,
 )
-from omegarb.poly import grevlex_order, parse_polynomial
+from omegarb.poly import Polynomial, grevlex_order, parse_polynomial
 from omegarb.solver import (
     PROFILES,
     ConstraintProfile,
@@ -107,19 +108,44 @@ def test_equation_tags_are_traceable(L1):
     assert "sq(1)->1" in tags
 
 
+# sha256 over every defined catalog entry and profile: the generators of
+# generate_system, then the tagged equations of generate_equations
+GENERATED_EQUATIONS_SHA256 = "2e487d667557b59e1dadb60184adae0f1f405d6058e609dd7f2a82e9375d27cb"
+
+
+def test_generated_equations_pinned(catalog):
+    h = hashlib.sha256()
+    for name in sorted(catalog):
+        if not catalog[name].has_definition:
+            continue
+        L = catalog[name].instantiate()
+        for p in sorted(PROFILES):
+            generate_system.cache_clear()
+            gens = generate_system(L, PROFILES[p]).generators
+            h.update((name + p + "|".join(g.to_text() for g in gens)).encode())
+            tagged = generate_equations(L, PROFILES[p])[1]
+            h.update("|".join(t.tag + ":" + t.poly.to_text() for t in tagged).encode())
+    assert h.hexdigest() == GENERATED_EQUATIONS_SHA256
+
+
 def test_pair_order_does_not_matter(L1, L1_8):
     # expanding the identities on (e_j, e_i) instead of (e_i, e_j) negates
     # each polynomial, so the sign-normalized generator sets coincide
     for L in (L1, L1_8):
+        R = GenericOperator.of_dimension(L.dim)
+        zero = Polynomial.zero(R.table)
+        order = grevlex_order(R.table)
+        norm = lambda polys: {p.primitive(order) for p in polys if p}
         for profile in (PROFILES["b"], PROFILES["bc"], PROFILES["bs"]):
             _, fwd = generate_equations(L, profile)
-            _, rev = generate_equations(L, profile, _reverse_pairs=True)
-            table = fwd[0].poly.table
-            order = grevlex_order(table)
-            norm = lambda eqs: {
-                t.poly.primitive(order) for t in eqs if not t.poly.is_zero()
-            }
-            assert norm(fwd) == norm(rev)
+            rev = [t.poly for t in fwd if t.tag.startswith("sq")]
+            for i in range(L.dim):
+                for j in range(i):
+                    ids = pair_identities(L, R.entries, i, j, profile.weight, zero)
+                    rev.extend(ids.rb)
+                    if profile.compatible:
+                        rev.append(ids.compat)
+            assert norm(t.poly for t in fwd) == norm(rev)
 
 
 # -- membership ----------------------------------------------------------------
