@@ -266,12 +266,14 @@ def _catalog_entries(data) -> list[CatalogEntry]:
     return entries
 
 
-def _builtin_text(relative: str) -> str:
-    return resources.files("omegarb").joinpath(f"data/{relative}").read_text("utf-8")
+def read_builtin_yaml(relative: str):
+    """The YAML document in the shipped data file ``data/<relative>``."""
+    text = resources.files("omegarb").joinpath(f"data/{relative}").read_text("utf-8")
+    return _load_yaml(text, relative)
 
 
 def load_builtin_catalog() -> dict[str, CatalogEntry]:
-    return {e.name: e for e in parse_catalog_text(_builtin_text("catalog.yaml"))}
+    return {e.name: e for e in _catalog_entries(read_builtin_yaml("catalog.yaml"))}
 
 
 # ---------------------------------------------------------------------------

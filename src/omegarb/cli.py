@@ -17,11 +17,8 @@ import random
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 from itertools import combinations, product
 from typing import Optional
-
-import yaml
 
 from .algebras import OmegaAlgebra, OperatorMatrix, classify_map
 from .catalog import (
@@ -30,6 +27,7 @@ from .catalog import (
     load_builtin_catalog,
     parse_catalog,
     parse_operator_file,
+    read_builtin_yaml,
     read_yaml,
     algebra_to_catalog_dict,
     format_products,
@@ -57,7 +55,6 @@ from .ideals import (
 from .poly import PolyParseError, VariableTable, grevlex_order, lex_order, parse_polynomial, parse_rational
 from .solver import (
     ConstraintProfile,
-    ExpectedCell,
     GenericOperator,
     analyze_variety,
     entry_name,
@@ -141,8 +138,7 @@ def _load_candidates_file(path: str, table: VariableTable):
 
 
 def _load_builtin_candidates(name: str, table: VariableTable):
-    text = resources.files("omegarb").joinpath(f"data/candidates/{name}.yaml").read_text("utf-8")
-    return _parse_candidates_data(yaml.safe_load(text), table, name)
+    return _parse_candidates_data(read_builtin_yaml(f"candidates/{name}.yaml"), table, name)
 
 
 _PROFILE_TABLE = {"bc": 1, "bi1": 2, "bs": 3}
@@ -175,24 +171,33 @@ def _check_fields(mapping: dict, shapes: dict, where: str) -> None:
             raise CatalogError(f"{where}: {name!r} has the wrong type")
 
 
+# the published fields of a table row, each with how its discrepancy message
+# names the published value
+_PUBLISHED = {"dim": "published value", "components": "published value",
+              "component_dims": "published value", "labels": "published"}
+
 # the fields of an expectations row that `run_table_row` reads, all optional
 _ROW_FIELDS = {"dim": int, "components": int, "component_dims": [int], "labels": [str],
                "candidates": str, "alpha": (int, str), "known_discrepancies": dict}
 
 
-def _load_expectations_file(path: str) -> dict:
-    data = read_yaml(path)
+def _check_expectations(data, where: str) -> dict:
+    """``data`` if it has the shape of an expectations document."""
     if not isinstance(data, dict):
-        raise CatalogError(f"{path}: expectations must be a mapping with 'profile' and 'rows'")
-    _check_fields(data, {"profile": str, "rows": [dict]}, str(path))
+        raise CatalogError(f"{where}: expectations must be a mapping with 'profile' and 'rows'")
+    _check_fields(data, {"profile": str, "rows": [dict]}, where)
     for i, row in enumerate(data.get("rows") or []):
-        where = f"{path}: row #{i}"
+        at = f"{where}: row #{i}"
         if not _has_shape(row.get("algebra"), str):
-            raise CatalogError(f"{where} needs an 'algebra' name")
-        _check_fields(row, _ROW_FIELDS, where)
+            raise CatalogError(f"{at} needs an 'algebra' name")
+        _check_fields(row, _ROW_FIELDS, at)
         known = row.get("known_discrepancies") or {}
-        _check_fields(known, {k: _ROW_FIELDS[k] for k in ("dim", "components", "labels")}, where)
+        _check_fields(known, {k: _ROW_FIELDS[k] for k in _PUBLISHED}, at)
     return data
+
+
+def _load_expectations_file(path: str) -> dict:
+    return _check_expectations(read_yaml(path), str(path))
 
 
 def _load_module_file(path: str, dim: int) -> ModuleAction:
@@ -208,10 +213,8 @@ def _load_module_file(path: str, dim: int) -> ModuleAction:
 
 
 def _builtin_expectations(table_id: int) -> dict:
-    text = resources.files("omegarb").joinpath(
-        f"data/expectations/table{table_id}.yaml"
-    ).read_text("utf-8")
-    return yaml.safe_load(text)
+    relative = f"expectations/table{table_id}.yaml"
+    return _check_expectations(read_builtin_yaml(relative), relative)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +261,13 @@ def _dim_json(d):
     return "empty" if d is EMPTY_VARIETY else d
 
 
+def _same(got, want) -> bool:
+    """Equality, with lists compared as multisets."""
+    if isinstance(want, list):
+        return isinstance(got, list) and sorted(got, key=str) == sorted(want, key=str)
+    return got == want
+
+
 def run_table_row(
     catalog: dict[str, CatalogEntry],
     profile_name: str,
@@ -265,18 +275,18 @@ def run_table_row(
     table_id: int,
     alpha_override: Optional[str] = None,
 ) -> dict:
+    """Compute one row's cell and give it its one verdict.
+
+    Each published field the row gives and the cell computed is compared,
+    lists as multisets.  A mismatch equal to the row's
+    ``known_discrepancies`` entry for that field is reported as a
+    discrepancy; any other mismatch fails the row."""
     name = row["algebra"]
-    expected_fields = {
-        "dim": row.get("dim"),
-        "components": row.get("components"),
-        "component_dims": row.get("component_dims"),
-        "labels": row.get("labels"),
-    }
     result = {
         "algebra": name,
         "profile": profile_name,
         "alpha": None,
-        "expected": {k: v for k, v in expected_fields.items() if v is not None},
+        "expected": {k: row[k] for k in _PUBLISHED if row.get(k) is not None},
         "computed": {},
         "status": "SKIPPED",
         "notes": [],
@@ -293,29 +303,17 @@ def run_table_row(
     L, a = _algebra_for(entry, str(alpha) if alpha is not None else None)
     result["alpha"] = str(a) if a is not None else None
     profile = profile_by_name(profile_name)
-    known = row.get("known_discrepancies") or {}
-    expected = ExpectedCell(
-        dim=row.get("dim"),
-        n_components=row.get("components"),
-        component_dims=tuple(row["component_dims"]) if row.get("component_dims") else None,
-        discrepancies={
-            "dim": known.get("dim"),
-            "n_components": known.get("components"),
-        },
-    )
     candidates = None
     if row.get("candidates"):
         candidates = _load_builtin_candidates(row["candidates"], _candidate_table(L.dim))
-    rep = analyze_variety(L, profile, candidates, expected)
-    comp_dims = [_dim_json(d) for d in rep.component_dims]
-    result["computed"] = {
+    rep = analyze_variety(L, profile, candidates)
+    computed = result["computed"] = {
         "dim": _dim_json(rep.dim),
         "components": rep.n_components,
-        "component_dims": comp_dims,
-        "gb_size": len(rep.gb.elements),
+        "component_dims": [_dim_json(d) for d in rep.component_dims],
+        "gb_size": len(rep.ideal.groebner().elements),
         "decomposition_confirmed": rep.confirmed,
     }
-    ok = all(rep.matches.get(k, True) for k in ("dim", "n_components", "component_dims"))
     result["discrepancies"].extend(rep.discrepancy_flags)
     if rep.components is not None:
         unverified = [
@@ -339,15 +337,16 @@ def run_table_row(
             )
             labels.append(label if label else "unsampled")
             result["notes"].extend(f"component {idx + 1}: {n}" for n in notes)
-        result["computed"]["labels"] = labels
-        want = sorted(row["labels"])
-        got = sorted(labels)
-        if got == want:
-            pass
-        elif known.get("labels") is not None and got == sorted(known["labels"]):
+        computed["labels"] = labels
+    known = row.get("known_discrepancies") or {}
+    ok = True
+    for field, published in _PUBLISHED.items():
+        want, got = row.get(field), computed.get(field)
+        if want is None or got is None or _same(got, want):
+            continue
+        if field in known and _same(got, known[field]):
             result["discrepancies"].append(
-                f"labels: published {row['labels']}, computed {labels}"
-                " (known internal inconsistency)"
+                f"{field}: {published} {want}, computed {got} (known internal inconsistency)"
             )
         else:
             ok = False

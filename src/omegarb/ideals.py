@@ -561,7 +561,6 @@ class CandidateReport:
 class ComponentReport:
     candidates: list[CandidateReport]
     product_in_radical: bool
-    containment_matrix: dict[tuple[int, int], bool]
     irredundant: bool
 
     @property
@@ -608,13 +607,13 @@ def verify_components(
         in_radical = radical_contains(I, meet)
     else:
         in_radical = radical_contains(I, make_ideal(I.table, gens))
-    matrix: dict[tuple[int, int], bool] = {}
-    for i, (pi, _) in enumerate(candidates):
-        for j, (pj, _) in enumerate(candidates):
-            if i != j:
-                matrix[(i, j)] = ideal_contains(pj, pi)  # p_i subseteq p_j
-    irredundant = not any(matrix.values())
-    return ComponentReport(reports, in_radical, matrix, irredundant)
+    irredundant = not any(
+        ideal_contains(pj, pi)  # p_i subseteq p_j
+        for i, (pi, _) in enumerate(candidates)
+        for j, (pj, _) in enumerate(candidates)
+        if i != j
+    )
+    return ComponentReport(reports, in_radical, irredundant)
 
 
 # ---------------------------------------------------------------------------
@@ -671,23 +670,11 @@ def split_heuristic(I: Ideal, max_depth: int = 24) -> SplitResult:
         descend(saturate(J, v), depth + 1)
 
     descend(I, 0)
-    # deduplicate, then drop leaves whose variety sits inside another leaf
+    # deduplicate, then drop leaves whose variety sits inside another leaf:
+    # the deduplicated leaves are distinct, so K subseteq J is strict
     unique: list[Ideal] = []
     for J in leaves:
         if not any(ideal_equal(J, K) for K in unique):
             unique.append(J)
-    kept: list[Ideal] = []
-    for i, J in enumerate(unique):
-        redundant = False
-        for j, K in enumerate(unique):
-            if i == j:
-                continue
-            if ideal_contains(J, K) and not ideal_contains(K, J):
-                redundant = True  # K subseteq J, so V(J) subseteq V(K)
-                break
-            if ideal_contains(J, K) and ideal_contains(K, J) and j < i:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(J)
+    kept = [J for J in unique if not any(K is not J and ideal_contains(J, K) for K in unique)]
     return SplitResult(kept, complete)

@@ -18,7 +18,9 @@ literals with explicit stacks and evaluates over any ring the caller names;
 :func:`parse_polynomial` is its adapter for polynomial text, and
 ``catalog.evaluate_rational_expression`` is the one for operator entries.
 Nesting is capped at ``MAX_NESTING`` open parentheses and exponents at
-``MAX_EXPONENT``, whatever the caller's stack depth.
+``MAX_EXPONENT``, whatever the caller's stack depth; powers stacked through
+parentheses are capped by the product of their exponents, so ``(x^8)^8`` is
+read and ``(x^8)^9`` is rejected like ``x^72``.
 """
 
 from __future__ import annotations
@@ -577,6 +579,10 @@ def _term_text(table: VariableTable, mono: Mono, coeff: Fraction) -> str:
 #   signed  := '-' signed | power      (so -a^2 = -(a^2) wherever it stands)
 #   power   := atom ['^' INTEGER]      (one '^'; 0 <= INTEGER <= MAX_EXPONENT)
 #   atom    := NUMBER | NAME | '(' expr ')'   (at most MAX_NESTING open '(')
+#
+# The exponents applied to one value multiply: an atom counts 1, '^k' takes
+# it times k, and a binary operator keeps the larger count of its operands.
+# A count above MAX_EXPONENT is rejected, so stacked powers stay small.
 
 MAX_NESTING = 256
 MAX_EXPONENT = 64
@@ -642,6 +648,7 @@ def evaluate_expression(
     """
     tokens = _tokenize(text) + [(None, None, len(text))]  # end-of-text sentinel
     values: list = []
+    powers: list[int] = []  # the exponent count of each value, as above
     pending: list[tuple[str, int]] = []  # operators, 'neg' and '(' with positions
     depth = 0  # open parentheses
 
@@ -657,6 +664,7 @@ def evaluate_expression(
                 values[-1] = -values[-1]
                 continue
             rhs = values.pop()
+            powers[-2:] = [max(powers[-2:])]
             if op == "/":
                 try:
                     values[-1] = divide(values[-1], rhs)
@@ -678,6 +686,7 @@ def evaluate_expression(
                     values.append(leaf(val))
                 except KeyError:
                     raise fail(f"unknown name {val!r}", at) from None
+                powers.append(1)
                 operand, powerable = False, True
             elif kind == "op" and val == "(":
                 depth += 1
@@ -705,7 +714,13 @@ def evaluate_expression(
                 raise fail("exponent must be a nonnegative integer", at)
             if val > MAX_EXPONENT:
                 raise fail(f"exponent {val} is above the limit {MAX_EXPONENT}", at)
+            power = powers[-1] * val
+            if power > MAX_EXPONENT:
+                raise fail(
+                    f"nested exponents multiply to {power}, above the limit {MAX_EXPONENT}", at
+                )
             values[-1] = values[-1] ** val
+            powers[-1] = power
             powerable = False
             continue
         powerable = False

@@ -1,5 +1,7 @@
 """From an omega-Lie algebra and a constraint profile to the polynomial
 ideal cutting out the corresponding operator variety, plus its analysis.
+This module computes and does not judge: comparing a result with the
+published tables is `cli.run_table_row`'s work alone.
 
 The pipeline: introduce a generic operator matrix (x_ij), expand the chosen
 operator identities on all basis pairs, project onto basis vectors to get one
@@ -12,7 +14,7 @@ entries, the same code `classify_map` evaluates over rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -36,7 +38,6 @@ from .ideals import (
     split_heuristic,
     verify_components,
 )
-from .groebner import GroebnerBasis
 from .poly import Polynomial, VariableTable, grevlex_order
 
 
@@ -185,28 +186,17 @@ def profile_flags_match(
 
 
 @dataclass
-class ExpectedCell:
-    """Reference values for one (algebra, profile) cell of the published
-    survey tables, with optional reconciled values for known internal
-    inconsistencies (``discrepancies`` maps field -> value we compute)."""
-
-    dim: Optional[int] = None
-    n_components: Optional[int] = None
-    component_dims: Optional[tuple[int, ...]] = None
-    discrepancies: dict = field(default_factory=dict)
-
-
-@dataclass
 class VarietyReport:
+    """What `analyze_variety` computed for one cell.  ``discrepancy_flags``
+    holds the one check made on the computed values alone: confirmed
+    component dimensions whose maximum is not the total dimension."""
+
     ideal: Ideal
-    gb: GroebnerBasis
     dim: object  # int or EMPTY_VARIETY
     components: Optional[ComponentReport]
     component_ideals: list[Ideal]
     certificates: list[Optional[PrimalityCertificate]]
     split: Optional[SplitResult]
-    expected: Optional[ExpectedCell]
-    matches: dict
     discrepancy_flags: list[str]
 
     @property
@@ -224,36 +214,10 @@ class VarietyReport:
         return self.components is not None and self.components.confirmed
 
 
-def _compare_expected(report: "VarietyReport", expected: ExpectedCell) -> None:
-    def check(name, computed, wanted):
-        if wanted is None:
-            return
-        if computed == wanted:
-            report.matches[name] = True
-        elif name in expected.discrepancies and computed == expected.discrepancies[name]:
-            report.matches[name] = True
-            report.discrepancy_flags.append(
-                f"{name}: published value {wanted}, computed {computed}"
-                " (known internal inconsistency)"
-            )
-        else:
-            report.matches[name] = False
-
-    check("dim", report.dim, expected.dim)
-    check("n_components", report.n_components, expected.n_components)
-    if expected.component_dims is not None:
-        check(
-            "component_dims",
-            tuple(sorted(report.component_dims, key=str)),
-            tuple(sorted(expected.component_dims, key=str)),
-        )
-
-
 def analyze_variety(
     L: OmegaAlgebra,
     profile: ConstraintProfile,
     candidates: Optional[Sequence[tuple[Ideal, Optional[PrimalityCertificate]]]] = None,
-    expected: Optional[ExpectedCell] = None,
 ) -> VarietyReport:
     """Groebner basis, dimension, and component verification for one cell.
 
@@ -262,31 +226,23 @@ def analyze_variety(
     certificates are searched for automatically.
     """
     I = generate_system(L, profile)
-    gb = I.groebner()
     dim = krull_dim(I)
     split = None
     if candidates is None:
         split = split_heuristic(I)
         candidates = [(J, find_certificate(J)) for J in split.ideals]
     comp = verify_components(I, candidates) if candidates else None
-    report = VarietyReport(
+    flags = []
+    if comp is not None and comp.confirmed and dim is not EMPTY_VARIETY:
+        dims = [d for d in comp.dims if d is not EMPTY_VARIETY]
+        if dims and max(dims) != dim:
+            flags.append(f"component dims {comp.dims} inconsistent with total dim {dim}")
+    return VarietyReport(
         ideal=I,
-        gb=gb,
         dim=dim,
         components=comp,
         component_ideals=[c[0] for c in candidates],
         certificates=[c[1] for c in candidates],
         split=split,
-        expected=expected,
-        matches={},
-        discrepancy_flags=[],
+        discrepancy_flags=flags,
     )
-    if comp is not None and comp.confirmed and dim is not EMPTY_VARIETY:
-        dims = [d for d in comp.dims if d is not EMPTY_VARIETY]
-        if dims and max(dims) != dim:
-            report.discrepancy_flags.append(
-                f"component dims {comp.dims} inconsistent with total dim {dim}"
-            )
-    if expected is not None:
-        _compare_expected(report, expected)
-    return report

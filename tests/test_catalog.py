@@ -174,6 +174,14 @@ def test_expression_exponent_bound():
             evaluate_rational_expression(f"3^{k}", env)
 
 
+def test_expression_nested_powers_multiply_against_the_bound():
+    env = {"a": Fraction(2)}
+    assert evaluate_rational_expression("(a^8)^8", env) == 2**64
+    for text in ("(a^8)^9", "((2^64)^64)^64", "((a/3 + 1)^8)^9"):
+        with pytest.raises(PolyParseError, match="above the limit 64"):
+            evaluate_rational_expression(text, env)
+
+
 def test_expression_errors_name_their_position():
     env = {"a": Fraction(3)}
     for text, message in [

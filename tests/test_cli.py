@@ -1,5 +1,6 @@
 """CLI behavior: commands, reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 import yaml
 
 import omegarb
-from omegarb.cli import main
+from omegarb.catalog import load_builtin_catalog
+from omegarb.cli import main, run_table_row
 
 ABELIAN_CATALOG = """
 - name: abelian2
@@ -22,10 +24,23 @@ ABELIAN_CATALOG = """
 """
 
 
+# sha256 of `omegarb table N --json` stdout; any change to a report's bytes
+# shows here
+TABLE_SHA256 = {
+    1: "2f1b0d1858f6a2c0e7ea3f9248f9294952299c6d7bf5d5f3d5197c7c397e84f8",
+    2: "4d0d7a4bd3564007b06a9484a0a48ad679aced265547a7587f9b4b26986179a4",
+    3: "e81a966645e7122f43cea631c5a72784d06ce41dd47d2a3f8ba10277693e8a86",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_solve_compatible_weight_zero(capsys):
@@ -107,6 +122,7 @@ def test_validate_missing_file(capsys):
 def test_table_one_report(capsys):
     code, out, _ = run(capsys, "table", "1", "--json")
     assert code == 0
+    assert sha256(out) == TABLE_SHA256[1]
     data = json.loads(out)
     by_name = {r["algebra"]: r for r in data["rows"]}
     assert by_name["L1"]["status"] == "PASS"
@@ -120,6 +136,7 @@ def test_table_one_report(capsys):
 def test_table_two_discrepancy(capsys):
     code, out, _ = run(capsys, "table", "2", "--json")
     assert code == 0
+    assert sha256(out) == TABLE_SHA256[2]
     data = json.loads(out)
     row = {r["algebra"]: r for r in data["rows"]}["L1"]
     assert row["status"] == "DISCREPANCY"
@@ -155,6 +172,69 @@ def test_table_failure_exit_code(tmp_path, capsys):
     assert code == 1
     data = json.loads(out)
     assert data["rows"][0]["status"] == "FAIL"
+
+
+KNOWN = "(known internal inconsistency)"
+
+
+@pytest.mark.parametrize(
+    "profile, row, status, message",
+    [
+        # a known discrepancy for each published field
+        ("bc", {"dim": 4, "known_discrepancies": {"dim": 3}}, "DISCREPANCY",
+         f"dim: published value 4, computed 3 {KNOWN}"),
+        ("bc", {"components": 5, "known_discrepancies": {"components": 2}}, "DISCREPANCY",
+         f"components: published value 5, computed 2 {KNOWN}"),
+        ("bc", {"component_dims": [2, 3], "known_discrepancies": {"component_dims": [3, 3]}},
+         "DISCREPANCY", f"component_dims: published value [2, 3], computed [3, 3] {KNOWN}"),
+        ("bs", {"algebra": "L2", "labels": ["nilpotent", "nilpotent"],
+                "known_discrepancies": {"labels": ["solvable", "abelian"]}}, "DISCREPANCY",
+         f"labels: published ['nilpotent', 'nilpotent'], computed ['abelian', 'solvable'] {KNOWN}"),
+        # a mismatch, and a mismatch that is not the recorded one
+        ("bc", {"dim": 4}, "FAIL", None),
+        ("bc", {"dim": 4, "known_discrepancies": {"dim": 5}}, "FAIL", None),
+        ("bc", {"component_dims": [3, 3], "known_discrepancies": {"dim": 4}}, "PASS", None),
+        # lists are multisets
+        ("bs", {"algebra": "L2", "labels": ["solvable", "abelian"]}, "PASS", None),
+        # an absent field is not compared
+        ("bc", {}, "PASS", None),
+        # labels are computed, and so compared, only on square-zero profiles
+        ("bc", {"labels": ["abelian"]}, "PASS", None),
+        # an empty list is a published value like any other
+        ("bc", {"component_dims": []}, "FAIL", None),
+    ],
+)
+def test_run_table_row_verdict(profile, row, status, message):
+    base = {"algebra": "L1", "candidates": "table1_L1"} if profile == "bc" else {"algebra": "L1"}
+    row = {**base, **row}
+    result = run_table_row(load_builtin_catalog(), profile, row, 1)
+    assert result["status"] == status
+    assert result["discrepancies"] == ([message] if message else [])
+    published = ("dim", "components", "component_dims", "labels")
+    assert result["expected"] == {k: row[k] for k in published if k in row}
+    if profile != "bs":
+        assert "labels" not in result["computed"]
+
+
+@pytest.mark.parametrize("field, bad", [("dim", "3"), ("components", [2]),
+                                        ("component_dims", 3), ("labels", "solvable")])
+def test_known_discrepancies_are_shape_checked(tmp_path, capsys, field, bad):
+    expect = {"profile": "bc", "rows": [{"algebra": "L1", "known_discrepancies": {field: bad}}]}
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(expect))
+    code, _, err = run(capsys, "table", "1", "--expect", str(path))
+    assert code == 2
+    assert f"{field!r} has the wrong type" in err
+
+
+def test_shipped_expectations_are_shape_checked(monkeypatch):
+    from omegarb import cli
+    from omegarb.catalog import CatalogError
+
+    assert cli._builtin_expectations(3)["profile"] == "bs"
+    monkeypatch.setattr(cli, "read_builtin_yaml", lambda relative: {"profile": "bc", "rows": [{}]})
+    with pytest.raises(CatalogError, match="expectations/table1.yaml: row #0 needs an 'algebra'"):
+        cli._builtin_expectations(1)
 
 
 def test_table_empty_expectations(tmp_path, capsys):
@@ -270,6 +350,15 @@ def test_classify_huge_exponent_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_classify_nested_powers_are_usage_error(tmp_path, capsys):
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['((2^64)^64)^64','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    code, _, err = run(capsys, "classify", "L1", "--op", str(op))
+    assert code == 2
+    assert "error:" in err and "nested exponents multiply to 4096, above the limit 64" in err
+    assert "Traceback" not in err
+
+
 def test_solve_candidates_huge_exponent_is_usage_error(tmp_path, capsys):
     path = tmp_path / "cands.yaml"
     path.write_text("- name: p1\n  generators: [x11^9999999999, x12]\n")
@@ -310,6 +399,7 @@ def test_solve_json_deterministic(capsys):
 def test_table_three_full_reproduction(capsys):
     code, out, _ = run(capsys, "table", "3", "--json")
     assert code == 0
+    assert sha256(out) == TABLE_SHA256[3]
     data = json.loads(out)
     rows = {r["algebra"]: r for r in data["rows"]}
     assert rows["L1_1"]["status"] == "PASS"

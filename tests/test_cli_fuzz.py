@@ -173,7 +173,13 @@ row = near(
         "candidates": st.sampled_from(["table1_L1", "table1_L2", "nope"]),
         "alpha": st.sampled_from([2, "1/2", "x"]),
         "known_discrepancies": st.fixed_dictionaries(
-            {}, optional={"dim": value(), "components": st.integers(0, 3)}
+            {},
+            optional={
+                "dim": value(),
+                "components": st.integers(0, 3),
+                "component_dims": value(),
+                "labels": value(),
+            },
         ),
     },
     ROW_KEYS,

@@ -230,6 +230,17 @@ def test_exponent_bound():
             P(text)
 
 
+def test_nested_powers_multiply_against_the_bound():
+    assert P("(x^8)^8") == Polynomial.monomial(T3, (64, 0, 0))
+    assert P("(x^8 + y)^2 * z^64") == P("x^16 z^64 + 2 x^8 y z^64 + y^2 z^64")
+    for text, power, at in [("(x^8)^9", 72, 6), ("((2^64)^64)^64", 4096, 8), ("(x^8 - y)^9", 72, 10)]:
+        with pytest.raises(
+            PolyParseError,
+            match=fr"nested exponents multiply to {power}, above the limit 64 at position {at} ",
+        ):
+            P(text)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -267,24 +267,24 @@ def test_analysis_heuristic_path(L1):
     assert rep.n_components >= 1
 
 
-def test_expected_record_discrepancy_flag(L1):
-    from omegarb.cli import _load_builtin_candidates
-    from omegarb.solver import ExpectedCell
+def test_expected_record_discrepancy_flag():
+    from omegarb.catalog import load_builtin_catalog
+    from omegarb.cli import run_table_row
 
-    table = GenericOperator.of_dimension(3).table
-    cands = _load_builtin_candidates("table2_L1", table)
-    expected = ExpectedCell(dim=3, n_components=3, discrepancies={"dim": 2})
-    rep = analyze_variety(L1, PROFILES["bi1"], cands, expected)
-    assert rep.dim == 2
-    assert rep.matches["dim"] is True
-    assert any("published value 3" in f for f in rep.discrepancy_flags)
+    row = {"algebra": "L1", "dim": 3, "components": 3, "candidates": "table2_L1",
+           "known_discrepancies": {"dim": 2}}
+    result = run_table_row(load_builtin_catalog(), "bi1", row, 2)
+    assert result["computed"]["dim"] == 2
+    assert result["status"] == "DISCREPANCY"
+    assert any("published value 3" in f for f in result["discrepancies"])
 
 
-def test_expected_record_mismatch_is_flagged(L2):
-    from omegarb.solver import ExpectedCell
+def test_expected_record_mismatch_is_flagged():
+    from omegarb.catalog import load_builtin_catalog
+    from omegarb.cli import run_table_row
 
-    rep = analyze_variety(L2, PROFILES["bc"], expected=ExpectedCell(dim=7))
-    assert rep.matches["dim"] is False
+    result = run_table_row(load_builtin_catalog(), "bc", {"algebra": "L2", "dim": 7}, 1)
+    assert result["status"] == "FAIL"
 
 
 # -- the published component families pass membership --------------------------------
