@@ -1,18 +1,38 @@
-"""Buchberger's algorithm and reduced Groebner bases.
+"""Buchberger's algorithm and reduced Groebner bases, fraction-free.
 
-Lead data is computed once per basis element, when the element enters a
-basis, and read everywhere after that.  A lead table is a list of
-``(leading monomial, divisibility mask, leading coefficient, polynomial)``
-entries in basis order: ``buchberger`` keeps one beside its basis, forms
-S-polynomials from it, reduces against it and appends to it, and
-``interreduce`` keeps one for the elements it minimalizes; ``reduce`` builds
-one per call for outside callers.  A :class:`GroebnerBasis` keeps no table:
-one per cached basis saved a few per cent of membership time but raised the
-allocation peak of the table-1/2 survey by about 1 %.
+Inside the kernel every basis element is a primitive integer coefficient
+dict (content 1) with a positive leading coefficient.  Its lead data is
+computed once, when it enters a basis, and read everywhere after that.  A
+lead table is a list of ``(leading monomial, divisibility mask, leading
+coefficient, terms)`` entries in basis order: ``buchberger`` keeps one beside
+its basis, forms S-polynomials from it, reduces against it and appends to
+it, and ``interreduce`` keeps one for the elements it minimalizes;
+``reduce`` and ``is_groebner_basis`` build one per call from the caller's
+rational polynomials by clearing denominators and content.  A
+:class:`GroebnerBasis` builds one on its first membership test
+(``contains``, behind ``ideals.ideal_membership``) and keeps it: converting
+the monic basis back to integers on every test cost more than the rest of
+the test.
 
 The mask of a monomial has bit i set when variable i occurs.  A divisor's
-mask is a subset of its multiple's, so the divisor scan and the chain
-criterion call ``mono_divides`` only when ``lmask & ~mask(m)`` is zero.
+mask is a subset of its multiple's, so the divisor scan and the pair
+criteria call ``mono_divides`` only when ``lmask & ~mask(m)`` is zero.
+
+``_normal_form`` is the one normal-form routine, and it pseudo-reduces over
+the integers.  To cancel a term c*x^m against an entry with leading
+coefficient lc, it scales the pending work and the remainder by lc/g, with
+g = gcd(c, lc), subtracts (c/g)*x^shift*entry, and then strips the content
+of the work and the remainder.  Steps whose divisor has leading
+coefficient 1, the common case, scale nothing and strip nothing.  It
+returns the integer remainder with the multiplier M it applied (the
+product of the scales over the stripped contents), so that M*f minus the
+remainder lies in the ideal.  ``reduce`` divides by M, and by the
+denominators it cleared, and so returns the exact rational remainder;
+``buchberger`` and ``interreduce`` use the remainder only up to a scalar,
+and ``GroebnerBasis.contains`` and ``is_groebner_basis`` only test it for
+zero.  The one division by a leading
+coefficient happens at the end of ``interreduce``, which makes each element
+monic: a :class:`GroebnerBasis` holds monic ``Fraction`` polynomials.
 
 The normal form keeps its pending monomials in a heap keyed by
 ``MonomialOrder.desc_key``, so each monomial's key is computed once, when it
@@ -22,26 +42,35 @@ divide the current term the first entry in list order wins; the remainder
 is therefore the same, term for term and in the same dict order, as a scan
 of the whole pending set on every step would give.
 
-Pair selection is the normal strategy (smallest lcm degree first, then
-smallest lcm in the monomial order), with the coprime-leading-monomial skip
-and the chain criterion.
+Critical pairs are pruned when each new element h is installed, by the
+Gebauer-Moeller criteria (J. Symb. Comp. 6, 1988) in the form of Becker and
+Weispfenning's UPDATE (Groebner Bases, 1993, p. 230):
+- of the new pairs (g, h), one is kept for each lcm that is not a proper
+  multiple of another new pair's lcm, and a kept pair whose leading
+  monomials are coprime is dropped (Buchberger's product criterion);
+- an old pair (g1, g2) is dropped when LM(h) divides its lcm t and neither
+  lcm(g1, h) nor lcm(g2, h) equals t (the chain criterion);
+- an element whose leading monomial LM(h) divides leaves the reducers.
+Surviving pairs wait in a heap in the normal strategy's order: smallest lcm
+degree first, then smallest lcm in the monomial order.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress
+from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
 from .poly import (
+    DimensionMismatchError,
     Mono,
     MonomialOrder,
     Polynomial,
-    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -51,8 +80,8 @@ from .poly import (
 class _Lead(NamedTuple):
     lm: Mono
     mask: int
-    lc: Fraction
-    poly: Polynomial
+    lc: int
+    terms: dict  # Mono -> int
 
 
 @cache
@@ -65,13 +94,35 @@ def _mask(m: Mono) -> int:
     return sum(compress(_bits(len(m)), m))
 
 
-def _lead(p: Polynomial, order: MonomialOrder) -> _Lead:
-    lm = p.leading_monomial(order)
-    return _Lead(lm, _mask(lm), p.terms[lm], p)
+def _lead(terms: dict, order: MonomialOrder) -> _Lead:
+    """Lead entry of the primitive multiple, with a positive leading
+    coefficient, of a nonzero integer coefficient dict."""
+    lm = max(terms, key=order.key)
+    d = gcd(*terms.values())
+    if terms[lm] < 0:
+        d = -d
+    if d != 1:
+        terms = {m: c // d for m, c in terms.items()}
+    return _Lead(lm, _mask(lm), terms[lm], terms)
+
+
+def _integer_terms(terms) -> tuple[dict, int]:
+    """(L * terms with integer coefficients, L) for L the least common
+    multiple of the denominators of a monomial -> Fraction mapping."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
 def _lead_table(polys, order: MonomialOrder) -> list[_Lead]:
-    return [_lead(p, order) for p in polys if not p.is_zero()]
+    leads = []
+    for p in polys:
+        if p:
+            if len(p.table) != len(order.priority):
+                raise DimensionMismatchError(
+                    f"order over {len(order.priority)} variables, table of {len(p.table)}"
+                )
+            leads.append(_lead(_integer_terms(p.terms)[0], order))
+    return leads
 
 
 @dataclass(frozen=True)
@@ -82,6 +133,14 @@ class GroebnerBasis:
 
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
+    _leads: list = field(default=None, init=False, repr=False, compare=False)
+
+    def contains(self, f: Polynomial) -> bool:
+        """f lies in the ideal: its normal form is zero.  The lead table is
+        built on the first call and kept."""
+        if self._leads is None:
+            object.__setattr__(self, "_leads", _lead_table(self.elements, self.order))
+        return not _normal_form(_integer_terms(f.terms)[0], self._leads, self.order)[0]
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.elements)
@@ -93,40 +152,63 @@ class GroebnerBasis:
         return [g.leading_monomial(self.order) for g in self.elements]
 
 
-def _normal_form(terms, leads: list[_Lead], order: MonomialOrder) -> dict:
-    """Remainder terms of the full normal form of ``terms`` (a monomial ->
-    coefficient mapping; zero coefficients are skipped) modulo the lead
-    table, inserted in descending monomial order."""
+def _normal_form(terms: dict, leads: list[_Lead], order: MonomialOrder) -> tuple[dict, int | Fraction]:
+    """``(r, M)`` for the full normal form of ``terms`` (a monomial -> integer
+    mapping; zero coefficients are skipped) modulo the lead table, by
+    pseudo-reduction: r has integer coefficients, M is a positive rational,
+    M*terms - r lies in the ideal of the table, no monomial of r is
+    divisible by a leading monomial, and r's terms are inserted in
+    descending monomial order."""
     desc_key = order.desc_key
     work = dict(terms)
     heap = [(desc_key(m), m) for m in work]
-    heapq.heapify(heap)
+    heapify(heap)
     remainder: dict = {}
+    mult = 1
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = heappop(heap)[1]
         c = work.pop(m)
         if not c:
             continue
         mmask = _mask(m)
         for lm, lmask, lc, g in leads:
             if not (lmask & ~mmask) and mono_divides(lm, m):
-                shift = mono_div(m, lm)
-                factor = c / lc
-                # every new monomial is below m, so none is popped yet
-                for gm, gc in g.terms.items():
-                    t = tuple(map(add, gm, shift))
-                    if t == m:
-                        continue
-                    old = work.get(t)
-                    if old is None:
-                        work[t] = -factor * gc
-                        heapq.heappush(heap, (desc_key(t), t))
-                    else:
-                        work[t] = old - factor * gc
                 break
         else:
             remainder[m] = c
-    return remainder
+            continue
+        scale = 1
+        if lc != 1:
+            d = gcd(c, lc)
+            scale = lc // d
+            c //= d
+            if scale != 1:
+                for t in work:
+                    work[t] *= scale
+                for t in remainder:
+                    remainder[t] *= scale
+        shift = mono_div(m, lm)
+        # every new monomial is below m, so none is popped yet
+        for gm, gc in g.items():
+            t = tuple(map(add, gm, shift))
+            if t == m:
+                continue
+            old = work.get(t)
+            if old is None:
+                work[t] = -c * gc
+                heappush(heap, (desc_key(t), t))
+            else:
+                work[t] = old - c * gc
+        if scale != 1:
+            mult *= scale
+            d = gcd(*work.values(), *remainder.values())
+            if d > 1:
+                mult = Fraction(mult, d)
+                for t in work:
+                    work[t] //= d
+                for t in remainder:
+                    remainder[t] //= d
+    return remainder, mult
 
 
 def reduce(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -138,15 +220,18 @@ def reduce(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     leads = _lead_table(basis, order)
     if not leads:
         return f
-    return Polynomial(f.table, _normal_form(f.terms, leads, order))
+    terms, den = _integer_terms(f.terms)
+    r, mult = _normal_form(terms, leads, order)
+    scale = den * mult
+    return Polynomial(f.table, {m: Fraction(c, scale) for m, c in r.items()})
 
 
 def _s_terms(a: _Lead, b: _Lead) -> dict:
     """Terms of spol(a, b), the cancelled lcm term kept with coefficient 0."""
     t = mono_lcm(a.lm, b.lm)
     sa, sb = mono_div(t, a.lm), mono_div(t, b.lm)
-    out = {tuple(map(add, m, sa)): c * b.lc for m, c in a.poly.terms.items()}
-    for m, c in b.poly.terms.items():
+    out = {tuple(map(add, m, sa)): c * b.lc for m, c in a.terms.items()}
+    for m, c in b.terms.items():
         u = tuple(map(add, m, sb))
         old = out.get(u)
         out[u] = -c * a.lc if old is None else old - c * a.lc
@@ -158,15 +243,23 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     leading monomials; the leading terms cancel."""
     if f.is_zero() or g.is_zero():
         raise ValueError("s-polynomial of the zero polynomial is undefined")
-    return Polynomial(f.table, _s_terms(_lead(f, order), _lead(g, order)))
+
+    # _s_terms only multiplies, so it takes the rational lead data as it is
+    def lead(p: Polynomial) -> _Lead:
+        lm = p.leading_monomial(order)
+        return _Lead(lm, _mask(lm), p.terms[lm], p.terms)
+
+    return Polynomial(f.table, _s_terms(lead(f), lead(g)))
 
 
 def interreduce(polys, order: MonomialOrder) -> list[Polynomial]:
     """Minimalize and fully auto-reduce a generating set (result is the
     reduced basis if the input was a Groebner basis)."""
+    polys = list(polys)
     gens = _lead_table(polys, order)
     # ascending by leading monomial, so redundant elements come later
-    gens.sort(key=lambda e: order.key(e.lm))
+    key = order.key
+    gens.sort(key=lambda e: key(e.lm))
     minimal: list[_Lead] = []
     for e in gens:
         if any(not (q.mask & ~e.mask) and mono_divides(q.lm, e.lm) for q in minimal):
@@ -178,25 +271,65 @@ def interreduce(polys, order: MonomialOrder) -> list[Polynomial]:
         changed = False
         for i in range(len(minimal)):
             e = minimal[i]
-            r = _normal_form(e.poly.terms, minimal[:i] + minimal[i + 1 :], order)
+            r = _normal_form(e.terms, minimal[:i] + minimal[i + 1 :], order)[0]
             if not r:
                 del minimal[i]
                 changed = True
                 break
-            if r != e.poly.terms:
-                minimal[i] = _lead(Polynomial(e.poly.table, r), order)
+            if r != e.terms:
+                minimal[i] = _lead(r, order)
                 changed = True
-    return [e.poly.scale(1 / e.lc) for e in sorted(minimal, key=lambda e: order.key(e.lm))]
+    # the one division by the leading coefficient
+    return [
+        Polynomial(polys[0].table, {m: Fraction(c, e.lc) for m, c in e.terms.items()})
+        for e in sorted(minimal, key=lambda e: key(e.lm))
+    ]
 
 
-def buchberger(
-    gens,
-    order: MonomialOrder,
-    *,
-    coprime_criterion: bool = True,
-    chain_criterion: bool = True,
-    groebner_prefix: int = 0,
-) -> GroebnerBasis:
+def _install(k: int, basis: list[_Lead], active: list[int], pairs: list, key) -> list[int]:
+    """Install ``basis[k]`` by the Gebauer-Moeller criteria: drop the old
+    pairs it makes redundant from the heap ``pairs``, push the new pairs
+    that survive, and return the new list of active (reducer) indices."""
+    h = basis[k]
+    hlm, hmask = h.lm, h.mask
+    # new pairs (i, k) as (lcm, lcm mask, coprime, i)
+    fresh = [
+        (mono_lcm(basis[i].lm, hlm), basis[i].mask | hmask, not (basis[i].mask & hmask), i)
+        for i in active
+    ]
+    kept = []
+    while fresh:
+        p = fresh.pop()
+        t, tmask, coprime = p[0], p[1], p[2]
+        if coprime or not any(
+            not (q[1] & ~tmask) and mono_divides(q[0], t) for q in chain(fresh, kept)
+        ):
+            kept.append(p)
+    # old pairs (i, j) as (degree, key, i, j, lcm, lcm mask)
+    survivors = [
+        p
+        for p in pairs
+        if (hmask & ~p[5])
+        or not mono_divides(hlm, p[4])
+        or mono_lcm(basis[p[2]].lm, hlm) == p[4]
+        or mono_lcm(basis[p[3]].lm, hlm) == p[4]
+    ]
+    if len(survivors) < len(pairs):
+        pairs[:] = survivors
+        heapify(pairs)
+    for t, tmask, coprime, i in kept:
+        if not coprime:
+            heappush(pairs, (sum(t), key(t), i, k, t, tmask))
+    active = [
+        i
+        for i in active
+        if (hmask & ~basis[i].mask) or not mono_divides(hlm, basis[i].lm)
+    ]
+    active.append(k)
+    return active
+
+
+def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     The result is canonical: independent of generator order and duplicates.
@@ -205,64 +338,34 @@ def buchberger(
     already a Groebner basis under ``order``, so their mutual pairs are
     skipped (used for incremental extensions of a cached basis).
     """
-    G: list[_Lead] = []
-    prefix = 0
-    for pos, g in enumerate(gens):
-        if not g.is_zero():
-            G.append(_lead(g.primitive(order), order))
-            if pos < groebner_prefix:
-                prefix += 1
-    if not G:
+    gens = list(gens)
+    # every element that ever entered, in entry order; pairs index into it
+    basis = _lead_table(gens, order)
+    if not basis:
         return GroebnerBasis(order, ())
-    table = G[0].poly.table
+    table = gens[0].table
     one = Polynomial.constant(table, 1)
-    if any(e.poly.is_constant() for e in G):
+    if any(not e.mask for e in basis):
         return GroebnerBasis(order, (one,))
-
-    heap: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
-
-    def push_pair(i: int, j: int) -> None:
-        t = mono_lcm(G[i].lm, G[j].lm)
-        heapq.heappush(heap, (mono_degree(t), order.key(t), i, j))
-        pending.add((i, j))
-
-    for i in range(len(G)):
-        for j in range(max(i + 1, prefix), len(G)):
-            push_pair(i, j)
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        pending.remove((i, j))
-        a, b = G[i], G[j]
-        if coprime_criterion and not (a.mask & b.mask):
-            continue
-        if chain_criterion:
-            t = mono_lcm(a.lm, b.lm)
-            tmask = a.mask | b.mask
-            skip = False
-            for k, e in enumerate(G):
-                if k == i or k == j:
-                    continue
-                if (
-                    not (e.mask & ~tmask)
-                    and mono_divides(e.lm, t)
-                    and (min(i, k), max(i, k)) not in pending
-                    and (min(j, k), max(j, k)) not in pending
-                ):
-                    skip = True
-                    break
-            if skip:
-                continue
-        r = _normal_form(_s_terms(a, b), G, order)
+    prefix = sum(1 for g in gens[:groebner_prefix] if g)
+    pairs: list[tuple] = []
+    active = list(range(prefix))
+    for k in range(prefix, len(basis)):
+        active = _install(k, basis, active, pairs, order.key)
+    reducers = [basis[i] for i in active]
+    while pairs:
+        i, j = heappop(pairs)[2:4]
+        r = _normal_form(_s_terms(basis[i], basis[j]), reducers, order)[0]
         if r:
-            p = Polynomial(table, r)
-            if p.is_constant():
+            e = _lead(r, order)
+            if not e.mask:
                 return GroebnerBasis(order, (one,))
-            G.append(_lead(p.primitive(order), order))
-            new = len(G) - 1
-            for k in range(new):
-                push_pair(k, new)
-    return GroebnerBasis(order, tuple(interreduce([e.poly for e in G], order)))
+            basis.append(e)
+            active = _install(len(basis) - 1, basis, active, pairs, order.key)
+            reducers = [basis[i] for i in active]
+    return GroebnerBasis(
+        order, tuple(interreduce([Polynomial(table, basis[i].terms) for i in active], order))
+    )
 
 
 def is_groebner_basis(polys, order: MonomialOrder) -> bool:
@@ -270,7 +373,7 @@ def is_groebner_basis(polys, order: MonomialOrder) -> bool:
     elements reduces to zero against the set."""
     G = _lead_table(polys, order)
     return not any(
-        _normal_form(_s_terms(G[i], G[j]), G, order)
+        _normal_form(_s_terms(G[i], G[j]), G, order)[0]
         for i in range(len(G))
         for j in range(i + 1, len(G))
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
-from .groebner import GroebnerBasis, buchberger, exact_divide, reduce
+from .groebner import GroebnerBasis, buchberger, exact_divide
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -128,8 +128,7 @@ def ideal_membership(f: Polynomial, I: Ideal) -> bool:
     """True iff the normal form of f against a Groebner basis of I is zero."""
     if f.is_zero():
         return True
-    gb = I.groebner()
-    return reduce(f, gb.elements, gb.order).is_zero()
+    return I.groebner().contains(f)
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:

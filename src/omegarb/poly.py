@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import add, le, mul, sub
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Callable, Mapping, Sequence, Union
 
 Mono = tuple[int, ...]
@@ -148,6 +148,17 @@ def mono_support(a: Mono) -> frozenset[int]:
 # monomial orders
 
 
+def _permuter(idx: tuple[int, ...]) -> Callable[[Mono], tuple]:
+    """m -> tuple(m[i] for i in idx), as one C call; the identity and the
+    reversal are slices, which also cover 0 and 1 variables."""
+    n = len(idx)
+    if idx == tuple(range(n)):
+        return itemgetter(slice(None))
+    if idx == tuple(range(n - 1, -1, -1)):
+        return itemgetter(slice(None, None, -1))
+    return itemgetter(*idx)
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative monomial order: lex or grevlex over a priority
@@ -155,10 +166,14 @@ class MonomialOrder:
 
     kind: str  # "lex" | "grevlex"
     priority: tuple[int, ...]
-    _keyfn: Callable[[Mono], tuple] = field(
+    # key(a) < key(b) iff a < b; desc_key(a) < desc_key(b) iff a > b, so a
+    # min-heap on desc_key pops the largest monomial first.  Both are flat
+    # tuples of ints built by one C-level permutation per call, and neither
+    # checks the monomial's length: compare() does.
+    key: Callable[[Mono], tuple] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
-    _desc_keyfn: Callable[[Mono], tuple] = field(
+    desc_key: Callable[[Mono], tuple] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
 
@@ -169,44 +184,30 @@ class MonomialOrder:
         if sorted(pr) != list(range(len(pr))):
             raise ValueError(f"priority {pr!r} is not a permutation")
         object.__setattr__(self, "priority", pr)
-        # desc_keyfn negates every component of keyfn, which reverses the
+        # desc_key negates every component of key, which reverses the
         # comparison of these equal-length integer tuples
         if self.kind == "lex":
-            def keyfn(m: Mono, _pr=pr) -> tuple:
-                return tuple(m[p] for p in _pr)
+            key = ranked = _permuter(pr)
 
-            def desc_keyfn(m: Mono, _pr=pr) -> tuple:
-                return tuple(-m[p] for p in _pr)
+            def desc_key(m: Mono) -> tuple:
+                return tuple(map(neg, ranked(m)))
         else:
-            rev = tuple(reversed(pr))
+            ranked = _permuter(pr[::-1])
 
-            def keyfn(m: Mono, _rev=rev) -> tuple:
-                return (sum(m), tuple(-m[p] for p in _rev))
+            def key(m: Mono) -> tuple:
+                return (sum(m), *map(neg, ranked(m)))
 
-            def desc_keyfn(m: Mono, _rev=rev) -> tuple:
-                return (-sum(m), tuple(m[p] for p in _rev))
+            def desc_key(m: Mono) -> tuple:
+                return (-sum(m), *ranked(m))
 
-        object.__setattr__(self, "_keyfn", keyfn)
-        object.__setattr__(self, "_desc_keyfn", desc_keyfn)
-
-    def key(self, m: Mono) -> tuple:
-        """Sort key: key(a) < key(b) iff a < b in this order."""
-        if len(m) != len(self.priority):
-            raise DimensionMismatchError(
-                f"monomial has {len(m)} exponents, order expects {len(self.priority)}"
-            )
-        return self._keyfn(m)
-
-    def desc_key(self, m: Mono) -> tuple:
-        """Heap key: desc_key(a) < desc_key(b) iff a > b in this order, so a
-        min-heap pops the largest monomial first."""
-        if len(m) != len(self.priority):
-            raise DimensionMismatchError(
-                f"monomial has {len(m)} exponents, order expects {len(self.priority)}"
-            )
-        return self._desc_keyfn(m)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "desc_key", desc_key)
 
     def compare(self, a: Mono, b: Mono) -> int:
+        if len(a) != len(self.priority) or len(b) != len(self.priority):
+            raise DimensionMismatchError(
+                f"monomial length does not match the order's {len(self.priority)} variables"
+            )
         ka, kb = self.key(a), self.key(b)
         if ka < kb:
             return LT
@@ -409,11 +410,16 @@ class Polynomial:
 
     def sorted_terms(self, order: MonomialOrder) -> list[tuple[Mono, Fraction]]:
         """Terms in strictly descending monomial order."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        key = order.desc_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
     def leading_monomial(self, order: MonomialOrder) -> Mono:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
+        if len(order.priority) != len(self.table):
+            raise DimensionMismatchError(
+                f"order over {len(order.priority)} variables, table of {len(self.table)}"
+            )
         return max(self.terms, key=order.key)
 
     def leading_coefficient(self, order: MonomialOrder) -> Fraction:

@@ -9,15 +9,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from omegarb.groebner import buchberger
-from omegarb.poly import Polynomial, VariableTable, grevlex_order
+from omegarb.poly import Polynomial, VariableTable, grevlex_order, lex_order
 from omegarb.solver import PROFILES, generate_system
 
 sympy = pytest.importorskip("sympy")
 
 
-def sympy_basis(gens, table):
-    """Monic reduced grevlex basis of <gens> computed by sympy, with the
-    table order as sympy's variable order."""
+def sympy_basis(gens, table, order=None):
+    """Monic reduced basis of <gens> computed by sympy under ``order``
+    (default: grevlex in table order), with sympy's variables listed in the
+    order's priority."""
+    order = order or grevlex_order(table)
     symbols = sympy.symbols(table.names)
     exprs = [
         sum(
@@ -27,21 +29,24 @@ def sympy_basis(gens, table):
         )
         for g in gens
     ]
-    order = grevlex_order(table)
+    ranked = [symbols[i] for i in order.priority]
     out = set()
-    for p in sympy.groebner(exprs, *symbols, order="grevlex").polys:
-        terms = {
-            m: Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
-            for m, c in p.terms()
-        }
+    for p in sympy.groebner(exprs, *ranked, order=order.kind).polys:
+        terms = {}
+        for ranked_mono, c in p.terms():
+            mono = [0] * len(table)
+            for i, e in zip(order.priority, ranked_mono):
+                mono[i] = e
+            terms[tuple(mono)] = Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
         out.add(Polynomial(table, terms).monic(order))
     return out
 
 
-def assert_matches_sympy(gens, table):
-    ours = buchberger(gens, grevlex_order(table)).elements
+def assert_matches_sympy(gens, table, order=None):
+    order = order or grevlex_order(table)
+    ours = buchberger(gens, order).elements
     assert len(set(ours)) == len(ours)
-    assert set(ours) == sympy_basis(gens, table)
+    assert set(ours) == sympy_basis(gens, table, order)
 
 
 @pytest.mark.parametrize(
@@ -72,3 +77,64 @@ def small_ideals(draw):
 def test_random_ideal_basis_matches_sympy(data):
     table, gens = data
     assert_matches_sympy(gens, table)
+
+
+# -- the kernel's other call shapes -------------------------------------------
+
+XYZ = VariableTable.of("x", "y", "z")
+XYZT = XYZ.extend("t")
+
+
+def small_polys(table, coeff, max_terms=3):
+    mono = st.tuples(*[st.integers(0, 2)] * len(table)).filter(lambda m: sum(m) <= 3)
+    return st.dictionaries(mono, coeff, min_size=1, max_size=max_terms).map(
+        lambda terms: Polynomial(table, terms)
+    )
+
+
+SMALL_COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(small_polys(XYZ, SMALL_COEFF, 2), min_size=1, max_size=2),
+    st.lists(small_polys(XYZ, SMALL_COEFF, 2), min_size=1, max_size=2),
+)
+def test_elimination_lex_basis_matches_sympy(I, J):
+    # the shape of ideals.intersect: t*I + (1 - t)*J under lex with the tag
+    # variable first, as ideals.elimination builds the order
+    t = Polynomial.variable(XYZT, "t")
+    gens = [t * g.lift(XYZT) for g in I] + [(1 - t) * g.lift(XYZT) for g in J]
+    assert_matches_sympy(gens, XYZT, lex_order(XYZT, ["t", "x", "y", "z"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(small_polys(XYZ, SMALL_COEFF), min_size=1, max_size=3), small_polys(XYZ, SMALL_COEFF))
+def test_prefix_extension_matches_sympy(gens, f):
+    # the shape of ideals.radical_membership: a cached basis, lifted, plus
+    # 1 - t*f, with no pairs among the cached elements
+    gb = buchberger(gens, grevlex_order(XYZ)).elements
+    t = Polynomial.variable(XYZT, "t")
+    ext = [g.lift(XYZT) for g in gb] + [1 - t * f.lift(XYZT)]
+    order = grevlex_order(XYZT)
+    with_prefix = buchberger(ext, order, groebner_prefix=len(gb)).elements
+    assert with_prefix == buchberger(ext, order).elements
+    assert set(with_prefix) == sympy_basis(ext, XYZT, order)
+
+
+@st.composite
+def scaled_polys(draw):
+    # integer coefficients with a common factor, times a rational scale: the
+    # inputs are seldom primitive or monic, so both the content stripping and
+    # the final division by the leading coefficient have work to do
+    content = draw(st.sampled_from([2, 3, 6, 10]))
+    scale = draw(st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7))
+    coeff = st.integers(-4, 4).filter(bool).map(lambda k: k * content * scale)
+    return draw(small_polys(XYZ, coeff))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(scaled_polys(), min_size=1, max_size=3), st.sampled_from(["grevlex", "lex"]))
+def test_non_unit_coefficients_match_sympy(gens, kind):
+    order = grevlex_order(XYZ) if kind == "grevlex" else lex_order(XYZ, ["z", "x", "y"])
+    assert_matches_sympy(gens, XYZ, order)
