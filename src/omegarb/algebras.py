@@ -13,10 +13,21 @@ this convention.
 The operator identities (Rota-Baxter of weight w, omega-compatibility,
 isometry, R^2 = 0) and the deformed bracket [x,y]_R = [R(x),y] + [x,R(y)]
 are written once, ring-generically, in :func:`pair_identities` and the
-product, form and operator helpers it uses.  :func:`classify_map` reads its
-flags from them over the rationals; ``solver.generate_equations`` reads the
-variety's polynomials from them over the generic operator (x_ij); the
-constructions read the deformed bracket and omega(R.,R.) from them.
+product, form and operator helpers it uses.  ``solver.generate_equations``
+reads the variety's polynomials from them over the generic operator (x_ij),
+at scale 1.
+
+Everything else reads them over ints.  Each call clears denominators once
+and keeps nothing: the algebra becomes (D, D c, D omega), an
+:class:`IntegralAlgebra` with D the lcm of its denominators, and the
+operator becomes (d, d R), with d the lcm of R's denominators and the
+weight's.  :func:`pair_identities` takes the operator's scale, so that the
+weight term is w d and the isometry defect subtracts d^2 (D omega_ij).
+:func:`classify_map` only tests integer values for zero or equality, and
+never divides.  :func:`validate_algebra` takes the Jacobi defect with the
+form at scale D^2, and divides each residual it reports back: the skew
+residuals by D, the Jacobi residuals by D^2.  The constructions divide
+their integer tables back the same way (see ``constructions``).
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -49,9 +62,9 @@ class SingularOperatorError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the operator identities, over any ring: coordinates are Fractions or
-# Polynomials (falsy exactly when zero); structure constants, the form and
-# basis vectors stay rational; each function takes the ring's zero
+# the operator identities, over any ring: coordinates are ints, Fractions or
+# Polynomials (falsy exactly when zero); structure constants and the form are
+# ints or Fractions; each function takes the ring's zero
 
 _ZERO = Fraction(0)
 
@@ -106,56 +119,129 @@ def operator_square(rows, zero=_ZERO) -> tuple:
     return tuple(apply_operator(rows, r, zero) for r in rows)
 
 
+def _dot(u, v, zero):
+    total = zero
+    for x, y in zip(u, v):
+        if x and y:
+            total += x * y
+    return total
+
+
 class PairIdentities(NamedTuple):
     """The operator identities on one basis pair (e_i, e_j).  Each defect
-    vanishes exactly when its identity holds on the pair."""
+    vanishes exactly when its identity holds on the pair.  With the algebra
+    at scale D and the operator at scale s (see :func:`pair_identities`),
+    the fields are the values for (c, omega, R) times D*s or D*s^2."""
 
-    image_bracket: tuple  # [R e_i, R e_j]
-    deformed: tuple  # [e_i, e_j]_R = [R e_i, e_j] + [e_i, R e_j]
-    image_form: object  # omega(R e_i, R e_j)
-    rb: tuple  # [R e_i, R e_j] - R([e_i, e_j]_R + w [e_i, e_j])
-    compat: object  # omega(R e_i, e_j) + omega(e_i, R e_j)
-    isom: object  # omega(R e_i, R e_j) - omega(e_i, e_j)
+    image_bracket: tuple  # [R e_i, R e_j]  (D s^2)
+    deformed: tuple  # [e_i, e_j]_R = [R e_i, e_j] + [e_i, R e_j]  (D s)
+    image_form: object  # omega(R e_i, R e_j)  (D s^2)
+    rb: tuple  # [R e_i, R e_j] - R([e_i, e_j]_R + w [e_i, e_j])  (D s^2)
+    compat: object  # omega(R e_i, e_j) + omega(e_i, R e_j)  (D s)
+    isom: object  # omega(R e_i, R e_j) - omega(e_i, e_j)  (D s^2)
 
 
 def pair_identities(
-    L: "OmegaAlgebra", rows, i: int, j: int, weight=_ZERO, zero=_ZERO
+    L, rows, i: int, j: int, weight=_ZERO, zero=_ZERO, scale=1
 ) -> PairIdentities:
     """Rota-Baxter of weight w, compatibility and isometry on (e_i, e_j),
-    with rows[k] = R(e_k) over the ring of ``zero``."""
+    with rows[k] = scale * R(e_k) over the ring of ``zero``.
+
+    ``L`` is an :class:`OmegaAlgebra` (scale 1) or an
+    :class:`IntegralAlgebra` (scale D).  [R e_i, e_j] and omega(R e_i, e_j)
+    are read off column j of c and of omega, [e_i, R e_j] and
+    omega(e_i, R e_j) off row i.  The weight term is w * scale, an integer
+    whenever the scale clears w's denominator, and the isometry defect
+    subtracts scale^2 * omega[i][j]."""
     c, omega = L.c, L.omega
-    e_i, e_j = L.basis_vector(i), L.basis_vector(j)
+    n = len(c)
     r_i, r_j = rows[i], rows[j]
     image_bracket = structure_product(c, r_i, r_j, zero)
-    left, right = structure_product(c, r_i, e_j, zero), structure_product(c, e_i, r_j, zero)
+    left = apply_operator(tuple(c[a][j] for a in range(n)), r_i, zero)
+    right = apply_operator(c[i], r_j, zero)
     deformed = tuple(a + b for a, b in zip(left, right))
     inner = deformed
     if weight:
-        inner = tuple(a + weight * ck if ck else a for a, ck in zip(deformed, c[i][j]))
+        ws = weight * scale
+        if ws.denominator == 1:
+            ws = ws.numerator
+        inner = tuple(a + ws * ck if ck else a for a, ck in zip(deformed, c[i][j]))
     image_form = form_value(omega, r_i, r_j, zero)
     return PairIdentities(
         image_bracket,
         deformed,
         image_form,
         tuple(a - b for a, b in zip(image_bracket, apply_operator(rows, inner, zero))),
-        form_value(omega, r_i, e_j, zero) + form_value(omega, e_i, r_j, zero),
-        image_form - omega[i][j],
+        _dot(r_i, [omega[a][j] for a in range(n)], zero) + _dot(r_j, omega[i], zero),
+        image_form - scale * scale * omega[i][j],
     )
 
 
-def jacobi_defect(c, omega, twist_rows, i: int, j: int, k: int) -> tuple:
+def jacobi_defect(c, omega, twist_rows, i: int, j: int, k: int, zero=_ZERO) -> tuple:
     """The cyclic sum over (a, b, d) of [[e_a, e_b], t(e_d)] - omega(e_a, e_b)
     t(e_d), with twist_rows[d] = t(e_d): the omega-Lie identity for t = id,
-    the Hom-Lie identity for omega = 0."""
-    out = [_ZERO] * len(c)
+    the Hom-Lie identity for omega = 0.  Over cleared data c = D c', the
+    form must be passed at scale D^2 and the defect has scale D^2."""
+    out = [zero] * len(c)
     for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
         t, w = twist_rows[d], omega[a][b]
-        for m, x in enumerate(structure_product(c, c[a][b], t)):
+        for m, x in enumerate(structure_product(c, c[a][b], t, zero)):
             if w and t[m]:
                 x -= w * t[m]
             if x:
                 out[m] += x
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the same data cleared of denominators, built per call and never kept
+
+
+class IntegralAlgebra(NamedTuple):
+    """Structure constants and form cleared of denominators: c = scale * c'
+    and omega = scale * omega' in ints, for the rational data (c', omega')."""
+
+    scale: int
+    c: tuple
+    omega: tuple
+
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
+def _lcm_of_denominators(rows, *extra) -> int:
+    dens = {x.denominator for x in extra}
+    for r in rows:
+        dens.update(map(_denominator, r))
+    return lcm(*dens)
+
+
+def _cleared(values, m: int) -> tuple:
+    if m == 1:
+        return tuple(map(_numerator, values))
+    return tuple(x.numerator * (m // x.denominator) for x in values)
+
+
+def integral_algebra(c, omega=()) -> IntegralAlgebra:
+    """(D, D*c, D*omega) with D the lcm of every denominator in c and omega;
+    c is a table c[i][j][k], omega a matrix (or empty)."""
+    D = lcm(_lcm_of_denominators(row for layer in c for row in layer), _lcm_of_denominators(omega))
+    return IntegralAlgebra(
+        D,
+        tuple(tuple(_cleared(row, D) for row in layer) for layer in c),
+        tuple(_cleared(row, D) for row in omega),
+    )
+
+
+def integral_rows(rows, *extra) -> tuple[int, tuple]:
+    """(d, d*rows) with d the lcm of the denominators of every entry and of
+    the numbers in ``extra`` (a weight, say), so d*rows is in ints."""
+    d = _lcm_of_denominators(rows, *extra)
+    return d, tuple(_cleared(r, d) for r in rows)
+
+
+def _int_identity(n: int) -> tuple:
+    return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +270,21 @@ class OmegaAlgebra:
         """Build from the nonzero relations [e_i,e_j] (i<j) and omega values;
         skew-symmetry fills in the rest."""
         n = len(basis_names)
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
         for (i, j), coeffs in brackets.items():
             if i == j:
                 raise ValueError("bracket [e_i,e_i] must be zero")
             row = vec(coeffs)
             for k in range(n):
                 c[i][j][k] = row[k]
-                c[j][i][k] = -row[k]
-        om = [[Fraction(0)] * n for _ in range(n)]
+                c[j][i][k] = -row[k] if row[k] else _ZERO
+        om = [[_ZERO] * n for _ in range(n)]
         for (i, j), val in omega.items():
-            if i == j and Fraction(val) != 0:
+            (q,) = vec((val,))
+            if i == j and q != 0:
                 raise ValueError("omega(e_i,e_i) must be zero")
-            om[i][j] = Fraction(val)
-            om[j][i] = -Fraction(val)
+            om[i][j] = q
+            om[j][i] = -q if q else _ZERO
         return cls(
             n,
             tuple(basis_names),
@@ -327,25 +414,36 @@ class AlgebraValidation:
         return self.ok
 
 
-def validate_algebra(L: OmegaAlgebra) -> AlgebraValidation:
+def validate_algebra(L) -> AlgebraValidation:
     """Check skew-symmetry of the bracket and of omega, and the twisted
     Jacobi identity on all basis triples i<j<k (multilinearity plus
-    skew-symmetry make this exhaustive).  Failures are reported, not thrown."""
+    skew-symmetry make this exhaustive).  Failures are reported, not thrown.
+
+    ``L`` is an :class:`OmegaAlgebra`, or its data already cleared of
+    denominators as an :class:`IntegralAlgebra` (c = D c', omega = D omega').
+    The checks run over ints: the Jacobi defect is taken with the form at
+    scale D^2, and each residual is divided back, by D for the skew checks
+    and by D^2 for the Jacobi identity."""
+    if not isinstance(L, IntegralAlgebra):
+        L = integral_algebra(L.c, L.omega)
+    D, c, omega = L
     failures = []
-    n = L.dim
+    n = len(c)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if L.c[i][j][k] != -L.c[j][i][k]:
-                    failures.append(("bracket-skew", (i, j, k), L.c[i][j][k] + L.c[j][i][k]))
-            if L.omega[i][j] != -L.omega[j][i]:
-                failures.append(("omega-skew", (i, j), L.omega[i][j] + L.omega[j][i]))
+                if c[i][j][k] != -c[j][i][k]:
+                    residual = Fraction(c[i][j][k] + c[j][i][k], D)
+                    failures.append(("bracket-skew", (i, j, k), residual))
+            if omega[i][j] != -omega[j][i]:
+                failures.append(("omega-skew", (i, j), Fraction(omega[i][j] + omega[j][i], D)))
     if not failures:
-        basis = identity(n)
+        basis = _int_identity(n)
+        form = tuple(tuple(D * x for x in row) for row in omega)
         for i, j, k in combinations(range(n), 3):
-            residual = jacobi_defect(L.c, L.omega, basis, i, j, k)
+            residual = jacobi_defect(c, form, basis, i, j, k, 0)
             if any(residual):
-                failures.append(("jacobi", (i, j, k), residual))
+                failures.append(("jacobi", (i, j, k), tuple(Fraction(x, D * D) for x in residual)))
     return AlgebraValidation(not failures, failures)
 
 
@@ -378,24 +476,31 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
     compatible: omega(R(x),y) + omega(x,R(y)) = 0;
     isometric: omega(R(x),R(y)) = omega(x,y).
     Derivation and automorphism use the bracket alone; bilinearity reduces
-    every identity to basis pairs.
+    every identity to basis pairs.  Every check runs over ints, on the
+    algebra at scale D and the operator at scale d (which also clears the
+    weight): the derivation compares R(c_ij) with the deformed bracket, both
+    at scale D d; the automorphism compares d R(c_ij) with the image bracket,
+    both at scale D d^2; invertibility is the determinant of d R.
     """
     if R.dim != L.dim:
         raise ValueError("operator and algebra dimensions differ")
     w = Fraction(weight)
-    rows = R.entries  # R(e_i) is row i
+    A = integral_algebra(L.c, L.omega)  # (D, D c, D omega)
+    d, rows = integral_rows(R.entries, w)  # rows[i] = d R(e_i)
     is_rb = is_compat = is_isom = is_der = is_auto_bracket = True
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            ids = pair_identities(L, rows, i, j, w)
+            ids = pair_identities(A, rows, i, j, w, 0, d)
             is_rb = is_rb and not any(ids.rb)
             is_compat = is_compat and not ids.compat
             is_isom = is_isom and not ids.isom
             if is_der or is_auto_bracket:
-                r_cij = apply_operator(rows, L.c[i][j])
+                r_cij = apply_operator(rows, A.c[i][j], 0)  # D d R(c_ij)
                 is_der = is_der and r_cij == ids.deformed
-                is_auto_bracket = is_auto_bracket and r_cij == ids.image_bracket
-    invertible = R.is_invertible()
+                is_auto_bracket = (
+                    is_auto_bracket and tuple(d * x for x in r_cij) == ids.image_bracket
+                )
+    invertible = det(rows) != 0
     return MapClassification(
         weight=w,
         is_rb=is_rb,
@@ -403,7 +508,7 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
         is_isometric=is_isom,
         is_derivation=is_der,
         is_automorphism=is_auto_bracket and invertible,
-        is_square_zero=not any(map(any, operator_square(rows))),
+        is_square_zero=not any(map(any, operator_square(rows, 0))),
         is_invertible=invertible,
     )
 

@@ -12,21 +12,33 @@ L_{i-1}.  Every output is validated against its defining identities.
 The deformed bracket [x,y]_R and the form omega(R(x),R(y)) that the
 deformation and the Hom-Lie algebra are built on come from
 ``algebras.pair_identities``, the code that also decides `classify_map`'s
-flags and generates the operator varieties.
+flags and generates the operator varieties.  They are evaluated over ints:
+the algebra is cleared to scale D and the operator to scale d, so the
+bracket [x,y]_R, the Hom-Lie bracket and the left-symmetric product
+[R(x),y] come at scale D d, and omega(R(x),R(y)) at scale D d^2.  Each
+table is checked over ints first (the left-symmetric identity, the twisted
+Jacobi identity, and for L_R the defining identity on one integer algebra
+at scale D d^2), and only then divided back: bracket and product
+coefficients by D d, form values by D d^2.  The outputs are Fractions, as
+before, and no integer copy outlives the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .algebras import (
+    IntegralAlgebra,
     OmegaAlgebra,
     OperatorMatrix,
     Subspace,
+    apply_operator,
     classify_map,
+    integral_algebra,
+    integral_rows,
     jacobi_defect,
     kernel_omega,
     pair_identities,
@@ -83,26 +95,53 @@ class LeftSymmetricAlgebra:
     basis_names: tuple[str, ...]
     m: tuple[tuple[Vector, ...], ...]
 
-    def multiply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        return structure_product(self.m, u, v)
+
+_ZERO = Fraction(0)
 
 
-def is_left_symmetric(A: LeftSymmetricAlgebra) -> bool:
-    """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples."""
-    mul = A.multiply
+def _divided(x: int, m: int) -> Fraction:
+    """x / m, with one shared zero."""
+    return Fraction(x, m) if x else _ZERO
+
+
+def _divided_table(table, m: int) -> tuple:
+    return tuple(tuple(tuple(_divided(x, m) for x in v) for v in row) for row in table)
+
+
+def _columns(c) -> list:
+    """cols[j][a] = c[a][j]: [v, e_j] = sum_a v_a cols[j][a]."""
+    n = len(c)
+    return [tuple(c[a][j] for a in range(n)) for j in range(n)]
+
+
+def _left_symmetric(m) -> bool:
+    """(xy)z - x(yz) = (yx)z - y(xz) on basis triples of the integer table
+    m; the identity is symmetric in x, y, so x < y suffices."""
+    n = len(m)
+    cols = _columns(m)
 
     def associator(x, y, z):
-        return [a - b for a, b in zip(mul(mul(x, y), z), mul(x, mul(y, z)))]
+        left = apply_operator(cols[z], m[x][y], 0)  # (e_x e_y) e_z
+        right = apply_operator(m[x], m[y][z], 0)  # e_x (e_y e_z)
+        return [a - b for a, b in zip(left, right)]
 
     return all(
         associator(x, y, z) == associator(y, x, z)
-        for x, y, z in product(identity(A.dim), repeat=3)
+        for x, y in combinations(range(n), 2)
+        for z in range(n)
     )
+
+
+def is_left_symmetric(A: LeftSymmetricAlgebra) -> bool:
+    """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples, over the table
+    cleared of denominators (the identity is homogeneous)."""
+    return _left_symmetric(integral_algebra(A.m).c)
 
 
 def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricAlgebra:
     """x*y := [R(x), y] is left-symmetric when R is a weight-0 Rota-Baxter
-    operator whose image lies in ker(omega).  Both hypotheses are checked."""
+    operator whose image lies in ker(omega).  Both hypotheses are checked,
+    and the table is checked over ints before it is divided back."""
     cls = classify_map(L, R, 0)
     if not cls.is_rb:
         raise PreconditionError("R is a Rota-Baxter operator of weight 0")
@@ -114,11 +153,14 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
                 "image(R) inside ker(omega)",
                 f"R({L.basis_names[i]}) is outside the kernel",
             )
-    table = tuple(tuple(L.bracket(r, e) for e in identity(L.dim)) for r in images)
-    A = LeftSymmetricAlgebra(L.dim, L.basis_names, table)
-    if not is_left_symmetric(A):
+    A = integral_algebra(L.c, L.omega)
+    d, rows = integral_rows(images)
+    cols = _columns(A.c)
+    # [R e_i, e_j] at scale D d
+    table = tuple(tuple(apply_operator(col, r, 0) for col in cols) for r in rows)
+    if not _left_symmetric(table):
         raise AssertionError("construction produced a non-left-symmetric table")
-    return A
+    return LeftSymmetricAlgebra(L.dim, L.basis_names, _divided_table(table, A.scale * d))
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +181,45 @@ def omega_deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
     return _deform(L, R)
 
 
+def _deformation(L: OmegaAlgebra, R: OperatorMatrix):
+    """(D, d, d R, bracket, form) over ints, with L at scale D and R at
+    scale d: the skew tables of [e_i, e_j]_R at scale D d and of
+    omega(R e_i, R e_j) at scale D d^2."""
+    A = integral_algebra(L.c, L.omega)
+    d, rows = integral_rows(R.entries)
+    n = L.dim
+    c = [[(0,) * n for _ in range(n)] for _ in range(n)]
+    omega = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        ids = pair_identities(A, rows, i, j, 0, 0, d)
+        c[i][j], c[j][i] = ids.deformed, tuple(-x for x in ids.deformed)
+        omega[i][j], omega[j][i] = ids.image_form, -ids.image_form
+    return A.scale, d, rows, c, omega
+
+
 def _deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
     """L_R without the hypothesis check; callers check R first.  The output
-    is still validated."""
-    brackets, omega_vals = {}, {}
-    for ij in combinations(range(L.dim), 2):
-        ids = pair_identities(L, R.entries, *ij)
-        brackets[ij], omega_vals[ij] = ids.deformed, ids.image_form
-    out = OmegaAlgebra.from_brackets(L.basis_names, brackets, omega_vals, params=None)
-    check = validate_algebra(out)
+    is still validated, over ints, before it is divided back: the bracket
+    is lifted from scale D d to D d^2, the form's scale, so that one integer
+    algebra is validated."""
+    D, d, _, c, omega = _deformation(L, R)
+    n = L.dim
+    c = [[tuple(d * x for x in v) for v in row] for row in c]
+    scale = D * d * d
+    check = validate_algebra(IntegralAlgebra(scale, c, omega))
     if not check.ok:
         raise AssertionError(f"deformation violates the defining identity: {check.failures[:3]}")
-    return out
+    brackets = {
+        (i, j): tuple(_divided(x, scale) for x in c[i][j])
+        for i, j in combinations(range(n), 2)
+        if any(c[i][j])
+    }
+    omega_vals = {
+        (i, j): Fraction(omega[i][j], scale)
+        for i, j in combinations(range(n), 2)
+        if omega[i][j]
+    }
+    return OmegaAlgebra.from_brackets(L.basis_names, brackets, omega_vals, params=None)
 
 
 def iterate_deform(
@@ -200,34 +269,36 @@ class HomLieAlgebra:
         return structure_product(self.c, u, v)
 
 
-def hom_jacobi_holds(g: HomLieAlgebra) -> bool:
-    no_form = zeros(g.dim)
+def _hom_jacobi_holds(c, twist_rows) -> bool:
+    """The twisted Jacobi identity on basis triples, over ints."""
+    n = len(c)
+    no_form = ((0,) * n,) * n
     return not any(
-        any(jacobi_defect(g.c, no_form, g.twist.entries, *ijk))
-        for ijk in combinations(range(g.dim), 3)
+        any(jacobi_defect(c, no_form, twist_rows, *ijk, 0))
+        for ijk in combinations(range(n), 3)
     )
+
+
+def hom_jacobi_holds(g: HomLieAlgebra) -> bool:
+    """The twisted Jacobi identity, over the bracket and twist cleared of
+    denominators (the identity is homogeneous in each)."""
+    return _hom_jacobi_holds(integral_algebra(g.c).c, integral_rows(g.twist.entries)[1])
 
 
 def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
     """Hom-Lie algebra with bracket [x,y]_R and twist R, for R a compatible
     weight-0 Rota-Baxter operator with R^2 = 0.  Hypotheses and the twisted
-    Jacobi identity are both checked."""
+    Jacobi identity are both checked, the identity over ints before the
+    bracket (at scale D d) is divided back."""
     cls = classify_map(L, R, 0)
     if not (cls.is_rb and cls.is_compatible):
         raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
     if not cls.is_square_zero:
         raise PreconditionError("R^2 = 0")
-    n = L.dim
-    c = [[(Fraction(0),) * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pair_identities(L, R.entries, i, j).deformed
-            c[i][j] = d
-            c[j][i] = tuple(-x for x in d)
-    g = HomLieAlgebra(n, L.basis_names, tuple(tuple(row) for row in c), R)
-    if not hom_jacobi_holds(g):
+    D, d, rows, c, _ = _deformation(L, R)
+    if not _hom_jacobi_holds(c, rows):
         raise AssertionError("construction violates the twisted Jacobi identity")
-    return g
+    return HomLieAlgebra(L.dim, L.basis_names, _divided_table(c, D * d), R)
 
 
 # ---------------------------------------------------------------------------

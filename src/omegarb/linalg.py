@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 Vector = tuple[Fraction, ...]
@@ -10,7 +11,8 @@ Matrix = tuple[Vector, ...]
 
 
 def vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    """The values as Fractions; a Fraction is immutable and kept as given."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -112,25 +114,33 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
-def det(a: Matrix) -> Fraction:
+def det(a) -> Fraction:
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968): each row is cleared of its denominators once, every division
+    below is exact over the integers, and the product of the row
+    multipliers is divided back at the end.  Entries may be ints or
+    Fractions."""
     n = len(a)
-    rows = [list(r) for r in a]
-    sign = 1
-    out = Fraction(1)
+    rows, scale = [], 1
+    for r in a:
+        m = lcm(*(x.denominator for x in r))
+        rows.append([x.numerator * (m // x.denominator) for x in r])
+        scale *= m
+    sign, prev = 1, 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]
             sign = -sign
-        out *= rows[c][c]
-        inv = 1 / rows[c][c]
+        top = rows[c]
+        p = top[c]
         for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out * sign
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def inverse(a: Matrix) -> Matrix | None:

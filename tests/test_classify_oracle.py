@@ -15,13 +15,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegarb.algebras import OmegaAlgebra, OperatorMatrix, classify_map
+from omegarb.algebras import OmegaAlgebra, OperatorMatrix, classify_map, validate_algebra
 from omegarb.cli import _load_builtin_candidates
+from omegarb.constructions import (
+    PreconditionError,
+    homlie_from_rb,
+    left_symmetric_from_rb,
+    omega_deform,
+)
 from omegarb.ideals import find_certificate, sample_points
 from omegarb.solver import GenericOperator, entry_name
 
 WEIGHTS = (Fraction(0), Fraction(1), Fraction(-1, 2))
-DIMS = {"L1": 3, "L2": 3, "L1_2": 4, "L1_8": 4, "sl2": 3}
+DIMS = {
+    "L1": 3, "L2": 3, "L1_2": 4, "L1_8": 4, "sl2": 3, "Atilde_quarter": 4, "L1_half": 3, "plane": 2,
+}
+
+
+def _rescaled(L, lam):
+    """c -> lam c and omega -> lam^2 omega: both sides of the defining
+    identity scale by lam^2, so the result is still omega-Lie."""
+    c = tuple(tuple(tuple(lam * x for x in row) for row in layer) for layer in L.c)
+    omega = tuple(tuple(lam * lam * x for x in row) for row in L.omega)
+    return OmegaAlgebra(L.dim, L.basis_names, c, omega)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +47,20 @@ def algebras(catalog):
     out["sl2"] = OmegaAlgebra.from_brackets(
         ["h", "e", "f"], {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}, {}
     )
+    # two algebras whose constants are not integers: criterion 10's
+    # Atilde_alpha at alpha = -1/4, and L1 with bracket / 2 and omega / 4
+    out["Atilde_quarter"] = catalog["Atilde_alpha"].instantiate({"alpha": Fraction(-1, 4)})
+    out["L1_half"] = _rescaled(out["L1"], Fraction(1, 2))
+    assert validate_algebra(out["L1_half"]).ok
+    # the abelian plane with omega(p, q) = 1/3 (every 2-dimensional algebra
+    # is omega-Lie): its compatible operators are the traceless ones, and
+    # omega(R x, R y) = det(R) omega(x, y) gives the only nonzero deformed
+    # form among these algebras
+    out["plane"] = OmegaAlgebra.from_brackets(["p", "q"], {}, {(0, 1): Fraction(1, 3)})
+    for name in ("Atilde_quarter", "L1_half"):
+        L = out[name]
+        assert any(x.denominator > 1 for layer in L.c for row in layer for x in row)
+    assert out["plane"].omega[0][1].denominator > 1
     assert {name: L.dim for name, L in out.items()} == DIMS
     return out
 
@@ -42,7 +72,33 @@ SHIPPED = {
     "L2": ("table1_L2", "table2_L2"),
     "L1_2": ("table3_L1_2",),
     "L1_8": ("table3_L1_8",),
+    # the Rota-Baxter, compatibility and isometry identities are homogeneous
+    # in c and in omega, so L1's points lie on the same varieties of L1_half
+    "L1_half": ("table1_L1", "table2_L1"),
 }
+
+# compatible weight-0 Rota-Baxter operators with R^2 = 0, at hand-picked
+# points of linear `bs` components: on Atilde_{-1/4}, the components
+# {R(z) free, rest 0} and {x12 x41 + x43^2 = 0, x32 = x43, x42 free};
+# on L1 (and so on L1_half), the operator of the pinned `construct deform`
+# output and one with image in ker(omega)
+HANDPICKED = {
+    "Atilde_quarter": (
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [Fraction(1, 2), Fraction(-2, 3), 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [Fraction(1, 2), Fraction(-2, 3), 3, 0]],
+        [
+            [0, Fraction(1, 2), 0, 0],
+            [0, 0, 0, 0],
+            [0, 1, 0, 0],
+            [-2, Fraction(1, 3), 1, 0],
+        ],
+    ),
+    "L1": ([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]], [[0, 0, 1], [0, 0, 1], [0, 0, 0]]),
+}
+HANDPICKED["L1_half"] = HANDPICKED["L1"]
+# on the abelian plane every operator is Rota-Baxter of weight 0 and the
+# traceless ones are compatible; the last of these squares to zero
+HANDPICKED["plane"] = ([[1, 0], [0, -1]], [[1, 2], [3, -1]], [[0, 1], [0, 0]])
 
 
 def _apply(rows, v):
@@ -152,6 +208,8 @@ def _fixed_operators(name, rng):
     their multiples (a weight-1 operator scaled by q has weight q)."""
     n = DIMS[name]
     ops = [_scaled_identity(n, q) for q in (0, 1, 2, -1, Fraction(1, 2))]
+    for rows in HANDPICKED.get(name, ()):
+        ops += [[[q * Fraction(x) for x in r] for r in rows] for q in (1, Fraction(-2, 3))]
     for source in SHIPPED.get(name, ()):
         for rows in _shipped_points(source, n, rng):
             ops.append(rows)
@@ -220,3 +278,106 @@ def test_oracle_accepts_the_structure_as_given(algebras, name):
         assert zero["is_rb"] and zero["is_derivation"] and zero["is_square_zero"]
     one = oracle(L, _scaled_identity(L.dim, 1), 0)
     assert one["is_automorphism"] and one["is_invertible"]
+
+
+# -- construction outputs against the oracle's own bracket, form and apply
+
+
+def _expected_outputs(L, rows):
+    """The deformed bracket [e_i, e_j]_R, omega(R e_i, R e_j) and the
+    left-symmetric product [R e_i, e_j] on every ordered basis pair."""
+    n = L.dim
+    basis = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    images = [_apply(rows, e) for e in basis]
+    left = [[_bracket(L.c, images[i], basis[j]) for j in range(n)] for i in range(n)]
+    deformed = [
+        [[a + b for a, b in zip(left[i][j], _bracket(L.c, basis[i], images[j]))] for j in range(n)]
+        for i in range(n)
+    ]
+    form = [[_form(L.omega, images[i], images[j]) for j in range(n)] for i in range(n)]
+    image_in_kernel = all(_form(L.omega, r, y) == 0 for r in images for y in basis)
+    return deformed, form, left, image_in_kernel
+
+
+def _as_lists(table):
+    assert all(type(x) is Fraction for row in table for v in row for x in v)
+    return [[list(v) for v in row] for row in table]
+
+
+def test_construction_outputs_match_oracle(algebras):
+    rng = random.Random(20261018)
+    built = {name: set() for name in algebras}
+    for name, L in algebras.items():
+        for rows in _fixed_operators(name, rng):
+            rows = [[Fraction(x) for x in r] for r in rows]
+            R = OperatorMatrix(rows)
+            flags = oracle(L, rows, 0)
+            deformed, form, left, image_in_kernel = _expected_outputs(L, rows)
+            nonzero = any(x for row in deformed for v in row for x in v) or any(map(any, form))
+            if flags["is_rb"] and flags["is_compatible"]:
+                out = omega_deform(L, R)
+                assert _as_lists(out.c) == deformed, (name, rows)
+                assert all(type(x) is Fraction for row in out.omega for x in row)
+                assert [list(row) for row in out.omega] == form, (name, rows)
+                if nonzero:
+                    built[name].add("deform")
+            else:
+                with pytest.raises(PreconditionError):
+                    omega_deform(L, R)
+            if flags["is_rb"] and flags["is_compatible"] and flags["is_square_zero"]:
+                assert _as_lists(homlie_from_rb(L, R).c) == deformed, (name, rows)
+                if nonzero:
+                    built[name].add("homlie")
+            else:
+                with pytest.raises(PreconditionError):
+                    homlie_from_rb(L, R)
+            if flags["is_rb"] and image_in_kernel:
+                A = left_symmetric_from_rb(L, R)
+                assert _as_lists(A.m) == left, (name, rows)
+                if any(x for row in left for v in row for x in v):
+                    built[name].add("lsa")
+            else:
+                with pytest.raises(PreconditionError):
+                    left_symmetric_from_rb(L, R)
+    # every construction gives a nonzero output on both non-integral
+    # algebras and on the shipped points (table 3's components are
+    # square-zero, with images outside ker(omega))
+    everything = {"deform", "homlie", "lsa"}
+    assert built == {
+        "L1": everything, "L2": everything, "L1_2": {"deform", "homlie"},
+        "L1_8": {"deform", "homlie"}, "sl2": set(),
+        "Atilde_quarter": everything, "L1_half": everything, "plane": {"deform"},
+    }
+
+
+def _jacobi_residual(L, i, j, k):
+    """The oracle's cyclic sum of [[x,y],z] - omega(x,y) z on e_i, e_j, e_k."""
+    n = L.dim
+    e = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    out = [Fraction(0)] * n
+    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = _bracket(L.c, _bracket(L.c, e[a], e[b]), e[d])
+        w = _form(L.omega, e[a], e[b])
+        out = [o + x - w * t for o, x, t in zip(out, inner, e[d])]
+    return tuple(out)
+
+
+def test_validation_residuals_on_fractional_constants(algebras):
+    # L1 with c / 2 and omega / 3: the identity's two sides scale by 1/4 and
+    # 1/3, so it fails on (x, y, z) by (1/4 - 1/3) z
+    L1 = algebras["L1"]
+    c = tuple(tuple(tuple(x / 2 for x in row) for row in layer) for layer in L1.c)
+    omega = tuple(tuple(x / 3 for x in row) for row in L1.omega)
+    bad = OmegaAlgebra(3, L1.basis_names, c, omega)
+    report = validate_algebra(bad)
+    assert report.failures == [("jacobi", (0, 1, 2), (0, 0, Fraction(-1, 12)))]
+    assert report.failures[0][2] == _jacobi_residual(bad, 0, 1, 2)
+    assert all(type(x) is Fraction for x in report.failures[0][2])
+    # a form that is not skew: omega(x,y) = 1/3, omega(y,x) = 1/6
+    lopsided = tuple(
+        tuple(Fraction(1, 6) if (a, b) == (1, 0) else x for b, x in enumerate(row))
+        for a, row in enumerate(omega)
+    )
+    report = validate_algebra(OmegaAlgebra(3, L1.basis_names, c, lopsided))
+    half = Fraction(1, 2)
+    assert report.failures == [("omega-skew", (0, 1), half), ("omega-skew", (1, 0), half)]

@@ -495,6 +495,47 @@ def test_construct_deform_one_step_output_is_pinned(tmp_path, capsys, extra):
     assert out == ONE_STEP_DEFORM_JSON
 
 
+# operators with non-integral entries, and the sha256 of the `--json` stdout
+# of `omegarb classify|construct` on them
+PINNED_OPERATORS = {
+    # criterion 10's displayed operator at (a, b, c) = (1/2, -5, 7)
+    "displayed": "rows:\n  - ['-1/2', '0', '0', '1/20']\n  - ['-20', '7/2', '7', '-12']\n"
+    "  - ['0', '-7/4', '-7/2', '7']\n  - ['-5', '0', '0', '1/2']\n",
+    "half": "rows:\n  - ['-1/2', '0', '0']\n  - ['0', '-1/2', '0']\n  - ['0', '0', '-1/2']\n",
+    "lsa": "rows:\n  - ['0', '0', '1/2']\n  - ['0', '0', '-2/3']\n  - ['0', '0', '0']\n",
+    "homlie": "rows:\n  - ['0', '1/2', '-2/3']\n  - ['0', '0', '0']\n  - ['0', '0', '0']\n",
+}
+PINNED_OUTPUT_SHA256 = [
+    (
+        "displayed", ["classify", "Atilde_alpha", "--alpha=-1/4"],
+        "8f651c219d1ed5d63b14d8aade9d39d673c6dacad922c44c038c9d4b7569eafb",
+    ),
+    (
+        "half", ["classify", "L1", "--weight", "1/2"],
+        "6f08c8b1636356707179dd5ccaa4e78aeabd247fe0892302aac795ce6fac0863",
+    ),
+    (
+        "lsa", ["construct", "lsa", "L1"],
+        "618d5a0f7c40814ecef00dd767138bcff04b150d4a6c9cf4d78e4646434696b8",
+    ),
+    (
+        "homlie", ["construct", "homlie", "L2"],
+        "bee2125f968b03daba089790e3a81a3a1304457f20746c565324802defa773e7",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "op,argv,digest", PINNED_OUTPUT_SHA256, ids=[op for op, _, _ in PINNED_OUTPUT_SHA256]
+)
+def test_classify_and_construct_output_is_pinned(tmp_path, capsys, op, argv, digest):
+    path = tmp_path / "op.yaml"
+    path.write_text(PINNED_OPERATORS[op])
+    code, out, _ = run(capsys, *argv, "--op", str(path), "--json")
+    assert code == 0
+    assert sha256(out) == digest
+
+
 HEISENBERG_CATALOG = """
 - name: heis
   dim: 3

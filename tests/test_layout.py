@@ -37,3 +37,44 @@ def test_the_check_sees_a_private_import(tmp_path):
         "from fractions import _gcd\n"
     )
     assert private_sibling_imports(probe) == ["poly._tokenize", "omegarb.ideals._solve_chain"]
+
+
+# the operator layer is recomputed on every call: `omegarb classify` and
+# `omegarb construct` run cold, and so must every repeated call in one process
+UNCACHED_MODULES = ("algebras.py", "constructions.py", "linalg.py")
+CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
+
+
+def cache_uses(path: Path) -> list[str]:
+    """Every import of, or reference to, a caching decorator in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in CACHE_NAMES]
+        elif isinstance(node, ast.Name) and node.id in CACHE_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in CACHE_NAMES:
+            found.append(node.attr)
+    return found
+
+
+def test_operator_layer_keeps_no_cache():
+    offenders = {name: cache_uses(PACKAGE / name) for name in UNCACHED_MODULES}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_the_check_sees_a_cache(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import functools\n"
+        "from functools import cached_property, reduce\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(x):\n"
+        "    return x\n"
+        "class A:\n"
+        "    @cached_property\n"
+        "    def v(self):\n"
+        "        return reduce(max, [1])\n"
+    )
+    assert sorted(cache_uses(probe)) == ["cached_property", "cached_property", "lru_cache"]
+    assert cache_uses(PACKAGE / "solver.py")  # generate_system is cached, and seen

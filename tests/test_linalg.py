@@ -1,14 +1,17 @@
 """The sparse-skipping kernels against their dense definitions: `mat_mul`,
-`OperatorMatrix.apply` and `OperatorMatrix.power`."""
+`OperatorMatrix.apply` and `OperatorMatrix.power`; the fraction-free `det`
+against the Leibniz formula; `vec` keeps the Fractions it is given."""
 
 from fractions import Fraction
+from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegarb.algebras import OperatorMatrix
-from omegarb.linalg import identity, mat_mul
+from omegarb.linalg import det, identity, mat_mul, vec
 
 # zeros are drawn often, so zero rows and columns come up; negative
 # fractions come from the range
@@ -95,3 +98,43 @@ def test_apply_rejects_a_vector_of_the_wrong_length():
         R.apply((1, 2))
     with pytest.raises(ValueError, match="length"):
         R.apply((1, 2, 3, 4))
+
+
+def leibniz_det(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_operators())
+def test_det_matches_leibniz_formula(R):
+    want = leibniz_det(R.entries)
+    got = det(R.entries)
+    assert type(got) is Fraction and got == want
+    # the same matrix cleared of denominators, as ints: det scales by m^n
+    m = 1
+    for row in R.entries:
+        for x in row:
+            m = lcm(m, x.denominator)
+    scaled = [[int(x * m) for x in row] for row in R.entries]
+    assert det(scaled) == want * m ** R.dim
+
+
+def test_det_needs_a_row_swap_and_an_empty_matrix_is_one():
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 1], [0, 2, 0], [Fraction(1, 2), 0, 0]]) == -1
+    assert det([]) == 1
+
+
+def test_vec_keeps_fractions_and_converts_the_rest():
+    q = Fraction(2, 3)
+    v = vec([q, 1, "1/2"])
+    assert v[0] is q
+    assert v[1:] == (Fraction(1), Fraction(1, 2)) and all(type(x) is Fraction for x in v)
