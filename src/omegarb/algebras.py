@@ -36,16 +36,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
     Matrix,
     Vector,
+    cleared,
     det,
     identity,
+    integral_rows,
     inverse,
     is_zero_matrix,
+    lcm_of_denominators,
     mat,
     mat_add,
     mat_mul,
@@ -206,38 +208,15 @@ class IntegralAlgebra(NamedTuple):
     omega: tuple
 
 
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
-
-
-def _lcm_of_denominators(rows, *extra) -> int:
-    dens = {x.denominator for x in extra}
-    for r in rows:
-        dens.update(map(_denominator, r))
-    return lcm(*dens)
-
-
-def _cleared(values, m: int) -> tuple:
-    if m == 1:
-        return tuple(map(_numerator, values))
-    return tuple(x.numerator * (m // x.denominator) for x in values)
-
-
 def integral_algebra(c, omega=()) -> IntegralAlgebra:
     """(D, D*c, D*omega) with D the lcm of every denominator in c and omega;
     c is a table c[i][j][k], omega a matrix (or empty)."""
-    D = lcm(_lcm_of_denominators(row for layer in c for row in layer), _lcm_of_denominators(omega))
+    D = lcm(lcm_of_denominators(row for layer in c for row in layer), lcm_of_denominators(omega))
     return IntegralAlgebra(
         D,
-        tuple(tuple(_cleared(row, D) for row in layer) for layer in c),
-        tuple(_cleared(row, D) for row in omega),
+        tuple(tuple(cleared(row, D) for row in layer) for layer in c),
+        tuple(cleared(row, D) for row in omega),
     )
-
-
-def integral_rows(rows, *extra) -> tuple[int, tuple]:
-    """(d, d*rows) with d the lcm of the denominators of every entry and of
-    the numbers in ``extra`` (a weight, say), so d*rows is in ints."""
-    d = _lcm_of_denominators(rows, *extra)
-    return d, tuple(_cleared(r, d) for r in rows)
 
 
 def _int_identity(n: int) -> tuple:
@@ -382,8 +361,6 @@ class Subspace:
         rows = [r for r in map(vec, vectors) if any(r)]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError(f"span of vectors whose length is not {ambient_dim}")
-        if not rows:
-            return cls(ambient_dim, ())
         red, pivots = rref(rows)
         return cls(ambient_dim, tuple(red[: len(pivots)]))
 

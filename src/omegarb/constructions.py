@@ -20,7 +20,10 @@ table is checked over ints first (the left-symmetric identity, the twisted
 Jacobi identity, and for L_R the defining identity on one integer algebra
 at scale D d^2), and only then divided back: bracket and product
 coefficients by D d, form values by D d^2.  The outputs are Fractions, as
-before, and no integer copy outlives the call.
+before, and no integer copy outlives the call.  The same integer data
+decide "image(R) inside ker(omega)" (the cleared rows of R times the cleared
+omega vanish), the powers R^i of `iterate_deform`, and the series of
+`homlie_structure` (ranks of fraction-free echelon forms).
 """
 
 from __future__ import annotations
@@ -38,9 +41,7 @@ from .algebras import (
     apply_operator,
     classify_map,
     integral_algebra,
-    integral_rows,
     jacobi_defect,
-    kernel_omega,
     pair_identities,
     structure_product,
     validate_algebra,
@@ -48,7 +49,11 @@ from .algebras import (
 from .linalg import (
     Matrix,
     Vector,
+    divided,
+    fraction_free_rref,
     identity,
+    integral_rows,
+    is_zero_matrix,
     mat,
     mat_add,
     mat_mul,
@@ -96,16 +101,8 @@ class LeftSymmetricAlgebra:
     m: tuple[tuple[Vector, ...], ...]
 
 
-_ZERO = Fraction(0)
-
-
-def _divided(x: int, m: int) -> Fraction:
-    """x / m, with one shared zero."""
-    return Fraction(x, m) if x else _ZERO
-
-
 def _divided_table(table, m: int) -> tuple:
-    return tuple(tuple(tuple(_divided(x, m) for x in v) for v in row) for row in table)
+    return tuple(tuple(divided(v, m) for v in row) for row in table)
 
 
 def _columns(c) -> list:
@@ -141,20 +138,20 @@ def is_left_symmetric(A: LeftSymmetricAlgebra) -> bool:
 def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricAlgebra:
     """x*y := [R(x), y] is left-symmetric when R is a weight-0 Rota-Baxter
     operator whose image lies in ker(omega).  Both hypotheses are checked,
-    and the table is checked over ints before it is divided back."""
+    the second as omega(R e_i, e_j) = 0 for all i, j: row i of the cleared
+    operator times the cleared omega is zero.  The table is checked over
+    ints before it is divided back."""
     cls = classify_map(L, R, 0)
     if not cls.is_rb:
         raise PreconditionError("R is a Rota-Baxter operator of weight 0")
-    images = R.entries  # R(e_i) is row i
-    ker = kernel_omega(L)
-    for i in range(L.dim):
-        if not ker.contains(images[i]):
+    A = integral_algebra(L.c, L.omega)
+    d, rows = integral_rows(R.entries)  # row i is d R(e_i)
+    for i, r in enumerate(rows):
+        if any(apply_operator(A.omega, r, 0)):  # omega(R e_i, e_j) over j
             raise PreconditionError(
                 "image(R) inside ker(omega)",
                 f"R({L.basis_names[i]}) is outside the kernel",
             )
-    A = integral_algebra(L.c, L.omega)
-    d, rows = integral_rows(images)
     cols = _columns(A.c)
     # [R e_i, e_j] at scale D d
     table = tuple(tuple(apply_operator(col, r, 0) for col in cols) for r in rows)
@@ -210,7 +207,7 @@ def _deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
     if not check.ok:
         raise AssertionError(f"deformation violates the defining identity: {check.failures[:3]}")
     brackets = {
-        (i, j): tuple(_divided(x, scale) for x in c[i][j])
+        (i, j): divided(c[i][j], scale)
         for i, j in combinations(range(n), 2)
         if any(c[i][j])
     }
@@ -232,18 +229,21 @@ def iterate_deform(
     covers step 1 (R^1 on L_0).  For i >= 2, R^i is checked on L_{i-1};
     on failure the iteration halts with :class:`IterationHalted` carrying
     the offending step and the algebras built so far.  One `classify_map`
-    call per step, and every L_i is validated.
+    call per step, and every L_i is validated.  R^i is formed over ints,
+    as (d R)^i = (d R)^{i-1} (d R) at scale d^i, and divided back once.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not _is_compatible_rb(L, R):
         raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
+    d, rows = integral_rows(R.entries)
     produced = [L]
     current = L
-    power = R
+    power, scaled = R, rows  # R^i, and (d R)^i at scale d^i
     for i in range(1, steps + 1):
         if i > 1:
-            power = power.then(R)
+            scaled = tuple(apply_operator(rows, r, 0) for r in scaled)
+            power = OperatorMatrix(tuple(divided(r, d**i) for r in scaled))
             if not _is_compatible_rb(current, power):
                 raise IterationHalted(i, produced)
         current = _deform(current, power)
@@ -329,31 +329,32 @@ class SeriesReport:
         return "non-solvable"
 
 
-def _bracket_span(g: HomLieAlgebra, U: Subspace, W: Subspace) -> Subspace:
-    vecs = [g.bracket(u, w) for u in U.basis for w in W.basis]
-    return Subspace.span(g.dim, vecs)
+def _series_dims(c, full, lower: bool) -> tuple[int, ...]:
+    """Dims of U_0 = full and U_{k+1} = [U_k, U_k] (derived) or [U_k, full]
+    (lower central), up to the first term that vanishes or stops shrinking.
+    Each U_k is held as the integer echelon rows of its spanning brackets."""
+    U, dims = full, [len(full)]
+    while U:
+        W = full if lower else U
+        U = fraction_free_rref([structure_product(c, u, w, 0) for u in U for w in W])[0]
+        if len(U) == dims[-1]:
+            break
+        dims.append(len(U))
+    return tuple(dims)
 
 
 def homlie_structure(g: HomLieAlgebra) -> SeriesReport:
     """Series dims start at the full space; length/class is the first index
-    whose term vanishes (2 means [g,g] != 0 but the next term is zero)."""
-    full = Subspace.span(g.dim, identity(g.dim))
-    derived = [full]
-    while not derived[-1].is_zero():
-        nxt = _bracket_span(g, derived[-1], derived[-1])
-        if nxt.dim == derived[-1].dim:
-            break
-        derived.append(nxt)
-    lower = [full]
-    while not lower[-1].is_zero():
-        nxt = _bracket_span(g, lower[-1], full)
-        if nxt.dim == lower[-1].dim:
-            break
-        lower.append(nxt)
-    derived_dims = tuple(s.dim for s in derived)
-    lower_dims = tuple(s.dim for s in lower)
-    solvable = derived[-1].is_zero()
-    nilpotent = lower[-1].is_zero()
+    whose term vanishes (2 means [g,g] != 0 but the next term is zero).  The
+    brackets are taken over the integer table cleared of denominators,
+    which spans the same terms, and each term's dim is the rank of its
+    fraction-free echelon form."""
+    c = integral_algebra(g.c).c
+    full = [tuple(int(a == b) for b in range(g.dim)) for a in range(g.dim)]
+    derived_dims = _series_dims(c, full, lower=False)
+    lower_dims = _series_dims(c, full, lower=True)
+    solvable = derived_dims[-1] == 0
+    nilpotent = lower_dims[-1] == 0
     abelian = len(lower_dims) >= 2 and lower_dims[1] == 0 if g.dim else True
     return SeriesReport(
         derived_dims=derived_dims,
@@ -440,19 +441,19 @@ def module_twist(
     """Twisted action x * v := R(x) . v.
 
     Requires R isometric Rota-Baxter of weight 1 and R([R(L), L]) contained
-    in the annihilator of V; the twisted action is validated before being
-    returned.
+    in the annihilator of V, checked pair by pair as R([R(e_i), e_j])
+    acting by the zero matrix; the twisted action is validated before
+    being returned.
     """
     cls = classify_map(L, R, 1)
     if not (cls.is_rb and cls.is_isometric):
         raise PreconditionError("R is an isometric Rota-Baxter operator of weight 1")
-    ann = annihilator(L, V)
     images = R.entries  # R(e_i) is row i
     basis = identity(L.dim)
     for i in range(L.dim):
         for j in range(L.dim):
             w = R.apply(L.bracket(images[i], basis[j]))
-            if not ann.contains(w):
+            if not is_zero_matrix(V.act_matrix(w)):
                 raise PreconditionError(
                     "R([R(L), L]) inside the annihilator of the module",
                     f"R([R({L.basis_names[i]}), {L.basis_names[j]}]) acts nontrivially",

@@ -6,7 +6,7 @@ computed once, when it enters a basis, and read everywhere after that.  A
 lead table is a list of ``(leading monomial, divisibility mask, leading
 coefficient, terms)`` entries in basis order: ``buchberger`` keeps one beside
 its basis, forms S-polynomials from it, reduces against it and appends to
-it, and ``interreduce`` keeps one for the elements it minimalizes;
+it, and hands its active entries to ``interreduce``, which minimalizes them;
 ``reduce`` and ``is_groebner_basis`` build one per call from the caller's
 rational polynomials by clearing denominators and content.  A
 :class:`GroebnerBasis` builds one on its first membership test
@@ -252,16 +252,14 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return Polynomial(f.table, _s_terms(lead(f), lead(g)))
 
 
-def interreduce(polys, order: MonomialOrder) -> list[Polynomial]:
-    """Minimalize and fully auto-reduce a generating set (result is the
-    reduced basis if the input was a Groebner basis)."""
-    polys = list(polys)
-    gens = _lead_table(polys, order)
-    # ascending by leading monomial, so redundant elements come later
+def interreduce(gens: list[_Lead], order: MonomialOrder, table) -> list[Polynomial]:
+    """Minimalize and fully auto-reduce a generating set, given as lead
+    entries, and make each element monic: the result is the reduced basis,
+    over ``table``, if the input was a Groebner basis."""
     key = order.key
-    gens.sort(key=lambda e: key(e.lm))
     minimal: list[_Lead] = []
-    for e in gens:
+    # ascending by leading monomial, so redundant elements come later
+    for e in sorted(gens, key=lambda e: key(e.lm)):
         if any(not (q.mask & ~e.mask) and mono_divides(q.lm, e.lm) for q in minimal):
             continue
         minimal.append(e)
@@ -281,7 +279,7 @@ def interreduce(polys, order: MonomialOrder) -> list[Polynomial]:
                 changed = True
     # the one division by the leading coefficient
     return [
-        Polynomial(polys[0].table, {m: Fraction(c, e.lc) for m, c in e.terms.items()})
+        Polynomial(table, {m: Fraction(c, e.lc) for m, c in e.terms.items()})
         for e in sorted(minimal, key=lambda e: key(e.lm))
     ]
 
@@ -363,9 +361,7 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
             basis.append(e)
             active = _install(len(basis) - 1, basis, active, pairs, order.key)
             reducers = [basis[i] for i in active]
-    return GroebnerBasis(
-        order, tuple(interreduce([Polynomial(table, basis[i].terms) for i in active], order))
-    )
+    return GroebnerBasis(order, tuple(interreduce([basis[i] for i in active], order, table)))
 
 
 def is_groebner_basis(polys, order: MonomialOrder) -> bool:

@@ -1,9 +1,14 @@
-"""Dense exact-rational linear algebra helpers (lists of Fractions)."""
+"""Dense exact-rational linear algebra: matrices are tuples of Fraction rows.
+
+``rref``, ``nullspace``, ``inverse`` and ``det`` clear the denominators,
+run the one fraction-free elimination :func:`fraction_free_rref` over ints,
+and divide only their outputs back to Fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable
 
 Vector = tuple[Fraction, ...]
@@ -67,87 +72,105 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and its pivot columns."""
-    rows = [list(r) for r in a]
-    if not rows:
-        return (), []
-    m = len(rows[0])
+def fraction_free_rref(rows) -> tuple[list[list[int]], list[int], int]:
+    """``(X, pivots, d)`` for an integer matrix: X is the nonzero rows of d
+    times its reduced row echelon form, d the last pivot.
+
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968), applied
+    above each pivot as well as below, so forward elimination and
+    back-substitution are one pass.  Every entry stays a minor of the input,
+    so every division is exact.  A row swap negates the row it moves down,
+    which keeps the determinant: for square nonsingular input, d is it."""
+    rows = [list(r) for r in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+    d = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if k != r:
+            rows[r], rows[k] = rows[k], [-x for x in rows[r]]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+        d = p
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows), pivots
+    return rows[: len(pivots)], pivots, d
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
+def lcm_of_denominators(rows, *extra) -> int:
+    """The lcm of the denominators of every entry (ints or Fractions) and
+    of the numbers in ``extra`` (a weight, say)."""
+    dens = {x.denominator for x in extra}
+    for r in rows:
+        dens.update(map(_denominator, r))
+    return lcm(*dens)
+
+
+def cleared(values, m: int) -> tuple:
+    """m * values in ints, for m a multiple of every denominator."""
+    if m == 1:
+        return tuple(map(_numerator, values))
+    return tuple(x.numerator * (m // x.denominator) for x in values)
+
+
+def integral_rows(rows, *extra) -> tuple[int, tuple]:
+    """(d, d*rows) with d = lcm_of_denominators(rows, *extra)."""
+    d = lcm_of_denominators(rows, *extra)
+    return d, tuple(cleared(r, d) for r in rows)
+
+
+_ZERO = Fraction(0)
+
+
+def divided(row, d: int) -> Vector:
+    """The integer row divided by d, as Fractions with one shared zero."""
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns; the zero rows come
+    last, so the form has as many rows as ``a``."""
+    X, pivots, d = fraction_free_rref(integral_rows(a)[1])
+    zero = (_ZERO,) * (len(a[0]) if a else 0)
+    return tuple(divided(row, d) for row in X) + (zero,) * (len(a) - len(X)), pivots
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel {x : a*x = 0}, in reduced echelon form."""
-    if not a:
-        return []
-    m = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(m) if c not in pivots]
+    m = len(a[0]) if a else 0
+    X, pivots, d = fraction_free_rref(integral_rows(a)[1])
     basis = []
-    for fc in free:
-        x = [Fraction(0)] * m
-        x[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -red[r][fc]
-        basis.append(tuple(x))
+    for fc in (c for c in range(m) if c not in pivots):
+        x = [0] * m
+        x[fc] = d
+        for row, pc in zip(X, pivots):
+            x[pc] = -row[fc]
+        basis.append(divided(x, d))
     return basis
 
 
 def det(a) -> Fraction:
-    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
-    1968): each row is cleared of its denominators once, every division
-    below is exact over the integers, and the product of the row
-    multipliers is divided back at the end.  Entries may be ints or
-    Fractions."""
-    n = len(a)
-    rows, scale = [], 1
-    for r in a:
-        m = lcm(*(x.denominator for x in r))
-        rows.append([x.numerator * (m // x.denominator) for x in r])
-        scale *= m
-    sign, prev = 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        top = rows[c]
-        p = top[c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
-        prev = p
-    return Fraction(sign * prev, scale)
+    """Determinant of a square matrix of ints or Fractions: the last pivot
+    of the matrix cleared to scale d, divided by d^n."""
+    scale, rows = integral_rows(a)
+    _, pivots, d = fraction_free_rref(rows)
+    return Fraction(d, scale ** len(rows)) if len(pivots) == len(rows) else _ZERO
 
 
 def inverse(a: Matrix) -> Matrix | None:
-    """Exact inverse, or None when singular."""
+    """Exact inverse, or None when singular: the right half of the reduced
+    form of [a | 1]."""
     n = len(a)
-    aug = [list(r) + list(e) for r, e in zip(a, identity(n))]
-    red, pivots = rref(tuple(tuple(r) for r in aug))
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    X, pivots, d = fraction_free_rref(integral_rows(aug)[1])
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(tuple(row[n:]) for row in red[:n])
+    return tuple(divided(row[n:], d) for row in X)

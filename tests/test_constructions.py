@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from omegarb.algebras import OmegaAlgebra, OperatorMatrix, classify_map, validate_algebra
+from omegarb.algebras import (
+    OmegaAlgebra,
+    OperatorMatrix,
+    Subspace,
+    classify_map,
+    validate_algebra,
+)
 from omegarb.constructions import (
     HomLieAlgebra,
     IterationHalted,
@@ -74,6 +80,25 @@ def test_image_outside_kernel_rejected(L1):
     assert classify_map(L1, R, 0).is_rb
     with pytest.raises(PreconditionError, match="ker"):
         left_symmetric_from_rb(L1, R)
+
+
+@pytest.mark.parametrize(
+    "rows, name",
+    [
+        ([[0, 0, 0], [1, 0, 0], [0, 0, 0]], "y"),  # R(x) = 0 is inside, R(y) = x is not
+        ([[0, 0, Fraction(1, 2)], [Fraction(-2, 3), 0, 0], [0, 0, 0]], "y"),
+        ([[1, 1, 0], [0, 0, 0], [0, 0, 0]], "x"),
+    ],
+)
+def test_image_outside_kernel_names_the_first_offending_row(L1, rows, name):
+    R = OperatorMatrix(rows)
+    assert classify_map(L1, R, 0).is_rb
+    with pytest.raises(PreconditionError) as exc:
+        left_symmetric_from_rb(L1, R)
+    assert exc.value.hypothesis == "image(R) inside ker(omega)"
+    assert str(exc.value) == (
+        f"hypothesis not satisfied: image(R) inside ker(omega) (R({name}) is outside the kernel)"
+    )
 
 
 # -- deformation --------------------------------------------------------------------
@@ -311,6 +336,46 @@ def test_series_dims_consistent(L1_2, L1_8, rng):
         # the derived series sits inside the lower central series termwise
         for i in range(min(len(dd), len(ld))):
             assert dd[i] <= ld[i]
+
+
+def _series_reference(g):
+    """Derived and lower central series dims by `Subspace` spans of the
+    rational bracket, stopping where a term vanishes or stops shrinking."""
+    full = Subspace.span(g.dim, [[int(a == b) for b in range(g.dim)] for a in range(g.dim)])
+
+    def series(second):
+        terms = [full]
+        while not terms[-1].is_zero():
+            U = terms[-1]
+            nxt = Subspace.span(g.dim, [g.bracket(u, w) for u in U.basis for w in second(U).basis])
+            if nxt.dim == U.dim:
+                break
+            terms.append(nxt)
+        return tuple(t.dim for t in terms)
+
+    return series(lambda U: U), series(lambda U: full)
+
+
+def test_series_match_the_subspace_reference_on_table3_points(L1_2, L1_8):
+    from omegarb.cli import _load_builtin_candidates
+    from omegarb.ideals import find_certificate, sample_points
+    from omegarb.solver import GenericOperator, entry_name
+
+    rng = random.Random(11)
+    table = GenericOperator.of_dimension(4).table
+    categories = set()
+    for L, name in ((L1_2, "table3_L1_2"), (L1_8, "table3_L1_8")):
+        for component, cert in _load_builtin_candidates(name, table):
+            cert = cert or find_certificate(component)
+            for pt in sample_points(component, cert, 4, rng):
+                R = OperatorMatrix(
+                    [[pt[entry_name(i, j)] for j in range(1, 5)] for i in range(1, 5)]
+                )
+                g = homlie_from_rb(L, R)
+                rep = homlie_structure(g)
+                assert (rep.derived_dims, rep.lower_central_dims) == _series_reference(g)
+                categories.add(rep.category)
+    assert {"nilpotent", "solvable"} <= categories
 
 
 # -- modules -----------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Package layout rules checked on the source, not by running it."""
 
 import ast
+import importlib.util
 from pathlib import Path
+
+import pytest
 
 import omegarb
 
@@ -78,3 +81,24 @@ def test_the_check_sees_a_cache(tmp_path):
     )
     assert sorted(cache_uses(probe)) == ["cached_property", "cached_property", "lru_cache"]
     assert cache_uses(PACKAGE / "solver.py")  # generate_system is cached, and seen
+
+
+# the benchmark's tracer patches these names by attribute lookup, so a
+# deleted or renamed one breaks `perfbench/run.py --trace 1`
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.mark.skipif(not TRACING.exists(), reason="no perfbench/ next to the tests")
+def test_every_traced_name_resolves_on_the_package():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = []
+    for module_name, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"omegarb.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

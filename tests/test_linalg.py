@@ -1,6 +1,8 @@
 """The sparse-skipping kernels against their dense definitions: `mat_mul`,
 `OperatorMatrix.apply` and `OperatorMatrix.power`; the fraction-free `det`
-against the Leibniz formula; `vec` keeps the Fractions it is given."""
+against the Leibniz formula; `rref`, `nullspace`, `inverse`, `det` and
+`Subspace.span` against a `Fraction` Gauss-Jordan reference; `vec` keeps the
+Fractions it is given."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -10,8 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegarb.algebras import OperatorMatrix
-from omegarb.linalg import det, identity, mat_mul, vec
+from omegarb.algebras import OperatorMatrix, Subspace
+from omegarb.linalg import (
+    det,
+    fraction_free_rref,
+    identity,
+    integral_rows,
+    inverse,
+    mat_mul,
+    nullspace,
+    rref,
+    vec,
+)
 
 # zeros are drawn often, so zero rows and columns come up; negative
 # fractions come from the range
@@ -138,3 +150,131 @@ def test_vec_keeps_fractions_and_converts_the_rest():
     v = vec([q, 1, "1/2"])
     assert v[0] is q
     assert v[1:] == (Fraction(1), Fraction(1, 2)) and all(type(x) is Fraction for x in v)
+
+
+# -- the one elimination against a Fraction Gauss-Jordan reference ----------------
+
+
+def gauss_jordan(a):
+    """(reduced echelon form, pivot columns, determinant) by Gauss-Jordan
+    elimination over Fractions; the determinant is the swap sign times the
+    product of the pivots, and is only meaningful for square input."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    if not rows:
+        return (), [], Fraction(1)
+    m = len(rows[0])
+    pivots: list[int] = []
+    sign, product = 1, Fraction(1)
+    r = 0
+    for c in range(m):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        pv = rows[r][c]
+        product *= pv
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    full = len(pivots) == len(rows) == m
+    return tuple(tuple(row) for row in rows), pivots, sign * product if full else Fraction(0)
+
+
+@st.composite
+def echelon_inputs(draw, square=False):
+    """Matrices of 0 to 5 rows and columns (square on request), with zero
+    rows, all-zero matrices and rows that repeat a combination of others."""
+    n = draw(st.integers(0, 5))
+    m = n if square else draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["any", "zero", "deficient"]))
+    if kind == "zero":
+        return tuple((Fraction(0),) * m for _ in range(n))
+    rows = list(draw(matrices(n, m)))
+    if kind == "deficient" and n >= 2:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        a, b = draw(ENTRY), draw(ENTRY)
+        others = [r for k, r in enumerate(rows) if k != i]
+        rows[i] = tuple(a * x + b * y for x, y in zip(others[j], others[-1]))
+    return tuple(rows)
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_rref_matches_gauss_jordan(a):
+    want, want_pivots, _ = gauss_jordan(a)
+    got, pivots = rref(a)
+    assert (got, pivots) == (want, want_pivots) and all_fractions(got)
+    # the integer form underneath: d times the nonzero rows, in ints
+    X, pivots, d = fraction_free_rref(integral_rows(a)[1])
+    assert pivots == want_pivots and d != 0
+    assert all(type(x) is int for row in X for x in row)
+    assert tuple(tuple(Fraction(x, d) for x in row) for row in X) == want[: len(pivots)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_nullspace_matches_gauss_jordan(a):
+    if not a:
+        assert nullspace(a) == []
+        return
+    m = len(a[0])
+    red, pivots, _ = gauss_jordan(a)
+    want = []
+    for fc in (c for c in range(m) if c not in pivots):
+        x = [Fraction(0)] * m
+        x[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -red[r][fc]
+        want.append(tuple(x))
+    got = nullspace(a)
+    assert got == want and all_fractions(got)
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a for v in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs(square=True))
+def test_inverse_and_det_match_gauss_jordan(a):
+    n = len(a)
+    _, _, want_det = gauss_jordan(a)
+    got_det = det(a)
+    assert type(got_det) is Fraction and got_det == want_det
+    red, pivots, _ = gauss_jordan([list(r) + list(e) for r, e in zip(a, identity(n))])
+    got = inverse(a)
+    if pivots[:n] != list(range(n)):
+        assert got is None and want_det == 0
+    else:
+        assert got == tuple(row[n:] for row in red[:n]) and all_fractions(got)
+        assert mat_mul(a, got) == identity(n) if n else got == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_span_matches_gauss_jordan(a):
+    m = len(a[0]) if a else 0
+    red, pivots, _ = gauss_jordan([r for r in a if any(r)])
+    got = Subspace.span(m, a)
+    assert got.basis == tuple(red[: len(pivots)]) and all_fractions(got.basis)
+    # the basis is canonical: the same subspace from its own basis, reversed
+    assert Subspace.span(m, reversed(got.basis)) == got
+
+
+def test_echelon_edge_cases():
+    assert rref(()) == ((), [])
+    assert rref(((), ())) == (((), ()), [])
+    assert det(()) == 1 and inverse(()) == ()
+    zero = ((Fraction(0),) * 3,) * 2
+    assert rref(zero) == (zero, [])
+    assert len(nullspace(zero)) == 3 and Subspace.span(3, zero).dim == 0
+    assert det(((0, 0), (0, 0))) == 0 and inverse(((Fraction(0),) * 2,) * 2) is None
