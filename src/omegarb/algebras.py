@@ -23,11 +23,16 @@ and keeps nothing: the algebra becomes (D, D c, D omega), an
 operator becomes (d, d R), with d the lcm of R's denominators and the
 weight's.  :func:`pair_identities` takes the operator's scale, so that the
 weight term is w d and the isometry defect subtracts d^2 (D omega_ij).
-:func:`classify_map` only tests integer values for zero or equality, and
-never divides.  :func:`validate_algebra` takes the Jacobi defect with the
+:func:`evaluate_operator` is the one integer pass over the basis pairs of
+(L, R): it tests integer values for zero or equality, never divides, and
+returns the flags (all that :func:`classify_map` reports) together with the
+deformed bracket and the image form at their integer scales, so that every
+construction (see ``constructions``) takes its check and its tables from
+one evaluation.  :func:`validate_algebra` takes the Jacobi defect with the
 form at scale D^2, and divides each residual it reports back: the skew
-residuals by D, the Jacobi residuals by D^2.  The constructions divide
-their integer tables back the same way (see ``constructions``).
+residuals by D, the Jacobi residuals by D^2.  ``OperatorMatrix.then``
+composes two operators the same way: one integer product of the cleared
+matrices, divided back once.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .linalg import (
     Vector,
     cleared,
     det,
+    divided,
     identity,
     integral_rows,
     inverse,
@@ -50,7 +56,6 @@ from .linalg import (
     lcm_of_denominators,
     mat,
     mat_add,
-    mat_mul,
     mat_scale,
     nullspace,
     rref,
@@ -317,8 +322,11 @@ class OperatorMatrix:
         return apply_operator(self.entries, v)
 
     def then(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Composition 'self then other' (x -> other(self(x)))."""
-        return OperatorMatrix(mat_mul(self.entries, other.entries))
+        """Composition 'self then other' (x -> other(self(x))): both cleared,
+        (a A)(b B) in ints at scale a b, divided back once."""
+        a, rows = integral_rows(self.entries)
+        b, other_rows = integral_rows(other.entries)
+        return OperatorMatrix(tuple(divided(apply_operator(other_rows, r, 0), a * b) for r in rows))
 
     def power(self, k: int) -> "OperatorMatrix":
         if k < 0:
@@ -446,8 +454,24 @@ class MapClassification:
     is_invertible: bool
 
 
-def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassification:
-    """Exact checks of all operator identities on basis pairs.
+class OperatorEvaluation(NamedTuple):
+    """One pass of the operator identities over (L, R): the flags, and the
+    tables the constructions build from.  With L at scale D and R at scale
+    d, ``rows[i]`` is d R(e_i), ``bracket[i][j]`` is [e_i, e_j]_R at scale
+    D d, and ``form[i][j]`` is omega(R e_i, R e_j) at scale D d^2; both
+    tables are skew.  The cleared algebra itself is not kept."""
+
+    flags: MapClassification
+    D: int
+    d: int
+    rows: tuple
+    bracket: list
+    form: list
+
+
+def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorEvaluation:
+    """Exact checks of all operator identities on basis pairs, and the
+    deformed bracket and image form they compute on the way.
 
     Rota-Baxter of weight w: [R(x),R(y)] = R([R(x),y] + [x,R(y)] + w [x,y]);
     compatible: omega(R(x),y) + omega(x,R(y)) = 0;
@@ -464,21 +488,23 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
     w = Fraction(weight)
     A = integral_algebra(L.c, L.omega)  # (D, D c, D omega)
     d, rows = integral_rows(R.entries, w)  # rows[i] = d R(e_i)
+    n = L.dim
+    bracket = [[(0,) * n for _ in range(n)] for _ in range(n)]
+    form = [[0] * n for _ in range(n)]
     is_rb = is_compat = is_isom = is_der = is_auto_bracket = True
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            ids = pair_identities(A, rows, i, j, w, 0, d)
-            is_rb = is_rb and not any(ids.rb)
-            is_compat = is_compat and not ids.compat
-            is_isom = is_isom and not ids.isom
-            if is_der or is_auto_bracket:
-                r_cij = apply_operator(rows, A.c[i][j], 0)  # D d R(c_ij)
-                is_der = is_der and r_cij == ids.deformed
-                is_auto_bracket = (
-                    is_auto_bracket and tuple(d * x for x in r_cij) == ids.image_bracket
-                )
+    for i, j in combinations(range(n), 2):
+        ids = pair_identities(A, rows, i, j, w, 0, d)
+        bracket[i][j], bracket[j][i] = ids.deformed, tuple(-x for x in ids.deformed)
+        form[i][j], form[j][i] = ids.image_form, -ids.image_form
+        is_rb = is_rb and not any(ids.rb)
+        is_compat = is_compat and not ids.compat
+        is_isom = is_isom and not ids.isom
+        if is_der or is_auto_bracket:
+            r_cij = apply_operator(rows, A.c[i][j], 0)  # D d R(c_ij)
+            is_der = is_der and r_cij == ids.deformed
+            is_auto_bracket = is_auto_bracket and tuple(d * x for x in r_cij) == ids.image_bracket
     invertible = det(rows) != 0
-    return MapClassification(
+    flags = MapClassification(
         weight=w,
         is_rb=is_rb,
         is_compatible=is_compat,
@@ -488,6 +514,12 @@ def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassificat
         is_square_zero=not any(map(any, operator_square(rows, 0))),
         is_invertible=invertible,
     )
+    return OperatorEvaluation(flags, A.scale, d, rows, bracket, form)
+
+
+def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassification:
+    """The flags of :func:`evaluate_operator`."""
+    return evaluate_operator(L, R, weight).flags
 
 
 def inverse_correspondence(L: OmegaAlgebra, R: OperatorMatrix) -> OperatorMatrix:

@@ -1,29 +1,27 @@
 """Structures built from Rota-Baxter operators: left-symmetric algebras,
 deformed omega-Lie algebras, Hom-Lie algebras, and module twists.
 
-Every construction checks its hypotheses with `classify_map` before
-building anything and raises :class:`PreconditionError` naming the failed
-hypothesis, since a silently misused construction produces tables that
-violate the claimed identities.  The deformation is built by the private
-`_deform`, which checks nothing: `omega_deform` checks R on L before calling
-it, and `iterate_deform` checks R once on L and each later power R^i on
-L_{i-1}.  Every output is validated against its defining identities.
+Every construction starts from one pair (L, R) and makes one
+``algebras.evaluate_operator`` pass over it, the code that also classifies
+operators and generates the operator varieties.  That pass decides the
+hypotheses: a failed one raises :class:`PreconditionError` naming it, since
+a silently misused construction produces tables that violate the claimed
+identities.  The same pass gives the tables to build from, over ints: with
+the algebra cleared to scale D and the operator to scale d, the rows d R,
+the bracket [x,y]_R at scale D d and the form omega(R(x),R(y)) at scale
+D d^2.  `iterate_deform` makes one evaluation of (L_{i-1}, R^i) per step,
+which both decides the step and feeds the private `_deform`;
+`omega_deform` is its first step.
 
-The deformed bracket [x,y]_R and the form omega(R(x),R(y)) that the
-deformation and the Hom-Lie algebra are built on come from
-``algebras.pair_identities``, the code that also decides `classify_map`'s
-flags and generates the operator varieties.  They are evaluated over ints:
-the algebra is cleared to scale D and the operator to scale d, so the
-bracket [x,y]_R, the Hom-Lie bracket and the left-symmetric product
-[R(x),y] come at scale D d, and omega(R(x),R(y)) at scale D d^2.  Each
-table is checked over ints first (the left-symmetric identity, the twisted
-Jacobi identity, and for L_R the defining identity on one integer algebra
-at scale D d^2), and only then divided back: bracket and product
-coefficients by D d, form values by D d^2.  The outputs are Fractions, as
-before, and no integer copy outlives the call.  The same integer data
-decide "image(R) inside ker(omega)" (the cleared rows of R times the cleared
-omega vanish), the powers R^i of `iterate_deform`, and the series of
-`homlie_structure` (ranks of fraction-free echelon forms).
+Every output is validated against its defining identities over ints first
+(the left-symmetric identity on the product [R(x),y] at scale D d, the
+twisted Jacobi identity, and for L_R the defining identity on one integer
+algebra at scale D d^2), and only then divided back: bracket and product
+coefficients by D d, form values by D d^2.  The outputs are Fractions,
+and no integer copy outlives the call.  The same integer data decide
+"image(R) inside ker(omega)" (the cleared rows of R times the cleared omega
+vanish) and the series of `homlie_structure` (ranks of fraction-free
+echelon forms).
 """
 
 from __future__ import annotations
@@ -39,10 +37,9 @@ from .algebras import (
     OperatorMatrix,
     Subspace,
     apply_operator,
-    classify_map,
+    evaluate_operator,
     integral_algebra,
     jacobi_defect,
-    pair_identities,
     structure_product,
     validate_algebra,
 )
@@ -141,12 +138,11 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
     the second as omega(R e_i, e_j) = 0 for all i, j: row i of the cleared
     operator times the cleared omega is zero.  The table is checked over
     ints before it is divided back."""
-    cls = classify_map(L, R, 0)
-    if not cls.is_rb:
+    ev = evaluate_operator(L, R)
+    if not ev.flags.is_rb:
         raise PreconditionError("R is a Rota-Baxter operator of weight 0")
     A = integral_algebra(L.c, L.omega)
-    d, rows = integral_rows(R.entries)  # row i is d R(e_i)
-    for i, r in enumerate(rows):
+    for i, r in enumerate(ev.rows):  # row i is d R(e_i)
         if any(apply_operator(A.omega, r, 0)):  # omega(R e_i, e_j) over j
             raise PreconditionError(
                 "image(R) inside ker(omega)",
@@ -154,56 +150,33 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
             )
     cols = _columns(A.c)
     # [R e_i, e_j] at scale D d
-    table = tuple(tuple(apply_operator(col, r, 0) for col in cols) for r in rows)
+    table = tuple(tuple(apply_operator(col, r, 0) for col in cols) for r in ev.rows)
     if not _left_symmetric(table):
         raise AssertionError("construction produced a non-left-symmetric table")
-    return LeftSymmetricAlgebra(L.dim, L.basis_names, _divided_table(table, A.scale * d))
+    return LeftSymmetricAlgebra(L.dim, L.basis_names, _divided_table(table, A.scale * ev.d))
 
 
 # ---------------------------------------------------------------------------
 # deformed omega-Lie algebras
 
 
-def _is_compatible_rb(L: OmegaAlgebra, R: OperatorMatrix) -> bool:
-    cls = classify_map(L, R, 0)
-    return cls.is_rb and cls.is_compatible
-
-
 def omega_deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
     """The deformation L_R: bracket [x,y]_R = [R(x),y] + [x,R(y)] and form
     omega_R(x,y) = omega(R(x),R(y)); requires R compatible Rota-Baxter of
     weight 0.  The output is validated."""
-    if not _is_compatible_rb(L, R):
-        raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
-    return _deform(L, R)
+    return iterate_deform(L, R, 1)[1]
 
 
-def _deformation(L: OmegaAlgebra, R: OperatorMatrix):
-    """(D, d, d R, bracket, form) over ints, with L at scale D and R at
-    scale d: the skew tables of [e_i, e_j]_R at scale D d and of
-    omega(R e_i, R e_j) at scale D d^2."""
-    A = integral_algebra(L.c, L.omega)
-    d, rows = integral_rows(R.entries)
-    n = L.dim
-    c = [[(0,) * n for _ in range(n)] for _ in range(n)]
-    omega = [[0] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        ids = pair_identities(A, rows, i, j, 0, 0, d)
-        c[i][j], c[j][i] = ids.deformed, tuple(-x for x in ids.deformed)
-        omega[i][j], omega[j][i] = ids.image_form, -ids.image_form
-    return A.scale, d, rows, c, omega
-
-
-def _deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
-    """L_R without the hypothesis check; callers check R first.  The output
-    is still validated, over ints, before it is divided back: the bracket
-    is lifted from scale D d to D d^2, the form's scale, so that one integer
-    algebra is validated."""
-    D, d, _, c, omega = _deformation(L, R)
-    n = L.dim
-    c = [[tuple(d * x for x in v) for v in row] for row in c]
-    scale = D * d * d
-    check = validate_algebra(IntegralAlgebra(scale, c, omega))
+def _deform(basis_names, ev) -> OmegaAlgebra:
+    """L_R from the evaluation of (L, R), which has decided R already.  The
+    output is still validated, over ints, before it is divided back: the
+    bracket is lifted from scale D d to D d^2, the form's scale, so that one
+    integer algebra is validated."""
+    d = ev.d
+    n = len(ev.rows)
+    c = [[tuple(d * x for x in v) for v in row] for row in ev.bracket]
+    scale = ev.D * d * d
+    check = validate_algebra(IntegralAlgebra(scale, c, ev.form))
     if not check.ok:
         raise AssertionError(f"deformation violates the defining identity: {check.failures[:3]}")
     brackets = {
@@ -212,42 +185,37 @@ def _deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
         if any(c[i][j])
     }
     omega_vals = {
-        (i, j): Fraction(omega[i][j], scale)
+        (i, j): Fraction(ev.form[i][j], scale)
         for i, j in combinations(range(n), 2)
-        if omega[i][j]
+        if ev.form[i][j]
     }
-    return OmegaAlgebra.from_brackets(L.basis_names, brackets, omega_vals, params=None)
+    return OmegaAlgebra.from_brackets(basis_names, brackets, omega_vals, params=None)
 
 
-def iterate_deform(
-    L: OmegaAlgebra, R: OperatorMatrix, steps: int
-) -> list[OmegaAlgebra]:
+def iterate_deform(L: OmegaAlgebra, R: OperatorMatrix, steps: int) -> list[OmegaAlgebra]:
     """Iterated deformation: L_0 = L and L_i deforms L_{i-1} by R^i.
 
-    R is checked once, on L, to be a compatible weight-0 Rota-Baxter
-    operator; a failure raises :class:`PreconditionError`.  That check
-    covers step 1 (R^1 on L_0).  For i >= 2, R^i is checked on L_{i-1};
-    on failure the iteration halts with :class:`IterationHalted` carrying
-    the offending step and the algebras built so far.  One `classify_map`
-    call per step, and every L_i is validated.  R^i is formed over ints,
-    as (d R)^i = (d R)^{i-1} (d R) at scale d^i, and divided back once.
+    Each step makes one evaluation of (L_{i-1}, R^i).  It decides whether
+    R^i is a compatible weight-0 Rota-Baxter operator on L_{i-1}, and its
+    bracket and form build L_i, which is validated.  A failure at step 1
+    (R on L) raises :class:`PreconditionError`; a later one halts the
+    iteration with :class:`IterationHalted`, carrying the offending step
+    and the algebras built so far.  R^i is R^{i-1} then R, one integer
+    product divided back once (``OperatorMatrix.then``).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not _is_compatible_rb(L, R):
-        raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
-    d, rows = integral_rows(R.entries)
-    produced = [L]
-    current = L
-    power, scaled = R, rows  # R^i, and (d R)^i at scale d^i
+    produced, power = [L], R
     for i in range(1, steps + 1):
         if i > 1:
-            scaled = tuple(apply_operator(rows, r, 0) for r in scaled)
-            power = OperatorMatrix(tuple(divided(r, d**i) for r in scaled))
-            if not _is_compatible_rb(current, power):
-                raise IterationHalted(i, produced)
-        current = _deform(current, power)
-        produced.append(current)
+            power = power.then(R)
+        ev = evaluate_operator(produced[-1], power)
+        if not (ev.flags.is_rb and ev.flags.is_compatible):
+            if i == 1:
+                raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
+            raise IterationHalted(i, produced)
+        produced.append(_deform(L.basis_names, ev))
+        del ev  # the next evaluation runs without this step's tables
     return produced
 
 
@@ -290,15 +258,14 @@ def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
     weight-0 Rota-Baxter operator with R^2 = 0.  Hypotheses and the twisted
     Jacobi identity are both checked, the identity over ints before the
     bracket (at scale D d) is divided back."""
-    cls = classify_map(L, R, 0)
-    if not (cls.is_rb and cls.is_compatible):
+    ev = evaluate_operator(L, R)
+    if not (ev.flags.is_rb and ev.flags.is_compatible):
         raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
-    if not cls.is_square_zero:
+    if not ev.flags.is_square_zero:
         raise PreconditionError("R^2 = 0")
-    D, d, rows, c, _ = _deformation(L, R)
-    if not _hom_jacobi_holds(c, rows):
+    if not _hom_jacobi_holds(ev.bracket, ev.rows):
         raise AssertionError("construction violates the twisted Jacobi identity")
-    return HomLieAlgebra(L.dim, L.basis_names, _divided_table(c, D * d), R)
+    return HomLieAlgebra(L.dim, L.basis_names, _divided_table(ev.bracket, ev.D * ev.d), R)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +412,8 @@ def module_twist(
     acting by the zero matrix; the twisted action is validated before
     being returned.
     """
-    cls = classify_map(L, R, 1)
-    if not (cls.is_rb and cls.is_isometric):
+    flags = evaluate_operator(L, R, 1).flags
+    if not (flags.is_rb and flags.is_isometric):
         raise PreconditionError("R is an isometric Rota-Baxter operator of weight 1")
     images = R.entries  # R(e_i) is row i
     basis = identity(L.dim)

@@ -168,25 +168,52 @@ def _assert_iteration_matches_chain(L, R, steps):
 
 
 @pytest.fixture
-def classify_calls(monkeypatch):
-    """The arguments of every `classify_map` call the constructions make."""
+def evaluations(monkeypatch):
+    """The arguments of every `evaluate_operator` call the constructions make."""
     import omegarb.constructions as constructions
 
     calls = []
+    evaluate = constructions.evaluate_operator
 
     def counting(*args):
         calls.append(args)
-        return classify_map(*args)
+        return evaluate(*args)
 
-    monkeypatch.setattr(constructions, "classify_map", counting)
+    monkeypatch.setattr(constructions, "evaluate_operator", counting)
     return calls
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
-def test_iteration_classifies_once_per_step(L1, classify_calls, steps):
+def test_iteration_classifies_once_per_step(L1, evaluations, steps):
     R = OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]])
     assert len(iterate_deform(L1, R, steps)) == steps + 1
-    assert len(classify_calls) == steps
+    assert len(evaluations) == steps
+
+
+def test_each_construction_evaluates_the_pair_once(L1, monkeypatch):
+    """One pass of the identities per (algebra, operator): 3 basis pairs of
+    L1 per evaluation, none repeated to read the bracket or the form."""
+    import omegarb.algebras as algebras
+    import omegarb.constructions as constructions
+
+    calls = []
+    original = algebras.pair_identities
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (algebras, constructions):
+        monkeypatch.setattr(module, "pair_identities", counting, raising=False)
+    R = OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]])
+    for build, want in (
+        (lambda: omega_deform(L1, R), 3),
+        (lambda: homlie_from_rb(L1, R), 3),
+        (lambda: iterate_deform(L1, R, 3), 9),
+    ):
+        calls.clear()
+        build()
+        assert len(calls) == want
 
 
 def test_iteration_matches_the_omega_deform_chain(L1):
@@ -211,16 +238,16 @@ def test_iteration_matches_the_chain_on_sampled_l18_points(L1_8):
             _assert_iteration_matches_chain(L1_8, R, 3)
 
 
-def test_iteration_halts_like_the_chain(classify_calls):
+def test_iteration_halts_like_the_chain(evaluations):
     heis = OmegaAlgebra.from_brackets(["x", "y", "z"], {(0, 1): [0, 0, 1]}, {})
     R = OperatorMatrix([[-1, -1, -1], [-1, 0, 0], [0, 0, 1]])
     assert _deform_chain(heis, R, 3)[1] == 2
     for steps in (1, 2, 3):
         _assert_iteration_matches_chain(heis, R, steps)
-    classify_calls.clear()
+    evaluations.clear()
     with pytest.raises(IterationHalted):
         iterate_deform(heis, R, 3)
-    assert len(classify_calls) == 2  # R on L_0, then R^2 on L_1
+    assert len(evaluations) == 2  # R on L_0, then R^2 on L_1
 
 
 def test_iteration_precondition_failure_is_not_a_halt(L1):

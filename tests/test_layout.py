@@ -83,6 +83,42 @@ def test_the_check_sees_a_cache(tmp_path):
     assert cache_uses(PACKAGE / "solver.py")  # generate_system is cached, and seen
 
 
+# the operator identities are read in one integer pass per (algebra,
+# operator), `algebras.evaluate_operator`, and over polynomials by the solver;
+# the constructions take their tables from that pass instead of re-running it
+IDENTITY_READERS = {"algebras.py", "solver.py"}
+
+
+def name_references(path: Path, name: str) -> int:
+    """How often ``path`` imports, or refers by name or attribute to, ``name``."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            count += sum(a.name == name for a in node.names)
+        elif isinstance(node, ast.Name):
+            count += node.id == name
+        elif isinstance(node, ast.Attribute):
+            count += node.attr == name
+    return count
+
+
+def test_only_the_evaluation_and_the_solver_read_pair_identities():
+    readers = {p.name for p in PACKAGE.glob("*.py") if name_references(p, "pair_identities")}
+    assert readers == IDENTITY_READERS
+
+
+def test_the_check_sees_a_reference(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        '"""pair_identities in a docstring is no reference."""\n'
+        "from .algebras import pair_identities\n"
+        "from . import algebras\n"
+        "algebras.pair_identities(None, (), 0, 1)\n"
+        "pair_identities(None, (), 0, 1)\n"
+    )
+    assert name_references(probe, "pair_identities") == 3
+
+
 # the benchmark's tracer patches these names by attribute lookup, so a
 # deleted or renamed one breaks `perfbench/run.py --trace 1`
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"

@@ -1,8 +1,8 @@
 """The sparse-skipping kernels against their dense definitions: `mat_mul`,
-`OperatorMatrix.apply` and `OperatorMatrix.power`; the fraction-free `det`
-against the Leibniz formula; `rref`, `nullspace`, `inverse`, `det` and
-`Subspace.span` against a `Fraction` Gauss-Jordan reference; `vec` keeps the
-Fractions it is given."""
+`OperatorMatrix.then`, `OperatorMatrix.apply` and `OperatorMatrix.power`;
+the fraction-free `det` against the Leibniz formula; `rref`, `nullspace`,
+`inverse`, `det` and `Subspace.span` against a `Fraction` Gauss-Jordan
+reference; `vec` keeps the Fractions it is given."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -65,12 +65,17 @@ def dense_mul(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(products())
-def test_mat_mul_matches_dense_definition(ab):
+@given(products(), square_operators(), st.data())
+def test_mat_mul_matches_dense_definition(ab, R, data):
     a, b = ab
     got = mat_mul(a, b)
     assert got == dense_mul(a, b)
     assert all(isinstance(x, Fraction) for row in got for x in row)
+    # the integer composition of operators is the same product
+    S = OperatorMatrix(data.draw(matrices(R.dim, R.dim)))
+    composed = R.then(S).entries
+    assert composed == dense_mul(R.entries, S.entries)
+    assert all(isinstance(x, Fraction) for row in composed for x in row)
 
 
 @settings(max_examples=150, deadline=None)
