@@ -581,10 +581,14 @@ def verify_components(
 ) -> ComponentReport:
     """Certify that V(I) is the union of the candidate prime varieties.
 
-    Checks: (i) I subseteq p_i, so V(p_i) subseteq V(I); (ii) every generator
-    of the product of the candidates lies in sqrt(I), so V(I) is covered;
-    (iii) each primality certificate validates; (iv) no candidate contains
-    another.  ``confirmed`` requires all four.
+    Checks: (i) I subseteq p_i, so V(p_i) subseteq V(I); (ii) the product of
+    the candidates lies in sqrt(I), so V(I) is covered.  A product with a
+    factor in I lies in I, so only the products of the generators outside I
+    are radical-tested, and a candidate with none left lies in I and covers
+    V(I) alone; past 60 such products the intersection of the candidates is
+    tested instead, since sqrt(prod p_i) = sqrt(cap p_i); (iii) each
+    primality certificate validates; (iv) no candidate contains another.
+    ``confirmed`` requires all four.
     """
     if not candidates:
         raise ValueError("no candidate components supplied")
@@ -596,7 +600,11 @@ def verify_components(
         else:
             status = "passed" if check_primality(ideal_p, cert) else "failed"
         reports.append(CandidateReport(contains, status, krull_dim(ideal_p)))
-    gens = _product_generators([p for p, _ in candidates], 60)
+    outside = [
+        make_ideal(I.table, (g for g in p.generators if not ideal_membership(g, I)))
+        for p, _ in candidates
+    ]
+    gens = () if any(J.is_zero_ideal() for J in outside) else _product_generators(outside, 60)
     if gens is None:
         # sqrt(product) = sqrt(intersection): test the far smaller
         # intersection generating set against sqrt(I) instead

@@ -1,9 +1,15 @@
 """Catalog parsing, parameter handling, operator files, serialization."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 
+import omegarb
 from omegarb.algebras import validate_algebra
 from omegarb.catalog import (
     CatalogError,
@@ -209,3 +215,30 @@ def test_algebra_round_trips_through_catalog_format(L1_8):
     L = entry.instantiate()
     assert L.c == L1_8.c
     assert L.omega == L1_8.omega
+
+
+# -- YAML loaders ---------------------------------------------------------------
+
+DATA_FILES = sorted((Path(omegarb.__file__).resolve().parent / "data").rglob("*.yaml"))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", DATA_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_data_reads_the_same_under_both_loaders(path):
+    text = path.read_text("utf-8")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_deeply_nested_user_catalog_is_a_usage_error(tmp_path):
+    # libyaml's parser crashes the process on this input; user files must
+    # reach the pure loader, whose RecursionError becomes exit 2.  A
+    # subprocess keeps a crash from taking the test run down with it.
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    env = dict(os.environ, PYTHONPATH=str(Path(omegarb.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "omegarb", "table", "1", "--catalog", str(deep)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "is not valid YAML" in proc.stderr

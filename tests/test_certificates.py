@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from importlib import resources
 
 import pytest
 
-from omegarb.catalog import load_builtin_catalog
+from omegarb import ideals
+from omegarb.catalog import load_builtin_catalog, read_builtin_yaml
 from omegarb.cli import _candidate_table, _load_builtin_candidates
 from omegarb.ideals import (
     CertificateError,
@@ -15,12 +17,15 @@ from omegarb.ideals import (
     find_certificate,
     ideal_contains,
     ideal_equal,
+    intersect,
     make_ideal,
+    radical_contains,
     sample_points,
     split_heuristic,
     verify_components,
 )
 from omegarb.poly import VariableTable, parse_polynomial
+from omegarb.solver import generate_system, profile_by_name
 
 A = VariableTable.of(*[f"x{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)])
 TXY = VariableTable.of("x", "y")
@@ -170,6 +175,63 @@ def test_redundant_candidate_detected(I6, p1, p2):
 def test_empty_candidate_list_rejected(I6):
     with pytest.raises(ValueError):
         verify_components(I6, [])
+
+
+def test_candidate_inside_the_ideal_covers_alone(I6, p1):
+    # every generator of J lies in I6, so V(I6) lies in V(J): no product
+    # needs a radical test
+    J = make_ideal(A, [PA("x31"), PA("x32"), PA("x33")])
+    assert ideal_contains(I6, J)
+    report = verify_components(I6, [(p1, CERT1), (J, None)])
+    assert report.product_in_radical
+    assert radical_contains(I6, intersect(p1, J))
+
+
+# -- the radical cover on the shipped rows -----------------------------------------
+
+
+def _rows_with_candidates():
+    """(algebra, profile, candidates file) of every table row that names one."""
+    for table_id in (1, 2, 3):
+        data = read_builtin_yaml(f"expectations/table{table_id}.yaml")
+        for row in data["rows"]:
+            if row.get("candidates"):
+                yield pytest.param(row["algebra"], data["profile"], row["candidates"], id=row["candidates"])
+
+
+ROWS_WITH_CANDIDATES = list(_rows_with_candidates())
+MULTI_COMPONENT_ROWS = [
+    r for r in ROWS_WITH_CANDIDATES if len(read_builtin_yaml(f"candidates/{r.values[2]}.yaml")) > 1
+]
+
+
+def _row_system(catalog, algebra, profile, name):
+    L = catalog[algebra].instantiate()
+    I = generate_system(L, profile_by_name(profile))
+    return I, _load_builtin_candidates(name, _candidate_table(L.dim))
+
+
+@pytest.mark.parametrize("algebra,profile,name", ROWS_WITH_CANDIDATES)
+def test_shipped_cover_agrees_with_the_intersection(catalog, algebra, profile, name):
+    I, candidates = _row_system(catalog, algebra, profile, name)
+    meet = reduce(intersect, [p for p, _ in candidates])
+    assert verify_components(I, candidates).product_in_radical == radical_contains(I, meet)
+
+
+@pytest.mark.parametrize("algebra,profile,name", MULTI_COMPONENT_ROWS)
+def test_dropping_a_shipped_component_breaks_the_cover(catalog, algebra, profile, name):
+    I, candidates = _row_system(catalog, algebra, profile, name)
+    for k in range(len(candidates)):
+        rest = candidates[:k] + candidates[k + 1 :]
+        assert not verify_components(I, rest).product_in_radical, k
+
+
+def test_table2_L1_cover_needs_no_intersection(catalog, monkeypatch):
+    I, candidates = _row_system(catalog, "L1", "bi1", "table2_L1")
+    calls = []
+    monkeypatch.setattr(ideals, "intersect", lambda *a: calls.append(a))
+    assert verify_components(I, candidates).confirmed
+    assert calls == []
 
 
 # -- split heuristic -------------------------------------------------------------

@@ -138,3 +138,52 @@ def test_every_traced_name_resolves_on_the_package():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+# libyaml crashes the process on deeply nested input, so only the shipped
+# data may reach it; every user file goes through the pure loader
+C_LOADER = "CSafeLoader"
+
+
+def enclosing_uses(path: Path, name: str) -> list[str]:
+    """The enclosing function, ``module.function`` or ``module`` at top
+    level, of every import of, reference to, or string equal to ``name``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{path.stem}.{child.name}")
+                continue
+            if (
+                (isinstance(child, ast.alias) and child.name == name)
+                or (isinstance(child, ast.Name) and child.id == name)
+                or (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.Constant) and child.value == name)
+            ):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text("utf-8")), path.stem)
+    return found
+
+
+def test_only_the_shipped_data_reader_names_the_c_loader():
+    uses = [u for p in sorted(PACKAGE.glob("*.py")) for u in enclosing_uses(p, C_LOADER)]
+    assert uses == ["catalog.read_builtin_yaml"]
+
+
+def test_the_check_sees_a_second_c_loader(tmp_path):
+    probe = tmp_path / "catalog.py"
+    probe.write_text(
+        '"""CSafeLoader in a docstring is no use."""\n'
+        "import yaml\n"
+        "from yaml import CSafeLoader\n"
+        "def read_builtin_yaml(text):\n"
+        "    return yaml.load(text, Loader=getattr(yaml, 'CSafeLoader', yaml.SafeLoader))\n"
+        "def read_yaml(text):\n"
+        "    return yaml.load(text, Loader=yaml.CSafeLoader)\n"
+    )
+    assert enclosing_uses(probe, C_LOADER) == [
+        "catalog", "catalog.read_builtin_yaml", "catalog.read_yaml"
+    ]
