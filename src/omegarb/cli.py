@@ -120,15 +120,16 @@ def _parse_candidates_data(data, table: VariableTable, context: str):
         if spec:
             pivot = spec.get("pivot") if isinstance(spec, dict) else None
             names = spec.get("linear_vars") if isinstance(spec, dict) else None
-            if _has_shape(pivot, str) and pivot in table:
-                cert = PrimalityCertificate(pivot=pivot)
-            elif pivot is None and _has_shape(names, [str]) and set(names) <= set(table.names):
-                cert = PrimalityCertificate(linear_vars=frozenset(names))
-            else:
+            inverted = [pivot] if _has_shape(pivot, str) else pivot
+            parts = [v for v in (inverted, names) if v is not None]
+            if not parts or not all(
+                _has_shape(v, [str]) and set(v) <= set(table.names) for v in parts
+            ):
                 raise CatalogError(
-                    f"{where}: certificate needs a 'pivot' or a 'linear_vars' list"
-                    f" naming entries {table.names[0]}..{table.names[-1]}"
+                    f"{where}: certificate needs a 'pivot' name or list, or a 'linear_vars'"
+                    f" list, naming entries {table.names[0]}..{table.names[-1]}"
                 )
+            cert = PrimalityCertificate(inverted=inverted or (), linear_vars=names)
         out.append((make_ideal(table, gens), cert))
     return out
 
@@ -139,21 +140,6 @@ def _load_candidates_file(path: str, table: VariableTable):
 
 def _load_builtin_candidates(name: str, table: VariableTable):
     return _parse_candidates_data(read_builtin_yaml(f"candidates/{name}.yaml"), table, name)
-
-
-_PROFILE_TABLE = {"bc": 1, "bi1": 2, "bs": 3}
-
-
-def _default_candidates(algebra: str, profile_name: str, table: VariableTable):
-    """Shipped component candidates for (algebra, profile), when available."""
-    table_id = _PROFILE_TABLE.get(profile_name)
-    if table_id is None:
-        return None
-    name = f"table{table_id}_{algebra}"
-    try:
-        return _load_builtin_candidates(name, table)
-    except FileNotFoundError:
-        return None
 
 
 def _has_shape(v, shape) -> bool:
@@ -215,6 +201,19 @@ def _load_module_file(path: str, dim: int) -> ModuleAction:
 def _builtin_expectations(table_id: int) -> dict:
     relative = f"expectations/table{table_id}.yaml"
     return _check_expectations(read_builtin_yaml(relative), relative)
+
+
+def _shipped_row(algebra: str, profile_name: str) -> dict:
+    """The shipped expectations row for (algebra, profile), or {}."""
+    docs = (_builtin_expectations(t) for t in (1, 2, 3))
+    rows = (r for doc in docs if doc["profile"] == profile_name for r in doc["rows"])
+    return next((r for r in rows if r["algebra"] == algebra), {})
+
+
+def _row_candidates(row: dict, dim: int):
+    """The shipped candidates an expectations row names, or None."""
+    name = row.get("candidates")
+    return _load_builtin_candidates(name, _candidate_table(dim)) if name else None
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +302,7 @@ def run_table_row(
     L, a = _algebra_for(entry, str(alpha) if alpha is not None else None)
     result["alpha"] = str(a) if a is not None else None
     profile = profile_by_name(profile_name)
-    candidates = None
-    if row.get("candidates"):
-        candidates = _load_builtin_candidates(row["candidates"], _candidate_table(L.dim))
-    rep = analyze_variety(L, profile, candidates)
+    rep = analyze_variety(L, profile, _row_candidates(row, L.dim))
     computed = result["computed"] = {
         "dim": _dim_json(rep.dim),
         "components": rep.n_components,
@@ -325,7 +321,7 @@ def run_table_row(
             result["notes"].append(
                 "primality unverified for component(s) "
                 + ", ".join(str(i + 1) for i in unverified)
-                + " (outside the accepted certificate shapes)"
+                + " (no certificate found)"
             )
     if row.get("labels") is not None and profile.square_zero:
         labels = []
@@ -424,11 +420,10 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     L, a = _algebra_arg(args)
     profile = profile_by_name(args.profile)
-    candidates = None
     if args.candidates:
         candidates = _load_candidates_file(args.candidates, _candidate_table(L.dim))
     else:
-        candidates = _default_candidates(args.algebra, args.profile, _candidate_table(L.dim))
+        candidates = _row_candidates(_shipped_row(args.algebra, args.profile), L.dim)
     t0 = time.monotonic()
     rep = analyze_variety(L, profile, candidates)
     elapsed = time.monotonic() - t0

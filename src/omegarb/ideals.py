@@ -12,11 +12,10 @@ localization at S, and a solve chain over that localization that consumes
 every generator: each step solves a variable occurring linearly with a
 one-term coefficient over S and the inverses, and substitutes the value into
 the remaining generators.  The localization is then a localized polynomial
-ring, an integral domain, and I is prime.  Shipped certificates have S empty
-(``linear_vars``; the saturation condition is void and the quotient is a
-polynomial ring) or S = {pivot}, where the saturation condition is checked
-as one saturation I : pivot^inf = I.  The same chain, allowed to invert
-variables on demand, parameterizes components without a certificate for
+ring, an integral domain (also over C), and I is prime.  The saturation
+condition is checked as one saturation by prod S, and is void for S empty.
+The same chain, allowed to invert variables on demand, proposes S for
+certificate search and parameterizes components without a certificate for
 point sampling.
 """
 
@@ -312,19 +311,18 @@ def krull_dim(I: Ideal):
 
 @dataclass(frozen=True)
 class PrimalityCertificate:
-    """One certificate shape: a set S of inverted variables with
-    p : (prod S)^inf = p, and a solve chain over the localization at S that
-    consumes every generator of p (see the module docstring).  S is empty for
-    a ``linear_vars`` certificate, which also names the variables the chain
-    may solve, and is ``{pivot}`` for a pivot certificate; the pivot wins
-    when both are set.  The empty linear certificate fits only the zero
-    ideal (the quotient is the full polynomial ring)."""
+    """A set S of inverted variables with p : (prod S)^inf = p, and a solve
+    chain over the localization at S, solving only ``linear_vars`` (every
+    variable when None), that consumes every generator of p (see the module
+    docstring)."""
 
-    linear_vars: frozenset[str] = frozenset()
-    pivot: Optional[str] = None
+    inverted: frozenset[str] = frozenset()
+    linear_vars: Optional[frozenset[str]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "linear_vars", frozenset(self.linear_vars))
+        object.__setattr__(self, "inverted", frozenset(self.inverted))
+        if self.linear_vars is not None:
+            object.__setattr__(self, "linear_vars", frozenset(self.linear_vars))
 
 
 def _coefficient_of_variable(g: Polynomial, vidx: int) -> Polynomial:
@@ -448,14 +446,12 @@ def _solve_chain(
 
 
 def _certificate_chain(p: Ideal, cert: PrimalityCertificate) -> Optional[_Chain]:
-    if cert.pivot is not None:
-        if cert.pivot not in p.table:
-            raise CertificateError(f"pivot {cert.pivot!r} is not a table variable")
-        return _solve_chain(p, p.table.names, (cert.pivot,), False)
-    unknown = cert.linear_vars - set(p.table.names)
+    names = p.table.names
+    unknown = cert.inverted.union(cert.linear_vars or ()) - set(names)
     if unknown:
         raise CertificateError(f"unknown certificate variables {sorted(unknown)}")
-    return _solve_chain(p, cert.linear_vars, (), False)
+    solvable = names if cert.linear_vars is None else cert.linear_vars
+    return _solve_chain(p, solvable, sorted(cert.inverted, key=p.table.index), False)
 
 
 def check_primality(p: Ideal, cert: PrimalityCertificate) -> bool:
@@ -465,31 +461,24 @@ def check_primality(p: Ideal, cert: PrimalityCertificate) -> bool:
         raise CertificateError(f"not a certificate: {cert!r}")
     if p.contains_one() or _certificate_chain(p, cert) is None:
         return False
-    if cert.pivot is None:
+    if not cert.inverted:
         return True
-    # p : f = p exactly when p : f^inf = p, and one elimination is cheaper
+    # p : h = p exactly when p : h^inf = p, and one elimination is cheaper
     # than the intersection behind a colon
-    f = Polynomial.variable(p.table, cert.pivot)
-    return ideal_equal(saturate(p, f), p)
+    h = Polynomial(p.table, {tuple(int(n in cert.inverted) for n in p.table.names): Fraction(1)})
+    return ideal_equal(saturate(p, h), p)
 
 
 def find_certificate(p: Ideal) -> Optional[PrimalityCertificate]:
-    """Best-effort certificate discovery: the chain with nothing inverted,
-    then each support variable as a pivot."""
+    """Best-effort certificate discovery: the set S that the greedy chain
+    inverts, kept when the certificate checks."""
     if p.contains_one():
         return None
-    chain = _solve_chain(p, p.table.names, (), False)
-    if chain is not None:
-        return PrimalityCertificate(linear_vars=frozenset(v for v, _ in chain.steps))
-    support = sorted(
-        {n for g in p.generators for n in g.support_vars()},
-        key=p.table.index,
-    )
-    for name in support:
-        cert = PrimalityCertificate(pivot=name)
-        if check_primality(p, cert):
-            return cert
-    return None
+    chain = _solve_chain(p, p.table.names, (), True)
+    if chain is None:
+        return None
+    cert = PrimalityCertificate(inverted=frozenset(chain.inverses))
+    return cert if check_primality(p, cert) else None
 
 
 _SAMPLE_ATTEMPTS = 800

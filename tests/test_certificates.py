@@ -1,5 +1,6 @@
 """Primality certificates, component verification, splitting, sampling."""
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
@@ -84,7 +85,7 @@ def p2():
 CERT1 = PrimalityCertificate(
     linear_vars=frozenset(["x11", "x12", "x22", "x31", "x32", "x33"])
 )
-CERT2 = PrimalityCertificate(pivot="x12")
+CERT2 = PrimalityCertificate(inverted=frozenset(["x12"]))
 
 
 def test_linear_certificate_passes(p1):
@@ -98,25 +99,32 @@ def test_pivot_certificate_passes(p2):
 def test_monomial_product_fails_any_certificate():
     I = make_ideal(TXY, [PXY("x*y")])
     assert not check_primality(I, PrimalityCertificate(linear_vars=frozenset(["x"])))
-    assert not check_primality(I, PrimalityCertificate(pivot="x"))
+    assert not check_primality(I, PrimalityCertificate(inverted=frozenset(["x"])))
 
 
 def test_unit_ideal_fails():
     I = make_ideal(TXY, [PXY("1")])
-    assert not check_primality(I, PrimalityCertificate(pivot="x"))
+    assert not check_primality(I, PrimalityCertificate(inverted=frozenset(["x"])))
 
 
 def test_malformed_certificates_rejected(p1):
     with pytest.raises(CertificateError):
-        check_primality(p1, PrimalityCertificate(pivot="nope"))
+        check_primality(p1, PrimalityCertificate(inverted=frozenset(["nope"])))
     with pytest.raises(CertificateError):
         check_primality(p1, PrimalityCertificate(linear_vars=frozenset(["q"])))
+    with pytest.raises(CertificateError):
+        check_primality(p1, PrimalityCertificate(frozenset(["x12"]), frozenset(["q"])))
 
 
-def test_trivial_certificate_only_fits_zero_ideal(p1):
+def test_trivial_certificate_fits_linear_ideals(p1, p2):
+    # nothing inverted and every variable solvable: the chain consumes a
+    # linear ideal, but not p2, whose x12 needs an inverse
     trivial = PrimalityCertificate()
     assert check_primality(make_ideal(A, ()), trivial)
-    assert not check_primality(p1, trivial)
+    assert check_primality(p1, trivial)
+    assert not check_primality(p2, trivial)
+    # a solvable set that misses a generator's variables does not consume it
+    assert not check_primality(p1, PrimalityCertificate(linear_vars=frozenset(["x11"])))
 
 
 def test_triangular_linear_chain():
@@ -134,6 +142,26 @@ def test_find_certificate(p1, p2):
     c2 = find_certificate(p2)
     assert c2 is not None and check_primality(p2, c2)
     assert find_certificate(make_ideal(TXY, [PXY("x*y")])) is None
+
+
+def test_chain_that_consumes_is_not_enough():
+    # with y inverted the chain solves x = 0, but <xy> : y^inf = <x> != <xy>
+    I = make_ideal(TXY, [PXY("x*y")])
+    cert = PrimalityCertificate(inverted=frozenset(["y"]))
+    assert ideals._certificate_chain(I, cert) is not None
+    assert not check_primality(I, cert)
+    assert find_certificate(I) is None
+
+
+@pytest.mark.parametrize("algebra,alpha", [("L1_1", None), ("Atilde_alpha", 2)])
+def test_every_square_zero_leaf_is_certified(catalog, algebra, alpha):
+    # the table-3 rows without shipped candidates
+    L = catalog[algebra].instantiate(alpha and {"alpha": Fraction(alpha)})
+    leaves = split_heuristic(generate_system(L, profile_by_name("bs"))).ideals
+    certs = [find_certificate(J) for J in leaves]
+    assert all(c is not None and check_primality(J, c) for J, c in zip(leaves, certs))
+    if algebra == "L1_1":
+        assert [c.inverted for c in certs] == [frozenset(["x32", "x41"])]
 
 
 # -- verify_components ----------------------------------------------------------
@@ -301,10 +329,10 @@ def test_generic_sampler_on_quadric():
 
 
 def test_generic_sampler_inverts_two_variables():
-    # x's coefficient y*z needs both y and z inverted; no certificate applies
+    # x's coefficient y*z needs both y and z inverted, and that set certifies
     T = VariableTable.of("x", "y", "z")
     I = make_ideal(T, [parse_polynomial("x*y*z - 1", T)])
-    assert find_certificate(I) is None
+    assert find_certificate(I) == PrimalityCertificate(inverted=frozenset(["y", "z"]))
     pts = sample_points(I, None, 5, random.Random(5))
     assert len(pts) == 5
     for pt in pts:
@@ -332,7 +360,7 @@ def _nonzero(pt):
 
 
 def test_sample_points_pinned_draws():
-    # the draw order (free variables in table order, then the pivot) fixes
+    # the draw order (free variables in table order, then the inverted ones) fixes
     # these points; the perfbench constructions workload depends on it
     (p1, c1), (p2, c2) = _load_builtin_candidates("table1_L1", _candidate_table(3))
     F = Fraction
@@ -346,3 +374,16 @@ def test_sample_points_pinned_draws():
         {"x11": F(-3), "x12": F(9), "x13": F(3, 2), "x21": F(-1), "x22": F(3), "x23": F(1, 2)},
         {"x12": F(-2), "x13": F(7)},
     ]
+
+
+def test_sample_points_over_every_shipped_candidate_pinned():
+    # the perfbench constructions workload samples its operators from these
+    rng = random.Random(0)
+    lines = []
+    for param in _shipped_components():
+        p, cert = param.values
+        for pt in sample_points(p, cert, 10, rng):
+            lines.append(f"{param.id} " + " ".join(f"{n}={pt[n]}" for n in p.table.names))
+    assert len(lines) == 140
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a067a57d8dd666576d1c9381f6923296e3fbb8379994b34ec0490d4daf3a65fc"

@@ -29,7 +29,7 @@ ABELIAN_CATALOG = """
 TABLE_SHA256 = {
     1: "2f1b0d1858f6a2c0e7ea3f9248f9294952299c6d7bf5d5f3d5197c7c397e84f8",
     2: "4d0d7a4bd3564007b06a9484a0a48ad679aced265547a7587f9b4b26986179a4",
-    3: "e81a966645e7122f43cea631c5a72784d06ce41dd47d2a3f8ba10277693e8a86",
+    3: "67efdba1ed8ba6dbb7754fb821066ff47b8e2cb6bddb3f74c66ae8abe555ce77",
 }
 
 
@@ -383,6 +383,40 @@ def test_solve_with_explicit_candidates_file(tmp_path, capsys):
     assert json.loads(out)["decomposition_confirmed"] is True
 
 
+def test_solve_reads_the_candidates_of_the_shipped_row(tmp_path, capsys):
+    # table 2 (profile bi1) names table2_L1 for L1
+    from importlib import resources
+
+    path = tmp_path / "cands.yaml"
+    path.write_text(
+        resources.files("omegarb").joinpath("data/candidates/table2_L1.yaml").read_text("utf-8")
+    )
+    _, shipped, _ = run(capsys, "solve", "L1", "bi1", "--json")
+    _, explicit, _ = run(capsys, "solve", "L1", "bi1", "--candidates", str(path), "--json")
+    assert shipped == explicit
+    assert json.loads(shipped)["heuristic_components"] is False
+
+
+def test_candidate_pivot_list_and_linear_vars_both_apply(tmp_path, capsys):
+    # p2 of table1_L1 needs x12 inverted and more than x11 solvable
+    def statuses(certificate):
+        path = tmp_path / "cands.yaml"
+        path.write_text(
+            "- generators: [x11, x12, x22, x31, x32, x33]\n"
+            "- generators: [x31, x32, x33, x11 + x22, x12*x21 + x22^2,"
+            " x12*x23 - x13*x22, x13*x21 + x22*x23]\n"
+            f"  certificate: {certificate}\n"
+        )
+        code, out, _ = run(capsys, "solve", "L1", "bc", "--candidates", str(path), "--json")
+        assert code == 0
+        return [c["certificate"] for c in json.loads(out)["components"]]
+
+    assert statuses("{pivot: [x12]}") == ["unverified", "passed"]
+    assert statuses("{pivot: x12}") == ["unverified", "passed"]
+    assert statuses("{pivot: [x12], linear_vars: [x11]}") == ["unverified", "failed"]
+    assert statuses("{pivot: []}") == ["unverified", "failed"]
+
+
 def test_solve_parameterized_algebra(capsys):
     code, out, _ = run(capsys, "solve", "Atilde_alpha", "bc", "--alpha=-1/4", "--json")
     assert code == 0
@@ -404,6 +438,10 @@ def test_table_three_full_reproduction(capsys):
     rows = {r["algebra"]: r for r in data["rows"]}
     assert rows["L1_1"]["status"] == "PASS"
     assert rows["L1_1"]["computed"]["dim"] == 6
+    assert rows["L1_1"]["computed"]["decomposition_confirmed"] is True
+    assert rows["L1_1"]["notes"] == []
+    computed = [r for r in data["rows"] if r["computed"]]
+    assert all(r["computed"]["decomposition_confirmed"] for r in computed)
     assert rows["L1_2"]["status"] == "PASS"
     assert rows["L1_2"]["computed"]["dim"] == 5
     assert rows["L1_2"]["computed"]["components"] == 1

@@ -229,7 +229,7 @@ def test_membership_agrees_on_variety_points(L1, rng):
             for s in SIX_GENERATORS + ["x13*x21 + x22*x23"]
         ],
     )
-    pts = sample_points(p2, PrimalityCertificate(pivot="x12"), 6, rng)
+    pts = sample_points(p2, PrimalityCertificate(inverted=frozenset(["x12"])), 6, rng)
     for pt in pts:
         R = OperatorMatrix([[pt[entry_name(i, j)] for j in (1, 2, 3)] for i in (1, 2, 3)])
         assert membership_check(L1, PROFILES["bc"], R)
