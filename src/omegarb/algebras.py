@@ -469,9 +469,11 @@ class OperatorEvaluation(NamedTuple):
     form: list
 
 
-def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorEvaluation:
+def evaluate_operator(L, R: OperatorMatrix, weight=0) -> OperatorEvaluation:
     """Exact checks of all operator identities on basis pairs, and the
-    deformed bracket and image form they compute on the way.
+    deformed bracket and image form they compute on the way.  ``L`` is an
+    :class:`OmegaAlgebra`, or its data already cleared of denominators as
+    an :class:`IntegralAlgebra`.
 
     Rota-Baxter of weight w: [R(x),R(y)] = R([R(x),y] + [x,R(y)] + w [x,y]);
     compatible: omega(R(x),y) + omega(x,R(y)) = 0;
@@ -483,12 +485,12 @@ def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorE
     at scale D d; the automorphism compares d R(c_ij) with the image bracket,
     both at scale D d^2; invertibility is the determinant of d R.
     """
-    if R.dim != L.dim:
+    A = L if isinstance(L, IntegralAlgebra) else integral_algebra(L.c, L.omega)  # (D, D c, D omega)
+    n = len(A.c)
+    if R.dim != n:
         raise ValueError("operator and algebra dimensions differ")
     w = Fraction(weight)
-    A = integral_algebra(L.c, L.omega)  # (D, D c, D omega)
     d, rows = integral_rows(R.entries, w)  # rows[i] = d R(e_i)
-    n = L.dim
     bracket = [[(0,) * n for _ in range(n)] for _ in range(n)]
     form = [[0] * n for _ in range(n)]
     is_rb = is_compat = is_isom = is_der = is_auto_bracket = True

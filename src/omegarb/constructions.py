@@ -138,10 +138,10 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
     the second as omega(R e_i, e_j) = 0 for all i, j: row i of the cleared
     operator times the cleared omega is zero.  The table is checked over
     ints before it is divided back."""
-    ev = evaluate_operator(L, R)
+    A = integral_algebra(L.c, L.omega)
+    ev = evaluate_operator(A, R)
     if not ev.flags.is_rb:
         raise PreconditionError("R is a Rota-Baxter operator of weight 0")
-    A = integral_algebra(L.c, L.omega)
     for i, r in enumerate(ev.rows):  # row i is d R(e_i)
         if any(apply_operator(A.omega, r, 0)):  # omega(R e_i, e_j) over j
             raise PreconditionError(

@@ -9,14 +9,18 @@ decompositions.
 Primality is certified, never decided.  A certificate names a set S of
 inverted variables with I : (prod S)^inf = I, so the quotient embeds in its
 localization at S, and a solve chain over that localization that consumes
-every generator: each step solves a variable occurring linearly with a
-one-term coefficient over S and the inverses, and substitutes the value into
-the remaining generators.  The localization is then a localized polynomial
-ring, an integral domain (also over C), and I is prime.  The saturation
-condition is checked as one saturation by prod S, and is void for S empty.
-The same chain, allowed to invert variables on demand, proposes S for
-certificate search and parameterizes components without a certificate for
-point sampling.
+every generator: each step solves a variable v occurring linearly with a
+one-term coefficient den over S, v = num/den, and substitutes the value into
+the remaining generators.  The chain stays in Q[x] and adjoins no inverse
+variables: a generator h of degree d in v becomes den^d * h(num/den), which
+is a polynomial, and since den^d is a unit of the localization at S it
+generates the same localized ideal as h(num/den) (Cox-Little-O'Shea,
+Ideals, Varieties, and Algorithms, 4.4).  The localization is then a
+localized polynomial ring, an integral domain (also over C), and I is
+prime.  The saturation condition is checked as one saturation by prod S,
+and is void for S empty.  The same chain, allowed to invert variables on
+demand, proposes S for certificate search and parameterizes components
+without a certificate for point sampling.
 """
 
 from __future__ import annotations
@@ -325,124 +329,94 @@ class PrimalityCertificate:
             object.__setattr__(self, "linear_vars", frozenset(self.linear_vars))
 
 
-def _coefficient_of_variable(g: Polynomial, vidx: int) -> Polynomial:
-    """The coefficient polynomial of v^1 when deg_v(g) == 1."""
-    out = {}
+def _split_by_power(g: Polynomial, vidx: int) -> list[Polynomial]:
+    """[g_0, ..., g_d] with g = sum_k g_k * v^k, where v is the variable at
+    ``vidx``, d = deg_v(g), and no g_k involves v."""
+    parts: list[dict] = []
     for m, c in g.terms.items():
-        if m[vidx] == 1:
-            mm = list(m)
-            mm[vidx] = 0
-            out[tuple(mm)] = c
-    return Polynomial(g.table, out)
-
-
-def _without_variable_terms(g: Polynomial, vidx: int) -> Polynomial:
-    return Polynomial(g.table, {m: c for m, c in g.terms.items() if m[vidx] == 0})
+        k = m[vidx]
+        parts.extend({} for _ in range(k + 1 - len(parts)))
+        parts[k][m[:vidx] + (0,) + m[vidx + 1 :]] = c
+    return [Polynomial(g.table, terms) for terms in parts]
 
 
 @dataclass
 class _Chain:
-    """A consumed solve chain.  ``table`` extends the ideal's table by one
-    inverse per inverted variable (``inverses`` maps each inverted variable
-    to its inverse's name); ``steps`` lists (variable, value) in solve order,
-    and each value involves only free, inverted, inverse and later-solved
-    variables."""
+    """A consumed solve chain.  ``inverted`` lists S in the order of
+    inversion; ``steps`` lists (v, num, den) in solve order, v = num/den,
+    where den is one term c*m over S and num involves only free, inverted
+    and later-solved variables."""
 
-    table: VariableTable
-    inverses: dict[str, str]
-    steps: list[tuple[str, Polynomial]]
+    inverted: list[str]
+    steps: list[tuple[str, Polynomial, Polynomial]]
 
 
 def _solve_chain(
     p: Ideal, solvable: Collection[str], inverted: Sequence[str], grow: bool
 ) -> Optional[_Chain]:
     """Solve the generators of p one variable at a time over the
-    localization at the ``inverted`` variables S.
+    localization at the ``inverted`` variables S, staying in p's ring.
 
-    A step takes the first ``solvable`` variable (in table order) that occurs
-    linearly in a remaining generator whose coefficient of it is one term
-    c*m over S and the inverses, writes the variable as -(rest)/(c*m), and
-    substitutes that value into the other generators, cancelling x*w_x = 1.
-    With ``grow`` the term m may also contain unsolved variables, which then
-    join S.  Returns the chain once every generator is consumed; None when no
-    step applies."""
+    A step takes the first ``solvable`` variable v (in table order) that
+    occurs linearly in a remaining generator g = den*v + rest whose
+    coefficient den is one term c*m over S, records v = num/den with
+    num = -rest, and replaces each other generator h of degree d in v by
+    den^d * h(num/den) = sum_k h_k * num^k * den^(d-k).  That is h(num/den)
+    times den^d, a unit of the localization, so the localized ideal is
+    unchanged.  With ``grow`` the term m may also contain unsolved
+    variables, which then join S.  Returns the chain once every generator
+    is consumed; None when no step applies."""
     table = p.table
     gens = list(p.groebner().elements or p.generators)
-    steps: list[tuple[str, Polynomial]] = []
-    pairs: list[tuple[int, int]] = []  # (inverted variable, its inverse)
-    todo = [n for n in table.names if n in solvable and n not in inverted]
+    S = list(inverted)
+    steps: list[tuple[str, Polynomial, Polynomial]] = []
+    todo = [n for n in table.names if n in solvable and n not in S]
 
-    def invert(names: Sequence[str]) -> None:
-        nonlocal table, gens, steps
-        if not names:
-            return
-        for n in names:
-            table = table.extend(table.fresh_name(f"w_{n}_"))
-            pairs.append((table.index(n), len(table) - 1))
-            if n in todo:
-                todo.remove(n)
-        gens = [g.lift(table) for g in gens]
-        steps = [(v, e.lift(table)) for v, e in steps]
-
-    def to_invert(name: str, g: Polynomial) -> Optional[list[str]]:
-        """Variables to invert before solving ``name`` from g; None when g
-        does not give ``name`` a usable coefficient."""
+    def linear_split(name: str, g: Polynomial) -> Optional[tuple[list[Polynomial], list[str]]]:
+        """g's parts by power of ``name`` and the variables to invert
+        before solving ``name`` from g; None when g does not give ``name``
+        a usable coefficient."""
         if g.degree_in(name) != 1:
             return None
-        coeff = _coefficient_of_variable(g, table.index(name))
-        if coeff.num_terms() != 1:
+        parts = _split_by_power(g, table.index(name))
+        if parts[1].num_terms() != 1:
             return None
-        (mono,) = coeff.terms
-        new = mono_support(mono) - {i for pair in pairs for i in pair}
+        (mono,) = parts[1].terms
+        new = [table.names[i] for i in sorted(mono_support(mono)) if table.names[i] not in S]
         if new and not grow:
             return None
-        return [table.names[i] for i in sorted(new)]
+        return parts, new
 
-    def cancel(poly: Polynomial) -> Polynomial:
-        out: dict = {}
-        for m, c in poly.terms.items():
-            mm = list(m)
-            for i, j in pairs:
-                k = min(mm[i], mm[j])
-                mm[i] -= k
-                mm[j] -= k
-            key = tuple(mm)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Polynomial(table, out)
+    def cleared(h: Polynomial, vidx: int, num: Polynomial, den: Polynomial) -> Polynomial:
+        """den^d * h(num/den), by Horner's rule on the parts of h."""
+        parts = _split_by_power(h, vidx)
+        ((mono, c),) = den.terms.items()
+        out = parts[-1]
+        for j, part in enumerate(reversed(parts[:-1]), 1):
+            out = out * num + part.mul_term(tuple(j * e for e in mono), c**j)
+        return out
 
-    invert(inverted)
     while gens:
         pick = next(
             (
-                (name, k, new)
+                (name, k, split)
                 for name in todo
                 for k, g in enumerate(gens)
-                if (new := to_invert(name, g)) is not None
+                if (split := linear_split(name, g)) is not None
             ),
             None,
         )
         if pick is None:
             return None
-        name, k, new = pick
-        invert(new)
-        g = gens.pop(k)
-        vidx = table.index(name)
-        ((mono, c),) = _coefficient_of_variable(g, vidx).terms.items()
-        # v = -rest / (c * m) = -rest * m^-1 / c, where m^-1 swaps x and w_x
-        inv = [0] * len(table)
-        for i, j in pairs:
-            inv[i], inv[j] = mono[j], mono[i]
-        rest = _without_variable_terms(g, vidx)
-        expr = cancel(rest.mul_term(tuple(inv), Fraction(-1) / c))
-        subs = (
-            cancel(other.substitute({name: expr})) if other.degree_in(name) else other
-            for other in gens
-        )
-        gens = [s for s in subs if not s.is_zero()]
-        todo.remove(name)
-        steps.append((name, expr))
-    inverses = {table.names[i]: table.names[j] for i, j in pairs}
-    return _Chain(table, inverses, steps)
+        name, k, ((rest, den), new) = pick
+        S += new
+        todo = [n for n in todo if n != name and n not in new]
+        del gens[k]
+        num, vidx = -rest, table.index(name)
+        subs = (cleared(h, vidx, num, den) if h.degree_in(name) else h for h in gens)
+        gens = [h for h in subs if not h.is_zero()]
+        steps.append((name, num, den))
+    return _Chain(S, steps)
 
 
 def _certificate_chain(p: Ideal, cert: PrimalityCertificate) -> Optional[_Chain]:
@@ -477,7 +451,7 @@ def find_certificate(p: Ideal) -> Optional[PrimalityCertificate]:
     chain = _solve_chain(p, p.table.names, (), True)
     if chain is None:
         return None
-    cert = PrimalityCertificate(inverted=frozenset(chain.inverses))
+    cert = PrimalityCertificate(inverted=frozenset(chain.inverted))
     return cert if check_primality(p, cert) else None
 
 
@@ -502,8 +476,9 @@ def sample_points(
         chain = _certificate_chain(p, cert)
     if chain is None:
         raise CertificateError("no solve chain consumes the generators")
-    solved = {v for v, _ in chain.steps}
-    free = [n for n in p.table.names if n not in solved and n not in chain.inverses]
+    names = p.table.names
+    solved = {v for v, _, _ in chain.steps}
+    free = [n for n in names if n not in solved and n not in chain.inverted]
 
     def random_value() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
@@ -513,16 +488,19 @@ def sample_points(
     while len(points) < count and attempts < _SAMPLE_ATTEMPTS:
         attempts += 1
         point = {n: random_value() for n in free}
-        for n, w in chain.inverses.items():
+        for n in chain.inverted:
             value = random_value()
             while value == 0:
                 value = random_value()
-            point[n], point[w] = value, 1 / value
-        for name, expr in reversed(chain.steps):
-            point[name] = expr.evaluate(point)
-        restricted = {n: point[n] for n in p.table.names}
-        if all(g.evaluate(restricted) == 0 for g in p.generators):
-            points.append(restricted)
+            point[n] = value
+        for name, num, den in reversed(chain.steps):
+            # den is one term c*m over S: evaluate it directly
+            ((mono, c),) = den.terms.items()
+            scale = math.prod((point[names[i]] ** e for i, e in enumerate(mono) if e), start=c)
+            point[name] = num.evaluate(point) / scale
+        point = {n: point[n] for n in names}  # in table order
+        if all(g.evaluate(point) == 0 for g in p.generators):
+            points.append(point)
     if len(points) < count:
         raise CertificateError(
             f"could not sample {count} points (got {len(points)})"

@@ -7,6 +7,8 @@ from functools import reduce
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omegarb import ideals
 from omegarb.catalog import load_builtin_catalog, read_builtin_yaml
@@ -25,7 +27,7 @@ from omegarb.ideals import (
     split_heuristic,
     verify_components,
 )
-from omegarb.poly import VariableTable, parse_polynomial
+from omegarb.poly import Polynomial, VariableTable, mono_support, parse_polynomial
 from omegarb.solver import generate_system, profile_by_name
 
 A = VariableTable.of(*[f"x{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)])
@@ -387,3 +389,185 @@ def test_sample_points_over_every_shipped_candidate_pinned():
     assert len(lines) == 140
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "a067a57d8dd666576d1c9381f6923296e3fbb8379994b34ec0490d4daf3a65fc"
+
+
+# -- the solve chain against the inverse-variable reference --------------------------
+
+
+def _reference_chain(p, solvable, inverted, grow):
+    """The solve chain as it stood with inverse variables: one w_x per
+    inverted variable x in an extended table, x*w_x cancelled to 1, and a
+    monomial inverted by swapping exponents.  Returns (table, inverses,
+    steps) with steps (v, value) over the extended table, or None."""
+    table = p.table
+    gens = list(p.groebner().elements or p.generators)
+    steps = []
+    pairs = []  # (inverted variable, its inverse)
+    todo = [n for n in table.names if n in solvable and n not in inverted]
+
+    def coefficient(g, vidx):
+        out = {}
+        for m, c in g.terms.items():
+            if m[vidx] == 1:
+                out[m[:vidx] + (0,) + m[vidx + 1 :]] = c
+        return Polynomial(g.table, out)
+
+    def invert(names):
+        nonlocal table, gens, steps
+        if not names:
+            return
+        for n in names:
+            table = table.extend(table.fresh_name(f"w_{n}_"))
+            pairs.append((table.index(n), len(table) - 1))
+            if n in todo:
+                todo.remove(n)
+        gens = [g.lift(table) for g in gens]
+        steps = [(v, e.lift(table)) for v, e in steps]
+
+    def to_invert(name, g):
+        if g.degree_in(name) != 1:
+            return None
+        coeff = coefficient(g, table.index(name))
+        if coeff.num_terms() != 1:
+            return None
+        (mono,) = coeff.terms
+        new = mono_support(mono) - {i for pair in pairs for i in pair}
+        if new and not grow:
+            return None
+        return [table.names[i] for i in sorted(new)]
+
+    def cancel(poly):
+        out = {}
+        for m, c in poly.terms.items():
+            mm = list(m)
+            for i, j in pairs:
+                k = min(mm[i], mm[j])
+                mm[i] -= k
+                mm[j] -= k
+            out[tuple(mm)] = out.get(tuple(mm), Fraction(0)) + c
+        return Polynomial(table, out)
+
+    invert(inverted)
+    while gens:
+        pick = next(
+            (
+                (name, k, new)
+                for name in todo
+                for k, g in enumerate(gens)
+                if (new := to_invert(name, g)) is not None
+            ),
+            None,
+        )
+        if pick is None:
+            return None
+        name, k, new = pick
+        invert(new)
+        g = gens.pop(k)
+        vidx = table.index(name)
+        ((mono, c),) = coefficient(g, vidx).terms.items()
+        inv = [0] * len(table)
+        for i, j in pairs:
+            inv[i], inv[j] = mono[j], mono[i]
+        rest = Polynomial(table, {m: cc for m, cc in g.terms.items() if m[vidx] == 0})
+        expr = cancel(rest.mul_term(tuple(inv), Fraction(-1) / c))
+        subs = (
+            cancel(other.substitute({name: expr})) if other.degree_in(name) else other
+            for other in gens
+        )
+        gens = [s for s in subs if not s.is_zero()]
+        todo.remove(name)
+        steps.append((name, expr))
+    return table, {table.names[i]: table.names[j] for i, j in pairs}, steps
+
+
+def assert_chains_agree(p, solvable, inverted, grow, rng):
+    """The chain and the reference agree on whether a chain exists, on S in
+    order, on the solved variables in order, and on each step's value at
+    random points where S is nonzero."""
+    ref = _reference_chain(p, solvable, inverted, grow)
+    chain = ideals._solve_chain(p, solvable, inverted, grow)
+    assert (chain is None) == (ref is None)
+    if ref is None:
+        return
+    _, inverses, ref_steps = ref
+    assert chain.inverted == list(inverses)
+    assert [v for v, _, _ in chain.steps] == [v for v, _ in ref_steps]
+    for _ in range(3):
+        point = {n: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for n in p.table.names}
+        for n in inverses:
+            point[n] = point[n] or Fraction(1)
+        laurent = dict(point, **{w: 1 / point[n] for n, w in inverses.items()})
+        for (_, num, den), (_, value) in zip(chain.steps, ref_steps):
+            assert num.evaluate(point) / den.evaluate(point) == value.evaluate(laurent)
+
+
+# x = -y^2/(2z) turns x^2 + y*w into y^4 + 4*y*z^2*w: a square cleared with
+# a constant other than 1, which then gives w its coefficient
+XYZW = VariableTable.of("x", "y", "z", "w")
+SQUARE_CLEARED = make_ideal(XYZW, [parse_polynomial(s, XYZW) for s in ("y^2 + 2*x*z", "x^2 + y*w")])
+
+
+@st.composite
+def chain_inputs(draw):
+    table = draw(st.sampled_from([VariableTable.of("x", "y", "z"), XYZW]))
+    n = len(table)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    mono = st.tuples(*[st.integers(0, 2)] * n).filter(lambda m: sum(m) <= 3)
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(
+        lambda terms: Polynomial(table, terms)
+    )
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    inverted = draw(st.lists(st.sampled_from(table.names), unique=True, max_size=2))
+    return make_ideal(table, gens), inverted, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chain_inputs(), st.randoms(use_true_random=False))
+@example((SQUARE_CLEARED, [], True), random.Random(0))
+def test_chain_matches_the_inverse_variable_reference(data, rng):
+    p, inverted, grow = data
+    assert_chains_agree(p, p.table.names, inverted, grow, rng)
+
+
+@pytest.mark.parametrize("ideal_p,cert", list(_shipped_components()))
+def test_chain_on_shipped_candidates_matches_the_reference(ideal_p, cert):
+    names = ideal_p.table.names
+    solvable = names if cert.linear_vars is None else cert.linear_vars
+    inverted = sorted(cert.inverted, key=ideal_p.table.index)
+    rng = random.Random(1)
+    assert_chains_agree(ideal_p, solvable, inverted, False, rng)
+    assert_chains_agree(ideal_p, names, (), True, rng)
+
+
+@pytest.fixture(scope="module")
+def square_zero_leaves(catalog):
+    """(id, leaf) for the split leaves of the table-3 rows computed without
+    shipped candidates: L1_1, and Atilde_alpha at alpha = 2."""
+    out = []
+    for algebra, alpha in (("L1_1", None), ("Atilde_alpha", 2)):
+        L = catalog[algebra].instantiate(alpha and {"alpha": Fraction(alpha)})
+        leaves = split_heuristic(generate_system(L, profile_by_name("bs"))).ideals
+        out += [(f"{algebra}#{k}", J) for k, J in enumerate(leaves, 1)]
+    return out
+
+
+def test_chain_on_square_zero_leaves_matches_the_reference(square_zero_leaves):
+    assert len(square_zero_leaves) == 5
+    rng = random.Random(1)
+    for _, J in square_zero_leaves:
+        assert_chains_agree(J, J.table.names, (), True, rng)
+        cert = find_certificate(J)
+        assert_chains_agree(J, J.table.names, sorted(cert.inverted, key=J.table.index), False, rng)
+
+
+def test_sample_points_over_the_square_zero_leaves_pinned(square_zero_leaves):
+    # table 3 labels the L1_1 and Atilde_alpha components from these draws
+    rng = random.Random(0)
+    lines = []
+    for name, J in square_zero_leaves:
+        for cert in (find_certificate(J), None):
+            for pt in sample_points(J, cert, 5, rng):
+                lines.append(f"{name} " + " ".join(f"{n}={pt[n]}" for n in J.table.names))
+    assert len(lines) == 50
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f00096c4a7d7918158eba297ce14d616f987bd595b53ed4660553aa5685ee603"

@@ -216,6 +216,25 @@ def test_each_construction_evaluates_the_pair_once(L1, monkeypatch):
         assert len(calls) == want
 
 
+def test_left_symmetric_clears_the_algebra_once(L1, monkeypatch):
+    """The evaluation of (L, R) and the column products share one cleared
+    algebra."""
+    import omegarb.algebras as algebras
+    import omegarb.constructions as constructions
+
+    calls = []
+    original = algebras.integral_algebra
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (algebras, constructions):
+        monkeypatch.setattr(module, "integral_algebra", counting)
+    left_symmetric_from_rb(L1, OperatorMatrix([[0, 0, 1], [0, 0, 1], [0, 0, 0]]))
+    assert len(calls) == 1
+
+
 def test_iteration_matches_the_omega_deform_chain(L1):
     R = OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]])
     for steps in (1, 2, 3):
