@@ -6,6 +6,11 @@ on the leading-term ideal, certificate-checked primality, rational points on
 certified components, and verification of candidate irreducible-component
 decompositions.
 
+Elimination reads the basis under ``poly.elimination_order``, a grevlex
+elimination order, so what it keeps is a reduced grevlex basis.
+Intersection (t*I + (1-t)*J) and saturation (I + <1 - t*f>) share one
+routine that adjoins a tag t and eliminates it.
+
 Primality is certified, never decided.  A certificate names a set S of
 inverted variables with I : (prod S)^inf = I, so the quotient embeds in its
 localization at S, and a solve chain over that localization that consumes
@@ -29,15 +34,15 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .groebner import GroebnerBasis, buchberger, exact_divide
 from .poly import (
     MonomialOrder,
     Polynomial,
     VariableTable,
+    elimination_order,
     grevlex_order,
-    lex_order,
     mono_degree,
     mono_support,
     parse_polynomial,
@@ -154,7 +159,9 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 def elimination(I: Ideal, keep: Iterable[str]) -> Ideal:
     """Generators of I intersected with the subring on the ``keep``
-    variables, via a lex basis with the eliminated variables highest."""
+    variables: the elements free of the other variables in I's basis under
+    their elimination order, which are the intersection's reduced grevlex
+    basis in table order."""
     keep_set = set(keep)
     unknown = keep_set - set(I.table.names)
     if unknown:
@@ -162,12 +169,12 @@ def elimination(I: Ideal, keep: Iterable[str]) -> Ideal:
     eliminated = [n for n in I.table.names if n not in keep_set]
     if not eliminated:
         return I
-    priority = eliminated + [n for n in I.table.names if n in keep_set]
-    gb = I.groebner(lex_order(I.table, priority))
+    # keeping nothing leaves the constants of any basis
+    order = elimination_order(I.table, eliminated) if keep_set else I.default_order()
     keep_idx = {I.table.index(n) for n in keep_set}
     kept = [
         g
-        for g in gb.elements
+        for g in I.groebner(order).elements
         if all(mono_support(m) <= keep_idx for m in g.terms)
     ]
     return make_ideal(I.table, kept)
@@ -178,20 +185,27 @@ def _with_fresh_variable(I: Ideal, stem: str) -> tuple[VariableTable, str]:
     return I.table.extend(name), name
 
 
+def _eliminate_tag(I: Ideal, tagged: Callable[[Polynomial], list[Polynomial]]) -> Ideal:
+    """The ideal generated by ``tagged(t)``, for t a fresh tag variable
+    adjoined to I's table, intersected with I's ring: adjoin the tag,
+    eliminate it, and restrict the result to I's table."""
+    ext, tname = _with_fresh_variable(I, "t_")
+    work = make_ideal(ext, tagged(Polynomial.variable(ext, tname)))
+    eliminated = elimination(work, I.table.names)
+    return make_ideal(I.table, [g.restrict(I.table) for g in eliminated.generators])
+
+
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J via the one-tag trick: eliminate z from z*I + (1-z)*J."""
+    """I cap J via the one-tag trick: eliminate t from t*I + (1-t)*J."""
     if I.table != J.table:
         raise ValueError("ideals over different variable tables")
     if I.is_zero_ideal() or J.is_zero_ideal():
         return make_ideal(I.table, ())
-    ext, zname = _with_fresh_variable(I, "t_")
-    z = Polynomial.variable(ext, zname)
-    one_minus_z = Polynomial.constant(ext, 1) - z
-    gens = [z * g.lift(ext) for g in I.generators]
-    gens += [one_minus_z * g.lift(ext) for g in J.generators]
-    work = make_ideal(ext, gens)
-    eliminated = elimination(work, I.table.names)
-    return make_ideal(I.table, [g.restrict(I.table) for g in eliminated.generators])
+    return _eliminate_tag(
+        I,
+        lambda t: [t * g.lift(t.table) for g in I.generators]
+        + [(1 - t) * g.lift(t.table) for g in J.generators],
+    )
 
 
 def colon(I: Ideal, f: Polynomial) -> Ideal:
@@ -214,12 +228,9 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("saturation by the zero polynomial")
     if f.is_constant():
         return I
-    ext, tname = _with_fresh_variable(I, "t_")
-    t = Polynomial.variable(ext, tname)
-    gens = [g.lift(ext) for g in I.generators]
-    gens.append(Polynomial.constant(ext, 1) - t * f.lift(ext))
-    eliminated = elimination(make_ideal(ext, gens), I.table.names)
-    return make_ideal(I.table, [g.restrict(I.table) for g in eliminated.generators])
+    return _eliminate_tag(
+        I, lambda t: [g.lift(t.table) for g in I.generators] + [1 - t * f.lift(t.table)]
+    )
 
 
 def _product_generators(ideals: Sequence[Ideal], cap: float) -> Optional[tuple]:

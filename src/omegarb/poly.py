@@ -9,8 +9,9 @@ coefficients:
 
 The empty dict is the zero polynomial.  All arithmetic is exact; there is no
 floating point anywhere.  Term order is not baked into the representation:
-monomial orders (lex / grevlex with a priority permutation) are separate
-values used for comparisons, leading terms, sorting and printing.
+monomial orders (lex, grevlex and elimination orders, over a priority
+permutation) are separate values used for comparisons, leading terms,
+sorting and printing.
 
 This module also holds the package's one expression grammar.
 :func:`evaluate_expression` reads ``+ - * / ^``, parentheses and p/q
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import add, itemgetter, le, mul, neg, sub
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Mono = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -149,27 +150,33 @@ def mono_support(a: Mono) -> frozenset[int]:
 
 
 def _permuter(idx: tuple[int, ...]) -> Callable[[Mono], tuple]:
-    """m -> tuple(m[i] for i in idx), as one C call; the identity and the
-    reversal are slices, which also cover 0 and 1 variables."""
-    n = len(idx)
-    if idx == tuple(range(n)):
-        return itemgetter(slice(None))
-    if idx == tuple(range(n - 1, -1, -1)):
-        return itemgetter(slice(None, None, -1))
+    """m -> tuple(m[i] for i in idx), as one C call; a run of consecutive
+    indices, ascending or descending, is a slice, which also covers 0 and
+    1 indices."""
+    if not idx:
+        return itemgetter(slice(0))
+    a, b = idx[0], idx[-1]
+    if idx == tuple(range(a, b + 1)):
+        return itemgetter(slice(a, b + 1))
+    if idx == tuple(range(a, b - 1, -1)):
+        return itemgetter(slice(a, b - 1 if b else None, -1))
     return itemgetter(*idx)
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative monomial order: lex or grevlex over a priority
-    permutation of variable indices (priority[0] is the most significant)."""
+    """Total multiplicative monomial order over a priority permutation of
+    variable indices (priority[0] is the most significant): lex, grevlex,
+    or the elimination order of the first ``block`` priority variables,
+    which compares their total degree first and breaks ties by grevlex."""
 
-    kind: str  # "lex" | "grevlex"
+    kind: str  # "lex" | "grevlex" | "elimination"
     priority: tuple[int, ...]
+    block: int = 0  # eliminated variables, only for "elimination"
     # key(a) < key(b) iff a < b; desc_key(a) < desc_key(b) iff a > b, so a
     # min-heap on desc_key pops the largest monomial first.  Both are flat
-    # tuples of ints built by one C-level permutation per call, and neither
-    # checks the monomial's length: compare() does.
+    # tuples of ints built by C-level permutations, and neither checks the
+    # monomial's length: compare() does.
     key: Callable[[Mono], tuple] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
@@ -178,11 +185,15 @@ class MonomialOrder:
     )
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grevlex"):
+        if self.kind not in ("lex", "grevlex", "elimination"):
             raise ValueError(f"unknown order kind {self.kind!r}")
         pr = tuple(self.priority)
         if sorted(pr) != list(range(len(pr))):
             raise ValueError(f"priority {pr!r} is not a permutation")
+        if (self.kind == "elimination") != (0 < self.block < len(pr)):
+            raise ValueError(
+                f"block {self.block} does not fit a {self.kind} order of {len(pr)} variables"
+            )
         object.__setattr__(self, "priority", pr)
         # desc_key negates every component of key, which reverses the
         # comparison of these equal-length integer tuples
@@ -191,7 +202,7 @@ class MonomialOrder:
 
             def desc_key(m: Mono) -> tuple:
                 return tuple(map(neg, ranked(m)))
-        else:
+        elif self.kind == "grevlex":
             ranked = _permuter(pr[::-1])
 
             def key(m: Mono) -> tuple:
@@ -199,6 +210,18 @@ class MonomialOrder:
 
             def desc_key(m: Mono) -> tuple:
                 return (-sum(m), *ranked(m))
+        else:
+            # block degree, then grevlex over the priority; the total degree
+            # and the other exponents fix pr[0]'s, so it is left out and the
+            # key stays n + 1 integers
+            blocked = _permuter(pr[: self.block])
+            ranked = _permuter(pr[:0:-1])
+
+            def key(m: Mono) -> tuple:
+                return (sum(blocked(m)), sum(m), *map(neg, ranked(m)))
+
+            def desc_key(m: Mono) -> tuple:
+                return (-sum(blocked(m)), -sum(m), *ranked(m))
 
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "desc_key", desc_key)
@@ -233,6 +256,24 @@ def lex_order(table: VariableTable, names: Sequence[str] | None = None) -> Monom
 def grevlex_order(table: VariableTable, names: Sequence[str] | None = None) -> MonomialOrder:
     """Graded reverse lex; default priority is table order."""
     return MonomialOrder("grevlex", _resolve_priority(table, names))
+
+
+def elimination_order(table: VariableTable, eliminated: Iterable[str]) -> MonomialOrder:
+    """Bayer and Stillman's elimination order (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, 3.1, Exercise 6): higher total degree in the
+    ``eliminated`` variables first, then grevlex with them first and the
+    rest in table order.  A basis's elements free of them are a grevlex
+    basis of the elimination ideal.  Raises ValueError for an unknown name
+    and for an empty or full set."""
+    names = set(eliminated)
+    unknown = names - set(table.names)
+    if unknown:
+        raise ValueError(f"unknown variables {sorted(unknown)} (table has {table.names})")
+    block = [i for i, n in enumerate(table.names) if n in names]
+    rest = [i for i, n in enumerate(table.names) if n not in names]
+    if not block or not rest:
+        raise ValueError("an elimination order eliminates some, but not all, variables")
+    return MonomialOrder("elimination", tuple(block + rest), len(block))
 
 
 def compare_monomials(order: MonomialOrder, a: Mono, b: Mono) -> int:
@@ -597,6 +638,9 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()]))"
 )
+# right after '^' a number is its digits alone, so a '/' there divides:
+# a^2/4 is (a^2)/4, as '/' binds looser than '^'
+_EXPONENT_RE = re.compile(r"\s*(?P<number>\d+)")
 _FLOAT_RE = re.compile(r"\d+\.\d*|\.\d+")
 
 # binding strength of the pending operators; '^' is applied as soon as it is read
@@ -614,7 +658,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = tokens and tokens[-1][1] == "^" and _EXPONENT_RE.match(text, pos)
+        m = m or _TOKEN_RE.match(text, pos)
         if m is None:
             rest = text[pos:].lstrip()
             if not rest:

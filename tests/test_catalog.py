@@ -194,13 +194,15 @@ def test_expression_errors_name_their_position():
         ("a/(a - 3)", "division by zero at position 1"),
         ("q + a", "unknown name 'q' at position 0"),
         ("a^-1", "exponent must be a nonnegative integer at position 2"),
-        ("a^1/2", "exponent must be a nonnegative integer at position 2"),
         ("2^2^2", "unexpected token '\\^' at position 3"),
         ("a*", "expected a term, found None at position 2"),
         ("(a", "expected '\\)' at position 2"),
     ]:
         with pytest.raises(PolyParseError, match=message):
             evaluate_rational_expression(text, env)
+    # an exponent is the digits after '^' alone: '/' then divides the power
+    assert evaluate_rational_expression("a^1/2", env) == Fraction(3, 2)
+    assert evaluate_rational_expression("a^2/4", env) == Fraction(9, 4)
 
 
 # -- serialization -----------------------------------------------------------------

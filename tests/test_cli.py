@@ -368,6 +368,16 @@ def test_solve_candidates_huge_exponent_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_candidates_divided_power_is_usage_error(tmp_path, capsys):
+    # the exponent stops at '/', and '/' is no operator in polynomial text
+    path = tmp_path / "cands.yaml"
+    path.write_text("- name: p1\n  generators: [x11^1/2, x12]\n")
+    code, _, err = run(capsys, "solve", "L1", "bc", "--candidates", str(path))
+    assert code == 2
+    assert "error:" in err and "unexpected token '/' at position 5" in err
+    assert "Traceback" not in err
+
+
 def test_solve_with_explicit_candidates_file(tmp_path, capsys):
     from importlib import resources
 

@@ -1,6 +1,8 @@
 """The division/S-polynomial/Buchberger layer, pinned against the worked
 localization computation in 6 variables (z > x12 > x13 > x21 > x22 > x23)."""
 
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,3 +323,40 @@ def test_reduce_matches_rational_reference(order, basis, terms):
     f = Polynomial(T3, terms)
     want = fraction_normal_form(f.terms, basis, order)
     assert list(reduce(f, basis, order).terms.items()) == list(want.items())
+
+
+# -- pair selection ---------------------------------------------------------------
+
+STALL_TABLE = VariableTable.of("x", "y", "z")
+STALL_INPUT = [
+    "36/7*x^2*y - 9/7*y*z - 27/7*x",
+    "240/7*x^2*z - 180/7*y^2*z + 60/7*y^2",
+    "-120/7*x*y^2 - 60/7*z^2 + 180/7*y",
+]
+
+
+def test_lex_pairs_follow_the_order():
+    # Taking pairs by lcm degree first grew remainders of total degree 29,
+    # with 100,000-bit coefficients, on this input under lex z > x > y, and
+    # did not finish in 300 s; smallest lcm in the order takes 0.03 s.
+    gens = [parse_polynomial(g, STALL_TABLE) for g in STALL_INPUT]
+    order = lex_order(STALL_TABLE, ["z", "x", "y"])
+
+    def stalled(signum, frame):
+        raise TimeoutError("the lex basis took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(10)
+    try:
+        basis = buchberger(gens, order).elements
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(basis) == 6
+    sympy = pytest.importorskip("sympy")
+
+    def expr(text):
+        return sympy.expand(sympy.sympify(text.replace("^", "**")))
+
+    want = sympy.groebner([expr(g) for g in STALL_INPUT], *sympy.symbols("z x y"), order="lex")
+    assert {expr(g.to_text()) for g in basis} == set(want.exprs)

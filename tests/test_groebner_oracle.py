@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from omegarb.groebner import buchberger
+from omegarb.ideals import elimination, make_ideal
 from omegarb.poly import Polynomial, VariableTable, grevlex_order, lex_order
 from omegarb.solver import PROFILES, generate_system
 
@@ -101,11 +102,41 @@ SMALL_COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=3)
     st.lists(small_polys(XYZ, SMALL_COEFF, 2), min_size=1, max_size=2),
 )
 def test_elimination_lex_basis_matches_sympy(I, J):
-    # the shape of ideals.intersect: t*I + (1 - t)*J under lex with the tag
-    # variable first, as ideals.elimination builds the order
+    # the shape of ideals.intersect, t*I + (1 - t)*J, under lex with the tag
+    # variable first: a lex kernel oracle (ideals.elimination itself uses
+    # an elimination order, checked below)
     t = Polynomial.variable(XYZT, "t")
     gens = [t * g.lift(XYZT) for g in I] + [(1 - t) * g.lift(XYZT) for g in J]
     assert_matches_sympy(gens, XYZT, lex_order(XYZT, ["t", "x", "y", "z"]))
+
+
+@st.composite
+def tagged_ideals(draw):
+    """Generators in the shape of ideals.intersect, t*I + (1 - t)*J, or of
+    ideals.saturate, I + <1 - t*f>, with t the tag to eliminate."""
+    t = Polynomial.variable(XYZT, "t")
+    lifted = st.lists(small_polys(XYZ, SMALL_COEFF, 2).map(lambda g: g.lift(XYZT)), min_size=1, max_size=2)
+    I = draw(lifted)
+    if draw(st.booleans()):
+        return [t * g for g in I] + [(1 - t) * g for g in draw(lifted)]
+    return I + [1 - t * draw(small_polys(XYZ, SMALL_COEFF, 2)).lift(XYZT)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(tagged_ideals())
+def test_elimination_order_eliminates_the_ideal_sympy_lex_does(gens):
+    # the generator sets differ by design (a grevlex basis against lex
+    # basis elements), so their reduced grevlex bases are compared
+    ours = elimination(make_ideal(XYZT, gens), XYZ.names).generators
+    t = XYZT.index("t")
+    lex = [
+        g
+        for g in sympy_basis(gens, XYZT, lex_order(XYZT, ["t", "x", "y", "z"]))
+        if not any(m[t] for m in g.terms)
+    ]
+    order = grevlex_order(XYZT)
+    assert ours == buchberger(ours, order).elements  # already the reduced basis
+    assert ours == buchberger(lex, order).elements
 
 
 @settings(max_examples=30, deadline=None)

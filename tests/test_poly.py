@@ -10,12 +10,15 @@ from omegarb.catalog import evaluate_rational_expression
 from omegarb.poly import (
     MAX_EXPONENT,
     DimensionMismatchError,
+    MonomialOrder,
     PolyParseError,
     Polynomial,
     VariableTable,
     compare_monomials,
+    elimination_order,
     grevlex_order,
     lex_order,
+    mono_mul,
     parse_polynomial,
     parse_rational,
 )
@@ -68,6 +71,65 @@ def test_grevlex_priority_permutation():
     o = grevlex_order(T3, ["z", "y", "x"])
     # with z largest: z^2 > z*y
     assert compare_monomials(o, (0, 0, 2), (0, 1, 1)) == 1
+
+
+# -- elimination orders --------------------------------------------------------
+
+T4 = VariableTable.of("x", "y", "z", "t")
+MONO4 = st.tuples(*[st.integers(0, 4)] * 4)
+ELIMINATED = [["t"], ["x"], ["y"], ["x", "z"], ["y", "t", "x"]]
+
+
+def reference_key(eliminated):
+    """The elimination order as Cox-Little-O'Shea define it (3.1, Exercise
+    6): total degree in the eliminated variables, then grevlex with the
+    eliminated variables first and the rest in table order."""
+    grevlex = grevlex_order(T4, eliminated + [n for n in T4.names if n not in eliminated])
+    idx = [T4.index(n) for n in eliminated]
+    return lambda m: (sum(m[i] for i in idx), grevlex.key(m))
+
+
+@given(MONO4, MONO4, MONO4, st.sampled_from(ELIMINATED))
+def test_elimination_order_is_a_monomial_order(a, b, c, eliminated):
+    o = elimination_order(T4, eliminated)
+    ref = reference_key(eliminated)
+    assert (o.key(a) < o.key(b)) == (ref(a) < ref(b))
+    assert (o.key(a) == o.key(b)) == (a == b)  # total
+    assert (o.desc_key(a) < o.desc_key(b)) == (o.key(a) > o.key(b))
+    assert (o.key(a) < o.key(b)) == (o.key(mono_mul(a, c)) < o.key(mono_mul(b, c)))
+    assert o.key((0, 0, 0, 0)) <= o.key(a)
+    assert len(o.key(a)) == len(T4) + 1
+
+
+@given(MONO4, MONO4, st.sampled_from(ELIMINATED))
+def test_elimination_order_ranks_eliminated_monomials_above_the_rest(a, b, eliminated):
+    o = elimination_order(T4, eliminated)
+    idx = [T4.index(n) for n in eliminated]
+    if any(a[i] for i in idx) and not any(b[i] for i in idx):
+        assert compare_monomials(o, a, b) == 1
+
+
+def test_elimination_order_names_its_block():
+    o = elimination_order(T4, ["z", "x"])
+    assert (o.kind, o.priority, o.block) == ("elimination", (0, 2, 1, 3), 2)
+    assert o == elimination_order(T4, ["x", "z", "x"])
+    # x*z^2 and x^3 tie on the block; grevlex breaks the tie toward x^3
+    assert compare_monomials(o, (3, 0, 0, 0), (1, 0, 2, 0)) == 1
+
+
+@pytest.mark.parametrize(
+    "eliminated, message",
+    [(["q"], "unknown variables \\['q'\\]"), ([], "some, but not all"), (T4.names, "some, but not all")],
+)
+def test_elimination_order_rejects_out_of_range_sets(eliminated, message):
+    with pytest.raises(ValueError, match=message):
+        elimination_order(T4, eliminated)
+
+
+@pytest.mark.parametrize("kind, block", [("elimination", 0), ("elimination", 4), ("grevlex", 1), ("lex", 2)])
+def test_monomial_order_checks_the_block(kind, block):
+    with pytest.raises(ValueError):
+        MonomialOrder(kind, (0, 1, 2, 3), block)
 
 
 # -- arithmetic ---------------------------------------------------------------
