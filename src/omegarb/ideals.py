@@ -7,7 +7,8 @@ certified components, and verification of candidate irreducible-component
 decompositions.
 
 Elimination reads the basis under ``poly.elimination_order``, a grevlex
-elimination order, so what it keeps is a reduced grevlex basis.
+elimination order, so what it keeps is a reduced grevlex basis, and the
+result carries it in its cache (``Ideal.from_basis``).
 Intersection (t*I + (1-t)*J) and saturation (I + <1 - t*f>) share one
 routine that adjoins a tag t and eliminates it.
 
@@ -71,12 +72,21 @@ class Ideal:
 
     Generators equal to zero are dropped; an empty generator tuple denotes
     the zero ideal.  Values are treated as immutable after construction; the
-    cache holds one basis per order, computed on first use.
+    cache holds one basis per order, computed on first use unless
+    :meth:`from_basis` supplied it.
     """
 
     table: VariableTable
     generators: tuple[Polynomial, ...]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def from_basis(cls, table: VariableTable, basis: GroebnerBasis) -> "Ideal":
+        """The ideal that ``basis``, a reduced Groebner basis over ``table``,
+        generates, with ``basis`` already cached under its order."""
+        I = cls(table, basis.elements)
+        I._cache[basis.order] = basis
+        return I
 
     def __post_init__(self):
         gens = []
@@ -172,12 +182,12 @@ def elimination(I: Ideal, keep: Iterable[str]) -> Ideal:
     # keeping nothing leaves the constants of any basis
     order = elimination_order(I.table, eliminated) if keep_set else I.default_order()
     keep_idx = {I.table.index(n) for n in keep_set}
-    kept = [
+    kept = tuple(
         g
         for g in I.groebner(order).elements
         if all(mono_support(m) <= keep_idx for m in g.terms)
-    ]
-    return make_ideal(I.table, kept)
+    )
+    return Ideal.from_basis(I.table, GroebnerBasis(I.default_order(), kept))
 
 
 def _with_fresh_variable(I: Ideal, stem: str) -> tuple[VariableTable, str]:
@@ -192,7 +202,9 @@ def _eliminate_tag(I: Ideal, tagged: Callable[[Polynomial], list[Polynomial]]) -
     ext, tname = _with_fresh_variable(I, "t_")
     work = make_ideal(ext, tagged(Polynomial.variable(ext, tname)))
     eliminated = elimination(work, I.table.names)
-    return make_ideal(I.table, [g.restrict(I.table) for g in eliminated.generators])
+    # t is the last variable, so restricting keeps the basis reduced grevlex
+    restricted = tuple(g.restrict(I.table) for g in eliminated.generators)
+    return Ideal.from_basis(I.table, GroebnerBasis(I.default_order(), restricted))
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -233,46 +245,42 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     )
 
 
-def _product_generators(ideals: Sequence[Ideal], cap: float) -> Optional[tuple]:
-    """The distinct products of one generator from each ideal, or None as
-    soon as there are more than ``cap``: for h != 0, g -> g*h is injective,
-    so their number never falls as factors join."""
-    gens = dict.fromkeys(ideals[0].generators)
-    for J in ideals[1:]:
-        step: dict = {}
-        for p in (g * h for g in gens for h in J.generators):
-            step[p] = None
-            if len(step) > cap:
-                return None
-        gens = step
-    return None if len(gens) > cap else tuple(gens)
-
-
 def product(I: Ideal, J: Ideal) -> Ideal:
     """Ideal generated by pairwise products of the generators."""
     if I.table != J.table:
         raise ValueError("ideals over different variable tables")
-    return make_ideal(I.table, _product_generators((I, J), math.inf))
+    return make_ideal(I.table, dict.fromkeys(g * h for g in I.generators for h in J.generators))
 
 
-def radical_membership(f: Polynomial, I: Ideal) -> bool:
+def _in_radical_by_square(f: Polynomial, I: Ideal) -> bool:
+    """f or f^2 lies in I, so f lies in sqrt(I): one or two normal forms
+    against the cached basis of I."""
+    return ideal_membership(f, I) or ideal_membership(f * f, I)
+
+
+def _rabinowitsch(f: Polynomial, I: Ideal) -> bool:
     """f in sqrt(I), via 1 in I + <1 - t*f> in an extended ring.
 
     The cached basis of I lifts to a Groebner basis of the extension, so the
     extended computation only processes pairs involving the new generator.
     """
-    if f.is_zero():
-        raise ValueError("radical membership of the zero polynomial")
-    if ideal_membership(f, I):
-        return True
     ext, tname = _with_fresh_variable(I, "t_")
     t = Polynomial.variable(ext, tname)
-    base = I.groebner().elements
-    gens = [g.lift(ext) for g in base]
+    gens = [g.lift(ext) for g in I.groebner().elements]
     prefix = len(gens)
     gens.append(Polynomial.constant(ext, 1) - t * f.lift(ext))
     gb = buchberger(gens, grevlex_order(ext), groebner_prefix=prefix)
     return gb.contains_one()
+
+
+def radical_membership(f: Polynomial, I: Ideal) -> bool:
+    """f in sqrt(I).  f^k in I for some k puts f in sqrt(I) (Cox-Little-
+    O'Shea, Ideals, Varieties, and Algorithms, 4.2), so f or f^2 in I, a
+    normal form each against the cached basis, settles most cases before
+    the Rabinowitsch test 1 in I + <1 - t*f> decides the rest."""
+    if f.is_zero():
+        raise ValueError("radical membership of the zero polynomial")
+    return _in_radical_by_square(f, I) or _rabinowitsch(f, I)
 
 
 def radical_contains(I: Ideal, J: Ideal) -> bool:
@@ -553,6 +561,27 @@ class ComponentReport:
         return tuple(c.dim for c in self.candidates)
 
 
+_COVER_CAP = 60
+
+
+def _product_cover(I: Ideal, factors: Sequence[Sequence[Polynomial]]) -> Optional[bool]:
+    """Whether every product of one polynomial from each list in
+    ``factors`` lies in sqrt(I); None when a step would test more than
+    ``_COVER_CAP`` products.
+
+    The products are built one list at a time.  A partial product that lies
+    in I, or whose square does, is in sqrt(I), an ideal, and so is every
+    extension of it: it is dropped.  The survivors of the last step, and
+    only they, get the Rabinowitsch test."""
+    partial = [Polynomial.constant(I.table, 1)]
+    for gens in factors:
+        if len(partial) * len(gens) > _COVER_CAP:
+            return None
+        products = dict.fromkeys(p * g for p in partial for g in gens)
+        partial = [p for p in products if not _in_radical_by_square(p, I)]
+    return all(_rabinowitsch(p, I) for p in partial)
+
+
 def verify_components(
     I: Ideal,
     candidates: Sequence[tuple[Ideal, Optional[PrimalityCertificate]]],
@@ -561,12 +590,15 @@ def verify_components(
 
     Checks: (i) I subseteq p_i, so V(p_i) subseteq V(I); (ii) the product of
     the candidates lies in sqrt(I), so V(I) is covered.  A product with a
-    factor in I lies in I, so only the products of the generators outside I
-    are radical-tested, and a candidate with none left lies in I and covers
-    V(I) alone; past 60 such products the intersection of the candidates is
-    tested instead, since sqrt(prod p_i) = sqrt(cap p_i); (iii) each
-    primality certificate validates; (iv) no candidate contains another.
-    ``confirmed`` requires all four.
+    factor in I lies in I, so only the generators outside I enter the
+    products, and a candidate with none left lies in I and covers V(I)
+    alone.  The products are built one candidate at a time, and a partial
+    product whose square lies in I is dropped with all its extensions; only
+    the last step's survivors get the Rabinowitsch test.  Past 60 products
+    in one step the intersection of the candidates is tested instead, since
+    sqrt(prod p_i) = sqrt(cap p_i); (iii) each primality certificate
+    validates; (iv) no candidate contains another.  ``confirmed`` requires
+    all four.
     """
     if not candidates:
         raise ValueError("no candidate components supplied")
@@ -578,20 +610,15 @@ def verify_components(
         else:
             status = "passed" if check_primality(ideal_p, cert) else "failed"
         reports.append(CandidateReport(contains, status, krull_dim(ideal_p)))
-    outside = [
-        make_ideal(I.table, (g for g in p.generators if not ideal_membership(g, I)))
-        for p, _ in candidates
-    ]
-    gens = () if any(J.is_zero_ideal() for J in outside) else _product_generators(outside, 60)
-    if gens is None:
+    outside = [[g for g in p.generators if not ideal_membership(g, I)] for p, _ in candidates]
+    in_radical = not all(outside) or _product_cover(I, outside)
+    if in_radical is None:
         # sqrt(product) = sqrt(intersection): test the far smaller
         # intersection generating set against sqrt(I) instead
         meet = candidates[0][0]
         for ideal_p, _ in candidates[1:]:
             meet = intersect(meet, ideal_p)
         in_radical = radical_contains(I, meet)
-    else:
-        in_radical = radical_contains(I, make_ideal(I.table, gens))
     irredundant = not any(
         ideal_contains(pj, pi)  # p_i subseteq p_j
         for i, (pi, _) in enumerate(candidates)
@@ -645,11 +672,11 @@ def split_heuristic(I: Ideal, max_depth: int = 24) -> SplitResult:
             return
         v = _split_factor(J)
         if v is None:
-            leaves.append(make_ideal(J.table, J.groebner().elements))
+            leaves.append(Ideal.from_basis(J.table, J.groebner()))
             return
         if depth >= max_depth:
             complete = False
-            leaves.append(make_ideal(J.table, J.groebner().elements))
+            leaves.append(Ideal.from_basis(J.table, J.groebner()))
             return
         descend(make_ideal(J.table, J.generators + (v,)), depth + 1)
         descend(saturate(J, v), depth + 1)

@@ -130,7 +130,8 @@ def mono_div(a: Mono, b: Mono) -> Mono:
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
+    # a conditional beats map(max, ...), which pays a call per exponent
+    return tuple([x if x >= y else y for x, y in zip(a, b)])
 
 
 def mono_gcd(a: Mono, b: Mono) -> Mono:
@@ -296,10 +297,10 @@ class Polynomial:
         clean: dict[Mono, Fraction] = {}
         n = len(table)
         for mono, coeff in terms.items():
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if c == 0:
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if not c:
                 continue
-            if len(mono) != n or any(e < 0 for e in mono):
+            if len(mono) != n or (n and min(mono) < 0):
                 raise ValueError(f"bad exponent tuple {mono!r} for table of size {n}")
             clean[tuple(mono)] = c
         object.__setattr__(self, "table", table)
@@ -380,7 +381,8 @@ class Polynomial:
         _check_same_table(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            old = out.get(m)
+            out[m] = c if old is None else old + c
         return Polynomial(self.table, out)
 
     __radd__ = __add__
@@ -403,7 +405,8 @@ class Polynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
+                old = out.get(m)
+                out[m] = ca * cb if old is None else old + ca * cb
         return Polynomial(self.table, out)
 
     __rmul__ = __mul__

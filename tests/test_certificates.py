@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from omegarb import ideals
 from omegarb.catalog import load_builtin_catalog, read_builtin_yaml
-from omegarb.cli import _candidate_table, _load_builtin_candidates
+from omegarb.cli import (
+    _builtin_expectations,
+    _candidate_table,
+    _load_builtin_candidates,
+    run_table_row,
+)
+from omegarb.groebner import buchberger
 from omegarb.ideals import (
     CertificateError,
     PrimalityCertificate,
@@ -262,6 +268,71 @@ def test_table2_L1_cover_needs_no_intersection(catalog, monkeypatch):
     monkeypatch.setattr(ideals, "intersect", lambda *a: calls.append(a))
     assert verify_components(I, candidates).confirmed
     assert calls == []
+
+
+def test_table1_L2_cover_needs_no_intersection(catalog, monkeypatch):
+    I, candidates = _row_system(catalog, "L2", "bc", "table1_L2")
+    calls = []
+    monkeypatch.setattr(ideals, "intersect", lambda *a: calls.append(a))
+    assert verify_components(I, candidates).confirmed
+    assert calls == []
+
+
+def _buchberger_orders(catalog, monkeypatch, table_id, algebra):
+    """The order kind of every ``buchberger`` call that one cold
+    ``run_table_row`` makes."""
+    kinds = []
+    run = ideals.buchberger
+
+    def counted(gens, order, **kwargs):
+        kinds.append(order.kind)
+        return run(gens, order, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    generate_system.cache_clear()
+    doc = _builtin_expectations(table_id)
+    row = next(r for r in doc["rows"] if r["algebra"] == algebra)
+    run_table_row(catalog, doc["profile"], row, table_id)
+    return kinds
+
+
+def test_table1_rows_make_few_groebner_runs(catalog, monkeypatch):
+    # a work guard by counters: the system's basis, one per candidate, and
+    # for L1 the saturation behind p2's pivot certificate; every product in
+    # the radical cover is settled by a normal form
+    kinds = _buchberger_orders(catalog, monkeypatch, 1, "L1")
+    assert len(kinds) <= 5 and kinds.count("elimination") <= 1, kinds
+    kinds = _buchberger_orders(catalog, monkeypatch, 1, "L2")
+    assert len(kinds) <= 4 and "elimination" not in kinds, kinds
+
+
+@pytest.fixture(scope="module")
+def seeded_on_shipped_rows(catalog):
+    """Every ideal built from a known basis while the shipped rows of tables
+    1-3 run, with its seeded basis."""
+    seeded = []
+    build = ideals.Ideal.from_basis.__func__
+
+    def record(cls, table, basis):
+        seeded.append(build(cls, table, basis))
+        return seeded[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals.Ideal, "from_basis", classmethod(record))
+        for table_id in (1, 2, 3):
+            doc = _builtin_expectations(table_id)
+            for row in doc["rows"]:
+                run_table_row(catalog, doc["profile"], row, table_id)
+    return seeded
+
+
+def test_seeded_bases_equal_the_recomputed_ones(seeded_on_shipped_rows):
+    assert len(seeded_on_shipped_rows) > 20
+    for I in seeded_on_shipped_rows:
+        order = I.default_order()
+        gb = I.groebner()
+        assert gb.order == order
+        assert gb.elements == buchberger(I.generators, order).elements
 
 
 # -- split heuristic -------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from omegarb import ideals
 from omegarb.ideals import (
     EMPTY_VARIETY,
     colon,
@@ -216,6 +217,31 @@ def test_radical_detects_nilpotent():
     I = make_ideal(TXY, [PXY("x^2")])
     assert radical_membership(PXY("x"), I)
     assert not ideal_membership(PXY("x"), I)
+
+
+def test_radical_membership_by_square_needs_no_groebner_run(monkeypatch):
+    # (x*y)^2 lies in <x^2*y^2> and x*y does not: normal forms settle it
+    I = make_ideal(TXY, [PXY("x^2*y^2")])
+    I.groebner()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger called")
+
+    monkeypatch.setattr(ideals, "buchberger", refuse)
+    assert not ideal_membership(PXY("x*y"), I)
+    assert radical_membership(PXY("x*y"), I)
+
+
+def test_radical_membership_past_the_square_runs_rabinowitsch(monkeypatch):
+    # x^2 is not in <x^3>, so x in sqrt(<x^3>) needs 1 in <x^3, 1 - t*x>
+    I = make_ideal(TXY, [PXY("x^3")])
+    I.groebner()
+    calls = []
+    run = ideals.buchberger
+    monkeypatch.setattr(ideals, "buchberger", lambda *a, **k: calls.append(a) or run(*a, **k))
+    assert not ideal_membership(PXY("x^2"), I)
+    assert radical_membership(PXY("x"), I)
+    assert len(calls) == 1
 
 
 def test_radical_rejects_unit():

@@ -83,8 +83,9 @@ ELIMINATED = [["t"], ["x"], ["y"], ["x", "z"], ["y", "t", "x"]]
 def reference_key(eliminated):
     """The elimination order as Cox-Little-O'Shea define it (3.1, Exercise
     6): total degree in the eliminated variables, then grevlex with the
-    eliminated variables first and the rest in table order."""
-    grevlex = grevlex_order(T4, eliminated + [n for n in T4.names if n not in eliminated])
+    eliminated variables first and the rest, each block in table order."""
+    block = [n for n in T4.names if n in eliminated]
+    grevlex = grevlex_order(T4, block + [n for n in T4.names if n not in eliminated])
     idx = [T4.index(n) for n in eliminated]
     return lambda m: (sum(m[i] for i in idx), grevlex.key(m))
 
