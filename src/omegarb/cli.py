@@ -116,20 +116,14 @@ def _parse_candidates_data(data, table: VariableTable, context: str):
             raise CatalogError(f"{where} needs a 'generators' list")
         gens = [parse_polynomial(str(s), table) for s in raw["generators"]]
         cert = None
-        spec = raw.get("certificate")
-        if spec:
-            pivot = spec.get("pivot") if isinstance(spec, dict) else None
-            names = spec.get("linear_vars") if isinstance(spec, dict) else None
-            inverted = [pivot] if _has_shape(pivot, str) else pivot
-            parts = [v for v in (inverted, names) if v is not None]
-            if not parts or not all(
-                _has_shape(v, [str]) and set(v) <= set(table.names) for v in parts
-            ):
+        if "certificate" in raw:
+            inverted = raw["certificate"]
+            if not _has_shape(inverted, [str]) or not set(inverted) <= set(table.names):
                 raise CatalogError(
-                    f"{where}: certificate needs a 'pivot' name or list, or a 'linear_vars'"
-                    f" list, naming entries {table.names[0]}..{table.names[-1]}"
+                    f"{where}: certificate must be a list of the entries to invert,"
+                    f" among {table.names[0]}..{table.names[-1]}, e.g. [x12] or []"
                 )
-            cert = PrimalityCertificate(inverted=inverted or (), linear_vars=names)
+            cert = PrimalityCertificate(inverted=inverted)
         out.append((make_ideal(table, gens), cert))
     return out
 
@@ -272,7 +266,6 @@ def run_table_row(
     profile_name: str,
     row: dict,
     table_id: int,
-    alpha_override: Optional[str] = None,
 ) -> dict:
     """Compute one row's cell and give it its one verdict.
 
@@ -298,7 +291,7 @@ def run_table_row(
     if not entry.has_definition:
         result["notes"].append(f"no definition shipped (external source: {entry.source})")
         return result
-    alpha = alpha_override if alpha_override is not None else row.get("alpha")
+    alpha = row.get("alpha")
     L, a = _algebra_for(entry, str(alpha) if alpha is not None else None)
     result["alpha"] = str(a) if a is not None else None
     profile = profile_by_name(profile_name)
@@ -359,14 +352,10 @@ def run_table(
     table_id: int,
     expectations: dict,
     catalog: dict[str, CatalogEntry],
-    alpha_override: Optional[str] = None,
 ) -> dict:
     profile_name = expectations.get("profile")
     rows = expectations.get("rows") or []
-    results = [
-        run_table_row(catalog, profile_name, row, table_id, alpha_override)
-        for row in rows
-    ]
+    results = [run_table_row(catalog, profile_name, row, table_id) for row in rows]
     statuses = [r["status"] for r in results]
     return {
         "table": table_id,

@@ -12,21 +12,21 @@ result carries it in its cache (``Ideal.from_basis``).
 Intersection (t*I + (1-t)*J) and saturation (I + <1 - t*f>) share one
 routine that adjoins a tag t and eliminates it.
 
-Primality is certified, never decided.  A certificate names a set S of
-inverted variables with I : (prod S)^inf = I, so the quotient embeds in its
-localization at S, and a solve chain over that localization that consumes
-every generator: each step solves a variable v occurring linearly with a
-one-term coefficient den over S, v = num/den, and substitutes the value into
-the remaining generators.  The chain stays in Q[x] and adjoins no inverse
-variables: a generator h of degree d in v becomes den^d * h(num/den), which
-is a polynomial, and since den^d is a unit of the localization at S it
-generates the same localized ideal as h(num/den) (Cox-Little-O'Shea,
-Ideals, Varieties, and Algorithms, 4.4).  The localization is then a
-localized polynomial ring, an integral domain (also over C), and I is
-prime.  The saturation condition is checked as one saturation by prod S,
-and is void for S empty.  The same chain, allowed to invert variables on
-demand, proposes S for certificate search and parameterizes components
-without a certificate for point sampling.
+Primality is certified, never decided.  A certificate is a set S of
+inverted variables, nothing more.  It checks when I : (prod S)^inf = I, so
+the quotient embeds in its localization at S, and when the solve chain over
+that localization consumes every generator: each step solves a variable v
+occurring linearly with a one-term coefficient den over S, v = num/den, and
+substitutes the value into the remaining generators.  The chain stays in
+Q[x] and adjoins no inverse variables: a generator h of degree d in v
+becomes den^d * h(num/den), which is a polynomial, and since den^d is a
+unit of the localization at S it generates the same localized ideal as
+h(num/den) (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 4.4).
+The localization is then a localized polynomial ring, an integral domain
+(also over C), and I is prime.  The saturation condition is checked as one
+saturation by prod S, and is void for S empty.  The same chain, allowed to
+invert variables on demand, proposes S for certificate search and
+parameterizes components without a certificate for point sampling.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .groebner import GroebnerBasis, buchberger, exact_divide
 from .poly import (
@@ -334,18 +334,14 @@ def krull_dim(I: Ideal):
 
 @dataclass(frozen=True)
 class PrimalityCertificate:
-    """A set S of inverted variables with p : (prod S)^inf = p, and a solve
-    chain over the localization at S, solving only ``linear_vars`` (every
-    variable when None), that consumes every generator of p (see the module
-    docstring)."""
+    """A set S of inverted variables with p : (prod S)^inf = p, such that
+    the solve chain over the localization at S consumes every generator of
+    p (see the module docstring)."""
 
     inverted: frozenset[str] = frozenset()
-    linear_vars: Optional[frozenset[str]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "inverted", frozenset(self.inverted))
-        if self.linear_vars is not None:
-            object.__setattr__(self, "linear_vars", frozenset(self.linear_vars))
 
 
 def _split_by_power(g: Polynomial, vidx: int) -> list[Polynomial]:
@@ -370,13 +366,11 @@ class _Chain:
     steps: list[tuple[str, Polynomial, Polynomial]]
 
 
-def _solve_chain(
-    p: Ideal, solvable: Collection[str], inverted: Sequence[str], grow: bool
-) -> Optional[_Chain]:
+def _solve_chain(p: Ideal, inverted: Sequence[str], grow: bool) -> Optional[_Chain]:
     """Solve the generators of p one variable at a time over the
     localization at the ``inverted`` variables S, staying in p's ring.
 
-    A step takes the first ``solvable`` variable v (in table order) that
+    A step takes the first unsolved variable v (in table order) that
     occurs linearly in a remaining generator g = den*v + rest whose
     coefficient den is one term c*m over S, records v = num/den with
     num = -rest, and replaces each other generator h of degree d in v by
@@ -389,7 +383,7 @@ def _solve_chain(
     gens = list(p.groebner().elements or p.generators)
     S = list(inverted)
     steps: list[tuple[str, Polynomial, Polynomial]] = []
-    todo = [n for n in table.names if n in solvable and n not in S]
+    todo = [n for n in table.names if n not in S]
 
     def linear_split(name: str, g: Polynomial) -> Optional[tuple[list[Polynomial], list[str]]]:
         """g's parts by power of ``name`` and the variables to invert
@@ -439,12 +433,10 @@ def _solve_chain(
 
 
 def _certificate_chain(p: Ideal, cert: PrimalityCertificate) -> Optional[_Chain]:
-    names = p.table.names
-    unknown = cert.inverted.union(cert.linear_vars or ()) - set(names)
+    unknown = cert.inverted - set(p.table.names)
     if unknown:
         raise CertificateError(f"unknown certificate variables {sorted(unknown)}")
-    solvable = names if cert.linear_vars is None else cert.linear_vars
-    return _solve_chain(p, solvable, sorted(cert.inverted, key=p.table.index), False)
+    return _solve_chain(p, sorted(cert.inverted, key=p.table.index), False)
 
 
 def check_primality(p: Ideal, cert: PrimalityCertificate) -> bool:
@@ -467,7 +459,7 @@ def find_certificate(p: Ideal) -> Optional[PrimalityCertificate]:
     inverts, kept when the certificate checks."""
     if p.contains_one():
         return None
-    chain = _solve_chain(p, p.table.names, (), True)
+    chain = _solve_chain(p, (), True)
     if chain is None:
         return None
     cert = PrimalityCertificate(inverted=frozenset(chain.inverted))
@@ -490,7 +482,7 @@ def sample_points(
     (nonzero); the chain gives the rest.  Every returned point is checked
     against the generators."""
     if cert is None:
-        chain = _solve_chain(p, p.table.names, (), True)
+        chain = _solve_chain(p, (), True)
     else:
         chain = _certificate_chain(p, cert)
     if chain is None:
@@ -656,11 +648,15 @@ def _split_factor(I: Ideal) -> Optional[Polynomial]:
     return None
 
 
-def split_heuristic(I: Ideal, max_depth: int = 24) -> SplitResult:
+_SPLIT_DEPTH = 24
+
+
+def split_heuristic(I: Ideal) -> SplitResult:
     """Cover V(I) by splitting V(I) = V(I + <v>) cup V(I : v^inf) on
-    variables that factor out of a generator.  Output is advisory: not
-    guaranteed minimal or prime, and must be confirmed by
-    :func:`verify_components`."""
+    variables that factor out of a generator.  A branch deeper than
+    ``_SPLIT_DEPTH`` splits is kept whole as a leaf, and the result is then
+    marked incomplete.  Output is advisory: not guaranteed minimal or
+    prime, and must be confirmed by :func:`verify_components`."""
     if I.contains_one():
         return SplitResult([], True)
     leaves: list[Ideal] = []
@@ -674,7 +670,7 @@ def split_heuristic(I: Ideal, max_depth: int = 24) -> SplitResult:
         if v is None:
             leaves.append(Ideal.from_basis(J.table, J.groebner()))
             return
-        if depth >= max_depth:
+        if depth >= _SPLIT_DEPTH:
             complete = False
             leaves.append(Ideal.from_basis(J.table, J.groebner()))
             return

@@ -100,38 +100,26 @@ class GenericOperator:
         return cls(n, table, tuple(tuple(variables[i * n : (i + 1) * n]) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class TaggedEquation:
-    """One generated polynomial with its provenance tag, e.g. rb(1,2)->3."""
-
-    tag: str
-    poly: Polynomial
-
-
 def generate_equations(
     L: OmegaAlgebra, profile: ConstraintProfile
-) -> tuple[GenericOperator, list[TaggedEquation]]:
-    """All defining polynomials for the chosen variety, tagged for
-    traceability; duplicates and zeros are pruned by generate_system."""
+) -> tuple[GenericOperator, list[Polynomial]]:
+    """All defining polynomials for the chosen variety, pair by pair and
+    then the entries of R*R; duplicates and zeros are pruned by
+    generate_system."""
     R = GenericOperator.of_dimension(L.dim)
     zero = Polynomial.zero(R.table)
-    out: list[TaggedEquation] = []
+    out: list[Polynomial] = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             ids = pair_identities(L, R.entries, i, j, profile.weight, zero)
-            pair = f"({i + 1},{j + 1})"
-            out.extend(
-                TaggedEquation(f"rb{pair}->{k + 1}", p) for k, p in enumerate(ids.rb)
-            )
+            out.extend(ids.rb)
             if profile.compatible:
-                out.append(TaggedEquation(f"compat{pair}", ids.compat))
+                out.append(ids.compat)
             if profile.isometric:
-                out.append(TaggedEquation(f"isom{pair}", ids.isom))
+                out.append(ids.isom)
     if profile.square_zero:
-        for i, row in enumerate(operator_square(R.entries, zero)):
-            out.extend(
-                TaggedEquation(f"sq({i + 1})->{k + 1}", p) for k, p in enumerate(row)
-            )
+        for row in operator_square(R.entries, zero):
+            out.extend(row)
     return R, out
 
 
@@ -142,14 +130,10 @@ def generate_system(L: OmegaAlgebra, profile: ConstraintProfile) -> Ideal:
 
     Cached per (algebra, profile): the returned Ideal also carries the
     Groebner cache, so repeated membership tests amortize."""
-    R, tagged = generate_equations(L, profile)
+    R, equations = generate_equations(L, profile)
     order = grevlex_order(R.table)
-    seen: dict[Polynomial, None] = {}
-    for eq in tagged:
-        if eq.poly.is_zero():
-            continue
-        seen.setdefault(eq.poly.primitive(order), None)
-    return make_ideal(R.table, tuple(seen.keys()))
+    seen = dict.fromkeys(p.primitive(order) for p in equations if not p.is_zero())
+    return make_ideal(R.table, tuple(seen))
 
 
 def membership_check(

@@ -144,9 +144,9 @@ def test_criterion_02_colon_intersection_basis_certificates():
     PA = lambda s: parse_polynomial(s, A)
     p1 = make_ideal(A, [PA(s) for s in ["x11", "x12", "x22", "x31", "x32", "x33"]])
     p2 = make_ideal(A, [PA(s) for s in SIX + ["x13*x21 + x22*x23"]])
-    cert_ok = check_primality(
-        p1, PrimalityCertificate(linear_vars=frozenset(["x11", "x12", "x22", "x31", "x32", "x33"]))
-    ) and check_primality(p2, PrimalityCertificate(inverted=frozenset(["x12"])))
+    cert_ok = check_primality(p1, PrimalityCertificate()) and check_primality(
+        p2, PrimalityCertificate(inverted=frozenset(["x12"]))
+    )
     ok = colon_ok and meet_ok and d_ok and cert_ok
     assert report(2, ok, "colon stability, intersection, the 7-element basis,"
                         " and both primality certificates")

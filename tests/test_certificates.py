@@ -90,9 +90,7 @@ def p2():
     )
 
 
-CERT1 = PrimalityCertificate(
-    linear_vars=frozenset(["x11", "x12", "x22", "x31", "x32", "x33"])
-)
+CERT1 = PrimalityCertificate()
 CERT2 = PrimalityCertificate(inverted=frozenset(["x12"]))
 
 
@@ -106,7 +104,7 @@ def test_pivot_certificate_passes(p2):
 
 def test_monomial_product_fails_any_certificate():
     I = make_ideal(TXY, [PXY("x*y")])
-    assert not check_primality(I, PrimalityCertificate(linear_vars=frozenset(["x"])))
+    assert not check_primality(I, PrimalityCertificate())
     assert not check_primality(I, PrimalityCertificate(inverted=frozenset(["x"])))
 
 
@@ -118,21 +116,15 @@ def test_unit_ideal_fails():
 def test_malformed_certificates_rejected(p1):
     with pytest.raises(CertificateError):
         check_primality(p1, PrimalityCertificate(inverted=frozenset(["nope"])))
-    with pytest.raises(CertificateError):
-        check_primality(p1, PrimalityCertificate(linear_vars=frozenset(["q"])))
-    with pytest.raises(CertificateError):
-        check_primality(p1, PrimalityCertificate(frozenset(["x12"]), frozenset(["q"])))
 
 
 def test_trivial_certificate_fits_linear_ideals(p1, p2):
-    # nothing inverted and every variable solvable: the chain consumes a
-    # linear ideal, but not p2, whose x12 needs an inverse
+    # nothing inverted: the chain consumes a linear ideal, but not p2,
+    # whose x12 needs an inverse
     trivial = PrimalityCertificate()
     assert check_primality(make_ideal(A, ()), trivial)
     assert check_primality(p1, trivial)
     assert not check_primality(p2, trivial)
-    # a solvable set that misses a generator's variables does not consume it
-    assert not check_primality(p1, PrimalityCertificate(linear_vars=frozenset(["x11"])))
 
 
 def test_triangular_linear_chain():
@@ -140,7 +132,7 @@ def test_triangular_linear_chain():
     I = make_ideal(
         T, [parse_polynomial("x + y", T), parse_polynomial("y + z^2", T)]
     )
-    cert = PrimalityCertificate(linear_vars=frozenset(["x", "y"]))
+    cert = PrimalityCertificate()
     assert check_primality(I, cert)
 
 
@@ -298,7 +290,7 @@ def _buchberger_orders(catalog, monkeypatch, table_id, algebra):
 
 def test_table1_rows_make_few_groebner_runs(catalog, monkeypatch):
     # a work guard by counters: the system's basis, one per candidate, and
-    # for L1 the saturation behind p2's pivot certificate; every product in
+    # for L1 the saturation behind p2's certificate [x12]; every product in
     # the radical cover is settled by a normal form
     kinds = _buchberger_orders(catalog, monkeypatch, 1, "L1")
     assert len(kinds) <= 5 and kinds.count("elimination") <= 1, kinds
@@ -459,7 +451,7 @@ def test_sample_points_over_every_shipped_candidate_pinned():
             lines.append(f"{param.id} " + " ".join(f"{n}={pt[n]}" for n in p.table.names))
     assert len(lines) == 140
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "a067a57d8dd666576d1c9381f6923296e3fbb8379994b34ec0490d4daf3a65fc"
+    assert digest == "a8629ff1699493a88a8e2b9702d2ec8d8197176311ee21f1f4644e3d11062e4d"
 
 
 # -- the solve chain against the inverse-variable reference --------------------------
@@ -551,12 +543,12 @@ def _reference_chain(p, solvable, inverted, grow):
     return table, {table.names[i]: table.names[j] for i, j in pairs}, steps
 
 
-def assert_chains_agree(p, solvable, inverted, grow, rng):
+def assert_chains_agree(p, inverted, grow, rng):
     """The chain and the reference agree on whether a chain exists, on S in
     order, on the solved variables in order, and on each step's value at
     random points where S is nonzero."""
-    ref = _reference_chain(p, solvable, inverted, grow)
-    chain = ideals._solve_chain(p, solvable, inverted, grow)
+    ref = _reference_chain(p, p.table.names, inverted, grow)
+    chain = ideals._solve_chain(p, inverted, grow)
     assert (chain is None) == (ref is None)
     if ref is None:
         return
@@ -597,17 +589,15 @@ def chain_inputs(draw):
 @example((SQUARE_CLEARED, [], True), random.Random(0))
 def test_chain_matches_the_inverse_variable_reference(data, rng):
     p, inverted, grow = data
-    assert_chains_agree(p, p.table.names, inverted, grow, rng)
+    assert_chains_agree(p, inverted, grow, rng)
 
 
 @pytest.mark.parametrize("ideal_p,cert", list(_shipped_components()))
 def test_chain_on_shipped_candidates_matches_the_reference(ideal_p, cert):
-    names = ideal_p.table.names
-    solvable = names if cert.linear_vars is None else cert.linear_vars
     inverted = sorted(cert.inverted, key=ideal_p.table.index)
     rng = random.Random(1)
-    assert_chains_agree(ideal_p, solvable, inverted, False, rng)
-    assert_chains_agree(ideal_p, names, (), True, rng)
+    assert_chains_agree(ideal_p, inverted, False, rng)
+    assert_chains_agree(ideal_p, (), True, rng)
 
 
 @pytest.fixture(scope="module")
@@ -626,9 +616,9 @@ def test_chain_on_square_zero_leaves_matches_the_reference(square_zero_leaves):
     assert len(square_zero_leaves) == 5
     rng = random.Random(1)
     for _, J in square_zero_leaves:
-        assert_chains_agree(J, J.table.names, (), True, rng)
+        assert_chains_agree(J, (), True, rng)
         cert = find_certificate(J)
-        assert_chains_agree(J, J.table.names, sorted(cert.inverted, key=J.table.index), False, rng)
+        assert_chains_agree(J, sorted(cert.inverted, key=J.table.index), False, rng)
 
 
 def test_sample_points_over_the_square_zero_leaves_pinned(square_zero_leaves):

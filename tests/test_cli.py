@@ -407,9 +407,9 @@ def test_solve_reads_the_candidates_of_the_shipped_row(tmp_path, capsys):
     assert json.loads(shipped)["heuristic_components"] is False
 
 
-def test_candidate_pivot_list_and_linear_vars_both_apply(tmp_path, capsys):
-    # p2 of table1_L1 needs x12 inverted and more than x11 solvable
-    def statuses(certificate):
+def test_candidate_certificate_is_the_inverted_list(tmp_path, capsys):
+    # p2 of table1_L1 needs x12 inverted; the old mapping form is refused
+    def solve(certificate):
         path = tmp_path / "cands.yaml"
         path.write_text(
             "- generators: [x11, x12, x22, x31, x32, x33]\n"
@@ -417,14 +417,17 @@ def test_candidate_pivot_list_and_linear_vars_both_apply(tmp_path, capsys):
             " x12*x23 - x13*x22, x13*x21 + x22*x23]\n"
             f"  certificate: {certificate}\n"
         )
-        code, out, _ = run(capsys, "solve", "L1", "bc", "--candidates", str(path), "--json")
+        return run(capsys, "solve", "L1", "bc", "--candidates", str(path), "--json")
+
+    def statuses(certificate):
+        code, out, _ = solve(certificate)
         assert code == 0
         return [c["certificate"] for c in json.loads(out)["components"]]
 
-    assert statuses("{pivot: [x12]}") == ["unverified", "passed"]
-    assert statuses("{pivot: x12}") == ["unverified", "passed"]
-    assert statuses("{pivot: [x12], linear_vars: [x11]}") == ["unverified", "failed"]
-    assert statuses("{pivot: []}") == ["unverified", "failed"]
+    assert statuses("[x12]") == ["unverified", "passed"]
+    assert statuses("[]") == ["unverified", "failed"]
+    code, _, err = solve("{pivot: x12}")
+    assert code == 2 and "certificate must be a list" in err
 
 
 def test_solve_parameterized_algebra(capsys):

@@ -81,10 +81,8 @@ candidate = near(
     {
         "generators": st.lists(st.sampled_from(TEXTS[:5]), max_size=4),
         "certificate": st.one_of(
+            st.lists(st.sampled_from(["x11", "x12", "x21", "q", "11", 11]), max_size=3),
             st.fixed_dictionaries({"pivot": st.sampled_from(["x11", "x12", "q", "11"])}),
-            st.fixed_dictionaries(
-                {"pivot": st.lists(st.sampled_from(["x12", "x21", "q", 11]), max_size=3)}
-            ),
             st.fixed_dictionaries(
                 {"linear_vars": st.lists(st.sampled_from(["x11", "x33", "q"]), max_size=3)}
             ),
@@ -245,6 +243,9 @@ def test_unreadable_documents_exit_two(files):
         ("candidates", "- generators: ['x11']\n  certificate: {pivot: q}\n"),
         ("candidates", "- generators: ['x11']\n  certificate: {pivot: [x11, q]}\n"),
         ("candidates", "- generators: ['x11']\n  certificate: {pivot: [x11], linear_vars: [q]}\n"),
+        ("candidates", "- generators: ['x11']\n  certificate: x12\n"),
+        ("candidates", "- generators: ['x11']\n  certificate: [q]\n"),
+        ("candidates", "- generators: ['x11']\n  certificate: {pivot: x12}\n"),
         ("operator", "rows: [['0','0','0'],['0','0','0'],['0','0','0']]\nparams: [1, 2]\n"),
         ("catalog", "- name: A\n  dim: 1\n  basis: [a]\n  params: 5\n"),
         ("catalog", "- name: A\n  dim: 1\n  basis: [a]\n  params: [{name: t, exclude: 3}]\n"),

@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from omegarb.algebras import OmegaAlgebra, OperatorMatrix, classify_map, pair_identities
+from omegarb.algebras import (
+    OmegaAlgebra,
+    OperatorMatrix,
+    classify_map,
+    operator_square,
+    pair_identities,
+)
 from omegarb.ideals import (
     ideal_contains,
     ideal_equal,
@@ -100,17 +106,9 @@ def test_square_zero_profile_entries(L1_2):
     assert krull_dim(I) == 5
 
 
-def test_equation_tags_are_traceable(L1):
-    _, tagged = generate_equations(L1, PROFILES["bs"])
-    tags = {t.tag for t in tagged}
-    assert "rb(1,2)->2" in tags
-    assert "compat(1,2)" in tags
-    assert "sq(1)->1" in tags
-
-
 # sha256 over every defined catalog entry and profile: the generators of
-# generate_system, then the tagged equations of generate_equations
-GENERATED_EQUATIONS_SHA256 = "2e487d667557b59e1dadb60184adae0f1f405d6058e609dd7f2a82e9375d27cb"
+# generate_system, then the equations of generate_equations
+GENERATED_EQUATIONS_SHA256 = "e8e6354ecc9be85b607c08ca7c92f0d1b93c63975ba290b584be5f8f7d7fa615"
 
 
 def test_generated_equations_pinned(catalog):
@@ -123,8 +121,8 @@ def test_generated_equations_pinned(catalog):
             generate_system.cache_clear()
             gens = generate_system(L, PROFILES[p]).generators
             h.update((name + p + "|".join(g.to_text() for g in gens)).encode())
-            tagged = generate_equations(L, PROFILES[p])[1]
-            h.update("|".join(t.tag + ":" + t.poly.to_text() for t in tagged).encode())
+            equations = generate_equations(L, PROFILES[p])[1]
+            h.update("|".join(e.to_text() for e in equations).encode())
     assert h.hexdigest() == GENERATED_EQUATIONS_SHA256
 
 
@@ -138,14 +136,16 @@ def test_pair_order_does_not_matter(L1, L1_8):
         norm = lambda polys: {p.primitive(order) for p in polys if p}
         for profile in (PROFILES["b"], PROFILES["bc"], PROFILES["bs"]):
             _, fwd = generate_equations(L, profile)
-            rev = [t.poly for t in fwd if t.tag.startswith("sq")]
+            rev = []
+            if profile.square_zero:
+                rev = [p for row in operator_square(R.entries, zero) for p in row]
             for i in range(L.dim):
                 for j in range(i):
                     ids = pair_identities(L, R.entries, i, j, profile.weight, zero)
                     rev.extend(ids.rb)
                     if profile.compatible:
                         rev.append(ids.compat)
-            assert norm(t.poly for t in fwd) == norm(rev)
+            assert norm(fwd) == norm(rev)
 
 
 # -- membership ----------------------------------------------------------------
