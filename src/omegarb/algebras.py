@@ -14,25 +14,29 @@ The operator identities (Rota-Baxter of weight w, omega-compatibility,
 isometry, R^2 = 0) and the deformed bracket [x,y]_R = [R(x),y] + [x,R(y)]
 are written once, ring-generically, in :func:`pair_identities` and the
 product, form and operator helpers it uses.  ``solver.generate_equations``
-reads the variety's polynomials from them over the generic operator (x_ij),
-at scale 1.
+reads the variety's polynomials from them over the stored integer algebra
+and the generic operator (x_ij), at scale 1.
 
-Everything else reads them over ints.  Each call clears denominators once
-and keeps nothing: the algebra becomes (D, D c, D omega), an
-:class:`IntegralAlgebra` with D the lcm of its denominators, and the
-operator becomes (d, d R), with d the lcm of R's denominators and the
-weight's.  :func:`pair_identities` takes the operator's scale, so that the
-weight term is w d and the isometry defect subtracts d^2 (D omega_ij).
+Everything else reads them over ints.  An algebra or operator is cleared
+once, when it is built, and keeps only its cleared form: an
+:class:`OmegaAlgebra` holds (D, D c, D omega), an :class:`IntegralAlgebra`
+with D the lcm of its denominators, and an :class:`OperatorMatrix` holds
+(d, d R), with d the lcm of R's denominators.  Both are reduced to content
+1, so equal rational data gives equal objects; ``c``, ``omega`` and
+``entries`` are Fraction views of them, for output.
+:func:`pair_identities` takes the operator's scale, so that the weight term
+is w d and the isometry defect subtracts d^2 (D omega_ij).
 :func:`evaluate_operator` is the one integer pass over the basis pairs of
-(L, R): it tests integer values for zero or equality, never divides, and
-returns the flags (all that :func:`classify_map` reports) together with the
-deformed bracket and the image form at their integer scales, so that every
-construction (see ``constructions``) takes its check and its tables from
-one evaluation.  :func:`validate_algebra` takes the Jacobi defect with the
-form at scale D^2, and divides each residual it reports back: the skew
-residuals by D, the Jacobi residuals by D^2.  ``OperatorMatrix.then``
-composes two operators the same way: one integer product of the cleared
-matrices, divided back once.
+(L, R): it lifts d to clear the weight too, tests integer values for zero
+or equality, never divides, and returns the flags (all that
+:func:`classify_map` reports) together with the deformed bracket and the
+image form at their integer scales, so that every construction (see
+``constructions``) takes its check and its tables from one evaluation.
+:func:`validate_algebra` takes the Jacobi defect with the form at scale
+D^2, and divides each residual it reports back: the skew residuals by D,
+the Jacobi residuals by D^2.  ``OperatorMatrix.then`` composes two
+operators the same way: one integer product of the stored matrices, at
+scale a b, reduced to content 1.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -52,11 +56,9 @@ from .linalg import (
     identity,
     integral_rows,
     inverse,
-    is_zero_matrix,
     lcm_of_denominators,
     mat,
     mat_add,
-    mat_scale,
     nullspace,
     rref,
     vec,
@@ -154,8 +156,9 @@ def pair_identities(
     """Rota-Baxter of weight w, compatibility and isometry on (e_i, e_j),
     with rows[k] = scale * R(e_k) over the ring of ``zero``.
 
-    ``L`` is an :class:`OmegaAlgebra` (scale 1) or an
-    :class:`IntegralAlgebra` (scale D).  [R e_i, e_j] and omega(R e_i, e_j)
+    ``L`` is an :class:`IntegralAlgebra` (scale D), an algebra's stored
+    form, or an :class:`OmegaAlgebra`, read through its views (scale 1).
+    [R e_i, e_j] and omega(R e_i, e_j)
     are read off column j of c and of omega, [e_i, R e_j] and
     omega(e_i, R e_j) off row i.  The weight term is w * scale, an integer
     whenever the scale clears w's denominator, and the isometry defect
@@ -201,7 +204,7 @@ def jacobi_defect(c, omega, twist_rows, i: int, j: int, k: int, zero=_ZERO) -> t
 
 
 # ---------------------------------------------------------------------------
-# the same data cleared of denominators, built per call and never kept
+# the stored form: the same data cleared of denominators
 
 
 class IntegralAlgebra(NamedTuple):
@@ -215,13 +218,23 @@ class IntegralAlgebra(NamedTuple):
 
 def integral_algebra(c, omega=()) -> IntegralAlgebra:
     """(D, D*c, D*omega) with D the lcm of every denominator in c and omega;
-    c is a table c[i][j][k], omega a matrix (or empty)."""
+    c is a table c[i][j][k], omega a matrix (or empty).  The lcm leaves no
+    common factor: for each prime of D, some entry's denominator carries
+    its full power, and that entry's cleared numerator is prime to it."""
     D = lcm(lcm_of_denominators(row for layer in c for row in layer), lcm_of_denominators(omega))
     return IntegralAlgebra(
         D,
         tuple(tuple(cleared(row, D) for row in layer) for layer in c),
         tuple(cleared(row, D) for row in omega),
     )
+
+
+def _common_factor(scale: int, entries) -> int:
+    """The gcd of a positive scale and the integer entries, which the
+    cleared data is divided by."""
+    if scale <= 0:
+        raise ValueError(f"cleared data needs a positive scale, got {scale}")
+    return gcd(scale, *entries)
 
 
 def _int_identity(n: int) -> tuple:
@@ -232,16 +245,48 @@ def _int_identity(n: int) -> tuple:
 # core types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OmegaAlgebra:
     """Structure constants c[i][j][k] with [e_i,e_j] = sum_k c[i][j][k] e_k,
-    plus the skew form omega[i][j] = omega(e_i, e_j)."""
+    plus the skew form omega[i][j] = omega(e_i, e_j).
+
+    Stored cleared of denominators as ``integral`` = (D, D c, D omega), D
+    the lcm of the denominators; ``c`` and ``omega`` are Fraction views of
+    it, rebuilt on each access."""
 
     dim: int
     basis_names: tuple[str, ...]
-    c: tuple[tuple[Vector, ...], ...]
-    omega: Matrix
+    integral: IntegralAlgebra
     params: Optional[tuple[tuple[str, Fraction], ...]] = None
+
+    def __init__(self, dim, basis_names, c, omega, params=None):
+        self._store(dim, basis_names, integral_algebra(c, omega), params)
+
+    def _store(self, dim, basis_names, integral, params) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis_names", tuple(basis_names))
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "params", params)
+
+    @classmethod
+    def from_integral(
+        cls, basis_names: Sequence[str], A: IntegralAlgebra, params=None
+    ) -> "OmegaAlgebra":
+        """The algebra with structure constants A.c / A.scale and form
+        A.omega / A.scale, its cleared data divided by their common factor."""
+        g = _common_factor(
+            A.scale,
+            [x for layer in A.c for row in layer for x in row] + [x for row in A.omega for x in row],
+        )
+        if g > 1:
+            A = IntegralAlgebra(
+                A.scale // g,
+                tuple(tuple(tuple(x // g for x in row) for row in layer) for layer in A.c),
+                tuple(tuple(x // g for x in row) for row in A.omega),
+            )
+        L = cls.__new__(cls)
+        L._store(len(A.c), basis_names, A, params)
+        return L
 
     @classmethod
     def from_brackets(
@@ -251,60 +296,104 @@ class OmegaAlgebra:
         omega: Mapping[tuple[int, int], object],
         params: Optional[Mapping[str, Fraction]] = None,
     ) -> "OmegaAlgebra":
-        """Build from the nonzero relations [e_i,e_j] (i<j) and omega values;
-        skew-symmetry fills in the rest."""
+        """Build from the nonzero relations [e_i,e_j] and omega values;
+        skew-symmetry fills in the rest, and a later relation on a pair
+        overrides an earlier one.  The values are cleared into ints once."""
         n = len(basis_names)
-        c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+        rows: dict[tuple[int, int], Vector] = {}
         for (i, j), coeffs in brackets.items():
             if i == j:
                 raise ValueError("bracket [e_i,e_i] must be zero")
             row = vec(coeffs)
-            for k in range(n):
-                c[i][j][k] = row[k]
-                c[j][i][k] = -row[k] if row[k] else _ZERO
-        om = [[_ZERO] * n for _ in range(n)]
+            if len(row) != n:
+                raise ValueError(f"bracket [e_{i},e_{j}] needs {n} coordinates, got {len(row)}")
+            rows[min(i, j), max(i, j)] = row if i < j else tuple(-x for x in row)
+        forms: dict[tuple[int, int], Fraction] = {}
         for (i, j), val in omega.items():
             (q,) = vec((val,))
             if i == j and q != 0:
                 raise ValueError("omega(e_i,e_i) must be zero")
-            om[i][j] = q
-            om[j][i] = -q if q else _ZERO
-        return cls(
+            forms[min(i, j), max(i, j)] = q if i < j else -q
+        D = lcm_of_denominators(rows.values(), *forms.values())
+        c = [[(0,) * n] * n for _ in range(n)]
+        for (i, j), row in rows.items():
+            c[i][j] = cleared(row, D)
+            c[j][i] = tuple(-x for x in c[i][j])
+        om = [[0] * n for _ in range(n)]
+        for (i, j), q in forms.items():
+            om[i][j] = q.numerator * (D // q.denominator)
+            om[j][i] = -om[i][j]
+        L = cls.__new__(cls)
+        L._store(
             n,
-            tuple(basis_names),
-            tuple(tuple(tuple(r) for r in layer) for layer in c),
-            tuple(tuple(r) for r in om),
+            basis_names,
+            IntegralAlgebra(D, tuple(map(tuple, c)), tuple(map(tuple, om))),
             tuple(sorted(params.items())) if params else None,
         )
+        return L
+
+    @property
+    def c(self) -> tuple[tuple[Vector, ...], ...]:
+        D, c, _ = self.integral
+        return tuple(tuple(divided(row, D) for row in layer) for layer in c)
+
+    @property
+    def omega(self) -> Matrix:
+        D, _, omega = self.integral
+        return tuple(divided(row, D) for row in omega)
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        return structure_product(self.c, u, v)
+        D, c, _ = self.integral
+        return tuple(x / D for x in structure_product(c, u, v))
 
     def omega_value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return form_value(self.omega, u, v)
+        D, _, omega = self.integral
+        return form_value(omega, u, v) / D
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
 
     def is_lie(self) -> bool:
-        return is_zero_matrix(self.omega)
+        return not any(map(any, self.integral.omega))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatorMatrix:
-    """Linear operator in the row convention R(e_i) = sum_j entries[i][j] e_j."""
+    """Linear operator in the row convention R(e_i) = sum_j entries[i][j] e_j.
 
-    entries: Matrix
+    Stored cleared of denominators: ``rows`` is d R in ints, d the lcm of
+    the denominators; ``entries`` is the Fraction view, rebuilt on each
+    access."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", mat(self.entries))
-        n = len(self.entries)
-        if any(len(r) != n for r in self.entries):
+    d: int
+    rows: tuple
+
+    def __init__(self, entries):
+        d, rows = integral_rows(mat(entries))
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("operator matrix must be square")
+        self._store(d, rows)
+
+    def _store(self, d, rows) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_integral(cls, d: int, rows) -> "OperatorMatrix":
+        """The operator rows / d, its cleared data divided by their common
+        factor."""
+        g = _common_factor(d, [x for r in rows for x in r])
+        R = cls.__new__(cls)
+        R._store(d // g, tuple(tuple(x // g for x in r) for r in rows))
+        return R
+
+    @property
+    def entries(self) -> Matrix:
+        return tuple(divided(r, self.d) for r in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @classmethod
     def zero(cls, n: int) -> "OperatorMatrix":
@@ -319,14 +408,13 @@ class OperatorMatrix:
         n = self.dim
         if len(v) != n:
             raise ValueError(f"vector of length {len(v)} for a {n}x{n} operator")
-        return apply_operator(self.entries, v)
+        return tuple(x / self.d for x in apply_operator(self.rows, v))
 
     def then(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Composition 'self then other' (x -> other(self(x))): both cleared,
-        (a A)(b B) in ints at scale a b, divided back once."""
-        a, rows = integral_rows(self.entries)
-        b, other_rows = integral_rows(other.entries)
-        return OperatorMatrix(tuple(divided(apply_operator(other_rows, r, 0), a * b) for r in rows))
+        """Composition 'self then other' (x -> other(self(x))): the integer
+        product (a A)(b B) of the stored matrices, at scale a b."""
+        product = tuple(apply_operator(other.rows, r, 0) for r in self.rows)
+        return OperatorMatrix.from_integral(self.d * other.d, product)
 
     def power(self, k: int) -> "OperatorMatrix":
         if k < 0:
@@ -339,16 +427,19 @@ class OperatorMatrix:
         return out
 
     def scale(self, q) -> "OperatorMatrix":
-        return OperatorMatrix(mat_scale(self.entries, q))
+        q = Fraction(q)
+        return OperatorMatrix.from_integral(
+            self.d * q.denominator, tuple(tuple(x * q.numerator for x in r) for r in self.rows)
+        )
 
     def add(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(mat_add(self.entries, other.entries))
 
     def is_zero(self) -> bool:
-        return is_zero_matrix(self.entries)
+        return not any(map(any, self.rows))
 
     def is_invertible(self) -> bool:
-        return det(self.entries) != 0
+        return det(self.rows) != 0
 
     def inverse_operator(self) -> "OperatorMatrix":
         inv = inverse(self.entries)
@@ -404,14 +495,11 @@ def validate_algebra(L) -> AlgebraValidation:
     Jacobi identity on all basis triples i<j<k (multilinearity plus
     skew-symmetry make this exhaustive).  Failures are reported, not thrown.
 
-    ``L`` is an :class:`OmegaAlgebra`, or its data already cleared of
-    denominators as an :class:`IntegralAlgebra` (c = D c', omega = D omega').
-    The checks run over ints: the Jacobi defect is taken with the form at
-    scale D^2, and each residual is divided back, by D for the skew checks
-    and by D^2 for the Jacobi identity."""
-    if not isinstance(L, IntegralAlgebra):
-        L = integral_algebra(L.c, L.omega)
-    D, c, omega = L
+    The checks run over the stored ints (c = D c', omega = D omega'): the
+    Jacobi defect is taken with the form at scale D^2, and each residual is
+    divided back, by D for the skew checks and by D^2 for the Jacobi
+    identity."""
+    D, c, omega = L.integral
     failures = []
     n = len(c)
     for i in range(n):
@@ -434,8 +522,9 @@ def validate_algebra(L) -> AlgebraValidation:
 
 def kernel_omega(L: OmegaAlgebra) -> Subspace:
     """{x : omega(x, y) = 0 for all y}: the null space of the omega matrix
-    (omega is skew, so left and right kernels agree)."""
-    return Subspace.span(L.dim, nullspace(L.omega))
+    (omega is skew, so left and right kernels agree), read off the stored
+    D omega."""
+    return Subspace.span(L.dim, nullspace(L.integral.omega))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +548,7 @@ class OperatorEvaluation(NamedTuple):
     tables the constructions build from.  With L at scale D and R at scale
     d, ``rows[i]`` is d R(e_i), ``bracket[i][j]`` is [e_i, e_j]_R at scale
     D d, and ``form[i][j]`` is omega(R e_i, R e_j) at scale D d^2; both
-    tables are skew.  The cleared algebra itself is not kept."""
+    tables are skew."""
 
     flags: MapClassification
     D: int
@@ -469,28 +558,29 @@ class OperatorEvaluation(NamedTuple):
     form: list
 
 
-def evaluate_operator(L, R: OperatorMatrix, weight=0) -> OperatorEvaluation:
+def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorEvaluation:
     """Exact checks of all operator identities on basis pairs, and the
-    deformed bracket and image form they compute on the way.  ``L`` is an
-    :class:`OmegaAlgebra`, or its data already cleared of denominators as
-    an :class:`IntegralAlgebra`.
+    deformed bracket and image form they compute on the way.
 
     Rota-Baxter of weight w: [R(x),R(y)] = R([R(x),y] + [x,R(y)] + w [x,y]);
     compatible: omega(R(x),y) + omega(x,R(y)) = 0;
     isometric: omega(R(x),R(y)) = omega(x,y).
     Derivation and automorphism use the bracket alone; bilinearity reduces
-    every identity to basis pairs.  Every check runs over ints, on the
-    algebra at scale D and the operator at scale d (which also clears the
-    weight): the derivation compares R(c_ij) with the deformed bracket, both
+    every identity to basis pairs.  Every check runs over the stored ints,
+    the algebra at scale D and the operator at scale d, lifted to the lcm
+    of d and the weight's denominator when d does not clear it: the derivation compares R(c_ij) with the deformed bracket, both
     at scale D d; the automorphism compares d R(c_ij) with the image bracket,
     both at scale D d^2; invertibility is the determinant of d R.
     """
-    A = L if isinstance(L, IntegralAlgebra) else integral_algebra(L.c, L.omega)  # (D, D c, D omega)
+    A = L.integral  # (D, D c, D omega)
     n = len(A.c)
     if R.dim != n:
         raise ValueError("operator and algebra dimensions differ")
     w = Fraction(weight)
-    d, rows = integral_rows(R.entries, w)  # rows[i] = d R(e_i)
+    d, rows = R.d, R.rows  # rows[i] = d R(e_i)
+    if d % w.denominator:
+        lift = lcm(d, w.denominator) // d
+        d, rows = d * lift, tuple(tuple(lift * x for x in r) for r in rows)
     bracket = [[(0,) * n for _ in range(n)] for _ in range(n)]
     form = [[0] * n for _ in range(n)]
     is_rb = is_compat = is_isom = is_der = is_auto_bracket = True

@@ -371,12 +371,13 @@ def format_products(names: Sequence[str], table, pairs, template: str) -> list[s
 
 def algebra_to_catalog_dict(L: OmegaAlgebra, name: str) -> dict:
     names, pairs = L.basis_names, list(combinations(range(L.dim), 2))
+    omega = L.omega
     return {
         "name": name,
         "dim": L.dim,
         "basis": list(names),
         "brackets": format_products(names, L.c, pairs, "[{},{}]"),
-        "omega": [f"w({names[i]},{names[j]}) = {L.omega[i][j]}" for i, j in pairs if L.omega[i][j]],
+        "omega": [f"w({names[i]},{names[j]}) = {omega[i][j]}" for i, j in pairs if omega[i][j]],
     }
 
 

@@ -165,8 +165,11 @@ def _check_expectations(data, where: str) -> dict:
     """``data`` if it has the shape of an expectations document."""
     if not isinstance(data, dict):
         raise CatalogError(f"{where}: expectations must be a mapping with 'profile' and 'rows'")
+    for key in ("profile", "rows"):
+        if data.get(key) is None:
+            raise CatalogError(f"{where}: expectations need a {key!r} entry")
     _check_fields(data, {"profile": str, "rows": [dict]}, where)
-    for i, row in enumerate(data.get("rows") or []):
+    for i, row in enumerate(data["rows"]):
         at = f"{where}: row #{i}"
         if not _has_shape(row.get("algebra"), str):
             raise CatalogError(f"{at} needs an 'algebra' name")
@@ -353,9 +356,8 @@ def run_table(
     expectations: dict,
     catalog: dict[str, CatalogEntry],
 ) -> dict:
-    profile_name = expectations.get("profile")
-    rows = expectations.get("rows") or []
-    results = [run_table_row(catalog, profile_name, row, table_id) for row in rows]
+    profile_name = expectations["profile"]
+    results = [run_table_row(catalog, profile_name, row, table_id) for row in expectations["rows"]]
     statuses = [r["status"] for r in results]
     return {
         "table": table_id,
@@ -696,9 +698,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options that take a rational: argparse reads a value such as -1/4 as an
+# option name, so a negative value is joined to its option first
+_RATIONAL_OPTIONS = ("--alpha", "--weight")
+
+
+def _join_negative_values(argv) -> list:
+    """``--alpha -1/4`` as ``--alpha=-1/4``; no option name starts with a
+    dash and a digit."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (UsageError, CatalogError, PolyParseError, KeyError, OSError) as exc:

@@ -6,22 +6,23 @@ Every construction starts from one pair (L, R) and makes one
 operators and generates the operator varieties.  That pass decides the
 hypotheses: a failed one raises :class:`PreconditionError` naming it, since
 a silently misused construction produces tables that violate the claimed
-identities.  The same pass gives the tables to build from, over ints: with
-the algebra cleared to scale D and the operator to scale d, the rows d R,
-the bracket [x,y]_R at scale D d and the form omega(R(x),R(y)) at scale
-D d^2.  `iterate_deform` makes one evaluation of (L_{i-1}, R^i) per step,
-which both decides the step and feeds the private `_deform`;
+identities.  The same pass gives the tables to build from, over ints: an
+algebra or operator is cleared once, when it is built, so with the algebra
+stored at scale D and the operator at scale d, the pass gives the rows
+d R, the bracket [x,y]_R at scale D d and the form omega(R(x),R(y)) at
+scale D d^2.  `iterate_deform` makes one evaluation of (L_{i-1}, R^i) per
+step, which both decides the step and feeds the private `_deform`;
 `omega_deform` is its first step.
 
-Every output is validated against its defining identities over ints first
-(the left-symmetric identity on the product [R(x),y] at scale D d, the
-twisted Jacobi identity, and for L_R the defining identity on one integer
-algebra at scale D d^2), and only then divided back: bracket and product
-coefficients by D d, form values by D d^2.  The outputs are Fractions,
-and no integer copy outlives the call.  The same integer data decide
-"image(R) inside ker(omega)" (the cleared rows of R times the cleared omega
-vanish) and the series of `homlie_structure` (ranks of fraction-free
-echelon forms).
+Every output is validated against its defining identities over ints (the
+left-symmetric identity on the product [R(x),y] at scale D d, the twisted
+Jacobi identity, and for L_R the defining identity on its stored integer
+algebra).  L_R is built straight from the integer bracket and form, so
+the next step evaluates it without clearing anything; the left-symmetric
+and Hom-Lie tables are divided back to Fractions by D d.  The same integer
+data decide "image(R) inside ker(omega)" (the stored rows of R times the
+stored omega vanish) and the series of `homlie_structure` (ranks of
+fraction-free echelon forms).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .linalg import (
     divided,
     fraction_free_rref,
     identity,
-    integral_rows,
     is_zero_matrix,
     mat,
     mat_add,
@@ -135,11 +135,11 @@ def is_left_symmetric(A: LeftSymmetricAlgebra) -> bool:
 def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricAlgebra:
     """x*y := [R(x), y] is left-symmetric when R is a weight-0 Rota-Baxter
     operator whose image lies in ker(omega).  Both hypotheses are checked,
-    the second as omega(R e_i, e_j) = 0 for all i, j: row i of the cleared
-    operator times the cleared omega is zero.  The table is checked over
+    the second as omega(R e_i, e_j) = 0 for all i, j: row i of the stored
+    operator times the stored omega is zero.  The table is checked over
     ints before it is divided back."""
-    A = integral_algebra(L.c, L.omega)
-    ev = evaluate_operator(A, R)
+    A = L.integral
+    ev = evaluate_operator(L, R)
     if not ev.flags.is_rb:
         raise PreconditionError("R is a Rota-Baxter operator of weight 0")
     for i, r in enumerate(ev.rows):  # row i is d R(e_i)
@@ -168,28 +168,18 @@ def omega_deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
 
 
 def _deform(basis_names, ev) -> OmegaAlgebra:
-    """L_R from the evaluation of (L, R), which has decided R already.  The
-    output is still validated, over ints, before it is divided back: the
-    bracket is lifted from scale D d to D d^2, the form's scale, so that one
-    integer algebra is validated."""
+    """L_R from the evaluation of (L, R), which has decided R already: the
+    bracket, lifted from scale D d to D d^2, the form's scale, and the form
+    make its integer algebra, which is still validated."""
     d = ev.d
-    n = len(ev.rows)
-    c = [[tuple(d * x for x in v) for v in row] for row in ev.bracket]
-    scale = ev.D * d * d
-    check = validate_algebra(IntegralAlgebra(scale, c, ev.form))
+    c = tuple(tuple(tuple(d * x for x in v) for v in row) for row in ev.bracket)
+    LR = OmegaAlgebra.from_integral(
+        basis_names, IntegralAlgebra(ev.D * d * d, c, tuple(map(tuple, ev.form)))
+    )
+    check = validate_algebra(LR)
     if not check.ok:
         raise AssertionError(f"deformation violates the defining identity: {check.failures[:3]}")
-    brackets = {
-        (i, j): divided(c[i][j], scale)
-        for i, j in combinations(range(n), 2)
-        if any(c[i][j])
-    }
-    omega_vals = {
-        (i, j): Fraction(ev.form[i][j], scale)
-        for i, j in combinations(range(n), 2)
-        if ev.form[i][j]
-    }
-    return OmegaAlgebra.from_brackets(basis_names, brackets, omega_vals, params=None)
+    return LR
 
 
 def iterate_deform(L: OmegaAlgebra, R: OperatorMatrix, steps: int) -> list[OmegaAlgebra]:
@@ -201,7 +191,7 @@ def iterate_deform(L: OmegaAlgebra, R: OperatorMatrix, steps: int) -> list[Omega
     (R on L) raises :class:`PreconditionError`; a later one halts the
     iteration with :class:`IterationHalted`, carrying the offending step
     and the algebras built so far.  R^i is R^{i-1} then R, one integer
-    product divided back once (``OperatorMatrix.then``).
+    product of the stored matrices (``OperatorMatrix.then``).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -248,9 +238,9 @@ def _hom_jacobi_holds(c, twist_rows) -> bool:
 
 
 def hom_jacobi_holds(g: HomLieAlgebra) -> bool:
-    """The twisted Jacobi identity, over the bracket and twist cleared of
-    denominators (the identity is homogeneous in each)."""
-    return _hom_jacobi_holds(integral_algebra(g.c).c, integral_rows(g.twist.entries)[1])
+    """The twisted Jacobi identity, over the bracket cleared of denominators
+    and the twist's stored rows (the identity is homogeneous in each)."""
+    return _hom_jacobi_holds(integral_algebra(g.c).c, g.twist.rows)
 
 
 def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
@@ -381,11 +371,12 @@ def validate_module(L: OmegaAlgebra, V: ModuleAction) -> ModuleValidation:
         raise ValueError("module and algebra dimensions differ")
     failures = []
     m = V.module_dim
+    c, omega = L.c, L.omega
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = V.act_matrix(L.c[i][j])
+            lhs = V.act_matrix(c[i][j])
             comm = mat_sub(mat_mul(V.rho[i], V.rho[j]), mat_mul(V.rho[j], V.rho[i]))
-            rhs = mat_add(comm, mat_scale(identity(m), L.omega[i][j]))
+            rhs = mat_add(comm, mat_scale(identity(m), omega[i][j]))
             if lhs != rhs:
                 failures.append((i, j, mat_sub(lhs, rhs)))
     return ModuleValidation(not failures, failures)

@@ -121,9 +121,9 @@ def cleared(values, m: int) -> tuple:
     return tuple(x.numerator * (m // x.denominator) for x in values)
 
 
-def integral_rows(rows, *extra) -> tuple[int, tuple]:
-    """(d, d*rows) with d = lcm_of_denominators(rows, *extra)."""
-    d = lcm_of_denominators(rows, *extra)
+def integral_rows(rows) -> tuple[int, tuple]:
+    """(d, d*rows) with d = lcm_of_denominators(rows)."""
+    d = lcm_of_denominators(rows)
     return d, tuple(cleared(r, d) for r in rows)
 
 

@@ -9,7 +9,8 @@ polynomial per (pair, coordinate), and hand the resulting ideal to the ideal
 engine for Groebner bases, dimension, and component verification.  The
 identities themselves are not transcribed here: `generate_equations` evaluates
 ``algebras.pair_identities`` and ``algebras.operator_square`` over polynomial
-entries, the same code `classify_map` evaluates over rationals.
+entries and the algebra's stored integer tables, the same code `classify_map`
+evaluates over ints.
 """
 
 from __future__ import annotations
@@ -105,13 +106,16 @@ def generate_equations(
 ) -> tuple[GenericOperator, list[Polynomial]]:
     """All defining polynomials for the chosen variety, pair by pair and
     then the entries of R*R; duplicates and zeros are pruned by
-    generate_system."""
+    generate_system.  The identities are read off the algebra's stored
+    form (D c, D omega), so each pair polynomial is D times its rational
+    value."""
     R = GenericOperator.of_dimension(L.dim)
     zero = Polynomial.zero(R.table)
     out: list[Polynomial] = []
+    A = L.integral
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            ids = pair_identities(L, R.entries, i, j, profile.weight, zero)
+            ids = pair_identities(A, R.entries, i, j, profile.weight, zero)
             out.extend(ids.rb)
             if profile.compatible:
                 out.append(ids.compat)

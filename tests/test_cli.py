@@ -437,6 +437,33 @@ def test_solve_parameterized_algebra(capsys):
     assert data["alpha"] == "-1/4"
 
 
+def test_negative_rationals_may_follow_their_option(tmp_path, capsys):
+    # argparse alone reads "-1/4" as an option name and exits 2
+    op = tmp_path / "op.yaml"
+    op.write_text(PINNED_OPERATORS["displayed"])
+    for joined, spaced in (
+        (["--alpha=-1/4"], ["--alpha", "-1/4"]),
+        (["--alpha=-1/4", "--weight=-1/2"], ["--alpha", "-1/4", "--weight", "-1/2"]),
+    ):
+        argv = ["classify", "Atilde_alpha", "--op", str(op), "--json"]
+        code, out, _ = run(capsys, *argv, *joined)
+        assert code == 0
+        assert run(capsys, *argv, *spaced) == (0, out, "")
+    data = json.loads(out)
+    assert data["weight"] == "-1/2"
+    code, out, _ = run(capsys, "solve", "Atilde_alpha", "bc", "--alpha", "-1/4", "--json")
+    assert code == 0 and json.loads(out)["alpha"] == "-1/4"
+
+
+def test_expectations_name_their_missing_key(tmp_path, capsys):
+    path = tmp_path / "expect.yaml"
+    for text, key in (("profile: bc\n", "'rows'"), ("rows: [{algebra: L1}]\n", "'profile'")):
+        path.write_text(text)
+        code, out, err = run(capsys, "table", "1", "--expect", str(path))
+        assert code == 2 and out == ""
+        assert f"need a {key} entry" in err and "None" not in err
+
+
 def test_solve_json_deterministic(capsys):
     _, out1, _ = run(capsys, "solve", "L1", "bi1", "--json")
     _, out2, _ = run(capsys, "solve", "L1", "bi1", "--json")

@@ -253,6 +253,8 @@ def test_unreadable_documents_exit_two(files):
         ("catalog", "- name: A\n  dim: 2\n  basis: [a, b]\n  brackets: ['[a,a] = b']\n"),
         ("expectations", "- 1\n- 2\n"),
         ("expectations", "profile: bc\nrows: [5]\n"),
+        ("expectations", "profile: bc\n"),
+        ("expectations", "entries: [1]\n"),
         ("module", "null\n"),
         ("module", "matrices: [[[1]]]\n"),
     ],

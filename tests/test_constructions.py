@@ -216,23 +216,32 @@ def test_each_construction_evaluates_the_pair_once(L1, monkeypatch):
         assert len(calls) == want
 
 
-def test_left_symmetric_clears_the_algebra_once(L1, monkeypatch):
-    """The evaluation of (L, R) and the column products share one cleared
-    algebra."""
-    import omegarb.algebras as algebras
-    import omegarb.constructions as constructions
+def test_the_integer_passes_read_no_fraction_view(L1, monkeypatch):
+    """Algebras and operators are cleared once, when they are built: with
+    the Fraction views patched to raise, classification, the left-symmetric,
+    deformed and Hom-Lie constructions and the equation generator still run."""
+    from omegarb.solver import PROFILES, generate_system
 
-    calls = []
-    original = algebras.integral_algebra
+    R = OperatorMatrix([[0, 0, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def refuse(self):
+        raise AssertionError("an integer pass read a Fraction view")
 
-    for module in (algebras, constructions):
-        monkeypatch.setattr(module, "integral_algebra", counting)
-    left_symmetric_from_rb(L1, OperatorMatrix([[0, 0, 1], [0, 0, 1], [0, 0, 0]]))
-    assert len(calls) == 1
+    for cls, view in ((OmegaAlgebra, "c"), (OmegaAlgebra, "omega"), (OperatorMatrix, "entries")):
+        monkeypatch.setattr(cls, view, property(refuse))
+    with pytest.raises(AssertionError, match="Fraction view"):
+        L1.c
+    flags = classify_map(L1, R)
+    assert flags.is_rb and flags.is_compatible and flags.is_square_zero
+    left_symmetric_from_rb(L1, R)
+    assert len(iterate_deform(L1, R, 3)) == 4
+    homlie_structure(homlie_from_rb(L1, R))
+    generate_system.cache_clear()
+    try:
+        for profile in PROFILES.values():
+            generate_system(L1, profile)
+    finally:
+        generate_system.cache_clear()
 
 
 def test_iteration_matches_the_omega_deform_chain(L1):

@@ -43,7 +43,9 @@ def test_the_check_sees_a_private_import(tmp_path):
 
 
 # the operator layer is recomputed on every call: `omegarb classify` and
-# `omegarb construct` run cold, and so must every repeated call in one process
+# `omegarb construct` run cold, and so must every repeated call in one
+# process.  An algebra or operator is cleared once, when it is built, and
+# keeps only that integer form: no cached copy or memo sits beside it
 UNCACHED_MODULES = ("algebras.py", "constructions.py", "linalg.py")
 CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
 
