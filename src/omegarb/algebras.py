@@ -215,6 +215,28 @@ class IntegralAlgebra(NamedTuple):
     c: tuple
     omega: tuple
 
+    def reduced(self) -> "IntegralAlgebra":
+        """The same rational data divided by the common factor of the scale
+        and every entry: content 1, so equal rational data gives equal
+        tables."""
+        g = _common_factor(
+            self.scale,
+            [x for layer in self.c for row in layer for x in row]
+            + [x for row in self.omega for x in row],
+        )
+        if g == 1:
+            return self
+        return IntegralAlgebra(
+            self.scale // g,
+            tuple(tuple(tuple(x // g for x in row) for row in layer) for layer in self.c),
+            tuple(tuple(x // g for x in row) for row in self.omega),
+        )
+
+    def c_view(self) -> tuple:
+        """The table c / scale in Fractions, rebuilt on each call: the
+        read-only view the stored types give out."""
+        return tuple(tuple(divided(row, self.scale) for row in layer) for layer in self.c)
+
 
 def integral_algebra(c, omega=()) -> IntegralAlgebra:
     """(D, D*c, D*omega) with D the lcm of every denominator in c and omega;
@@ -273,19 +295,9 @@ class OmegaAlgebra:
         cls, basis_names: Sequence[str], A: IntegralAlgebra, params=None
     ) -> "OmegaAlgebra":
         """The algebra with structure constants A.c / A.scale and form
-        A.omega / A.scale, its cleared data divided by their common factor."""
-        g = _common_factor(
-            A.scale,
-            [x for layer in A.c for row in layer for x in row] + [x for row in A.omega for x in row],
-        )
-        if g > 1:
-            A = IntegralAlgebra(
-                A.scale // g,
-                tuple(tuple(tuple(x // g for x in row) for row in layer) for layer in A.c),
-                tuple(tuple(x // g for x in row) for row in A.omega),
-            )
+        A.omega / A.scale, its cleared data reduced to content 1."""
         L = cls.__new__(cls)
-        L._store(len(A.c), basis_names, A, params)
+        L._store(len(A.c), basis_names, A.reduced(), params)
         return L
 
     @classmethod
@@ -334,8 +346,7 @@ class OmegaAlgebra:
 
     @property
     def c(self) -> tuple[tuple[Vector, ...], ...]:
-        D, c, _ = self.integral
-        return tuple(tuple(divided(row, D) for row in layer) for layer in c)
+        return self.integral.c_view()
 
     @property
     def omega(self) -> Matrix:

@@ -54,6 +54,7 @@ from .ideals import (
 )
 from .poly import PolyParseError, VariableTable, grevlex_order, lex_order, parse_polynomial, parse_rational
 from .solver import (
+    PROFILES,
     ConstraintProfile,
     GenericOperator,
     analyze_variety,
@@ -169,6 +170,10 @@ def _check_expectations(data, where: str) -> dict:
         if data.get(key) is None:
             raise CatalogError(f"{where}: expectations need a {key!r} entry")
     _check_fields(data, {"profile": str, "rows": [dict]}, where)
+    try:
+        profile_by_name(data["profile"])
+    except KeyError as exc:
+        raise CatalogError(f"{where}: {exc.args[0]}") from None
     for i, row in enumerate(data["rows"]):
         at = f"{where}: row #{i}"
         if not _has_shape(row.get("algebra"), str):
@@ -663,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute one operator variety")
     p.add_argument("algebra")
-    p.add_argument("profile", choices=["b", "bc", "bi1", "bs"])
+    p.add_argument("profile", choices=sorted(PROFILES))
     p.add_argument("--alpha", help="parameter value for parameterized families")
     p.add_argument("--candidates", help="component candidates file")
     p.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")

@@ -14,15 +14,17 @@ scale D d^2.  `iterate_deform` makes one evaluation of (L_{i-1}, R^i) per
 step, which both decides the step and feeds the private `_deform`;
 `omega_deform` is its first step.
 
-Every output is validated against its defining identities over ints (the
-left-symmetric identity on the product [R(x),y] at scale D d, the twisted
-Jacobi identity, and for L_R the defining identity on its stored integer
-algebra).  L_R is built straight from the integer bracket and form, so
-the next step evaluates it without clearing anything; the left-symmetric
-and Hom-Lie tables are divided back to Fractions by D d.  The same integer
-data decide "image(R) inside ker(omega)" (the stored rows of R times the
-stored omega vanish) and the series of `homlie_structure` (ranks of
-fraction-free echelon forms).
+Every output is stored the way an algebra is: its integer table with its
+scale, reduced to content 1 (``IntegralAlgebra.reduced``), with Fraction
+views for output only.  L_R is built from the bracket [x,y]_R and the form,
+the left-symmetric algebra from the product [R(x),y] at scale D d, and the
+Hom-Lie algebra from [x,y]_R at scale D d.  Each output is then validated
+by its public checker over those stored ints: the left-symmetric identity,
+the twisted Jacobi identity, or for L_R the defining identity.  The same
+integer data decide "image(R) inside ker(omega)" (the stored rows of R
+times the stored omega vanish), the series of `homlie_structure` (ranks of
+fraction-free echelon forms), the annihilator hypothesis of `module_twist`
+(R([R(x),y]) at scale D d^2) and the module identity (at scale D).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .algebras import (
     Subspace,
     apply_operator,
     evaluate_operator,
-    integral_algebra,
     jacobi_defect,
     structure_product,
     validate_algebra,
@@ -47,7 +48,6 @@ from .algebras import (
 from .linalg import (
     Matrix,
     Vector,
-    divided,
     fraction_free_rref,
     identity,
     is_zero_matrix,
@@ -91,15 +91,18 @@ class IterationHalted(RuntimeError):
 
 @dataclass(frozen=True)
 class LeftSymmetricAlgebra:
-    """Multiplication table m[i][j][k]: e_i * e_j = sum_k m[i][j][k] e_k."""
+    """Multiplication table m[i][j][k]: e_i * e_j = sum_k m[i][j][k] e_k.
+
+    Stored cleared of denominators as ``integral`` = (D, D m, ()) at content
+    1; ``m`` is the Fraction view of it, rebuilt on each access."""
 
     dim: int
     basis_names: tuple[str, ...]
-    m: tuple[tuple[Vector, ...], ...]
+    integral: IntegralAlgebra
 
-
-def _divided_table(table, m: int) -> tuple:
-    return tuple(tuple(divided(v, m) for v in row) for row in table)
+    @property
+    def m(self) -> tuple[tuple[Vector, ...], ...]:
+        return self.integral.c_view()
 
 
 def _columns(c) -> list:
@@ -108,9 +111,18 @@ def _columns(c) -> list:
     return [tuple(c[a][j] for a in range(n)) for j in range(n)]
 
 
-def _left_symmetric(m) -> bool:
-    """(xy)z - x(yz) = (yx)z - y(xz) on basis triples of the integer table
-    m; the identity is symmetric in x, y, so x < y suffices."""
+def _image_products(c, rows) -> tuple:
+    """table[i][j] = [rows[i], e_j] over the integer table c: the product
+    [R(e_i), e_j] at scale D d for c at scale D and rows = d R."""
+    cols = _columns(c)
+    return tuple(tuple(apply_operator(col, r, 0) for col in cols) for r in rows)
+
+
+def is_left_symmetric(A: LeftSymmetricAlgebra) -> bool:
+    """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples, over the stored
+    integer table (the identity is homogeneous); it is symmetric in x, y,
+    so x < y suffices."""
+    m = A.integral.c
     n = len(m)
     cols = _columns(m)
 
@@ -126,18 +138,12 @@ def _left_symmetric(m) -> bool:
     )
 
 
-def is_left_symmetric(A: LeftSymmetricAlgebra) -> bool:
-    """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples, over the table
-    cleared of denominators (the identity is homogeneous)."""
-    return _left_symmetric(integral_algebra(A.m).c)
-
-
 def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricAlgebra:
     """x*y := [R(x), y] is left-symmetric when R is a weight-0 Rota-Baxter
     operator whose image lies in ker(omega).  Both hypotheses are checked,
     the second as omega(R e_i, e_j) = 0 for all i, j: row i of the stored
-    operator times the stored omega is zero.  The table is checked over
-    ints before it is divided back."""
+    operator times the stored omega is zero.  The table [R e_i, e_j] is
+    stored at scale D d, reduced, and checked by :func:`is_left_symmetric`."""
     A = L.integral
     ev = evaluate_operator(L, R)
     if not ev.flags.is_rb:
@@ -148,12 +154,11 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
                 "image(R) inside ker(omega)",
                 f"R({L.basis_names[i]}) is outside the kernel",
             )
-    cols = _columns(A.c)
-    # [R e_i, e_j] at scale D d
-    table = tuple(tuple(apply_operator(col, r, 0) for col in cols) for r in ev.rows)
-    if not _left_symmetric(table):
+    table = IntegralAlgebra(A.scale * ev.d, _image_products(A.c, ev.rows), ())
+    out = LeftSymmetricAlgebra(L.dim, L.basis_names, table.reduced())
+    if not is_left_symmetric(out):
         raise AssertionError("construction produced a non-left-symmetric table")
-    return LeftSymmetricAlgebra(L.dim, L.basis_names, _divided_table(table, A.scale * ev.d))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,46 +221,53 @@ def iterate_deform(L: OmegaAlgebra, R: OperatorMatrix, steps: int) -> list[Omega
 @dataclass(frozen=True)
 class HomLieAlgebra:
     """Skew bracket table with a twist map; the twisted Jacobi identity
-    [[x,y],t(z)] + [[y,z],t(x)] + [[z,x],t(y)] = 0 holds on basis triples."""
+    [[x,y],t(z)] + [[y,z],t(x)] + [[z,x],t(y)] = 0 holds on basis triples.
+
+    The bracket is stored cleared of denominators as ``integral`` = (D, D c,
+    ()) at content 1; ``c`` is the Fraction view of it, rebuilt on each
+    access."""
 
     dim: int
     basis_names: tuple[str, ...]
-    c: tuple[tuple[Vector, ...], ...]
+    integral: IntegralAlgebra
     twist: OperatorMatrix
 
+    @property
+    def c(self) -> tuple[tuple[Vector, ...], ...]:
+        return self.integral.c_view()
+
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        return structure_product(self.c, u, v)
+        D, c, _ = self.integral
+        return tuple(x / D for x in structure_product(c, u, v))
 
 
-def _hom_jacobi_holds(c, twist_rows) -> bool:
-    """The twisted Jacobi identity on basis triples, over ints."""
+def hom_jacobi_holds(g: HomLieAlgebra) -> bool:
+    """The twisted Jacobi identity on basis triples, over the stored bracket
+    and the twist's stored rows (the identity is homogeneous in each)."""
+    c = g.integral.c
     n = len(c)
     no_form = ((0,) * n,) * n
     return not any(
-        any(jacobi_defect(c, no_form, twist_rows, *ijk, 0))
+        any(jacobi_defect(c, no_form, g.twist.rows, *ijk, 0))
         for ijk in combinations(range(n), 3)
     )
 
 
-def hom_jacobi_holds(g: HomLieAlgebra) -> bool:
-    """The twisted Jacobi identity, over the bracket cleared of denominators
-    and the twist's stored rows (the identity is homogeneous in each)."""
-    return _hom_jacobi_holds(integral_algebra(g.c).c, g.twist.rows)
-
-
 def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
     """Hom-Lie algebra with bracket [x,y]_R and twist R, for R a compatible
-    weight-0 Rota-Baxter operator with R^2 = 0.  Hypotheses and the twisted
-    Jacobi identity are both checked, the identity over ints before the
-    bracket (at scale D d) is divided back."""
+    weight-0 Rota-Baxter operator with R^2 = 0.  The hypotheses are checked;
+    the bracket is stored at scale D d, reduced, and checked by
+    :func:`hom_jacobi_holds`."""
     ev = evaluate_operator(L, R)
     if not (ev.flags.is_rb and ev.flags.is_compatible):
         raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
     if not ev.flags.is_square_zero:
         raise PreconditionError("R^2 = 0")
-    if not _hom_jacobi_holds(ev.bracket, ev.rows):
+    bracket = IntegralAlgebra(ev.D * ev.d, tuple(map(tuple, ev.bracket)), ())
+    g = HomLieAlgebra(L.dim, L.basis_names, bracket.reduced(), R)
+    if not hom_jacobi_holds(g):
         raise AssertionError("construction violates the twisted Jacobi identity")
-    return HomLieAlgebra(L.dim, L.basis_names, _divided_table(ev.bracket, ev.D * ev.d), R)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +315,10 @@ def _series_dims(c, full, lower: bool) -> tuple[int, ...]:
 def homlie_structure(g: HomLieAlgebra) -> SeriesReport:
     """Series dims start at the full space; length/class is the first index
     whose term vanishes (2 means [g,g] != 0 but the next term is zero).  The
-    brackets are taken over the integer table cleared of denominators,
-    which spans the same terms, and each term's dim is the rank of its
-    fraction-free echelon form."""
-    c = integral_algebra(g.c).c
+    brackets are taken over the stored integer table, which spans the same
+    terms, and each term's dim is the rank of its fraction-free echelon
+    form."""
+    c = g.integral.c
     full = [tuple(int(a == b) for b in range(g.dim)) for a in range(g.dim)]
     derived_dims = _series_dims(c, full, lower=False)
     lower_dims = _series_dims(c, full, lower=True)
@@ -366,19 +378,20 @@ class ModuleValidation:
 
 def validate_module(L: OmegaAlgebra, V: ModuleAction) -> ModuleValidation:
     """Check the module identity [x,y].v = x.(y.v) - y.(x.v) + omega(x,y) v
-    on all basis pairs."""
+    on all basis pairs, over the stored algebra (D c, D omega): both sides
+    are taken at scale D, and each residual is divided back by D."""
     if V.algebra_dim != L.dim:
         raise ValueError("module and algebra dimensions differ")
     failures = []
-    m = V.module_dim
-    c, omega = L.c, L.omega
+    unit = identity(V.module_dim)
+    D, c, omega = L.integral
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             lhs = V.act_matrix(c[i][j])
             comm = mat_sub(mat_mul(V.rho[i], V.rho[j]), mat_mul(V.rho[j], V.rho[i]))
-            rhs = mat_add(comm, mat_scale(identity(m), omega[i][j]))
+            rhs = mat_add(mat_scale(comm, D), mat_scale(unit, omega[i][j]))
             if lhs != rhs:
-                failures.append((i, j, mat_sub(lhs, rhs)))
+                failures.append((i, j, mat_scale(mat_sub(lhs, rhs), Fraction(1, D))))
     return ModuleValidation(not failures, failures)
 
 
@@ -400,23 +413,23 @@ def module_twist(
 
     Requires R isometric Rota-Baxter of weight 1 and R([R(L), L]) contained
     in the annihilator of V, checked pair by pair as R([R(e_i), e_j])
-    acting by the zero matrix; the twisted action is validated before
-    being returned.
+    acting by the zero matrix.  Both come from one evaluation of (L, R):
+    from its rows d R, [R(e_i), e_j] at scale D d and R of it at scale
+    D d^2, and the action of R(e_i) as that of d R(e_i) divided by d.  The
+    twisted action is validated before being returned.
     """
-    flags = evaluate_operator(L, R, 1).flags
-    if not (flags.is_rb and flags.is_isometric):
+    ev = evaluate_operator(L, R, 1)
+    if not (ev.flags.is_rb and ev.flags.is_isometric):
         raise PreconditionError("R is an isometric Rota-Baxter operator of weight 1")
-    images = R.entries  # R(e_i) is row i
-    basis = identity(L.dim)
-    for i in range(L.dim):
-        for j in range(L.dim):
-            w = R.apply(L.bracket(images[i], basis[j]))
+    for i, products in enumerate(_image_products(L.integral.c, ev.rows)):
+        for j, v in enumerate(products):
+            w = apply_operator(ev.rows, v, 0)  # R([R e_i, e_j]) at scale D d^2
             if not is_zero_matrix(V.act_matrix(w)):
                 raise PreconditionError(
                     "R([R(L), L]) inside the annihilator of the module",
                     f"R([R({L.basis_names[i]}), {L.basis_names[j]}]) acts nontrivially",
                 )
-    rho = tuple(V.act_matrix(images[i]) for i in range(L.dim))
+    rho = tuple(mat_scale(V.act_matrix(r), Fraction(1, ev.d)) for r in ev.rows)
     out = ModuleAction(L.dim, V.module_dim, rho)
     check = validate_module(L, out)
     if not check.ok:

@@ -147,10 +147,11 @@ def membership_check(
     generator.  Agrees with classify_map by construction (cross-checked in
     the test suite on random operators)."""
     I = generate_system(L, profile)
+    entries = R.entries
     point = {}
     for i in range(L.dim):
         for j in range(L.dim):
-            point[entry_name(i + 1, j + 1)] = R.entries[i][j]
+            point[entry_name(i + 1, j + 1)] = entries[i][j]
     return all(g.evaluate(point) == 0 for g in I.generators)
 
 

@@ -245,6 +245,14 @@ def test_table_empty_expectations(tmp_path, capsys):
     assert json.loads(out)["rows"] == []
 
 
+def test_table_rejects_an_unknown_profile_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    path.write_text("table: 1\nprofile: zz\nrows: [{algebra: L1}]\n")
+    code, out, err = run(capsys, "table", "1", "--expect", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: unknown profile 'zz'; expected one of ['b', 'bc', 'bi1', 'bs']\n"
+
+
 def test_construct_left_symmetric(tmp_path, capsys):
     op = tmp_path / "op.yaml"
     op.write_text(

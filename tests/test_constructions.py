@@ -1,6 +1,7 @@
 """Construction theorems as executable checks: left-symmetric products,
 deformations, Hom-Lie algebras, series analysis, and module twists."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from omegarb.algebras import (
 from omegarb.constructions import (
     HomLieAlgebra,
     IterationHalted,
+    LeftSymmetricAlgebra,
     ModuleAction,
     PreconditionError,
     annihilator,
@@ -216,26 +218,47 @@ def test_each_construction_evaluates_the_pair_once(L1, monkeypatch):
         assert len(calls) == want
 
 
-def test_the_integer_passes_read_no_fraction_view(L1, monkeypatch):
-    """Algebras and operators are cleared once, when they are built: with
-    the Fraction views patched to raise, classification, the left-symmetric,
-    deformed and Hom-Lie constructions and the equation generator still run."""
+def test_the_integer_passes_read_no_fraction_view(L1, monkeypatch, evaluations):
+    """Algebras, operators and construction outputs are cleared once, when
+    they are built: with the Fraction views patched to raise,
+    classification, every construction and its checker, the module
+    identity and the equation generator still run, and a module twist
+    reads one evaluation and neither rational product."""
     from omegarb.solver import PROFILES, generate_system
 
     R = OperatorMatrix([[0, 0, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
+    minus_id = OperatorMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    V = _scalar_module(L1, [Fraction(-1, 2), 1, 0])
+    zero_module = ModuleAction.from_matrices(3, [[], [], []])
 
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("an integer pass read a Fraction view")
 
-    for cls, view in ((OmegaAlgebra, "c"), (OmegaAlgebra, "omega"), (OperatorMatrix, "entries")):
+    for cls, view in (
+        (OmegaAlgebra, "c"),
+        (OmegaAlgebra, "omega"),
+        (OperatorMatrix, "entries"),
+        (LeftSymmetricAlgebra, "m"),
+        (HomLieAlgebra, "c"),
+    ):
         monkeypatch.setattr(cls, view, property(refuse))
+    monkeypatch.setattr(OmegaAlgebra, "bracket", refuse)
+    monkeypatch.setattr(OperatorMatrix, "apply", refuse)
     with pytest.raises(AssertionError, match="Fraction view"):
         L1.c
     flags = classify_map(L1, R)
     assert flags.is_rb and flags.is_compatible and flags.is_square_zero
-    left_symmetric_from_rb(L1, R)
+    assert is_left_symmetric(left_symmetric_from_rb(L1, R))
     assert len(iterate_deform(L1, R, 3)) == 4
-    homlie_structure(homlie_from_rb(L1, R))
+    g = homlie_from_rb(L1, R)
+    assert hom_jacobi_holds(g)
+    homlie_structure(g)
+    assert validate_module(L1, V).ok
+    evaluations.clear()
+    assert module_twist(L1, zero_module, minus_id).module_dim == 0
+    with pytest.raises(PreconditionError, match="annihilator"):
+        module_twist(L1, V, minus_id)
+    assert len(evaluations) == 2  # one per twist
     generate_system.cache_clear()
     try:
         for profile in PROFILES.values():
@@ -476,6 +499,23 @@ def test_module_twist_rejects_annihilator_violation(L1):
         module_twist(L1, V, minus_id)
 
 
+def test_module_twist_acts_by_the_operator_image():
+    # on a Lie algebra every subalgebra splitting L = A + B gives the
+    # isometric weight-1 Rota-Baxter operator -P_A; here A = <x + y/2> and
+    # B = <y, z>, so R([R(L), L]) = R(<z>) = 0 lies in every annihilator
+    heis = OmegaAlgebra.from_brackets(["x", "y", "z"], {(0, 1): [0, 0, 1]}, {})
+    R = OperatorMatrix([[-1, Fraction(-1, 2), 0], [0, 0, 0], [0, 0, 0]])
+    h = Fraction(1, 2)
+    V = ModuleAction.from_matrices(
+        3, [[[h, 1], [0, h]], [[0, Fraction(1, 3)], [0, 0]], [[0, 0], [0, 0]]]
+    )
+    assert validate_module(heis, V).ok
+    W = module_twist(heis, V, R)
+    assert W.rho == tuple(V.act_matrix(R.entries[i]) for i in range(3))
+    assert W.rho[0] == ((Fraction(-1, 2), Fraction(-7, 6)), (0, Fraction(-1, 2)))
+    assert validate_module(heis, W).ok
+
+
 def test_module_twist_search_over_shipped_families(L1, L2, rng):
     """Search isometric weight-1 operators (sampled from the shipped
     component families) against scalar and diagonal module families.  At
@@ -548,13 +588,36 @@ def test_construction_soundness_on_sampled_points(L1, L2, L1_2, L1_8, rng):
                 LR = omega_deform(L, R)  # validates internally
                 cls = classify_map(LR, R, 0)
                 assert cls.is_rb and cls.is_compatible
+                products = _image_products_reference(L, R)
                 if R.power(2).is_zero():
-                    assert hom_jacobi_holds(homlie_from_rb(L, R))
+                    g = homlie_from_rb(L, R)
+                    assert hom_jacobi_holds(g)
+                    assert _content(g.integral) == 1
+                    assert g.c == tuple(
+                        tuple(
+                            tuple(a - b for a, b in zip(products[i][j], products[j][i]))
+                            for j in range(n)
+                        )
+                        for i in range(n)
+                    )  # [x,y]_R = [R x, y] - [R y, x]
                 try:
                     A = left_symmetric_from_rb(L, R)
                     assert is_left_symmetric(A)
                 except PreconditionError:
-                    pass  # image not inside ker(omega) for this point
+                    continue  # image not inside ker(omega) for this point
+                assert _content(A.integral) == 1
+                assert A.m == products
+
+
+def _image_products_reference(L, R):
+    """[R e_i, e_j] by the rational bracket and operator."""
+    basis = [L.basis_vector(i) for i in range(L.dim)]
+    return tuple(tuple(L.bracket(R.apply(u), v) for v in basis) for u in basis)
+
+
+def _content(A):
+    """The gcd of a stored table's scale and entries."""
+    return math.gcd(A.scale, *(x for layer in A.c for row in layer for x in row))
 
 
 def test_degeneration_to_lie_case(rng):

@@ -121,6 +121,15 @@ def test_the_check_sees_a_reference(tmp_path):
     assert name_references(probe, "pair_identities") == 3
 
 
+# a construction output keeps the integer table it was built from, as an
+# algebra does, so no construction clears a table or divides one back
+def test_the_constructions_neither_clear_nor_divide_a_table():
+    path = PACKAGE / "constructions.py"
+    assert {name: name_references(path, name) for name in ("integral_algebra", "divided")} == {
+        "integral_algebra": 0, "divided": 0
+    }
+
+
 # the benchmark's tracer patches these names by attribute lookup, so a
 # deleted or renamed one breaks `perfbench/run.py --trace 1`
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
