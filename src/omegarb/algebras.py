@@ -53,12 +53,11 @@ from .linalg import (
     cleared,
     det,
     divided,
+    fraction_free_rref,
     identity,
     integral_rows,
-    inverse,
     lcm_of_denominators,
     mat,
-    mat_add,
     nullspace,
     rref,
     vec,
@@ -421,9 +420,14 @@ class OperatorMatrix:
             raise ValueError(f"vector of length {len(v)} for a {n}x{n} operator")
         return tuple(x / self.d for x in apply_operator(self.rows, v))
 
+    def _same_dim(self, other: "OperatorMatrix") -> None:
+        if other.dim != self.dim:
+            raise ValueError(f"operators of dimensions {self.dim} and {other.dim}")
+
     def then(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Composition 'self then other' (x -> other(self(x))): the integer
         product (a A)(b B) of the stored matrices, at scale a b."""
+        self._same_dim(other)
         product = tuple(apply_operator(other.rows, r, 0) for r in self.rows)
         return OperatorMatrix.from_integral(self.d * other.d, product)
 
@@ -444,7 +448,14 @@ class OperatorMatrix:
         )
 
     def add(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(mat_add(self.entries, other.entries))
+        """A/a + B/b as ((l/a) A + (l/b) B)/l, l = lcm(a, b)."""
+        self._same_dim(other)
+        l = lcm(self.d, other.d)
+        a, b = l // self.d, l // other.d
+        return OperatorMatrix.from_integral(
+            l,
+            tuple(tuple(a * x + b * y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)),
+        )
 
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
@@ -453,10 +464,19 @@ class OperatorMatrix:
         return det(self.rows) != 0
 
     def inverse_operator(self) -> "OperatorMatrix":
-        inv = inverse(self.entries)
-        if inv is None:
+        """(A/d)^-1 = d A^-1: the right half of p times the reduced form of
+        [A | 1] is p A^-1, p the last pivot, so the inverse is that half
+        times d over p."""
+        n = self.dim
+        X, pivots, p = fraction_free_rref(
+            [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
+        )
+        if pivots[:n] != list(range(n)):
             raise SingularOperatorError("operator is singular")
-        return OperatorMatrix(inv)
+        sign = 1 if p > 0 else -1
+        return OperatorMatrix.from_integral(
+            sign * p, tuple(tuple(sign * self.d * x for x in row[n:]) for row in X)
+        )
 
 
 @dataclass(frozen=True)

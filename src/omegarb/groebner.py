@@ -6,7 +6,8 @@ computed once, when it enters a basis, and read everywhere after that.  A
 lead table is a list of ``(leading monomial, divisibility mask, leading
 coefficient, terms)`` entries in basis order: ``buchberger`` keeps one beside
 its basis, forms S-polynomials from it, reduces against it and appends to
-it, and hands its active entries to ``interreduce``, which minimalizes them;
+it, and keeps its active entries (the reducers) minimal and auto-reduced at
+every step, so ``interreduce`` only sorts them and makes them monic;
 ``reduce`` and ``is_groebner_basis`` build one per call from the caller's
 rational polynomials by clearing denominators and content.  A
 :class:`GroebnerBasis` builds one on its first membership test
@@ -28,11 +29,11 @@ returns the integer remainder with the multiplier M it applied (the
 product of the scales over the stripped contents), so that M*f minus the
 remainder lies in the ideal.  ``reduce`` divides by M, and by the
 denominators it cleared, and so returns the exact rational remainder;
-``buchberger`` and ``interreduce`` use the remainder only up to a scalar,
-and ``GroebnerBasis.contains`` and ``is_groebner_basis`` only test it for
-zero.  The one division by a leading
-coefficient happens at the end of ``interreduce``, which makes each element
-monic: a :class:`GroebnerBasis` holds monic ``Fraction`` polynomials.
+``buchberger`` uses the remainder only up to a scalar, and
+``GroebnerBasis.contains`` and ``is_groebner_basis`` only test it for zero.
+The one division by a leading coefficient happens in ``interreduce``, which
+makes each element monic: a :class:`GroebnerBasis` holds monic
+``Fraction`` polynomials.
 
 The normal form keeps its pending monomials in a heap keyed by
 ``MonomialOrder.desc_key``, so each monomial's key is computed once, when it
@@ -42,15 +43,21 @@ divide the current term the first entry in list order wins; the remainder
 is therefore the same, term for term and in the same dict order, as a scan
 of the whole pending set on every step would give.
 
-Critical pairs are pruned when each new element h is installed, by the
-Gebauer-Moeller criteria (J. Symb. Comp. 6, 1988) in the form of Becker and
-Weispfenning's UPDATE (Groebner Bases, 1993, p. 230):
+Every element h enters as a nonzero normal form against the reducers.
+Critical pairs are pruned when h is installed, by the Gebauer-Moeller
+criteria (J. Symb. Comp. 6, 1988) in the form of Becker and Weispfenning's
+UPDATE (Groebner Bases, 1993, p. 230):
 - of the new pairs (g, h), one is kept for each lcm that is not a proper
   multiple of another new pair's lcm, and a kept pair whose leading
   monomials are coprime is dropped (Buchberger's product criterion);
 - an old pair (g1, g2) is dropped when LM(h) divides its lcm t and neither
   lcm(g1, h) nor lcm(g2, h) equals t (the chain criterion);
-- an element whose leading monomial LM(h) divides leaves the reducers.
+- an element whose leading monomial LM(h) divides leaves the reducers;
+  its pairs stay pending.
+Each remaining reducer with a term that LM(h) divides is then rewritten as
+its normal form against the other reducers (Becker and Weispfenning,
+Ch. 5), so the reducers stay a minimal auto-reduced set.  The rewrite keeps
+the reducer's leading monomial, so its pending pairs stay valid.
 Surviving pairs wait in a heap keyed by ``order.key`` of their lcm alone,
 so the smallest lcm in the order goes first (Buchberger's normal strategy,
 1985) under every order.  Under grevlex that is degree by degree, and under
@@ -117,16 +124,22 @@ def _integer_terms(terms) -> tuple[dict, int]:
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
-def _lead_table(polys, order: MonomialOrder) -> list[_Lead]:
-    leads = []
+def _integer_table(polys, order: MonomialOrder) -> list[dict]:
+    """The integer terms of the nonzero polynomials, each over the order's
+    variables."""
+    out = []
     for p in polys:
         if p:
             if len(p.table) != len(order.priority):
                 raise DimensionMismatchError(
                     f"order over {len(order.priority)} variables, table of {len(p.table)}"
                 )
-            leads.append(_lead(_integer_terms(p.terms)[0], order))
-    return leads
+            out.append(_integer_terms(p.terms)[0])
+    return out
+
+
+def _lead_table(polys, order: MonomialOrder) -> list[_Lead]:
+    return [_lead(terms, order) for terms in _integer_table(polys, order)]
 
 
 @dataclass(frozen=True)
@@ -257,34 +270,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 def interreduce(gens: list[_Lead], order: MonomialOrder, table) -> list[Polynomial]:
-    """Minimalize and fully auto-reduce a generating set, given as lead
-    entries, and make each element monic: the result is the reduced basis,
-    over ``table``, if the input was a Groebner basis."""
-    key = order.key
-    minimal: list[_Lead] = []
-    # ascending by leading monomial, so redundant elements come later
-    for e in sorted(gens, key=lambda e: key(e.lm)):
-        if any(not (q.mask & ~e.mask) and mono_divides(q.lm, e.lm) for q in minimal):
-            continue
-        minimal.append(e)
-    # full tail reduction of each element against the rest
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            e = minimal[i]
-            r = _normal_form(e.terms, minimal[:i] + minimal[i + 1 :], order)[0]
-            if not r:
-                del minimal[i]
-                changed = True
-                break
-            if r != e.terms:
-                minimal[i] = _lead(r, order)
-                changed = True
-    # the one division by the leading coefficient
+    """The reduced basis, over ``table``, of a minimal auto-reduced Groebner
+    basis given as lead entries: sorted ascending by leading monomial, each
+    element divided by its leading coefficient."""
     return [
         Polynomial(table, {m: Fraction(c, e.lc) for m, c in e.terms.items()})
-        for e in sorted(minimal, key=lambda e: key(e.lm))
+        for e in sorted(gens, key=lambda e: order.key(e.lm))
     ]
 
 
@@ -337,35 +328,41 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
     The result is canonical: independent of generator order and duplicates.
     An all-zero (or empty) generator list yields the empty basis for the zero
     ideal.  ``groebner_prefix=k`` asserts that the first k generators are
-    already a Groebner basis under ``order``, so their mutual pairs are
-    skipped (used for incremental extensions of a cached basis).
+    already a reduced Groebner basis under ``order``, so their mutual pairs
+    are skipped (used for incremental extensions of a cached basis).
+    Each later generator and each S-polynomial enters as its normal form
+    against the reducers, which stay minimal and auto-reduced.
     """
     gens = list(gens)
-    # every element that ever entered, in entry order; pairs index into it
-    basis = _lead_table(gens, order)
-    if not basis:
+    if not any(gens):
         return GroebnerBasis(order, ())
     table = gens[0].table
-    one = Polynomial.constant(table, 1)
-    if any(not e.mask for e in basis):
-        return GroebnerBasis(order, (one,))
-    prefix = sum(1 for g in gens[:groebner_prefix] if g)
+    # every element that ever entered, in entry order; pairs index into it
+    basis = _lead_table(gens[:groebner_prefix], order)
+    active = list(range(len(basis)))
+    reducers = basis[:]
     pairs: list[tuple] = []
-    active = list(range(prefix))
-    for k in range(prefix, len(basis)):
-        active = _install(k, basis, active, pairs, order.key)
-    reducers = [basis[i] for i in active]
-    while pairs:
-        i, j = heappop(pairs)[1:3]
-        r = _normal_form(_s_terms(basis[i], basis[j]), reducers, order)[0]
-        if r:
-            e = _lead(r, order)
-            if not e.mask:
-                return GroebnerBasis(order, (one,))
-            basis.append(e)
-            active = _install(len(basis) - 1, basis, active, pairs, order.key)
-            reducers = [basis[i] for i in active]
-    return GroebnerBasis(order, tuple(interreduce([basis[i] for i in active], order, table)))
+
+    def s_polynomials():
+        while pairs:
+            i, j = heappop(pairs)[1:3]
+            yield _s_terms(basis[i], basis[j])
+
+    for terms in chain(_integer_table(gens[groebner_prefix:], order), s_polynomials()):
+        r = _normal_form(terms, reducers, order)[0]
+        if not r:
+            continue
+        e = _lead(r, order)
+        if not e.mask:
+            return GroebnerBasis(order, (Polynomial.constant(table, 1),))
+        basis.append(e)
+        active = _install(len(basis) - 1, basis, active, pairs, order.key)
+        for i in active[:-1]:
+            if any(mono_divides(e.lm, m) for m in basis[i].terms):
+                rest = [basis[j] for j in active if j != i]
+                basis[i] = _lead(_normal_form(basis[i].terms, rest, order)[0], order)
+        reducers = [basis[i] for i in active]
+    return GroebnerBasis(order, tuple(interreduce(reducers, order, table)))
 
 
 def is_groebner_basis(polys, order: MonomialOrder) -> bool:

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from omegarb.catalog import load_builtin_catalog
-
+from omegarb.poly import Polynomial
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +61,16 @@ def random_poly(rng, table, max_terms=4, max_deg=3):
     for _ in range(rng.randint(0, max_terms)):
         mono = tuple(rng.randint(0, max_deg) for _ in range(n))
         terms[mono] = random_rational(rng)
-    from omegarb.poly import Polynomial
-
     return Polynomial(table, terms)
+
+
+SMALL_COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+def small_polys(table, coeff, max_terms=3):
+    """Polynomials over ``table`` of degree at most 3, each exponent at
+    most 2, with up to ``max_terms`` coefficients drawn from ``coeff``."""
+    mono = st.tuples(*[st.integers(0, 2)] * len(table)).filter(lambda m: sum(m) <= 3)
+    return st.dictionaries(mono, coeff, min_size=1, max_size=max_terms).map(
+        lambda terms: Polynomial(table, terms)
+    )

@@ -245,6 +245,16 @@ def test_singular_operator_rejected(L1):
         inverse_correspondence(L1, OperatorMatrix.zero(3))
 
 
+def test_operators_of_different_dimensions_rejected():
+    # a sum or composition of a 2x2 and a 3x3 operator is an error, not a
+    # truncated 2x2 sum or a product with 3 rows of 2
+    two, three = OperatorMatrix([[1, 2], [3, 4]]), OperatorMatrix.identity(3)
+    with pytest.raises(ValueError, match="dimensions 2 and 3"):
+        two.add(three)
+    with pytest.raises(ValueError, match="dimensions 3 and 2"):
+        three.then(two)
+
+
 # -- subspaces ----------------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from omegarb.algebras import (
     OperatorMatrix,
     Subspace,
     classify_map,
+    inverse_correspondence,
     validate_algebra,
 )
 from omegarb.constructions import (
@@ -31,6 +32,7 @@ from omegarb.constructions import (
     omega_deform,
     validate_module,
 )
+from omegarb.linalg import inverse, mat_add
 from tests.conftest import random_rational
 
 
@@ -265,6 +267,24 @@ def test_the_integer_passes_read_no_fraction_view(L1, monkeypatch, evaluations):
             generate_system(L1, profile)
     finally:
         generate_system.cache_clear()
+
+
+def test_operator_sum_and_inverse_read_no_fraction_view(L1, monkeypatch):
+    """add, inverse_operator and inverse_correspondence work on the stored
+    integers: with the Fraction view patched to raise, they still run, and
+    agree with the rational sum and inverse."""
+    R = OperatorMatrix([[Fraction(1, 2), 0, 1], [0, Fraction(-2, 3), 0], [3, 0, Fraction(5, 4)]])
+    S = OperatorMatrix([[0, Fraction(1, 6), 0], [-2, 0, 0], [0, 0, Fraction(-3, 4)]])
+    want_sum = OperatorMatrix(mat_add(R.entries, S.entries))
+    want_inverse = OperatorMatrix(inverse(R.entries))
+
+    def refuse(self):
+        raise AssertionError("an integer pass read a Fraction view")
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
+    assert R.add(S) == want_sum
+    assert R.inverse_operator() == want_inverse
+    assert inverse_correspondence(L1, R) == want_inverse
 
 
 def test_iteration_matches_the_omega_deform_chain(L1):

@@ -12,6 +12,7 @@ from omegarb.groebner import buchberger
 from omegarb.ideals import elimination, make_ideal
 from omegarb.poly import Polynomial, VariableTable, grevlex_order, lex_order
 from omegarb.solver import PROFILES, generate_system
+from tests.conftest import SMALL_COEFF, small_polys
 
 sympy = pytest.importorskip("sympy")
 
@@ -84,16 +85,6 @@ def test_random_ideal_basis_matches_sympy(data):
 
 XYZ = VariableTable.of("x", "y", "z")
 XYZT = XYZ.extend("t")
-
-
-def small_polys(table, coeff, max_terms=3):
-    mono = st.tuples(*[st.integers(0, 2)] * len(table)).filter(lambda m: sum(m) <= 3)
-    return st.dictionaries(mono, coeff, min_size=1, max_size=max_terms).map(
-        lambda terms: Polynomial(table, terms)
-    )
-
-
-SMALL_COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
 
 @settings(max_examples=25, deadline=None)
