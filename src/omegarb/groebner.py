@@ -7,13 +7,14 @@ lead table is a list of ``(leading monomial, divisibility mask, leading
 coefficient, terms)`` entries in basis order: ``buchberger`` keeps one beside
 its basis, forms S-polynomials from it, reduces against it and appends to
 it, and keeps its active entries (the reducers) minimal and auto-reduced at
-every step, so ``interreduce`` only sorts them and makes them monic;
-``reduce`` and ``is_groebner_basis`` build one per call from the caller's
-rational polynomials by clearing denominators and content.  A
-:class:`GroebnerBasis` builds one on its first membership test
-(``contains``, behind ``ideals.ideal_membership``) and keeps it: converting
-the monic basis back to integers on every test cost more than the rest of
-the test.
+every step, so at the end it only sorts them and ``interreduce`` makes them
+monic; ``reduce`` and ``is_groebner_basis`` build one per call from the
+caller's rational polynomials by clearing denominators and content.  A
+:class:`GroebnerBasis` keeps one for its membership tests (``contains``,
+behind ``ideals.ideal_membership``): ``buchberger`` hands over its sorted
+reducers, and a basis built elsewhere makes one on its first test.
+Converting the monic basis back to integers on every test cost more than
+the rest of the test.
 
 The mask of a monomial has bit i set when variable i occurs.  A divisor's
 mask is a subset of its multiple's, so the divisor scan and the pair
@@ -43,7 +44,8 @@ divide the current term the first entry in list order wins; the remainder
 is therefore the same, term for term and in the same dict order, as a scan
 of the whole pending set on every step would give.
 
-Every element h enters as a nonzero normal form against the reducers.
+Every element h enters as a nonzero normal form against the reducers,
+from a generator past ``groebner_prefix`` or from a critical pair.
 Critical pairs are pruned when h is installed, by the Gebauer-Moeller
 criteria (J. Symb. Comp. 6, 1988) in the form of Becker and Weispfenning's
 UPDATE (Groebner Bases, 1993, p. 230):
@@ -59,11 +61,14 @@ its normal form against the other reducers (Becker and Weispfenning,
 Ch. 5), so the reducers stay a minimal auto-reduced set.  The rewrite keeps
 the reducer's leading monomial, so its pending pairs stay valid.
 Surviving pairs wait in a heap keyed by ``order.key`` of their lcm alone,
-so the smallest lcm in the order goes first (Buchberger's normal strategy,
-1985) under every order.  Under grevlex that is degree by degree, and under
-an elimination order block degree first.  Under lex a degree-first rule
-grew remainders of degree 29 on an input with a 6-element basis
-(``tests/test_groebner.py``).
+and the generators wait beside them, keyed by their leading monomial, so
+the smallest lcm or leading monomial in the order goes first (Buchberger's
+normal strategy, 1985) under every order, and a generator before a pair on
+a tie.  Under grevlex that is degree by degree, and under an elimination
+order block degree first.  A generator so waits until every pair with a
+smaller lcm has entered, and is reduced by what they added.  Under lex a
+degree-first rule grew remainders of degree 29 on an input with a
+6-element basis (``tests/test_groebner.py``).
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .poly import (
@@ -150,11 +155,14 @@ class GroebnerBasis:
 
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
-    _leads: list = field(default=None, init=False, repr=False, compare=False)
+    # the integer lead table of ``elements``; ``buchberger`` hands over its
+    # reducers, otherwise the first ``contains`` builds it
+    _leads: list = field(default=None, repr=False, compare=False)
 
     def contains(self, f: Polynomial) -> bool:
         """f lies in the ideal: its normal form is zero.  The lead table is
-        built on the first call and kept."""
+        built on the first call, unless ``buchberger`` supplied it, and
+        kept."""
         if self._leads is None:
             object.__setattr__(self, "_leads", _lead_table(self.elements, self.order))
         return not _normal_form(_integer_terms(f.terms)[0], self._leads, self.order)[0]
@@ -269,14 +277,11 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return Polynomial(f.table, _s_terms(lead(f), lead(g)))
 
 
-def interreduce(gens: list[_Lead], order: MonomialOrder, table) -> list[Polynomial]:
+def interreduce(gens: list[_Lead], table) -> list[Polynomial]:
     """The reduced basis, over ``table``, of a minimal auto-reduced Groebner
-    basis given as lead entries: sorted ascending by leading monomial, each
+    basis given as lead entries sorted ascending by leading monomial: each
     element divided by its leading coefficient."""
-    return [
-        Polynomial(table, {m: Fraction(c, e.lc) for m, c in e.terms.items()})
-        for e in sorted(gens, key=lambda e: order.key(e.lm))
-    ]
+    return [Polynomial(table, {m: Fraction(c, e.lc) for m, c in e.terms.items()}) for e in gens]
 
 
 def _install(k: int, basis: list[_Lead], active: list[int], pairs: list, key) -> list[int]:
@@ -330,25 +335,38 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
     ideal.  ``groebner_prefix=k`` asserts that the first k generators are
     already a reduced Groebner basis under ``order``, so their mutual pairs
     are skipped (used for incremental extensions of a cached basis).
-    Each later generator and each S-polynomial enters as its normal form
-    against the reducers, which stay minimal and auto-reduced.
+    The later generators wait in the pair queue, keyed by their leading
+    monomial as a pair is by its lcm, and a generator goes before a pair
+    on a tie.  Each generator and each S-polynomial enters as its normal
+    form against the reducers, which stay minimal and auto-reduced.
     """
     gens = list(gens)
     if not any(gens):
         return GroebnerBasis(order, ())
     table = gens[0].table
+    key = order.key
     # every element that ever entered, in entry order; pairs index into it
     basis = _lead_table(gens[:groebner_prefix], order)
     active = list(range(len(basis)))
     reducers = basis[:]
     pairs: list[tuple] = []
+    # the later generators as (key of the leading monomial, terms), largest
+    # first, so the smallest pops off the end
+    inputs = sorted(
+        ((max(map(key, t)), t) for t in _integer_table(gens[groebner_prefix:], order)),
+        key=itemgetter(0),
+        reverse=True,
+    )
 
-    def s_polynomials():
-        while pairs:
-            i, j = heappop(pairs)[1:3]
-            yield _s_terms(basis[i], basis[j])
+    def entering():
+        while inputs or pairs:
+            if inputs and (not pairs or inputs[-1][0] <= pairs[0][0]):
+                yield inputs.pop()[1]
+            else:
+                i, j = heappop(pairs)[1:3]
+                yield _s_terms(basis[i], basis[j])
 
-    for terms in chain(_integer_table(gens[groebner_prefix:], order), s_polynomials()):
+    for terms in entering():
         r = _normal_form(terms, reducers, order)[0]
         if not r:
             continue
@@ -356,13 +374,14 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
         if not e.mask:
             return GroebnerBasis(order, (Polynomial.constant(table, 1),))
         basis.append(e)
-        active = _install(len(basis) - 1, basis, active, pairs, order.key)
+        active = _install(len(basis) - 1, basis, active, pairs, key)
         for i in active[:-1]:
             if any(mono_divides(e.lm, m) for m in basis[i].terms):
                 rest = [basis[j] for j in active if j != i]
                 basis[i] = _lead(_normal_form(basis[i].terms, rest, order)[0], order)
         reducers = [basis[i] for i in active]
-    return GroebnerBasis(order, tuple(interreduce(reducers, order, table)))
+    reducers.sort(key=lambda e: key(e.lm))
+    return GroebnerBasis(order, tuple(interreduce(reducers, table)), reducers)
 
 
 def is_groebner_basis(polys, order: MonomialOrder) -> bool:

@@ -10,7 +10,12 @@ Elimination reads the basis under ``poly.elimination_order``, a grevlex
 elimination order, so what it keeps is a reduced grevlex basis, and the
 result carries it in its cache (``Ideal.from_basis``).
 Intersection (t*I + (1-t)*J) and saturation (I + <1 - t*f>) share one
-routine that adjoins a tag t and eliminates it.
+routine that adjoins a tag t and eliminates it.  Saturation seeds that
+elimination with I's cached reduced grevlex basis, lifted: the elimination
+order of t agrees with grevlex on t-free monomials, so the lifted basis is
+already a reduced Groebner basis there and only the pairs with 1 - t*f are
+formed.  The Rabinowitsch test of radical membership and the child
+I + <v> of a split extend the cached basis the same way.
 
 Primality is certified, never decided.  A certificate is a set S of
 inverted variables, nothing more.  It checks when I : (prod S)^inf = I, so
@@ -195,13 +200,16 @@ def _with_fresh_variable(I: Ideal, stem: str) -> tuple[VariableTable, str]:
     return I.table.extend(name), name
 
 
-def _eliminate_tag(I: Ideal, tagged: Callable[[Polynomial], list[Polynomial]]) -> Ideal:
+def _eliminate_tag(I: Ideal, tagged: Callable[[Polynomial], list[Polynomial]], prefix: int = 0) -> Ideal:
     """The ideal generated by ``tagged(t)``, for t a fresh tag variable
     adjoined to I's table, intersected with I's ring: adjoin the tag,
-    eliminate it, and restrict the result to I's table."""
+    eliminate it, and restrict the result to I's table.  The first
+    ``prefix`` tagged generators must be a reduced Groebner basis under
+    the elimination order; the basis computation skips their pairs."""
     ext, tname = _with_fresh_variable(I, "t_")
-    work = make_ideal(ext, tagged(Polynomial.variable(ext, tname)))
-    eliminated = elimination(work, I.table.names)
+    order = elimination_order(ext, [tname])
+    gb = buchberger(tagged(Polynomial.variable(ext, tname)), order, groebner_prefix=prefix)
+    eliminated = elimination(Ideal.from_basis(ext, gb), I.table.names)
     # t is the last variable, so restricting keeps the basis reduced grevlex
     restricted = tuple(g.restrict(I.table) for g in eliminated.generators)
     return Ideal.from_basis(I.table, GroebnerBasis(I.default_order(), restricted))
@@ -235,13 +243,22 @@ def colon(I: Ideal, f: Polynomial) -> Ideal:
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity = (I + <1 - t*f>) cap Q[x], by one elimination of a
-    fresh variable t (Rabinowitsch)."""
+    fresh variable t (Rabinowitsch).
+
+    The elimination starts from I's cached reduced grevlex basis, lifted,
+    as a reduced Groebner basis prefix: the elimination order of t agrees
+    with grevlex on t-free monomials, and the S-polynomials and reductions
+    of t-free polynomials stay t-free, so the lifted basis is still a
+    reduced Groebner basis there.  Only pairs with 1 - t*f are formed."""
     if f.is_zero():
         raise ValueError("saturation by the zero polynomial")
     if f.is_constant():
         return I
+    basis = I.groebner().elements
     return _eliminate_tag(
-        I, lambda t: [g.lift(t.table) for g in I.generators] + [1 - t * f.lift(t.table)]
+        I,
+        lambda t: [g.lift(t.table) for g in basis] + [1 - t * f.lift(t.table)],
+        len(basis),
     )
 
 
@@ -674,7 +691,10 @@ def split_heuristic(I: Ideal) -> SplitResult:
             complete = False
             leaves.append(Ideal.from_basis(J.table, J.groebner()))
             return
-        descend(make_ideal(J.table, J.generators + (v,)), depth + 1)
+        gb = J.groebner()
+        # J's reduced basis stays a reduced Groebner basis prefix of J + <v>
+        with_v = buchberger(gb.elements + (v,), gb.order, groebner_prefix=len(gb.elements))
+        descend(Ideal.from_basis(J.table, with_v), depth + 1)
         descend(saturate(J, v), depth + 1)
 
     descend(I, 0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from operator import add, itemgetter, le, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -254,8 +255,17 @@ def lex_order(table: VariableTable, names: Sequence[str] | None = None) -> Monom
     return MonomialOrder("lex", _resolve_priority(table, names))
 
 
+@cache
+def _table_grevlex(table: VariableTable) -> MonomialOrder:
+    return MonomialOrder("grevlex", tuple(range(len(table))))
+
+
 def grevlex_order(table: VariableTable, names: Sequence[str] | None = None) -> MonomialOrder:
-    """Graded reverse lex; default priority is table order."""
+    """Graded reverse lex; default priority is table order.  The default
+    order is built once per table and shared: ideals, printing and the
+    kernel all ask for it on every call."""
+    if names is None:
+        return _table_grevlex(table)
     return MonomialOrder("grevlex", _resolve_priority(table, names))
 
 

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omegarb import ideals
+from omegarb import groebner, ideals
 from omegarb.catalog import load_builtin_catalog, read_builtin_yaml
 from omegarb.cli import (
     _builtin_expectations,
     _candidate_table,
     _load_builtin_candidates,
+    run_table,
     run_table_row,
 )
 from omegarb.groebner import buchberger
@@ -23,6 +24,7 @@ from omegarb.ideals import (
     CertificateError,
     PrimalityCertificate,
     check_primality,
+    elimination,
     find_certificate,
     ideal_contains,
     ideal_equal,
@@ -296,6 +298,70 @@ def test_table1_rows_make_few_groebner_runs(catalog, monkeypatch):
     assert len(kinds) <= 5 and kinds.count("elimination") <= 1, kinds
     kinds = _buchberger_orders(catalog, monkeypatch, 1, "L2")
     assert len(kinds) <= 4 and "elimination" not in kinds, kinds
+
+
+def _count_s_polynomials(monkeypatch) -> list[int]:
+    """A one-element counter of the S-polynomials ``buchberger`` forms from
+    now on."""
+    count = [0]
+    s_terms = groebner._s_terms
+
+    def counted(a, b):
+        count[0] += 1
+        return s_terms(a, b)
+
+    monkeypatch.setattr(groebner, "_s_terms", counted)
+    return count
+
+
+def _unseeded_split(I):
+    """The split descent of ``split_heuristic`` without basis reuse: each
+    child and each saturation is computed from generators."""
+    leaves = []
+
+    def descend(J):
+        if J.contains_one():
+            return
+        v = ideals._split_factor(J)
+        if v is None:
+            leaves.append(J)
+            return
+        descend(make_ideal(J.table, J.generators + (v,)))
+        ext = J.table.extend("t_")
+        t = Polynomial.variable(ext, "t_")
+        work = make_ideal(ext, [g.lift(ext) for g in J.generators] + [1 - t * v.lift(ext)])
+        kept = elimination(work, J.table.names).generators
+        descend(make_ideal(J.table, [g.restrict(J.table) for g in kept]))
+
+    descend(I)
+    unique = []
+    for J in leaves:
+        if not any(ideal_equal(J, K) for K in unique):
+            unique.append(J)
+    return [J for J in unique if not any(K is not J and ideal_contains(J, K) for K in unique)]
+
+
+def test_split_reuses_the_parent_basis(catalog, monkeypatch):
+    # a work guard by counters: 444 S-polynomials when every child and
+    # saturation started from generators, 109 from the parent's basis
+    I = generate_system(catalog["L1_1"].instantiate(), profile_by_name("bs"))
+    I.groebner()
+    count = _count_s_polynomials(monkeypatch)
+    leaves = split_heuristic(I).ideals
+    assert count[0] <= 150
+    reference = _unseeded_split(I)
+    assert len(leaves) == len(reference)
+    assert all(any(ideal_equal(J, K) for K in reference) for J in leaves)
+
+
+def test_table1_forms_few_s_polynomials(catalog, monkeypatch):
+    # 39 S-polynomials when the saturation behind p2's certificate started
+    # from generators, 16 from the cached basis
+    generate_system.cache_clear()
+    count = _count_s_polynomials(monkeypatch)
+    report = run_table(1, _builtin_expectations(1), catalog)
+    assert report["summary"]["FAIL"] == 0
+    assert count[0] <= 20
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from omegarb.groebner import buchberger
 from omegarb.ideals import elimination, make_ideal
-from omegarb.poly import Polynomial, VariableTable, grevlex_order, lex_order
+from omegarb.poly import Polynomial, VariableTable, elimination_order, grevlex_order, lex_order
 from omegarb.solver import PROFILES, generate_system
 from tests.conftest import SMALL_COEFF, small_polys
 
@@ -142,6 +142,28 @@ def test_prefix_extension_matches_sympy(gens, f):
     with_prefix = buchberger(ext, order, groebner_prefix=len(gb)).elements
     assert with_prefix == buchberger(ext, order).elements
     assert set(with_prefix) == sympy_basis(ext, XYZT, order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(small_polys(XYZ, SMALL_COEFF), min_size=1, max_size=3), small_polys(XYZ, SMALL_COEFF))
+def test_seeded_elimination_matches_sympy(gens, f):
+    # the shape of ideals.saturate: a cached grevlex basis, lifted, plus
+    # 1 - t*f under the elimination order of t, with the lifted basis as a
+    # reduced Groebner basis prefix
+    gb = buchberger(gens, grevlex_order(XYZ)).elements
+    t = Polynomial.variable(XYZT, "t")
+    ext = [g.lift(XYZT) for g in gb] + [1 - t * f.lift(XYZT)]
+    order = elimination_order(XYZT, ["t"])
+    seeded = buchberger(ext, order, groebner_prefix=len(gb)).elements
+    assert seeded == buchberger(ext, order).elements
+    tag = XYZT.index("t")
+    ours = {g.restrict(XYZ) for g in seeded if not any(m[tag] for m in g.terms)}
+    lex = [
+        g.restrict(XYZ)
+        for g in sympy_basis(ext, XYZT, lex_order(XYZT, ["t", "x", "y", "z"]))
+        if not any(m[tag] for m in g.terms)
+    ]
+    assert ours == (sympy_basis(lex, XYZ) if lex else set())
 
 
 @st.composite
