@@ -6,7 +6,6 @@ from .poly import (
     PolyParseError,
     Polynomial,
     VariableTable,
-    compare_monomials,
     grevlex_order,
     lex_order,
     parse_polynomial,

@@ -258,10 +258,6 @@ def _common_factor(scale: int, entries) -> int:
     return gcd(scale, *entries)
 
 
-def _int_identity(n: int) -> tuple:
-    return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
-
-
 # ---------------------------------------------------------------------------
 # core types
 
@@ -468,9 +464,7 @@ class OperatorMatrix:
         [A | 1] is p A^-1, p the last pivot, so the inverse is that half
         times d over p."""
         n = self.dim
-        X, pivots, p = fraction_free_rref(
-            [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        )
+        X, pivots, p = fraction_free_rref([r + e for r, e in zip(self.rows, identity(n))])
         if pivots[:n] != list(range(n)):
             raise SingularOperatorError("operator is singular")
         sign = 1 if p > 0 else -1
@@ -542,7 +536,7 @@ def validate_algebra(L) -> AlgebraValidation:
             if omega[i][j] != -omega[j][i]:
                 failures.append(("omega-skew", (i, j), Fraction(omega[i][j] + omega[j][i], D)))
     if not failures:
-        basis = _int_identity(n)
+        basis = identity(n)
         form = tuple(tuple(D * x for x in row) for row in omega)
         for i, j, k in combinations(range(n), 3):
             residual = jacobi_defect(c, form, basis, i, j, k, 0)

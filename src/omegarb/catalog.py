@@ -29,8 +29,10 @@ from typing import Mapping, Optional, Sequence
 import yaml
 
 from .algebras import OmegaAlgebra, OperatorMatrix, validate_algebra
+from .linalg import identity
 from .poly import (
     PolyParseError,
+    Polynomial,
     VariableTable,
     evaluate_expression,
     parse_polynomial,
@@ -305,17 +307,33 @@ def parse_operator_file(
     return operator_from_spec(read_yaml(path), overrides, context=str(path))
 
 
+class _NotingBindings(dict):
+    """Parameter bindings that note each name an expression reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.read: set[str] = set()
+
+    def __getitem__(self, name: str) -> Fraction:
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
 def operator_from_spec(
     data, overrides: Optional[Mapping[str, Fraction]] = None, context: str = "operator"
 ) -> OperatorMatrix:
+    """The operator whose entries are ``rows``, read with the ``params``
+    defaults and then ``overrides``.  An override that ``params`` does not
+    declare and no entry reads is rejected: it is most likely misspelled."""
     if not isinstance(data, dict) or "rows" not in data:
         raise CatalogError(f"{context}: expected a mapping with a 'rows' field")
     params = data.get("params") or {}
     if not isinstance(params, dict):
         raise CatalogError(f"{context}: 'params' must map names to values")
-    bindings = {}
+    bindings = _NotingBindings()
     for k, v in params.items():
         bindings[str(k)] = parse_rational(str(v))
+    declared = set(bindings)
     for k, v in (overrides or {}).items():
         bindings[str(k)] = Fraction(v)
     rows = data["rows"]
@@ -330,40 +348,31 @@ def operator_from_spec(
             except PolyParseError as exc:
                 raise CatalogError(f"{context}: row {r + 1} column {c + 1}: {exc}") from exc
         entries.append(out_row)
+    unused = [k for k in map(str, overrides or {}) if k not in declared | bindings.read]
+    if unused:
+        raise CatalogError(
+            f"{context}: parameter {unused[0]!r} is neither declared under 'params'"
+            " nor read by any entry"
+        )
     if any(len(r) != len(entries) for r in entries):
         raise CatalogError(f"{context}: operator matrix must be square")
     return OperatorMatrix(entries)
 
 
 # ---------------------------------------------------------------------------
-# serialization of constructed structures
-
-
-def format_linear_combination(names: Sequence[str], coeffs) -> str:
-    parts = []
-    for name, c in zip(names, coeffs):
-        if c == 0:
-            continue
-        if c == 1:
-            parts.append(f"+ {name}")
-        elif c == -1:
-            parts.append(f"- {name}")
-        elif c < 0:
-            parts.append(f"- {-c}*{name}")
-        else:
-            parts.append(f"+ {c}*{name}")
-    if not parts:
-        return "0"
-    first = parts[0]
-    first = first[2:] if first.startswith("+ ") else "-" + first[2:]
-    return first + ("" if len(parts) == 1 else " " + " ".join(parts[1:]))
+# serialization of constructed structures: a product's linear combination is
+# printed by the polynomial printer, over a variable table of the basis names
 
 
 def format_products(names: Sequence[str], table, pairs, template: str) -> list[str]:
     """``template.format(e_i, e_j) = combination`` for each pair (i, j) whose
-    product table[i][j] is nonzero."""
+    product table[i][j] is nonzero.  The combination is the linear
+    polynomial over the basis names, printed by ``Polynomial.to_text``."""
+    basis = VariableTable(tuple(names))
+    units = identity(len(names))  # the exponent tuple of each basis name
     return [
-        f"{template.format(names[i], names[j])} = {format_linear_combination(names, table[i][j])}"
+        f"{template.format(names[i], names[j])} = "
+        + Polynomial(basis, dict(zip(units, table[i][j]))).to_text()
         for i, j in pairs
         if any(table[i][j])
     ]

@@ -269,6 +269,13 @@ def _same(got, want) -> bool:
     return got == want
 
 
+# split_heuristic keeps a branch whole once it reaches its depth bound
+_SPLIT_INCOMPLETE = (
+    "split incomplete: a branch at the depth bound was kept whole,"
+    " so a candidate may not be irreducible"
+)
+
+
 def run_table_row(
     catalog: dict[str, CatalogEntry],
     profile_name: str,
@@ -312,6 +319,8 @@ def run_table_row(
         "decomposition_confirmed": rep.confirmed,
     }
     result["discrepancies"].extend(rep.discrepancy_flags)
+    if rep.split is not None and not rep.split.complete:
+        result["notes"].append(_SPLIT_INCOMPLETE)
     if rep.components is not None:
         unverified = [
             i
@@ -463,6 +472,8 @@ def cmd_solve(args) -> int:
         f"components: {rep.n_components}"
         + (" (confirmed)" if rep.confirmed else " (not confirmed)")
     )
+    if rep.split is not None and not rep.split.complete:
+        lines.append(_SPLIT_INCOMPLETE)
     for c in comp:
         lines.append(
             f"  component {c['index']}: dim {c['dim']}, certificate {c['certificate']}"

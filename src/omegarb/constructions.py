@@ -50,14 +50,8 @@ from .linalg import (
     Vector,
     fraction_free_rref,
     identity,
-    is_zero_matrix,
     mat,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_sub,
     nullspace,
-    zeros,
 )
 
 
@@ -319,7 +313,7 @@ def homlie_structure(g: HomLieAlgebra) -> SeriesReport:
     terms, and each term's dim is the rank of its fraction-free echelon
     form."""
     c = g.integral.c
-    full = [tuple(int(a == b) for b in range(g.dim)) for a in range(g.dim)]
+    full = identity(g.dim)
     derived_dims = _series_dims(c, full, lower=False)
     lower_dims = _series_dims(c, full, lower=True)
     solvable = derived_dims[-1] == 0
@@ -360,11 +354,19 @@ class ModuleAction:
         return cls(algebra_dim, mdim, ms)
 
     def act_matrix(self, coords: Sequence[Fraction]) -> Matrix:
-        out = zeros(self.module_dim)
-        for ci, m in zip(coords, self.rho):
-            if ci:
-                out = mat_add(out, mat_scale(m, ci))
-        return out
+        """sum_i coords_i rho[i], in Fractions."""
+        terms = [(ci, m) for ci, m in zip(coords, self.rho) if ci]
+        n = self.module_dim
+        return tuple(
+            tuple(sum((ci * m[r][s] for ci, m in terms), Fraction(0)) for s in range(n))
+            for r in range(n)
+        )
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b of square matrices: row r is b applied to row r of
+    a, as ``apply_operator`` applies an operator's rows to a vector."""
+    return tuple(apply_operator(b, row) for row in a)
 
 
 @dataclass
@@ -385,13 +387,20 @@ def validate_module(L: OmegaAlgebra, V: ModuleAction) -> ModuleValidation:
     failures = []
     unit = identity(V.module_dim)
     D, c, omega = L.integral
+    rho = V.rho
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             lhs = V.act_matrix(c[i][j])
-            comm = mat_sub(mat_mul(V.rho[i], V.rho[j]), mat_mul(V.rho[j], V.rho[i]))
-            rhs = mat_add(mat_scale(comm, D), mat_scale(unit, omega[i][j]))
+            ij, ji = _mat_mul(rho[i], rho[j]), _mat_mul(rho[j], rho[i])
+            rhs = tuple(
+                tuple(D * (x - y) + omega[i][j] * e for x, y, e in zip(a, b, u))
+                for a, b, u in zip(ij, ji, unit)
+            )
             if lhs != rhs:
-                failures.append((i, j, mat_scale(mat_sub(lhs, rhs), Fraction(1, D))))
+                residual = tuple(
+                    tuple((x - y) / D for x, y in zip(a, b)) for a, b in zip(lhs, rhs)
+                )
+                failures.append((i, j, residual))
     return ModuleValidation(not failures, failures)
 
 
@@ -424,12 +433,12 @@ def module_twist(
     for i, products in enumerate(_image_products(L.integral.c, ev.rows)):
         for j, v in enumerate(products):
             w = apply_operator(ev.rows, v, 0)  # R([R e_i, e_j]) at scale D d^2
-            if not is_zero_matrix(V.act_matrix(w)):
+            if any(map(any, V.act_matrix(w))):
                 raise PreconditionError(
                     "R([R(L), L]) inside the annihilator of the module",
                     f"R([R({L.basis_names[i]}), {L.basis_names[j]}]) acts nontrivially",
                 )
-    rho = tuple(mat_scale(V.act_matrix(r), Fraction(1, ev.d)) for r in ev.rows)
+    rho = tuple(tuple(tuple(x / ev.d for x in row) for row in V.act_matrix(r)) for r in ev.rows)
     out = ModuleAction(L.dim, V.module_dim, rho)
     check = validate_module(L, out)
     if not check.ok:

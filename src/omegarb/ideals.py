@@ -397,7 +397,7 @@ def _solve_chain(p: Ideal, inverted: Sequence[str], grow: bool) -> Optional[_Cha
     variables, which then join S.  Returns the chain once every generator
     is consumed; None when no step applies."""
     table = p.table
-    gens = list(p.groebner().elements or p.generators)
+    gens = list(p.groebner().elements)
     S = list(inverted)
     steps: list[tuple[str, Polynomial, Polynomial]] = []
     todo = [n for n in table.names if n not in S]

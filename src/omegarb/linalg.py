@@ -1,8 +1,11 @@
 """Dense exact-rational linear algebra: matrices are tuples of Fraction rows.
 
-``rref``, ``nullspace``, ``inverse`` and ``det`` clear the denominators,
-run the one fraction-free elimination :func:`fraction_free_rref` over ints,
-and divide only their outputs back to Fractions."""
+``rref``, ``nullspace`` and ``det`` clear the denominators, run the one
+fraction-free elimination :func:`fraction_free_rref` over ints, and divide
+only their outputs back to Fractions.  Matrix products go through
+``algebras.apply_operator`` and inverses through
+``OperatorMatrix.inverse_operator``, which reads the right half of
+``fraction_free_rref([A | I])``."""
 
 from __future__ import annotations
 
@@ -32,44 +35,9 @@ def zeros(n: int, m: int | None = None) -> Matrix:
     return tuple((Fraction(0),) * m for _ in range(n))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, q) -> Matrix:
-    q = Fraction(q)
-    return tuple(tuple(x * q for x in r) for r in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Row-by-row product that skips zero coefficients of either factor."""
-    if not a or not b:
-        return ()
-    m = len(b[0])
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * m
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+def identity(n: int) -> tuple:
+    """The n x n identity in ints; ``mat`` or ``vec`` turns it into Fractions."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def fraction_free_rref(rows) -> tuple[list[list[int]], list[int], int]:
@@ -164,13 +132,3 @@ def det(a) -> Fraction:
     _, pivots, d = fraction_free_rref(rows)
     return Fraction(d, scale ** len(rows)) if len(pivots) == len(rows) else _ZERO
 
-
-def inverse(a: Matrix) -> Matrix | None:
-    """Exact inverse, or None when singular: the right half of the reduced
-    form of [a | 1]."""
-    n = len(a)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    X, pivots, d = fraction_free_rref(integral_rows(aug)[1])
-    if pivots[:n] != list(range(n)):
-        return None
-    return tuple(divided(row[n:], d) for row in X)

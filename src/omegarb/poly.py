@@ -37,8 +37,6 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 Mono = tuple[int, ...]
 Scalar = Union[Fraction, int]
 
-LT, EQ, GT = -1, 0, 1
-
 
 class DimensionMismatchError(ValueError):
     """Raised when values over different variable tables are combined."""
@@ -178,7 +176,7 @@ class MonomialOrder:
     # key(a) < key(b) iff a < b; desc_key(a) < desc_key(b) iff a > b, so a
     # min-heap on desc_key pops the largest monomial first.  Both are flat
     # tuples of ints built by C-level permutations, and neither checks the
-    # monomial's length: compare() does.
+    # monomial's length: Polynomial.leading_monomial checks the order's.
     key: Callable[[Mono], tuple] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
@@ -228,18 +226,6 @@ class MonomialOrder:
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "desc_key", desc_key)
 
-    def compare(self, a: Mono, b: Mono) -> int:
-        if len(a) != len(self.priority) or len(b) != len(self.priority):
-            raise DimensionMismatchError(
-                f"monomial length does not match the order's {len(self.priority)} variables"
-            )
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
-
 
 def _resolve_priority(table: VariableTable, names: Sequence[str] | None) -> tuple[int, ...]:
     if names is None:
@@ -285,13 +271,6 @@ def elimination_order(table: VariableTable, eliminated: Iterable[str]) -> Monomi
     if not block or not rest:
         raise ValueError("an elimination order eliminates some, but not all, variables")
     return MonomialOrder("elimination", tuple(block + rest), len(block))
-
-
-def compare_monomials(order: MonomialOrder, a: Mono, b: Mono) -> int:
-    """-1 / 0 / +1 (LT / EQ / GT) comparison of two exponent tuples."""
-    if len(a) != len(b):
-        raise DimensionMismatchError("monomials of different lengths")
-    return order.compare(a, b)
 
 
 # ---------------------------------------------------------------------------

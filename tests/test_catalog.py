@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omegarb
 from omegarb.algebras import validate_algebra
@@ -15,11 +17,13 @@ from omegarb.catalog import (
     CatalogError,
     algebra_to_catalog_dict,
     evaluate_rational_expression,
+    format_products,
     load_builtin_catalog,
     operator_from_spec,
     parse_catalog_text,
 )
-from omegarb.poly import MAX_EXPONENT, PolyParseError
+from omegarb.linalg import identity
+from omegarb.poly import MAX_EXPONENT, PolyParseError, VariableTable, parse_polynomial
 
 SHIPPED = {"L1", "L2", "L1_1", "L1_2", "L1_8", "Atilde_alpha"}
 
@@ -217,6 +221,46 @@ def test_algebra_round_trips_through_catalog_format(L1_8):
     L = entry.instantiate()
     assert L.c == L1_8.c
     assert L.omega == L1_8.omega
+
+
+NAMES = ("x", "y", "z", "e1", "e_2")
+# 0 and +-1 are drawn often, as the printer writes them specially
+COEFF = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+
+
+def coefficient_vectors():
+    """1 to 5 coefficients, sometimes all zero."""
+    vectors = st.integers(1, 5).flatmap(lambda n: st.lists(COEFF, min_size=n, max_size=n))
+    zeros = st.integers(1, 5).map(lambda n: [Fraction(0)] * n)
+    return st.one_of(vectors, zeros)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_vectors())
+def test_format_products_reads_back_to_its_coefficients(coeffs):
+    names = NAMES[: len(coeffs)]
+    lines = format_products(names, [[tuple(coeffs)]], [(0, 0)], "{}*{}")
+    if not any(coeffs):
+        assert lines == []
+        return
+    (line,) = lines
+    head, _, text = line.partition(" = ")
+    assert head == f"{names[0]}*{names[0]}"
+    p = parse_polynomial(text, VariableTable(names))
+    assert p.terms == {unit: c for unit, c in zip(identity(len(names)), coeffs) if c}
+
+
+def test_format_products_pinned_lines():
+    table = [[(1, -2, Fraction(1, 2)), (-1, 0, 0)], [(0, 0, 0), (0, Fraction(-7, 3), 5)]]
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert format_products(("x", "y", "z"), table, pairs, "[{},{}]") == [
+        "[x,x] = x - 2*y + 1/2*z",
+        "[x,y] = -x",
+        "[y,y] = -7/3*y + 5*z",
+    ]
 
 
 # -- YAML loaders ---------------------------------------------------------------

@@ -321,6 +321,23 @@ def test_classify_command(tmp_path, capsys):
     assert not data["compatible"]
 
 
+def test_classify_rejects_a_parameter_the_file_does_not_use(tmp_path, capsys):
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['0','0','d']\n  - ['0','0','0']\n  - ['0','0','0']\nparams: {d: 1}\n")
+    for bad, name in (("dd=5", "'dd'"), ("=5", "''")):
+        code, out, err = run(
+            capsys, "classify", "L1", "--op", str(op), "--weight", "0", "--param", bad, "--json"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+    # a declared name, and a name that only an entry reads, are accepted
+    code, out, _ = run(capsys, "classify", "L1", "--op", str(op), "--param", "d=5", "--json")
+    assert code == 0 and json.loads(out)["rota_baxter"]
+    op.write_text("rows:\n  - ['0','0','d']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    code, out, _ = run(capsys, "classify", "L1", "--op", str(op), "--param", "d=5", "--json")
+    assert code == 0 and json.loads(out)["rota_baxter"]
+
+
 def test_classify_dimension_mismatch_is_usage_error(tmp_path, capsys):
     op = tmp_path / "op.yaml"
     op.write_text("rows:\n  - ['0','0']\n  - ['0','0']\n")
@@ -646,3 +663,24 @@ def test_construct_deform_halt_exits_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
     code, _, _ = run(capsys, *argv, "--steps", "1")
     assert code == 0
+
+
+def test_an_incomplete_split_is_reported(capsys, monkeypatch):
+    """With the split depth bound at 0 the unseeded L1 bc variety is kept
+    whole; the table row notes it and `solve` prints it.  The JSON keys
+    stay as they are."""
+    import omegarb.ideals as ideals
+
+    catalog = load_builtin_catalog()
+    row = {"algebra": "L1", "dim": 3, "components": 2, "component_dims": [3, 3]}
+    complete = run_table_row(catalog, "bc", row, 1)
+    assert not any("split incomplete" in n for n in complete["notes"])
+    monkeypatch.setattr(ideals, "_SPLIT_DEPTH", 0)
+    result = run_table_row(catalog, "bc", row, 1)
+    assert any(n.startswith("split incomplete") for n in result["notes"])
+    assert result.keys() == complete.keys()
+    assert not result["computed"]["decomposition_confirmed"]
+    code, out, _ = run(capsys, "solve", "L1", "b")
+    assert code == 0 and "\nsplit incomplete" in out
+    code, out, _ = run(capsys, "solve", "L1", "b", "--json")
+    assert "split incomplete" not in out

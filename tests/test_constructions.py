@@ -32,12 +32,25 @@ from omegarb.constructions import (
     omega_deform,
     validate_module,
 )
-from omegarb.linalg import inverse, mat_add
+from omegarb.linalg import identity
 from tests.conftest import random_rational
 
 
 def F(x):
     return Fraction(x)
+
+
+def dense_mul(a, b):
+    """The matrix product a b by its definition."""
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), F(0)) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def dense_sum(a, b, q=1):
+    """a + q b, entry by entry."""
+    return tuple(tuple(x + q * y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 # -- left-symmetric construction ---------------------------------------------------
@@ -275,16 +288,18 @@ def test_operator_sum_and_inverse_read_no_fraction_view(L1, monkeypatch):
     agree with the rational sum and inverse."""
     R = OperatorMatrix([[Fraction(1, 2), 0, 1], [0, Fraction(-2, 3), 0], [3, 0, Fraction(5, 4)]])
     S = OperatorMatrix([[0, Fraction(1, 6), 0], [-2, 0, 0], [0, 0, Fraction(-3, 4)]])
-    want_sum = OperatorMatrix(mat_add(R.entries, S.entries))
-    want_inverse = OperatorMatrix(inverse(R.entries))
+    a = R.entries
+    want_sum = OperatorMatrix(dense_sum(a, S.entries))
 
     def refuse(self):
         raise AssertionError("an integer pass read a Fraction view")
 
     monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
     assert R.add(S) == want_sum
-    assert R.inverse_operator() == want_inverse
-    assert inverse_correspondence(L1, R) == want_inverse
+    inverse = R.inverse_operator()
+    assert inverse_correspondence(L1, R) == inverse
+    monkeypatch.undo()
+    assert dense_mul(a, inverse.entries) == dense_mul(inverse.entries, a) == identity(3)
 
 
 def test_iteration_matches_the_omega_deform_chain(L1):
@@ -494,6 +509,39 @@ def test_scalar_module_family(L1):
         assert validate_module(L1, V).ok
 
 
+def test_module_identity_matches_dense_definition(L1, L2, rng):
+    """validate_module reports, for each pair i < j whose identity fails,
+    the residual act([e_i,e_j]) - (rho_i rho_j - rho_j rho_i) - omega_ij 1,
+    taken here with dense products and sums over the Fraction views."""
+    for L in (L1, L2):
+        for size in (1, 2, 3):
+            rho = [
+                tuple(tuple(random_rational(rng, 2) for _ in range(size)) for _ in range(size))
+                for _ in range(L.dim)
+            ]
+            V = ModuleAction.from_matrices(L.dim, rho)
+            zero = ((F(0),) * size,) * size
+
+            def act(v):
+                out = zero
+                for vk, m in zip(v, V.rho):
+                    out = dense_sum(out, m, vk)
+                return out
+
+            want = []
+            for i in range(L.dim):
+                assert V.act_matrix(L.basis_vector(i)) == V.rho[i]
+                for j in range(i + 1, L.dim):
+                    comm = dense_sum(dense_mul(rho[i], rho[j]), dense_mul(rho[j], rho[i]), -1)
+                    rhs = dense_sum(comm, identity(size), L.omega[i][j])
+                    residual = dense_sum(act(L.c[i][j]), rhs, -1)
+                    if any(map(any, residual)):
+                        want.append((i, j, residual))
+            failures = validate_module(L, V).failures
+            assert failures == want
+            assert all(type(x) is Fraction for *_, m in failures for row in m for x in row)
+
+
 def test_scalar_module_wrong_weight_fails(L1):
     V = _scalar_module(L1, [0, 0, 0])
     report = validate_module(L1, V)
@@ -533,6 +581,7 @@ def test_module_twist_acts_by_the_operator_image():
     W = module_twist(heis, V, R)
     assert W.rho == tuple(V.act_matrix(R.entries[i]) for i in range(3))
     assert W.rho[0] == ((Fraction(-1, 2), Fraction(-7, 6)), (0, Fraction(-1, 2)))
+    assert all(type(x) is Fraction for m in W.rho for row in m for x in row)
     assert validate_module(heis, W).ok
 
 

@@ -1,8 +1,9 @@
-"""The sparse-skipping kernels against their dense definitions: `mat_mul`,
+"""The sparse-skipping kernels against their dense definitions:
 `OperatorMatrix.then`, `OperatorMatrix.apply` and `OperatorMatrix.power`;
 the fraction-free `det` against the Leibniz formula; `rref`, `nullspace`,
-`inverse`, `det` and `Subspace.span` against a `Fraction` Gauss-Jordan
-reference; `vec` keeps the Fractions it is given."""
+`det`, `OperatorMatrix.inverse_operator` and `Subspace.span` against a
+`Fraction` Gauss-Jordan reference; `vec` keeps the Fractions it is given,
+and `identity` is in ints."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -12,14 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegarb.algebras import OperatorMatrix, Subspace
+from omegarb.algebras import OperatorMatrix, SingularOperatorError, Subspace
 from omegarb.linalg import (
     det,
     fraction_free_rref,
     identity,
     integral_rows,
-    inverse,
-    mat_mul,
     nullspace,
     rref,
     vec,
@@ -40,15 +39,6 @@ def matrices(rows, cols):
 
 
 @st.composite
-def products(draw):
-    p, q, r = (draw(st.integers(1, 4)) for _ in range(3))
-    a = draw(matrices(p, q))
-    if draw(st.booleans()):
-        a = a[:-1] + ((Fraction(0),) * q,)  # a zero row
-    return a, draw(matrices(q, r))
-
-
-@st.composite
 def square_operators(draw):
     n = draw(st.integers(1, 4))
     rows = draw(matrices(n, n))
@@ -65,13 +55,9 @@ def dense_mul(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(products(), square_operators(), st.data())
-def test_mat_mul_matches_dense_definition(ab, R, data):
-    a, b = ab
-    got = mat_mul(a, b)
-    assert got == dense_mul(a, b)
-    assert all(isinstance(x, Fraction) for row in got for x in row)
-    # the integer composition of operators is the same product
+@given(square_operators(), st.data())
+def test_then_matches_dense_definition(R, data):
+    # the integer composition of operators is the dense product
     S = OperatorMatrix(data.draw(matrices(R.dim, R.dim)))
     composed = R.then(S).entries
     assert composed == dense_mul(R.entries, S.entries)
@@ -148,6 +134,11 @@ def test_det_needs_a_row_swap_and_an_empty_matrix_is_one():
     assert det([[0, 1], [1, 0]]) == -1
     assert det([[0, 0, 1], [0, 2, 0], [Fraction(1, 2), 0, 0]]) == -1
     assert det([]) == 1
+
+
+def test_identity_is_in_ints():
+    assert identity(2) == ((1, 0), (0, 1)) and identity(0) == ()
+    assert all(type(x) is int for row in identity(3) for x in row)
 
 
 def test_vec_keeps_fractions_and_converts_the_rest():
@@ -255,13 +246,17 @@ def test_inverse_and_det_match_gauss_jordan(a):
     _, _, want_det = gauss_jordan(a)
     got_det = det(a)
     assert type(got_det) is Fraction and got_det == want_det
+    # the inverse is the right half of the reduced form of [a | 1]
     red, pivots, _ = gauss_jordan([list(r) + list(e) for r, e in zip(a, identity(n))])
-    got = inverse(a)
+    R = OperatorMatrix(a)
     if pivots[:n] != list(range(n)):
-        assert got is None and want_det == 0
+        assert want_det == 0
+        with pytest.raises(SingularOperatorError):
+            R.inverse_operator()
     else:
+        got = R.inverse_operator().entries
         assert got == tuple(row[n:] for row in red[:n]) and all_fractions(got)
-        assert mat_mul(a, got) == identity(n) if n else got == ()
+        assert dense_mul(a, got) == identity(n) if n else got == ()
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,8 +273,10 @@ def test_span_matches_gauss_jordan(a):
 def test_echelon_edge_cases():
     assert rref(()) == ((), [])
     assert rref(((), ())) == (((), ()), [])
-    assert det(()) == 1 and inverse(()) == ()
+    assert det(()) == 1 and OperatorMatrix(()).inverse_operator().entries == ()
     zero = ((Fraction(0),) * 3,) * 2
     assert rref(zero) == (zero, [])
     assert len(nullspace(zero)) == 3 and Subspace.span(3, zero).dim == 0
-    assert det(((0, 0), (0, 0))) == 0 and inverse(((Fraction(0),) * 2,) * 2) is None
+    assert det(((0, 0), (0, 0))) == 0
+    with pytest.raises(SingularOperatorError):
+        OperatorMatrix(zero[:1] * 3).inverse_operator()

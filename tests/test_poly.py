@@ -14,7 +14,6 @@ from omegarb.poly import (
     PolyParseError,
     Polynomial,
     VariableTable,
-    compare_monomials,
     elimination_order,
     grevlex_order,
     lex_order,
@@ -36,25 +35,28 @@ def P(text, table=T3):
 
 def test_lex_x2_vs_xy():
     o = lex_order(T2)
-    assert compare_monomials(o, (2, 0), (1, 1)) == 1
+    assert o.key((2, 0)) > o.key((1, 1))
 
 
 def test_grevlex_xz_below_y_squared():
     # same total degree; the exponent difference (1,-2,1) has its last
     # nonzero entry positive, so x*z is the smaller monomial
     o = grevlex_order(T3)
-    assert compare_monomials(o, (1, 0, 1), (0, 2, 0)) == -1
+    assert o.key((1, 0, 1)) < o.key((0, 2, 0))
 
 
 @pytest.mark.parametrize("mono", [(0, 0, 0), (1, 2, 3), (5, 0, 1)])
-def test_compare_reflexive(mono):
+def test_key_grows_with_each_variable(mono):
     for o in (lex_order(T3), grevlex_order(T3)):
-        assert compare_monomials(o, mono, mono) == 0
+        for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            assert o.key(mono) < o.key(mono_mul(mono, unit))
 
 
-def test_compare_dimension_mismatch():
+def test_leading_monomial_rejects_an_order_of_another_length():
     with pytest.raises(DimensionMismatchError):
-        compare_monomials(lex_order(T3), (1, 0), (0, 1, 0))
+        P("x + y").leading_monomial(lex_order(T2))
+    with pytest.raises(DimensionMismatchError):
+        P("x + y", T2).leading_monomial(grevlex_order(T3))
 
 
 MONO3 = st.tuples(*[st.integers(0, 4)] * 3)
@@ -70,7 +72,7 @@ def test_desc_key_reverses_key(a, b):
 def test_grevlex_priority_permutation():
     o = grevlex_order(T3, ["z", "y", "x"])
     # with z largest: z^2 > z*y
-    assert compare_monomials(o, (0, 0, 2), (0, 1, 1)) == 1
+    assert o.key((0, 0, 2)) > o.key((0, 1, 1))
 
 
 # -- elimination orders --------------------------------------------------------
@@ -107,7 +109,7 @@ def test_elimination_order_ranks_eliminated_monomials_above_the_rest(a, b, elimi
     o = elimination_order(T4, eliminated)
     idx = [T4.index(n) for n in eliminated]
     if any(a[i] for i in idx) and not any(b[i] for i in idx):
-        assert compare_monomials(o, a, b) == 1
+        assert o.key(a) > o.key(b)
 
 
 def test_elimination_order_names_its_block():
@@ -115,7 +117,7 @@ def test_elimination_order_names_its_block():
     assert (o.kind, o.priority, o.block) == ("elimination", (0, 2, 1, 3), 2)
     assert o == elimination_order(T4, ["x", "z", "x"])
     # x*z^2 and x^3 tie on the block; grevlex breaks the tie toward x^3
-    assert compare_monomials(o, (3, 0, 0, 0), (1, 0, 2, 0)) == 1
+    assert o.key((3, 0, 0, 0)) > o.key((1, 0, 2, 0))
 
 
 @pytest.mark.parametrize(
