@@ -34,7 +34,10 @@ denominators it cleared, and so returns the exact rational remainder;
 ``GroebnerBasis.contains`` and ``is_groebner_basis`` only test it for zero.
 The one division by a leading coefficient happens in ``interreduce``, which
 makes each element monic: a :class:`GroebnerBasis` holds monic
-``Fraction`` polynomials.
+polynomials, whose coefficients stay ints when the leading coefficient of
+the primitive element is 1.  A polynomial with integer coefficients hands
+its own terms dict to the kernel, which copies before it writes: no
+routine here mutates a dict it did not build.
 
 The normal form keeps its pending monomials in a heap keyed by
 ``MonomialOrder.desc_key``, so each monomial's key is computed once, when it
@@ -124,8 +127,11 @@ def _lead(terms: dict, order: MonomialOrder) -> _Lead:
 
 def _integer_terms(terms) -> tuple[dict, int]:
     """(L * terms with integer coefficients, L) for L the least common
-    multiple of the denominators of a monomial -> Fraction mapping."""
+    multiple of the denominators of a polynomial's terms.  All-int terms
+    (L = 1) come back as the same dict, so the caller must not mutate it."""
     den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return terms, 1
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
@@ -248,6 +254,8 @@ def reduce(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     terms, den = _integer_terms(f.terms)
     r, mult = _normal_form(terms, leads, order)
     scale = den * mult
+    if scale == 1:
+        return Polynomial(f.table, r)
     return Polynomial(f.table, {m: Fraction(c, scale) for m, c in r.items()})
 
 
@@ -280,8 +288,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 def interreduce(gens: list[_Lead], table) -> list[Polynomial]:
     """The reduced basis, over ``table``, of a minimal auto-reduced Groebner
     basis given as lead entries sorted ascending by leading monomial: each
-    element divided by its leading coefficient."""
-    return [Polynomial(table, {m: Fraction(c, e.lc) for m, c in e.terms.items()}) for e in gens]
+    element divided by its leading coefficient.  An element with leading
+    coefficient 1 stays in ints."""
+    return [
+        Polynomial(table, e.terms if e.lc == 1 else {m: Fraction(c, e.lc) for m, c in e.terms.items()})
+        for e in gens
+    ]
 
 
 def _install(k: int, basis: list[_Lead], active: list[int], pairs: list, key) -> list[int]:
@@ -412,11 +424,11 @@ def exact_divide(f: Polynomial, divisor: Polynomial, order: MonomialOrder) -> Po
         if not mono_divides(lm, m):
             raise ArithmeticError("inexact polynomial division")
         shift = mono_div(m, lm)
-        factor = c / lc
-        quotient[shift] = quotient.get(shift, Fraction(0)) + factor
+        factor = c if lc == 1 else Fraction(c) / lc
+        quotient[shift] = quotient.get(shift, 0) + factor
         for gm, gc in divisor.terms.items():
             t = tuple(x + y for x, y in zip(gm, shift))
             if t == m:
                 continue
-            work[t] = work.get(t, Fraction(0)) - factor * gc
+            work[t] = work.get(t, 0) - factor * gc
     return Polynomial(table, quotient)

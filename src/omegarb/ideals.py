@@ -40,6 +40,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Iterable, Optional, Sequence
 
 from .groebner import GroebnerBasis, buchberger, exact_divide
@@ -649,19 +650,23 @@ class SplitResult:
 
 def _split_factor(I: Ideal) -> Optional[Polynomial]:
     """A variable occurring as a monomial factor of some reduced-basis
-    generator; None when no generator has monomial content."""
-    gb = I.groebner()
-    gens = sorted(
-        gb.elements, key=lambda g: (g.num_terms(), g.total_degree(), g.to_text())
-    )
-    for g in gens:
-        content = g.monomial_content()
-        if mono_degree(content) == 0:
-            continue
-        vidx = min(mono_support(content))
-        v = Polynomial.variable(I.table, I.table.names[vidx])
-        if not ideal_membership(v, I):
-            return v
+    generator; None when no generator has monomial content.  The generators
+    are tried by term count, then total degree, then text, and only those of
+    equal count and degree are printed."""
+
+    def size(g: Polynomial) -> tuple[int, int]:
+        return g.num_terms(), g.total_degree()
+
+    factored = [g for g in I.groebner().elements if mono_degree(g.monomial_content())]
+    for _, tied in groupby(sorted(factored, key=size), key=size):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=Polynomial.to_text)
+        for g in tied:
+            vidx = min(mono_support(g.monomial_content()))
+            v = Polynomial.variable(I.table, I.table.names[vidx])
+            if not ideal_membership(v, I):
+                return v
     return None
 
 

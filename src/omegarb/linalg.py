@@ -18,9 +18,17 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
+def _exact(v) -> Fraction:
+    if isinstance(v, (int, str)):
+        return Fraction(v)
+    raise TypeError(f"{v!r} is not an int, a Fraction or p/q text; use exact rationals")
+
+
 def vec(values: Iterable) -> Vector:
-    """The values as Fractions; a Fraction is immutable and kept as given."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    """The values as Fractions: a Fraction is immutable and kept as given,
+    an int or a rational literal such as ``"1/2"`` is converted.  Any other
+    type, a float among them, raises TypeError."""
+    return tuple(v if isinstance(v, Fraction) else _exact(v) for v in values)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:

@@ -1,14 +1,21 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial lives over a fixed :class:`VariableTable` and is stored as a
-dictionary mapping monomial exponent tuples to nonzero ``Fraction``
-coefficients:
+dictionary mapping monomial exponent tuples to nonzero coefficients, each an
+``int`` when it is integral and a ``Fraction`` only when its denominator is
+above 1:
 
     Mono = tuple[int, ...]            # one exponent per table variable
-    terms = {(2, 1): Fraction(1), (0, 0): Fraction(3)}   # x^2*y + 3
+    terms = {(2, 1): 1, (0, 0): Fraction(3, 2)}   # x^2*y + 3/2
 
-The empty dict is the zero polynomial.  All arithmetic is exact; there is no
-floating point anywhere.  Term order is not baked into the representation:
+The empty dict is the zero polynomial.  ``Polynomial.__init__`` puts what it
+is given into that form and raises TypeError for any other coefficient type,
+a float among them; the class's own arithmetic keeps the form, so the
+integer-coefficient systems of the operator varieties never construct a
+``Fraction``.  Every division of a coefficient goes through ``Fraction``.
+All arithmetic is exact; there is no floating point anywhere.  Two
+polynomials are equal, and hash equal, exactly when their values are.
+Term order is not baked into the representation:
 monomial orders (lex, grevlex and elimination orders, over a priority
 permutation) are separate values used for comparisons, leading terms,
 sorting and printing.
@@ -277,24 +284,62 @@ def elimination_order(table: VariableTable, eliminated: Iterable[str]) -> Monomi
 # polynomials
 
 
+def _scalar(value) -> Scalar:
+    """``value`` in the stored coefficient form: an ``int`` when it is
+    integral, a ``Fraction`` only when its denominator is above 1.  Any
+    other type, a float among them, raises TypeError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool
+        return int(value)
+    raise TypeError(
+        f"coefficient {value!r} is not an int or a Fraction; use exact p/q rationals"
+    )
+
+
+def _check_exponents(mono: Mono, n: int) -> None:
+    if len(mono) != n or (n and min(mono) < 0):
+        raise ValueError(f"bad exponent tuple {mono!r} for table of size {n}")
+
+
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, stored
+    as ints where integral (see the module docstring)."""
 
     __slots__ = ("table", "terms", "_hash")
 
     def __init__(self, table: VariableTable, terms: Mapping[Mono, Scalar]):
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, Scalar] = {}
         n = len(table)
         for mono, coeff in terms.items():
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            c = _scalar(coeff)
             if not c:
                 continue
-            if len(mono) != n or (n and min(mono) < 0):
-                raise ValueError(f"bad exponent tuple {mono!r} for table of size {n}")
+            _check_exponents(mono, n)
             clean[tuple(mono)] = c
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, table: VariableTable, terms: dict[Mono, Scalar]) -> "Polynomial":
+        """The polynomial of terms that this class's arithmetic built from
+        polynomials over ``table``: the monomials already have its shape and
+        the coefficients are ints and Fractions, so only the zeros are
+        dropped and the integral Fractions turned into ints."""
+        clean = {}
+        for m, c in terms.items():
+            if c:
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                clean[m] = c
+        p = object.__new__(cls)
+        object.__setattr__(p, "table", table)
+        object.__setattr__(p, "terms", clean)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -307,17 +352,17 @@ class Polynomial:
 
     @classmethod
     def constant(cls, table: VariableTable, value: Scalar) -> "Polynomial":
-        return cls(table, {mono_one(len(table)): Fraction(value)})
+        return cls._of(table, {mono_one(len(table)): _scalar(value)})
 
     @classmethod
     def variable(cls, table: VariableTable, name: str) -> "Polynomial":
         e = [0] * len(table)
         e[table.index(name)] = 1
-        return cls(table, {tuple(e): Fraction(1)})
+        return cls._of(table, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, table: VariableTable, mono: Mono, coeff: Scalar = 1) -> "Polynomial":
-        return cls(table, {tuple(mono): Fraction(coeff)})
+        return cls(table, {tuple(mono): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -331,12 +376,13 @@ class Polynomial:
         return all(mono_degree(m) == 0 for m in self.terms)
 
     def constant_value(self) -> Fraction:
-        """Value of a constant polynomial (errors if non-constant)."""
+        """Value of a constant polynomial, as a Fraction (errors if
+        non-constant)."""
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def total_degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
@@ -362,7 +408,7 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.table, {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -372,7 +418,7 @@ class Polynomial:
         for m, c in other.terms.items():
             old = out.get(m)
             out[m] = c if old is None else old + c
-        return Polynomial(self.table, out)
+        return Polynomial._of(self.table, out)
 
     __radd__ = __add__
 
@@ -390,28 +436,27 @@ class Polynomial:
         _check_same_table(self, other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.table)
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
                 old = out.get(m)
                 out[m] = ca * cb if old is None else old + ca * cb
-        return Polynomial(self.table, out)
+        return Polynomial._of(self.table, out)
 
     __rmul__ = __mul__
 
     def scale(self, q: Scalar) -> "Polynomial":
-        q = Fraction(q)
-        if q == 0:
-            return Polynomial.zero(self.table)
-        return Polynomial(self.table, {m: c * q for m, c in self.terms.items()})
+        q = _scalar(q)
+        if q == 1:
+            return self
+        return Polynomial._of(self.table, {m: c * q for m, c in self.terms.items()})
 
     def mul_term(self, mono: Mono, coeff: Scalar) -> "Polynomial":
         """Multiply by a single term coeff * x^mono."""
-        c = Fraction(coeff)
-        if c == 0:
-            return Polynomial.zero(self.table)
-        return Polynomial(
+        c = _scalar(coeff)
+        _check_exponents(mono, len(self.table))
+        return Polynomial._of(
             self.table, {mono_mul(m, mono): cc * c for m, cc in self.terms.items()}
         )
 
@@ -441,7 +486,7 @@ class Polynomial:
 
     # -- order-dependent views ---------------------------------------------
 
-    def sorted_terms(self, order: MonomialOrder) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self, order: MonomialOrder) -> list[tuple[Mono, Scalar]]:
         """Terms in strictly descending monomial order."""
         key = order.desc_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]))
@@ -455,17 +500,17 @@ class Polynomial:
             )
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: MonomialOrder) -> Fraction:
+    def leading_coefficient(self, order: MonomialOrder) -> Scalar:
         return self.terms[self.leading_monomial(order)]
 
-    def leading_term(self, order: MonomialOrder) -> tuple[Mono, Fraction]:
+    def leading_term(self, order: MonomialOrder) -> tuple[Mono, Scalar]:
         m = self.leading_monomial(order)
         return m, self.terms[m]
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         if not self.terms:
             return self
-        return self.scale(1 / self.leading_coefficient(order))
+        return self.scale(Fraction(1) / self.leading_coefficient(order))
 
     # -- content / normal forms --------------------------------------------
 
@@ -501,7 +546,7 @@ class Polynomial:
         c = self.rational_content()
         if self.leading_coefficient(order) < 0:
             c = -c
-        return self.scale(1 / c)
+        return self.scale(Fraction(1) / c)
 
     # -- substitution / evaluation -----------------------------------------
 
@@ -538,7 +583,7 @@ class Polynomial:
         if missing:
             raise ValueError(f"unassigned variables {sorted(missing)}")
         total = Fraction(0)
-        idx = {self.table.index(n): Fraction(v) for n, v in point.items()}
+        idx = {self.table.index(n): _scalar(v) for n, v in point.items()}
         for mono, coeff in self.terms.items():
             v = coeff
             for i, e in enumerate(mono):
@@ -554,22 +599,20 @@ class Polynomial:
         variables in the same order."""
         if new_table.names[: len(self.table)] != self.table.names:
             raise DimensionMismatchError("new table must extend the old one")
-        pad = len(new_table) - len(self.table)
-        return Polynomial(
-            new_table, {m + (0,) * pad: c for m, c in self.terms.items()}
-        )
+        pad = (0,) * (len(new_table) - len(self.table))
+        return Polynomial._of(new_table, {m + pad: c for m, c in self.terms.items()})
 
     def restrict(self, new_table: VariableTable) -> "Polynomial":
         """Inverse of :meth:`lift`; errors if the extra variables occur."""
         if self.table.names[: len(new_table)] != new_table.names:
             raise DimensionMismatchError("table is not a prefix of the current one")
         k = len(new_table)
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for m, c in self.terms.items():
             if any(m[k:]):
                 raise ValueError("polynomial involves variables outside the target table")
             out[m[:k]] = c
-        return Polynomial(new_table, out)
+        return Polynomial._of(new_table, out)
 
     # -- printing ------------------------------------------------------------
 
@@ -595,7 +638,7 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
 
-def _term_text(table: VariableTable, mono: Mono, coeff: Fraction) -> str:
+def _term_text(table: VariableTable, mono: Mono, coeff: Scalar) -> str:
     factors = []
     for i, e in enumerate(mono):
         if e == 1:

@@ -279,6 +279,7 @@ def fraction_normal_form(terms, basis, order):
     """Reference implementation: the rational normal form that divides by the
     divisor's leading coefficient at every step, with the kernel's term order
     (heap on desc_key) and divisor choice (first in list order)."""
+    from fractions import Fraction
     from heapq import heapify, heappop, heappush
 
     from omegarb.poly import mono_div, mono_divides, mono_mul
@@ -296,7 +297,7 @@ def fraction_normal_form(terms, basis, order):
         for lm, lc, g in leads:
             if mono_divides(lm, m):
                 shift = mono_div(m, lm)
-                factor = c / lc
+                factor = Fraction(c) / lc
                 for gm, gc in g.terms.items():
                     t = mono_mul(gm, shift)
                     if t == m:

@@ -148,6 +148,15 @@ def test_vec_keeps_fractions_and_converts_the_rest():
     assert v[1:] == (Fraction(1), Fraction(1, 2)) and all(type(x) is Fraction for x in v)
 
 
+def test_float_entries_are_rejected():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, which would clear
+    # the operator below to d = 2**55
+    with pytest.raises(TypeError):
+        vec([Fraction(1), 0.1])
+    with pytest.raises(TypeError):
+        OperatorMatrix([[0.1, 0], [0, 1]])
+
+
 # -- the one elimination against a Fraction Gauss-Jordan reference ----------------
 
 

@@ -212,6 +212,77 @@ polys = st.dictionaries(monos, coeffs, max_size=4).map(
 )
 
 
+def as_fractions(f):
+    return {m: Fraction(c) for m, c in f.terms.items()}
+
+
+def assert_canonical(f):
+    """Each coefficient of f is an int, or a Fraction whose denominator is
+    above 1, and f equals, and hashes equal to, the polynomial of the same
+    values given as Fractions."""
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+    g = Polynomial(f.table, as_fractions(f))
+    assert f == g and hash(f) == hash(g) and f.terms == g.terms
+
+
+small_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in range(3))), coeffs, max_size=3
+).map(lambda d: Polynomial(T3, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, coeffs, monos, small_polys, small_polys)
+def test_coefficients_are_canonical(f, g, q, mono, a, b):
+    from omegarb.groebner import buchberger, exact_divide, reduce
+
+    order = grevlex_order(T3)
+    F, G = as_fractions(f), as_fractions(g)
+    # the arithmetic against the same sums and products taken in Fractions
+    total, difference, product = dict(F), dict(F), {}
+    for m, c in G.items():
+        total[m] = total.get(m, Fraction(0)) + c
+        difference[m] = difference.get(m, Fraction(0)) - c
+    for m, c in F.items():
+        for n, d in G.items():
+            k = mono_mul(m, n)
+            product[k] = product.get(k, Fraction(0)) + c * d
+    for result, want in (
+        (f + g, total),
+        (f - g, difference),
+        (f * g, product),
+        (f.scale(q), {m: c * q for m, c in F.items()}),
+        (f.mul_term(mono, q), {mono_mul(m, mono): c * q for m, c in F.items()}),
+    ):
+        assert_canonical(result)
+        assert result.terms == {m: c for m, c in want.items() if c}
+    results = [f.monic(order), f.primitive(order), f.lift(T3.extend("t"))]
+    results.append(f.substitute({"x": g, "y": q}))
+    results.append(reduce(f, [a, b], order))
+    if g:
+        quotient = exact_divide(f * g, g, order)
+        assert quotient == f
+        results.append(quotient)
+    results.extend(buchberger([a, b], order).elements)
+    for result in results:
+        assert_canonical(result)
+    if f:
+        assert f.monic(order).leading_coefficient(order) == 1
+
+
+def test_float_coefficients_are_rejected():
+    T = VariableTable.of("x", "y")
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        Polynomial(T, {(1, 0): 0.1})
+    with pytest.raises(TypeError):
+        Polynomial.constant(T, 0.5)
+    with pytest.raises(TypeError):
+        Polynomial.variable(T, "x").scale(0.5)
+    with pytest.raises(TypeError):
+        Polynomial.variable(T, "x").evaluate({"x": 0.5})
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys)
 def test_ring_axioms(f, g, h):
