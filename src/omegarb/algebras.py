@@ -573,14 +573,14 @@ class OperatorEvaluation(NamedTuple):
     tables the constructions build from.  With L at scale D and R at scale
     d, ``rows[i]`` is d R(e_i), ``bracket[i][j]`` is [e_i, e_j]_R at scale
     D d, and ``form[i][j]`` is omega(R e_i, R e_j) at scale D d^2; both
-    tables are skew."""
+    tables are skew, and tuples, so an evaluation can be shared."""
 
     flags: MapClassification
     D: int
     d: int
     rows: tuple
-    bracket: list
-    form: list
+    bracket: tuple
+    form: tuple
 
 
 def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorEvaluation:
@@ -606,7 +606,8 @@ def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorE
     if d % w.denominator:
         lift = lcm(d, w.denominator) // d
         d, rows = d * lift, tuple(tuple(lift * x for x in r) for r in rows)
-    bracket = [[(0,) * n for _ in range(n)] for _ in range(n)]
+    zero_row = (0,) * n
+    bracket = [[zero_row] * n for _ in range(n)]
     form = [[0] * n for _ in range(n)]
     is_rb = is_compat = is_isom = is_der = is_auto_bracket = True
     for i, j in combinations(range(n), 2):
@@ -631,7 +632,9 @@ def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorE
         is_square_zero=not any(map(any, operator_square(rows, 0))),
         is_invertible=invertible,
     )
-    return OperatorEvaluation(flags, A.scale, d, rows, bracket, form)
+    return OperatorEvaluation(
+        flags, A.scale, d, rows, tuple(map(tuple, bracket)), tuple(map(tuple, form))
+    )
 
 
 def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassification:

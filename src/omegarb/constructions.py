@@ -1,16 +1,22 @@
 """Structures built from Rota-Baxter operators: left-symmetric algebras,
 deformed omega-Lie algebras, Hom-Lie algebras, and module twists.
 
-Every construction starts from one pair (L, R) and makes one
+Every construction starts from one pair (L, R) and reads one
 ``algebras.evaluate_operator`` pass over it, the code that also classifies
-operators and generates the operator varieties.  That pass decides the
+operators and generates the operator varieties.  The weight-0
+constructions (the left-symmetric product, the deformation and its
+iterates, the Hom-Lie algebra) share that pass through `_evaluation`: L
+keeps the last evaluation made for it, with its operator, outside its
+fields, and a second construction on L with an equal R reads it.  Nothing
+is kept at module level, and nothing outlives L.  ``classify_map`` and the
+weight-1 `module_twist` evaluate on their own.  The pass decides the
 hypotheses: a failed one raises :class:`PreconditionError` naming it, since
 a silently misused construction produces tables that violate the claimed
 identities.  The same pass gives the tables to build from, over ints: an
 algebra or operator is cleared once, when it is built, so with the algebra
 stored at scale D and the operator at scale d, the pass gives the rows
 d R, the bracket [x,y]_R at scale D d and the form omega(R(x),R(y)) at
-scale D d^2.  `iterate_deform` makes one evaluation of (L_{i-1}, R^i) per
+scale D d^2.  `iterate_deform` reads one evaluation of (L_{i-1}, R^i) per
 step, which both decides the step and feeds the private `_deform`;
 `omega_deform` is its first step.
 
@@ -32,11 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Optional, Sequence
 
 from .algebras import (
     IntegralAlgebra,
     OmegaAlgebra,
+    OperatorEvaluation,
     OperatorMatrix,
     Subspace,
     apply_operator,
@@ -77,6 +85,21 @@ class IterationHalted(RuntimeError):
             f"iteration halted at step {step}: R^{step} is not a compatible"
             f" weight-0 Rota-Baxter operator on the previous algebra"
         )
+
+
+def _evaluation(L: OmegaAlgebra, R: OperatorMatrix) -> OperatorEvaluation:
+    """The weight-0 evaluation of (L, R) that the constructions share.  L
+    keeps the last one made for it, with its operator, in an attribute that
+    is not a field, so it is outside L's equality, hash and repr; a call
+    with an operator equal to that one (by value) reads it, any other
+    evaluates and replaces it.  The evaluation's tables are tuples, so a
+    reader cannot change what the next one reads."""
+    kept = getattr(L, "_kept_evaluation", None)
+    if kept is not None and kept[0] == R:
+        return kept[1]
+    ev = evaluate_operator(L, R)
+    object.__setattr__(L, "_kept_evaluation", (R, ev))
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +162,7 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
     operator times the stored omega is zero.  The table [R e_i, e_j] is
     stored at scale D d, reduced, and checked by :func:`is_left_symmetric`."""
     A = L.integral
-    ev = evaluate_operator(L, R)
+    ev = _evaluation(L, R)
     if not ev.flags.is_rb:
         raise PreconditionError("R is a Rota-Baxter operator of weight 0")
     for i, r in enumerate(ev.rows):  # row i is d R(e_i)
@@ -169,12 +192,17 @@ def omega_deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
 def _deform(basis_names, ev) -> OmegaAlgebra:
     """L_R from the evaluation of (L, R), which has decided R already: the
     bracket, lifted from scale D d to D d^2, the form's scale, and the form
-    make its integer algebra, which is still validated."""
+    make its integer algebra, which is still validated.  Their common
+    factor g is taken first, gcd(d gcd(D d, bracket), form), so the table
+    is built once, at content 1, and the form is divided only when g > 1."""
     d = ev.d
-    c = tuple(tuple(tuple(d * x for x in v) for v in row) for row in ev.bracket)
-    LR = OmegaAlgebra.from_integral(
-        basis_names, IntegralAlgebra(ev.D * d * d, c, tuple(map(tuple, ev.form)))
+    g = gcd(
+        d * gcd(ev.D * d, *(x for row in ev.bracket for v in row for x in v)),
+        *(x for row in ev.form for x in row),
     )
+    c = tuple(tuple(tuple(d * x // g for x in v) for v in row) for row in ev.bracket)
+    form = ev.form if g == 1 else tuple(tuple(x // g for x in row) for row in ev.form)
+    LR = OmegaAlgebra.from_integral(basis_names, IntegralAlgebra(ev.D * d * d // g, c, form))
     check = validate_algebra(LR)
     if not check.ok:
         raise AssertionError(f"deformation violates the defining identity: {check.failures[:3]}")
@@ -184,10 +212,12 @@ def _deform(basis_names, ev) -> OmegaAlgebra:
 def iterate_deform(L: OmegaAlgebra, R: OperatorMatrix, steps: int) -> list[OmegaAlgebra]:
     """Iterated deformation: L_0 = L and L_i deforms L_{i-1} by R^i.
 
-    Each step makes one evaluation of (L_{i-1}, R^i).  It decides whether
-    R^i is a compatible weight-0 Rota-Baxter operator on L_{i-1}, and its
-    bracket and form build L_i, which is validated.  A failure at step 1
-    (R on L) raises :class:`PreconditionError`; a later one halts the
+    Each step reads the evaluation of (L_{i-1}, R^i) that the constructions
+    share (`_evaluation`), so step 1 reads the one an earlier construction
+    on L with an equal R made, when there is one.  The evaluation decides
+    whether R^i is a compatible weight-0 Rota-Baxter operator on L_{i-1},
+    and its bracket and form build L_i, which is validated.  A failure at
+    step 1 (R on L) raises :class:`PreconditionError`; a later one halts the
     iteration with :class:`IterationHalted`, carrying the offending step
     and the algebras built so far.  R^i is R^{i-1} then R, one integer
     product of the stored matrices (``OperatorMatrix.then``).
@@ -198,13 +228,12 @@ def iterate_deform(L: OmegaAlgebra, R: OperatorMatrix, steps: int) -> list[Omega
     for i in range(1, steps + 1):
         if i > 1:
             power = power.then(R)
-        ev = evaluate_operator(produced[-1], power)
+        ev = _evaluation(produced[-1], power)
         if not (ev.flags.is_rb and ev.flags.is_compatible):
             if i == 1:
                 raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
             raise IterationHalted(i, produced)
         produced.append(_deform(L.basis_names, ev))
-        del ev  # the next evaluation runs without this step's tables
     return produced
 
 
@@ -252,12 +281,12 @@ def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
     weight-0 Rota-Baxter operator with R^2 = 0.  The hypotheses are checked;
     the bracket is stored at scale D d, reduced, and checked by
     :func:`hom_jacobi_holds`."""
-    ev = evaluate_operator(L, R)
+    ev = _evaluation(L, R)
     if not (ev.flags.is_rb and ev.flags.is_compatible):
         raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
     if not ev.flags.is_square_zero:
         raise PreconditionError("R^2 = 0")
-    bracket = IntegralAlgebra(ev.D * ev.d, tuple(map(tuple, ev.bracket)), ())
+    bracket = IntegralAlgebra(ev.D * ev.d, ev.bracket, ())
     g = HomLieAlgebra(L.dim, L.basis_names, bracket.reduced(), R)
     if not hom_jacobi_holds(g):
         raise AssertionError("construction violates the twisted Jacobi identity")

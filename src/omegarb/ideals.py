@@ -364,13 +364,14 @@ class PrimalityCertificate:
 
 def _split_by_power(g: Polynomial, vidx: int) -> list[Polynomial]:
     """[g_0, ..., g_d] with g = sum_k g_k * v^k, where v is the variable at
-    ``vidx``, d = deg_v(g), and no g_k involves v."""
+    ``vidx``, d = deg_v(g), and no g_k involves v.  The parts take g's own
+    coefficients and monomials, so they skip the constructor's checks."""
     parts: list[dict] = []
     for m, c in g.terms.items():
         k = m[vidx]
         parts.extend({} for _ in range(k + 1 - len(parts)))
         parts[k][m[:vidx] + (0,) + m[vidx + 1 :]] = c
-    return [Polynomial(g.table, terms) for terms in parts]
+    return [Polynomial._of(g.table, terms) for terms in parts]
 
 
 @dataclass

@@ -325,7 +325,8 @@ class Polynomial:
 
     @classmethod
     def _of(cls, table: VariableTable, terms: dict[Mono, Scalar]) -> "Polynomial":
-        """The polynomial of terms that this class's arithmetic built from
+        """The polynomial of terms that this class's arithmetic, or a split
+        of one polynomial into parts (``ideals._split_by_power``), built from
         polynomials over ``table``: the monomials already have its shape and
         the coefficients are ints and Fractions, so only the zeros are
         dropped and the integral Fractions turned into ints."""

@@ -201,15 +201,16 @@ def evaluations(monkeypatch):
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
-def test_iteration_classifies_once_per_step(L1, evaluations, steps):
+def test_iteration_classifies_once_per_step(catalog, evaluations, steps):
+    L = catalog["L1"].instantiate()  # fresh: no evaluation kept on it yet
     R = OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]])
-    assert len(iterate_deform(L1, R, steps)) == steps + 1
+    assert len(iterate_deform(L, R, steps)) == steps + 1
     assert len(evaluations) == steps
 
 
-def test_each_construction_evaluates_the_pair_once(L1, monkeypatch):
-    """One pass of the identities per (algebra, operator): 3 basis pairs of
-    L1 per evaluation, none repeated to read the bracket or the form."""
+@pytest.fixture
+def pair_passes(monkeypatch):
+    """The arguments of every `pair_identities` call the evaluation makes."""
     import omegarb.algebras as algebras
     import omegarb.constructions as constructions
 
@@ -222,15 +223,56 @@ def test_each_construction_evaluates_the_pair_once(L1, monkeypatch):
 
     for module in (algebras, constructions):
         monkeypatch.setattr(module, "pair_identities", counting, raising=False)
+    return calls
+
+
+def test_each_construction_evaluates_the_pair_once(catalog, pair_passes):
+    """One pass of the identities per fresh (algebra, operator): 3 basis
+    pairs of L1 per evaluation, none repeated to read the bracket or the
+    form."""
     R = OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]])
     for build, want in (
-        (lambda: omega_deform(L1, R), 3),
-        (lambda: homlie_from_rb(L1, R), 3),
-        (lambda: iterate_deform(L1, R, 3), 9),
+        (lambda L: omega_deform(L, R), 3),
+        (lambda L: homlie_from_rb(L, R), 3),
+        (lambda L: iterate_deform(L, R, 3), 9),
     ):
-        calls.clear()
+        pair_passes.clear()
+        build(catalog["L1"].instantiate())
+        assert len(pair_passes) == want
+
+
+def test_constructions_share_the_evaluation_of_an_equal_pair(catalog, evaluations, pair_passes):
+    """A second construction on the same L with an equal R reads the kept
+    evaluation: no pair pass.  A new, equal L or a different R evaluates
+    afresh, and `classify_map` evaluates on every call."""
+    R = OperatorMatrix([[0, 0, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
+    L = catalog["L1"].instantiate()
+    omega_deform(L, R)
+    assert len(pair_passes) == 3
+    for build in (
+        lambda: homlie_from_rb(L, R),
+        lambda: left_symmetric_from_rb(L, OperatorMatrix(R.entries)),  # equal, not the same
+        lambda: iterate_deform(L, R, 1),
+    ):
+        pair_passes.clear()
         build()
-        assert len(calls) == want
+        assert pair_passes == []
+    pair_passes.clear()
+    iterate_deform(L, R, 2)
+    assert len(pair_passes) == 3  # R^2 on the fresh L_1 only
+    for M, S in (
+        (catalog["L1"].instantiate(), R),  # equal to L, not the same object
+        (L, OperatorMatrix.zero(3)),  # a different operator on the same L
+        (L, R),  # R again, after the zero operator replaced it
+    ):
+        assert M == L
+        evaluations.clear()
+        homlie_from_rb(M, S)
+        assert evaluations == [(M, S)] and evaluations[0][0] is M
+    pair_passes.clear()
+    classify_map(L, R)
+    classify_map(L, R)
+    assert len(pair_passes) == 6  # two evaluations of 3 pairs
 
 
 def test_the_integer_passes_read_no_fraction_view(L1, monkeypatch, evaluations):
@@ -325,14 +367,17 @@ def test_iteration_matches_the_chain_on_sampled_l18_points(L1_8):
 
 
 def test_iteration_halts_like_the_chain(evaluations):
-    heis = OmegaAlgebra.from_brackets(["x", "y", "z"], {(0, 1): [0, 0, 1]}, {})
+    def heisenberg():
+        return OmegaAlgebra.from_brackets(["x", "y", "z"], {(0, 1): [0, 0, 1]}, {})
+
+    heis = heisenberg()
     R = OperatorMatrix([[-1, -1, -1], [-1, 0, 0], [0, 0, 1]])
     assert _deform_chain(heis, R, 3)[1] == 2
     for steps in (1, 2, 3):
         _assert_iteration_matches_chain(heis, R, steps)
     evaluations.clear()
     with pytest.raises(IterationHalted):
-        iterate_deform(heis, R, 3)
+        iterate_deform(heisenberg(), R, 3)  # fresh: no evaluation kept on it yet
     assert len(evaluations) == 2  # R on L_0, then R^2 on L_1
 
 
@@ -676,6 +721,73 @@ def test_construction_soundness_on_sampled_points(L1, L2, L1_2, L1_8, rng):
                     continue  # image not inside ker(omega) for this point
                 assert _content(A.integral) == 1
                 assert A.m == products
+
+
+def _construction_outcome(algebra, R):
+    """The classify flags, the left-symmetric table or its rejection, the
+    2-step deformation or where it halts, and the Hom-Lie category, each
+    from a construction on ``algebra()``."""
+    out = [classify_map(algebra(), R, 0)]
+    for build in (
+        lambda L: left_symmetric_from_rb(L, R),
+        lambda L: iterate_deform(L, R, 2),
+        lambda L: homlie_structure(homlie_from_rb(L, R)).category,
+    ):
+        try:
+            out.append(build(algebra()))
+        except PreconditionError as exc:
+            out.append(("rejected", exc.hypothesis))
+        except IterationHalted as exc:
+            out.append(("halted", exc.step, exc.produced))
+    return out
+
+
+def test_sharing_the_evaluation_never_changes_an_answer(catalog):
+    """Operators sampled as the constructions benchmark samples them, and
+    three that fail a hypothesis or halt: the outcome on one shared
+    algebra, which keeps each evaluation for the next construction and
+    replaces it for the next operator, equals the outcome with a fresh
+    algebra per construction."""
+    from omegarb.algebras import evaluate_operator
+    from omegarb.cli import _load_builtin_candidates
+    from omegarb.ideals import find_certificate, sample_points
+    from omegarb.solver import GenericOperator, entry_name
+
+    rng = random.Random(7)
+    cases = []  # (a builder of fresh algebras, operator rows)
+    for name, cand_name in (
+        ("L1", "table1_L1"),
+        ("L2", "table1_L2"),
+        ("L1_2", "table3_L1_2"),
+        ("L1_8", "table3_L1_8"),
+    ):
+        entry = catalog[name]
+        n = entry.dim
+        table = GenericOperator.of_dimension(n).table
+        for component, cert in _load_builtin_candidates(cand_name, table):
+            cert = cert or find_certificate(component)
+            for pt in sample_points(component, cert, 3, rng):
+                rows = [[pt[entry_name(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)]
+                cases.append((entry.instantiate, rows))
+    cases += [
+        (catalog["L1"].instantiate, [[1, 1, 0], [0, 0, 0], [0, 0, 0]]),  # RB, not compatible
+        (catalog["L1"].instantiate, identity(3)),  # not RB
+        (
+            lambda: OmegaAlgebra.from_brackets(["x", "y", "z"], {(0, 1): [0, 0, 1]}, {}),
+            [[-1, -1, -1], [-1, 0, 0], [0, 0, 1]],  # halts at step 2
+        ),
+    ]
+    kinds, shared = set(), {}
+    for algebra, rows in cases:
+        fresh = _construction_outcome(algebra, OperatorMatrix(rows))
+        L = shared.setdefault(algebra, algebra())
+        for R in (OperatorMatrix(rows), OperatorMatrix(rows)):  # evaluated, then kept
+            assert _construction_outcome(lambda: L, R) == fresh
+        kinds.update(type(x).__name__ if type(x) is not tuple else x[0] for x in fresh[1:])
+        ev = evaluate_operator(L, OperatorMatrix(rows))
+        assert type(ev.bracket) is type(ev.form) is tuple
+        assert all(type(row) is tuple for row in ev.bracket + ev.form)
+    assert kinds == {"LeftSymmetricAlgebra", "list", "str", "rejected", "halted"}
 
 
 def _image_products_reference(L, R):

@@ -45,7 +45,8 @@ def test_the_check_sees_a_private_import(tmp_path):
 # the operator layer is recomputed on every call: `omegarb classify` and
 # `omegarb construct` run cold, and so must every repeated call in one
 # process.  An algebra or operator is cleared once, when it is built, and
-# keeps only that integer form: no cached copy or memo sits beside it
+# keeps only that integer form: no cached copy or memo sits beside it, but
+# for the one evaluation the constructions share (checked below)
 UNCACHED_MODULES = ("algebras.py", "constructions.py", "linalg.py")
 CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
 
@@ -128,6 +129,27 @@ def test_the_constructions_neither_clear_nor_divide_a_table():
     assert {name: name_references(path, name) for name in ("integral_algebra", "divided")} == {
         "integral_algebra": 0, "divided": 0
     }
+
+
+# the weight-0 constructions share one evaluation per (algebra, operator):
+# the algebra keeps the last one in an attribute that only `constructions`
+# reads or writes, so `algebras` keeps no evaluation state and
+# `classify_map` evaluates on every call.  getattr and setattr name the
+# attribute by a string, so string constants count as references too
+KEPT_EVALUATION = "_kept_evaluation"
+
+
+def test_only_the_constructions_keep_an_evaluation_on_the_algebra():
+    def references(path: Path) -> int:
+        tree = ast.parse(path.read_text("utf-8"))
+        strings = sum(
+            isinstance(node, ast.Constant) and node.value == KEPT_EVALUATION
+            for node in ast.walk(tree)
+        )
+        return name_references(path, KEPT_EVALUATION) + strings
+
+    readers = {p.name for p in PACKAGE.glob("*.py") if references(p)}
+    assert readers == {"constructions.py"}
 
 
 # the benchmark's tracer patches these names by attribute lookup, so a
