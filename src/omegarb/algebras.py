@@ -23,7 +23,11 @@ once, when it is built, and keeps only its cleared form: an
 with D the lcm of its denominators, and an :class:`OperatorMatrix` holds
 (d, d R), with d the lcm of R's denominators.  Both are reduced to content
 1, so equal rational data gives equal objects; ``c``, ``omega`` and
-``entries`` are Fraction views of them, for output.
+``entries`` are Fraction views of them, for output.  An algebra is cleared
+in one place, :func:`integral_algebra`, which the constructor calls
+(``OmegaAlgebra.from_brackets`` only fills the dense tables for it), and
+integer data handed to ``OmegaAlgebra.from_integral`` is reduced in one,
+``IntegralAlgebra.reduced``.
 :func:`pair_identities` takes the operator's scale, so that the weight term
 is w d and the isometry defect subtracts d^2 (D omega_ij).
 :func:`evaluate_operator` is the one integer pass over the basis pairs of
@@ -239,10 +243,17 @@ class IntegralAlgebra(NamedTuple):
 
 def integral_algebra(c, omega=()) -> IntegralAlgebra:
     """(D, D*c, D*omega) with D the lcm of every denominator in c and omega;
-    c is a table c[i][j][k], omega a matrix (or empty).  The lcm leaves no
-    common factor: for each prime of D, some entry's denominator carries
-    its full power, and that entry's cleared numerator is prime to it."""
-    D = lcm(lcm_of_denominators(row for layer in c for row in layer), lcm_of_denominators(omega))
+    c is a table c[i][j][k], omega a matrix (or empty), their entries ints
+    or Fractions: any other type, a float among them, raises TypeError.
+    The lcm leaves no common factor: for each prime of D, some entry's
+    denominator carries its full power, and that entry's cleared numerator
+    is prime to it.  This is the one place an algebra is cleared."""
+    rows = [row for layer in c for row in layer] + list(omega)
+    for row in rows:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"{x!r} is not an int or a Fraction; use exact rationals")
+    D = lcm_of_denominators(rows)
     return IntegralAlgebra(
         D,
         tuple(tuple(cleared(row, D) for row in layer) for layer in c),
@@ -303,41 +314,24 @@ class OmegaAlgebra:
         omega: Mapping[tuple[int, int], object],
         params: Optional[Mapping[str, Fraction]] = None,
     ) -> "OmegaAlgebra":
-        """Build from the nonzero relations [e_i,e_j] and omega values;
-        skew-symmetry fills in the rest, and a later relation on a pair
-        overrides an earlier one.  The values are cleared into ints once."""
+        """Build from the nonzero relations [e_i,e_j] and omega values, ints
+        or Fractions; skew-symmetry fills in the rest, and a later relation
+        on a pair overrides an earlier one.  The dense tables are cleared
+        by the constructor, :func:`integral_algebra`."""
         n = len(basis_names)
-        rows: dict[tuple[int, int], Vector] = {}
-        for (i, j), coeffs in brackets.items():
+        c = [[(0,) * n] * n for _ in range(n)]
+        for (i, j), row in brackets.items():
             if i == j:
                 raise ValueError("bracket [e_i,e_i] must be zero")
-            row = vec(coeffs)
             if len(row) != n:
                 raise ValueError(f"bracket [e_{i},e_{j}] needs {n} coordinates, got {len(row)}")
-            rows[min(i, j), max(i, j)] = row if i < j else tuple(-x for x in row)
-        forms: dict[tuple[int, int], Fraction] = {}
-        for (i, j), val in omega.items():
-            (q,) = vec((val,))
+            c[i][j], c[j][i] = tuple(row), tuple(-x for x in row)
+        om = [[0] * n for _ in range(n)]
+        for (i, j), q in omega.items():
             if i == j and q != 0:
                 raise ValueError("omega(e_i,e_i) must be zero")
-            forms[min(i, j), max(i, j)] = q if i < j else -q
-        D = lcm_of_denominators(rows.values(), *forms.values())
-        c = [[(0,) * n] * n for _ in range(n)]
-        for (i, j), row in rows.items():
-            c[i][j] = cleared(row, D)
-            c[j][i] = tuple(-x for x in c[i][j])
-        om = [[0] * n for _ in range(n)]
-        for (i, j), q in forms.items():
-            om[i][j] = q.numerator * (D // q.denominator)
-            om[j][i] = -om[i][j]
-        L = cls.__new__(cls)
-        L._store(
-            n,
-            basis_names,
-            IntegralAlgebra(D, tuple(map(tuple, c)), tuple(map(tuple, om))),
-            tuple(sorted(params.items())) if params else None,
-        )
-        return L
+            om[i][j], om[j][i] = q, -q
+        return cls(n, basis_names, c, om, tuple(sorted(params.items())) if params else None)
 
     @property
     def c(self) -> tuple[tuple[Vector, ...], ...]:

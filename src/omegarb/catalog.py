@@ -10,10 +10,13 @@ the entry can be used; reports mark such rows as skipped.
 Every instantiation is validated against the defining identity; an entry
 whose relations break it is rejected with the failing basis triple named.
 
-Relation right-hand sides are polynomial text (``poly.parse_polynomial``);
-operator-file entries are rational expressions over named parameters
-(:func:`evaluate_rational_expression`).  Both are read by the one grammar in
-``poly.evaluate_expression``; only operator entries may divide.
+Every relation, bracket or omega, is read by one loop: its right-hand side
+is polynomial text over the basis names, evaluated by
+``poly.evaluate_expression`` with each parameter bound to its value, so a
+bracket must come out linear and an omega value constant, and integral
+coefficients stay ints.  Operator-file entries are rational expressions
+over named parameters (:func:`evaluate_rational_expression`), read by the
+same grammar; only operator entries may divide.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .linalg import identity
 from .poly import (
     PolyParseError,
     Polynomial,
+    Scalar,
     VariableTable,
     evaluate_expression,
-    parse_polynomial,
     parse_rational,
 )
 
@@ -49,6 +52,10 @@ DEFAULT_PARAMETER_SAMPLES = (Fraction(2), Fraction(-1), Fraction(1, 2))
 
 _BRACKET_RE = re.compile(r"^\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.*)$")
 _OMEGA_RE = re.compile(r"^\s*w\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*=\s*(.*)$")
+# how each relation kind is read: its pattern, its name in messages, the
+# degree of every term of its right-hand side, and what that makes it
+_BRACKET = (_BRACKET_RE, "bracket", 1, "a linear combination of basis vectors")
+_OMEGA = (_OMEGA_RE, "omega", 0, "a rational value")
 
 
 @dataclass(frozen=True)
@@ -106,31 +113,36 @@ class CatalogEntry:
                     f"{self.name}: parameter {spec.name} = {values[spec.name]}"
                     f" is excluded (constraints: != {list(spec.excluded)})"
                 )
-        table = VariableTable(self.basis + tuple(p.name for p in self.params))
-        subs = {name: val for name, val in values.items()}
-        brackets: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        for rel in self.bracket_relations:
-            m = _BRACKET_RE.match(rel)
+        basis = VariableTable(self.basis)
+
+        def leaf(v) -> Polynomial:
+            if not isinstance(v, str):
+                return Polynomial.constant(basis, v)
+            if v in values:
+                return Polynomial.constant(basis, values[v])
+            return Polynomial.variable(basis, v)  # KeyError for an unknown name
+
+        units = identity(len(self.basis))  # the exponent tuple of each basis name
+        brackets: dict[tuple[int, int], tuple] = {}
+        omega: dict[tuple[int, int], Scalar] = {}
+        relations = [(rel, _BRACKET) for rel in self.bracket_relations]
+        relations += [(rel, _OMEGA) for rel in self.omega_relations]
+        for rel, (pattern, kind, degree, what) in relations:
+            m = pattern.match(rel)
             if not m:
-                raise CatalogError(f"{self.name}: bad bracket relation {rel!r}")
+                raise CatalogError(f"{self.name}: bad {kind} relation {rel!r}")
             a, b, rhs = m.groups()
-            i, j = self._basis_index(a), self._basis_index(b)
-            coeffs = self._linear_coefficients(rhs, table, subs, rel)
-            brackets[(i, j)] = coeffs
-        omega: dict[tuple[int, int], Fraction] = {}
-        for rel in self.omega_relations:
-            m = _OMEGA_RE.match(rel)
-            if not m:
-                raise CatalogError(f"{self.name}: bad omega relation {rel!r}")
-            a, b, rhs = m.groups()
-            i, j = self._basis_index(a), self._basis_index(b)
+            key = self._basis_index(a), self._basis_index(b)
             try:
-                poly = parse_polynomial(rhs, table).substitute(subs)
+                terms = evaluate_expression(rhs, leaf).terms
             except PolyParseError as exc:
                 raise CatalogError(f"{self.name}: {rel!r}: {exc}") from exc
-            if not poly.is_constant():
-                raise CatalogError(f"{self.name}: {rel!r} is not a rational value")
-            omega[(i, j)] = poly.constant_value()
+            if any(sum(mono) != degree for mono in terms):
+                raise CatalogError(f"{self.name}: {rel!r} is not {what}")
+            if degree:
+                brackets[key] = tuple(terms.get(u, 0) for u in units)
+            else:
+                omega[key] = next(iter(terms.values()), 0)
         try:
             algebra = OmegaAlgebra.from_brackets(
                 self.basis, brackets, omega, params=values or None
@@ -154,21 +166,6 @@ class CatalogEntry:
             raise CatalogError(
                 f"{self.name}: {name!r} is not a basis vector (basis: {self.basis})"
             ) from None
-
-    def _linear_coefficients(self, rhs, table, subs, rel) -> tuple[Fraction, ...]:
-        try:
-            poly = parse_polynomial(rhs, table).substitute(subs)
-        except PolyParseError as exc:
-            raise CatalogError(f"{self.name}: {rel!r}: {exc}") from exc
-        coeffs = [Fraction(0)] * len(self.basis)
-        for mono, c in poly.terms.items():
-            nz = [i for i, e in enumerate(mono) if e]
-            if len(nz) != 1 or mono[nz[0]] != 1 or nz[0] >= len(self.basis):
-                raise CatalogError(
-                    f"{self.name}: {rel!r} is not a linear combination of basis vectors"
-                )
-            coeffs[nz[0]] = c
-        return tuple(coeffs)
 
 
 def _as_str_list(value, context: str) -> tuple[str, ...]:

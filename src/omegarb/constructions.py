@@ -21,8 +21,10 @@ step, which both decides the step and feeds the private `_deform`;
 `omega_deform` is its first step.
 
 Every output is stored the way an algebra is: its integer table with its
-scale, reduced to content 1 (``IntegralAlgebra.reduced``), with Fraction
-views for output only.  L_R is built from the bracket [x,y]_R and the form,
+scale, reduced to content 1 by the one reduction of a table,
+``IntegralAlgebra.reduced``, with Fraction views for output only; no
+construction clears a table or takes its content itself.  L_R is built
+from the bracket [x,y]_R, lifted to the form's scale D d^2, and the form,
 the left-symmetric algebra from the product [R(x),y] at scale D d, and the
 Hom-Lie algebra from [x,y]_R at scale D d.  Each output is then validated
 by its public checker over those stored ints: the left-symmetric identity,
@@ -38,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Optional, Sequence
 
 from .algebras import (
@@ -191,18 +192,12 @@ def omega_deform(L: OmegaAlgebra, R: OperatorMatrix) -> OmegaAlgebra:
 
 def _deform(basis_names, ev) -> OmegaAlgebra:
     """L_R from the evaluation of (L, R), which has decided R already: the
-    bracket, lifted from scale D d to D d^2, the form's scale, and the form
-    make its integer algebra, which is still validated.  Their common
-    factor g is taken first, gcd(d gcd(D d, bracket), form), so the table
-    is built once, at content 1, and the form is divided only when g > 1."""
+    bracket, lifted from scale D d to D d^2, and the form make its integer
+    algebra at scale D d^2, which ``OmegaAlgebra.from_integral`` reduces to
+    content 1 and which is still validated."""
     d = ev.d
-    g = gcd(
-        d * gcd(ev.D * d, *(x for row in ev.bracket for v in row for x in v)),
-        *(x for row in ev.form for x in row),
-    )
-    c = tuple(tuple(tuple(d * x // g for x in v) for v in row) for row in ev.bracket)
-    form = ev.form if g == 1 else tuple(tuple(x // g for x in row) for row in ev.form)
-    LR = OmegaAlgebra.from_integral(basis_names, IntegralAlgebra(ev.D * d * d // g, c, form))
+    c = tuple(tuple(tuple(d * x for x in v) for v in row) for row in ev.bracket)
+    LR = OmegaAlgebra.from_integral(basis_names, IntegralAlgebra(ev.D * d * d, c, ev.form))
     check = validate_algebra(LR)
     if not check.ok:
         raise AssertionError(f"deformation violates the defining identity: {check.failures[:3]}")

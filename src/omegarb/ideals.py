@@ -485,9 +485,6 @@ def find_certificate(p: Ideal) -> Optional[PrimalityCertificate]:
     return cert if check_primality(p, cert) else None
 
 
-_SAMPLE_ATTEMPTS = 800
-
-
 def sample_points(
     p: Ideal,
     cert: Optional[PrimalityCertificate],
@@ -498,8 +495,11 @@ def sample_points(
     certificate's, or for ``cert=None`` a greedy chain that inverts
     variables on demand (it yields points, not a primality proof).  The free
     variables are drawn in table order, then each inverted variable
-    (nonzero); the chain gives the rest.  Every returned point is checked
-    against the generators."""
+    (nonzero); the chain gives the rest.  Each step's denominator is one
+    term over the inverted variables, so it is a unit at every draw and
+    every draw is a point: ``count`` draws give ``count`` points.  Every
+    point is still checked against the generators, and one that fails
+    raises :class:`CertificateError`."""
     if cert is None:
         chain = _solve_chain(p, (), True)
     else:
@@ -514,9 +514,7 @@ def sample_points(
         return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
 
     points: list[dict[str, Fraction]] = []
-    attempts = 0
-    while len(points) < count and attempts < _SAMPLE_ATTEMPTS:
-        attempts += 1
+    for _ in range(count):
         point = {n: random_value() for n in free}
         for n in chain.inverted:
             value = random_value()
@@ -529,12 +527,10 @@ def sample_points(
             scale = math.prod((point[names[i]] ** e for i, e in enumerate(mono) if e), start=c)
             point[name] = num.evaluate(point) / scale
         point = {n: point[n] for n in names}  # in table order
-        if all(g.evaluate(point) == 0 for g in p.generators):
-            points.append(point)
-    if len(points) < count:
-        raise CertificateError(
-            f"could not sample {count} points (got {len(points)})"
-        )
+        bad = next((g for g in p.generators if g.evaluate(point) != 0), None)
+        if bad is not None:
+            raise CertificateError(f"the solve chain gave a point off the generator {bad}")
+        points.append(point)
     return points
 
 

@@ -81,18 +81,21 @@ def fraction_free_rref(rows) -> tuple[list[list[int]], list[int], int]:
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
-def lcm_of_denominators(rows, *extra) -> int:
-    """The lcm of the denominators of every entry (ints or Fractions) and
-    of the numbers in ``extra`` (a weight, say)."""
-    dens = {x.denominator for x in extra}
+def lcm_of_denominators(rows) -> int:
+    """The lcm of the denominators of every entry (ints or Fractions)."""
+    dens = set()
     for r in rows:
         dens.update(map(_denominator, r))
     return lcm(*dens)
 
 
 def cleared(values, m: int) -> tuple:
-    """m * values in ints, for m a multiple of every denominator."""
+    """m * values in ints, for m a multiple of every denominator.  At m = 1
+    a tuple already in ints is returned as it is, so a table keeps sharing
+    its rows (the zero rows of an algebra, say)."""
     if m == 1:
+        if all(type(x) is int for x in values):
+            return tuple(values)
         return tuple(map(_numerator, values))
     return tuple(x.numerator * (m // x.denominator) for x in values)
 

@@ -376,15 +376,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(mono_degree(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        """Value of a constant polynomial, as a Fraction (errors if
-        non-constant)."""
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return Fraction(next(iter(self.terms.values())))
-
     def total_degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
         if not self.terms:

@@ -1,5 +1,6 @@
 """Catalog parsing, parameter handling, operator files, serialization."""
 
+import fractions
 import os
 import subprocess
 import sys
@@ -104,21 +105,70 @@ def test_malformed_entries_rejected():
         parse_catalog_text(
             "- name: X\n  dim: 2\n  basis: [a, b]\n- name: X\n  dim: 2\n  basis: [a, b]\n"
         )
-    with pytest.raises(CatalogError, match="bracket"):
-        parse_catalog_text(
-            '- name: X\n  dim: 2\n  basis: [a, b]\n  brackets: ["a*b = a"]\n'
-        )[0].instantiate()
 
 
-def test_nonlinear_bracket_rhs_rejected():
-    text = """
-- name: bad
-  dim: 2
-  basis: [x, y]
-  brackets: ["[x,y] = x*y"]
-"""
-    with pytest.raises(CatalogError, match="linear combination"):
-        parse_catalog_text(text)[0].instantiate()
+# one malformed relation on the basis (x, y, z), with a parameter a:
+# (field, relation, the full CatalogError text of instantiate)
+MALFORMED_RELATIONS = {
+    "bracket-syntax": ("brackets", "a*b = a", "X: bad bracket relation 'a*b = a'"),
+    "omega-syntax": ("omega", "w(x) = 1", "X: bad omega relation 'w(x) = 1'"),
+    "unknown-basis-vector": (
+        "brackets", "[x,q] = y", "X: 'q' is not a basis vector (basis: ('x', 'y', 'z'))"
+    ),
+    "unknown-name": (
+        "brackets", "[x,y] = q", "X: '[x,y] = q': unknown name 'q' at position 0 in 'q'"
+    ),
+    "unknown-name-in-omega": (
+        "omega", "w(x,y) = q", "X: 'w(x,y) = q': unknown name 'q' at position 0 in 'q'"
+    ),
+    "constant-bracket": (
+        "brackets", "[x,y] = 1", "X: '[x,y] = 1' is not a linear combination of basis vectors"
+    ),
+    "parameter-only-bracket": (
+        "brackets", "[x,y] = a", "X: '[x,y] = a' is not a linear combination of basis vectors"
+    ),
+    "nonlinear-bracket": (
+        "brackets",
+        "[x,y] = x*y",
+        "X: '[x,y] = x*y' is not a linear combination of basis vectors",
+    ),
+    "non-constant-omega": ("omega", "w(x,y) = a*x", "X: 'w(x,y) = a*x' is not a rational value"),
+    "bracket-x-x": ("brackets", "[x,x] = y", "X: bracket [e_i,e_i] must be zero"),
+    "omega-x-x": ("omega", "w(x,x) = a", "X: omega(e_i,e_i) must be zero"),
+    "float-literal": (
+        "brackets",
+        "[x,y] = 0.5*z",
+        "X: '[x,y] = 0.5*z': floating-point literals are not supported; use exact p/q rationals",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RELATIONS)
+def test_malformed_relations_rejected(case):
+    field, relation, message = MALFORMED_RELATIONS[case]
+    text = f'- name: X\n  dim: 3\n  basis: [x, y, z]\n  params: [a]\n  {field}: ["{relation}"]\n'
+    entry = parse_catalog_text(text)[0]
+    with pytest.raises(CatalogError) as caught:
+        entry.instantiate()
+    assert str(caught.value) == message
+
+
+def test_integer_entries_build_no_fraction(catalog):
+    """An entry whose relations are all integral is read, cleared and
+    validated in ints: nothing runs in the ``fractions`` module."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    for name in ("L1", "L2", "L1_1", "L1_2", "L1_8"):
+        sys.setprofile(profile)
+        try:
+            catalog[name].instantiate()
+        finally:
+            sys.setprofile(None)
+    assert calls == []
 
 
 # -- operator files ---------------------------------------------------------------

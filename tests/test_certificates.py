@@ -470,6 +470,15 @@ def test_generic_sampler_inverts_two_variables():
         assert all(g.evaluate(pt) == 0 for g in I.generators)
 
 
+def test_a_point_off_the_generators_raises(monkeypatch):
+    # a chain that solves nothing leaves x free, so a draw of x != 0 is a
+    # point off <x>: the check of every point refuses it
+    I = make_ideal(TXY, [PXY("x")])
+    monkeypatch.setattr(ideals, "_solve_chain", lambda p, inverted, grow: ideals._Chain([], []))
+    with pytest.raises(CertificateError, match="off the generator x"):
+        sample_points(I, None, 3, random.Random(0))
+
+
 def _shipped_components():
     """Every component of data/candidates/table<N>_<algebra>.yaml."""
     catalog = load_builtin_catalog()

@@ -122,13 +122,21 @@ def test_the_check_sees_a_reference(tmp_path):
     assert name_references(probe, "pair_identities") == 3
 
 
-# a construction output keeps the integer table it was built from, as an
-# algebra does, so no construction clears a table or divides one back
+# an algebra is cleared in one place, `algebras.integral_algebra`, and a
+# table reduced in one, `IntegralAlgebra.reduced`; a construction output
+# keeps the integer table it was built from, as an algebra does, so no
+# construction clears a table, divides one back or takes its content
+CLEARING = ("cleared", "lcm_of_denominators")
+
+
 def test_the_constructions_neither_clear_nor_divide_a_table():
-    path = PACKAGE / "constructions.py"
-    assert {name: name_references(path, name) for name in ("integral_algebra", "divided")} == {
-        "integral_algebra": 0, "divided": 0
+    algebras = PACKAGE / "algebras.py"
+    assert {name: set(enclosing_uses(algebras, name)) for name in CLEARING} == {
+        name: {"algebras", "algebras.integral_algebra"} for name in CLEARING
     }
+    path = PACKAGE / "constructions.py"
+    names = ("integral_algebra", "divided", "gcd")
+    assert {name: name_references(path, name) for name in names} == dict.fromkeys(names, 0)
 
 
 # the weight-0 constructions share one evaluation per (algebra, operator):

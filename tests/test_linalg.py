@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegarb.algebras import OperatorMatrix, SingularOperatorError, Subspace
+from omegarb.algebras import OmegaAlgebra, OperatorMatrix, SingularOperatorError, Subspace
 from omegarb.linalg import (
     det,
     fraction_free_rref,
@@ -155,6 +155,16 @@ def test_float_entries_are_rejected():
         vec([Fraction(1), 0.1])
     with pytest.raises(TypeError):
         OperatorMatrix([[0.1, 0], [0, 1]])
+    # an algebra is cleared in one place, which refuses a float the same way
+    c = [[(0, 0), (0.5, 0)], [(-0.5, 0), (0, 0)]]
+    with pytest.raises(TypeError):
+        OmegaAlgebra(2, ["x", "y"], c, [[0, 0], [0, 0]])
+    with pytest.raises(TypeError):
+        OmegaAlgebra(2, ["x", "y"], [[(0, 0)] * 2] * 2, [[0, 0.5], [-0.5, 0]])
+    with pytest.raises(TypeError):
+        OmegaAlgebra.from_brackets(["x", "y"], {(0, 1): [0.5, 0]}, {})
+    with pytest.raises(TypeError):
+        OmegaAlgebra.from_brackets(["x", "y"], {}, {(0, 1): 0.5})
 
 
 # -- the one elimination against a Fraction Gauss-Jordan reference ----------------
