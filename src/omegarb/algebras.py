@@ -12,10 +12,12 @@ this convention.
 
 The operator identities (Rota-Baxter of weight w, omega-compatibility,
 isometry, R^2 = 0) and the deformed bracket [x,y]_R = [R(x),y] + [x,R(y)]
-are written once, ring-generically, in :func:`pair_identities` and the
-product, form and operator helpers it uses.  ``solver.generate_equations``
-reads the variety's polynomials from them over the stored integer algebra
-and the generic operator (x_ij), at scale 1.
+are written once, ring-generically, in :func:`operator_identities`: one
+pass over all basis pairs, which fills the tables [R e_i, e_b] and
+omega(R e_i, e_b) from the nonzero structure constants and form entries
+and reads every pair from them.  ``solver.generate_equations`` reads the
+variety's polynomials from it over the stored integer algebra and the
+generic operator (x_ij), at scale 1.
 
 Everything else reads them over ints.  An algebra or operator is cleared
 once, when it is built, and keeps only its cleared form: an
@@ -28,10 +30,10 @@ in one place, :func:`integral_algebra`, which the constructor calls
 (``OmegaAlgebra.from_brackets`` only fills the dense tables for it), and
 integer data handed to ``OmegaAlgebra.from_integral`` is reduced in one,
 ``IntegralAlgebra.reduced``.
-:func:`pair_identities` takes the operator's scale, so that the weight term
-is w d and the isometry defect subtracts d^2 (D omega_ij).
-:func:`evaluate_operator` is the one integer pass over the basis pairs of
-(L, R): it lifts d to clear the weight too, tests integer values for zero
+:func:`operator_identities` takes the operator's scale, so that the weight
+term is w d and the isometry defect subtracts d^2 (D omega_ij).
+:func:`evaluate_operator` reads that pass over the ints of (L, R): it lifts
+d to clear the weight too, tests integer values for zero
 or equality, never divides, and returns the flags (all that
 :func:`classify_map` reports) together with the deformed bracket and the
 image form at their integer scales, so that every construction (see
@@ -49,13 +51,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import neg, sub
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
     Matrix,
     Vector,
     cleared,
-    det,
     divided,
     fraction_free_rref,
     identity,
@@ -131,63 +133,99 @@ def operator_square(rows, zero=_ZERO) -> tuple:
     return tuple(apply_operator(rows, r, zero) for r in rows)
 
 
-def _dot(u, v, zero):
-    total = zero
-    for x, y in zip(u, v):
-        if x and y:
-            total += x * y
-    return total
-
-
 class PairIdentities(NamedTuple):
-    """The operator identities on one basis pair (e_i, e_j).  Each defect
-    vanishes exactly when its identity holds on the pair.  With the algebra
-    at scale D and the operator at scale s (see :func:`pair_identities`),
-    the fields are the values for (c, omega, R) times D*s or D*s^2."""
+    """The operator identities on one basis pair (e_i, e_j), i < j.  Each
+    defect vanishes exactly when its identity holds on the pair.  With the
+    algebra at scale D and the operator at scale s (see
+    :func:`operator_identities`), the fields are the values for (c, omega,
+    R) times D*s or D*s^2."""
 
+    i: int
+    j: int
     image_bracket: tuple  # [R e_i, R e_j]  (D s^2)
     deformed: tuple  # [e_i, e_j]_R = [R e_i, e_j] + [e_i, R e_j]  (D s)
     image_form: object  # omega(R e_i, R e_j)  (D s^2)
     rb: tuple  # [R e_i, R e_j] - R([e_i, e_j]_R + w [e_i, e_j])  (D s^2)
     compat: object  # omega(R e_i, e_j) + omega(e_i, R e_j)  (D s)
     isom: object  # omega(R e_i, R e_j) - omega(e_i, e_j)  (D s^2)
+    image_of_bracket: tuple  # R([e_i, e_j])  (D s)
 
 
-def pair_identities(
-    L, rows, i: int, j: int, weight=_ZERO, zero=_ZERO, scale=1
-) -> PairIdentities:
-    """Rota-Baxter of weight w, compatibility and isometry on (e_i, e_j),
-    with rows[k] = scale * R(e_k) over the ring of ``zero``.
+def operator_identities(A, rows, weight=0, zero=0, scale=1):
+    """Rota-Baxter of weight w, compatibility and isometry on every basis
+    pair (e_i, e_j), i < j in the order of ``combinations``, with rows[k] =
+    scale * R(e_k) over the ring of ``zero``; A is an
+    :class:`IntegralAlgebra` (scale D).
 
-    ``L`` is an :class:`IntegralAlgebra` (scale D), an algebra's stored
-    form, or an :class:`OmegaAlgebra`, read through its views (scale 1).
-    [R e_i, e_j] and omega(R e_i, e_j)
-    are read off column j of c and of omega, [e_i, R e_j] and
-    omega(e_i, R e_j) off row i.  The weight term is w * scale, an integer
-    whenever the scale clears w's denominator, and the isometry defect
-    subtracts scale^2 * omega[i][j]."""
-    c, omega = L.c, L.omega
+    One pass over the nonzero structure constants and form entries fills
+    two flat tables, T[(i n + b) n + k] = [R e_i, e_b]_k and U[i n + b] =
+    omega(R e_i, e_b), and every pair is read from them: the deformed
+    bracket is T[i,j] - T[j,i], the image bracket sum_b r_jb T[i,b], the
+    compatibility defect U[i,j] - U[j,i] and the image form
+    sum_b r_jb U[i,b].  The weight term is w * scale, an integer whenever
+    the scale clears w's denominator, and the isometry defect subtracts
+    scale^2 * omega[i][j]."""
+    c, omega = A.c, A.omega
     n = len(c)
-    r_i, r_j = rows[i], rows[j]
-    image_bracket = structure_product(c, r_i, r_j, zero)
-    left = apply_operator(tuple(c[a][j] for a in range(n)), r_i, zero)
-    right = apply_operator(c[i], r_j, zero)
-    deformed = tuple(a + b for a, b in zip(left, right))
-    inner = deformed
-    if weight:
-        ws = weight * scale
-        if ws.denominator == 1:
-            ws = ws.numerator
-        inner = tuple(a + ws * ck if ck else a for a, ck in zip(deformed, c[i][j]))
-    image_form = form_value(omega, r_i, r_j, zero)
-    return PairIdentities(
-        image_bracket,
-        deformed,
-        image_form,
-        tuple(a - b for a, b in zip(image_bracket, apply_operator(rows, inner, zero))),
-        _dot(r_i, [omega[a][j] for a in range(n)], zero) + _dot(r_j, omega[i], zero),
-        image_form - scale * scale * omega[i][j],
-    )
+    nn = n * n
+    structure = [
+        (a, b * n + k, x)
+        for a, layer in enumerate(c)
+        for b, v in enumerate(layer)
+        if any(v)
+        for k, x in enumerate(v)
+        if x
+    ]
+    form = [(a, b, x) for a in range(n) for b, x in enumerate(omega[a]) if x]
+    T = [zero] * (n * nn)
+    U = [zero] * nn
+    for i, r in enumerate(rows):
+        if not any(r):
+            continue
+        at = i * nn
+        for a, bk, x in structure:
+            y = r[a]
+            if y:
+                T[at + bk] += y * x
+        at = i * n
+        for a, b, x in form:
+            y = r[a]
+            if y:
+                U[at + b] += y * x
+    ws = weight * scale if weight else 0
+    if ws and ws.denominator == 1:
+        ws = ws.numerator
+    span = range(n)
+    for i, j in combinations(span, 2):
+        p, q = (i * n + j) * n, (j * n + i) * n
+        deformed = tuple(map(sub, T[p : p + n], T[q : q + n]))
+        image = [zero] * n
+        image_form = zero
+        for b, y in enumerate(rows[j]):
+            if y:
+                at = (i * n + b) * n
+                for k in span:
+                    t = T[at + k]
+                    if t:
+                        image[k] += y * t
+                u = U[i * n + b]
+                if u:
+                    image_form += y * u
+        image_of_bracket = apply_operator(rows, c[i][j], zero)
+        inner = apply_operator(rows, deformed, zero)
+        if ws:
+            inner = tuple(a + r * ws if r else a for a, r in zip(inner, image_of_bracket))
+        yield PairIdentities(
+            i,
+            j,
+            tuple(image),
+            deformed,
+            image_form,
+            tuple(map(sub, image, inner)),
+            U[i * n + j] - U[j * n + i],
+            image_form - scale * scale * omega[i][j],
+            image_of_bracket,
+        )
 
 
 def jacobi_defect(c, omega, twist_rows, i: int, j: int, k: int, zero=_ZERO) -> tuple:
@@ -451,7 +489,8 @@ class OperatorMatrix:
         return not any(map(any, self.rows))
 
     def is_invertible(self) -> bool:
-        return det(self.rows) != 0
+        """Full rank: the integer rows d R have a pivot in every column."""
+        return len(fraction_free_rref(self.rows)[1]) == self.dim
 
     def inverse_operator(self) -> "OperatorMatrix":
         """(A/d)^-1 = d A^-1: the right half of p times the reduced form of
@@ -585,12 +624,17 @@ def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorE
     compatible: omega(R(x),y) + omega(x,R(y)) = 0;
     isometric: omega(R(x),R(y)) = omega(x,y).
     Derivation and automorphism use the bracket alone; bilinearity reduces
-    every identity to basis pairs.  Every check runs over the stored ints,
-    the algebra at scale D and the operator at scale d, lifted to the lcm
-    of d and the weight's denominator when d does not clear it: the derivation compares R(c_ij) with the deformed bracket, both
-    at scale D d; the automorphism compares d R(c_ij) with the image bracket,
-    both at scale D d^2; invertibility is the determinant of d R.
+    every identity to basis pairs, all read from one
+    :func:`operator_identities` pass.  Every check runs over the stored
+    ints, the algebra at scale D and the operator at scale d, lifted to the
+    lcm of d and the weight's denominator when d does not clear it: the
+    derivation compares R(c_ij) with the deformed bracket, both at scale
+    D d; the automorphism compares d R(c_ij) with the image bracket, both at
+    scale D d^2; invertibility is a pivot in every column of d R.  A weight
+    that is not an int or a Fraction, a float among them, raises TypeError.
     """
+    if not isinstance(weight, (int, Fraction)):
+        raise TypeError(f"weight {weight!r} is not an int or a Fraction; use exact rationals")
     A = L.integral  # (D, D c, D omega)
     n = len(A.c)
     if R.dim != n:
@@ -600,22 +644,20 @@ def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorE
     if d % w.denominator:
         lift = lcm(d, w.denominator) // d
         d, rows = d * lift, tuple(tuple(lift * x for x in r) for r in rows)
-    zero_row = (0,) * n
-    bracket = [[zero_row] * n for _ in range(n)]
-    form = [[0] * n for _ in range(n)]
+    bracket = [(0,) * n] * (n * n)  # bracket[i n + j] = [e_i, e_j]_R
+    form = [0] * (n * n)
     is_rb = is_compat = is_isom = is_der = is_auto_bracket = True
-    for i, j in combinations(range(n), 2):
-        ids = pair_identities(A, rows, i, j, w, 0, d)
-        bracket[i][j], bracket[j][i] = ids.deformed, tuple(-x for x in ids.deformed)
-        form[i][j], form[j][i] = ids.image_form, -ids.image_form
+    for ids in operator_identities(A, rows, w, 0, d):
+        i, j = ids.i, ids.j
+        bracket[i * n + j], bracket[j * n + i] = ids.deformed, tuple(map(neg, ids.deformed))
+        form[i * n + j], form[j * n + i] = ids.image_form, -ids.image_form
         is_rb = is_rb and not any(ids.rb)
         is_compat = is_compat and not ids.compat
         is_isom = is_isom and not ids.isom
-        if is_der or is_auto_bracket:
-            r_cij = apply_operator(rows, A.c[i][j], 0)  # D d R(c_ij)
-            is_der = is_der and r_cij == ids.deformed
-            is_auto_bracket = is_auto_bracket and tuple(d * x for x in r_cij) == ids.image_bracket
-    invertible = det(rows) != 0
+        r_cij = ids.image_of_bracket  # D d R(c_ij)
+        is_der = is_der and r_cij == ids.deformed
+        is_auto_bracket = is_auto_bracket and tuple(d * x for x in r_cij) == ids.image_bracket
+    invertible = R.is_invertible()
     flags = MapClassification(
         weight=w,
         is_rb=is_rb,
@@ -627,7 +669,12 @@ def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorE
         is_invertible=invertible,
     )
     return OperatorEvaluation(
-        flags, A.scale, d, rows, tuple(map(tuple, bracket)), tuple(map(tuple, form))
+        flags,
+        A.scale,
+        d,
+        rows,
+        tuple(tuple(bracket[i * n : i * n + n]) for i in range(n)),
+        tuple(tuple(form[i * n : i * n + n]) for i in range(n)),
     )
 
 

@@ -231,6 +231,8 @@ def _load_yaml(text: str, what: str, loader=yaml.SafeLoader):
         return yaml.load(text, Loader=loader)
     except (yaml.YAMLError, RecursionError) as exc:
         raise CatalogError(f"{what} is not valid YAML: {exc}") from exc
+    except ValueError as exc:  # an integer past the str -> int digit limit, say
+        raise CatalogError(f"{what} holds a value that cannot be read: {exc}") from exc
 
 
 def read_yaml(path):

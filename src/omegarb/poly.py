@@ -540,33 +540,7 @@ class Polynomial:
             c = -c
         return self.scale(Fraction(1) / c)
 
-    # -- substitution / evaluation -----------------------------------------
-
-    def substitute(self, assignment: Mapping[str, Union[Scalar, "Polynomial"]]) -> "Polynomial":
-        """Simultaneous substitution; unassigned variables survive."""
-        table = self.table
-        subs: dict[int, Polynomial] = {}
-        for name, val in assignment.items():
-            i = table.index(name)
-            if isinstance(val, Polynomial):
-                _check_same_table(self, val)
-                subs[i] = val
-            else:
-                subs[i] = Polynomial.constant(table, val)
-        if not subs:
-            return self
-        out = Polynomial.zero(table)
-        for mono, coeff in self.terms.items():
-            residual = list(mono)
-            piece = Polynomial.constant(table, coeff)
-            for i, val in subs.items():
-                e = mono[i]
-                if e:
-                    residual[i] = 0
-                    piece = piece * val**e
-            piece = piece.mul_term(tuple(residual), 1)
-            out = out + piece
-        return out
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation at a rational point; every support variable must
@@ -839,11 +813,18 @@ def parse_polynomial(text: str, table: VariableTable) -> Polynomial:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational literal ('3', '-3/4'); rejects floats."""
+    """Exact rational literal ('3', '-3/4'): the grammar's number token, with
+    an optional sign right before it; rejects floats and anything else."""
     text = text.strip()
+    shown = repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
     if _FLOAT_RE.search(text):
-        raise PolyParseError(f"{text!r} is not an exact rational; use p/q form")
+        raise PolyParseError(f"{shown} is not an exact rational; use p/q form")
+    body = text[1:] if text[:1] in ("-", "+") else text
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolyParseError(f"bad rational literal {text!r}") from exc
+        tokens = _tokenize(body)
+    except PolyParseError as exc:
+        raise PolyParseError(f"bad rational literal {shown}: {exc}") from None
+    if len(tokens) != 1 or tokens[0][0] != "number" or tokens[0][2] != 0:
+        raise PolyParseError(f"bad rational literal {shown}")
+    value = Fraction(tokens[0][1])
+    return -value if text[:1] == "-" else value

@@ -7,10 +7,11 @@ The pipeline: introduce a generic operator matrix (x_ij), expand the chosen
 operator identities on all basis pairs, project onto basis vectors to get one
 polynomial per (pair, coordinate), and hand the resulting ideal to the ideal
 engine for Groebner bases, dimension, and component verification.  The
-identities themselves are not transcribed here: `generate_equations` evaluates
-``algebras.pair_identities`` and ``algebras.operator_square`` over polynomial
-entries and the algebra's stored integer tables, the same code `classify_map`
-evaluates over ints.
+identities themselves are not transcribed here: `generate_equations` reads
+them from one pass of ``algebras.operator_identities`` over all basis pairs,
+and from ``algebras.operator_square``, over polynomial entries and the
+algebra's stored integer tables, the same code `classify_map` evaluates over
+ints.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .algebras import (
     OmegaAlgebra,
     OperatorMatrix,
     classify_map,
+    operator_identities,
     operator_square,
-    pair_identities,
 )
 from .ideals import (
     EMPTY_VARIETY,
@@ -112,15 +113,12 @@ def generate_equations(
     R = GenericOperator.of_dimension(L.dim)
     zero = Polynomial.zero(R.table)
     out: list[Polynomial] = []
-    A = L.integral
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            ids = pair_identities(A, R.entries, i, j, profile.weight, zero)
-            out.extend(ids.rb)
-            if profile.compatible:
-                out.append(ids.compat)
-            if profile.isometric:
-                out.append(ids.isom)
+    for ids in operator_identities(L.integral, R.entries, profile.weight, zero):
+        out.extend(ids.rb)
+        if profile.compatible:
+            out.append(ids.compat)
+        if profile.isometric:
+            out.append(ids.isom)
     if profile.square_zero:
         for row in operator_square(R.entries, zero):
             out.extend(row)

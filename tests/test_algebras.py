@@ -1,21 +1,33 @@
 """Algebra validation, omega kernels, operator classification, and the
 inverse correspondence between Rota-Baxter operators and derivations."""
 
+import hashlib
+import random
+from dataclasses import astuple
 from fractions import Fraction
+from importlib import resources
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegarb.algebras import (
+    MapClassification,
     OmegaAlgebra,
     OperatorMatrix,
     SingularOperatorError,
     Subspace,
     classify_map,
+    evaluate_operator,
     inverse_correspondence,
     kernel_omega,
     validate_algebra,
 )
-from omegarb.linalg import identity, mat, nullspace
+from omegarb.cli import _candidate_table, _load_builtin_candidates
+from omegarb.ideals import sample_points
+from omegarb.linalg import det, identity, mat, nullspace
+from omegarb.solver import entry_name
 from tests.conftest import random_rational
 
 
@@ -123,6 +135,107 @@ def test_automorphism_implies_invertible(L1, rng):
         )
         cls = classify_map(L1, R, 0)
         assert not cls.is_automorphism or cls.is_invertible
+
+
+def test_float_weights_are_rejected(L1):
+    # Fraction(0.1) would lift the operator's scale to 2^55
+    R = OperatorMatrix.identity(3)
+    for weight in (0.1, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            evaluate_operator(L1, R, weight)
+        with pytest.raises(TypeError):
+            classify_map(L1, R, weight)
+
+
+# -- the one evaluation against a Fraction reference ---------------------------------
+
+
+def _reference_evaluation(L, R, weight):
+    """The flags, the deformed bracket and the image form of (L, R), from
+    the rational bracket, form and operator alone, on every ordered pair."""
+    n = L.dim
+    e = [L.basis_vector(i) for i in range(n)]
+    Re = [R.apply(v) for v in e]
+
+    def plus(u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    bracket = [[plus(L.bracket(Re[i], e[j]), L.bracket(e[i], Re[j])) for j in range(n)] for i in range(n)]
+    form = [[L.omega_value(Re[i], Re[j]) for j in range(n)] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    image = {(i, j): L.bracket(Re[i], Re[j]) for i, j in pairs}
+    of_bracket = {(i, j): R.apply(L.bracket(e[i], e[j])) for i, j in pairs}
+    invertible = det(R.entries) != 0
+    weighted = {(i, j): tuple(weight * x for x in L.bracket(e[i], e[j])) for i, j in pairs}
+    flags = MapClassification(
+        weight=Fraction(weight),
+        is_rb=all(image[p] == R.apply(plus(bracket[p[0]][p[1]], weighted[p])) for p in pairs),
+        is_compatible=all(L.omega_value(Re[i], e[j]) + L.omega_value(e[i], Re[j]) == 0 for i, j in pairs),
+        is_isometric=all(form[i][j] == L.omega_value(e[i], e[j]) for i, j in pairs),
+        is_derivation=all(of_bracket[i, j] == bracket[i][j] for i, j in pairs),
+        is_automorphism=invertible and all(of_bracket[p] == image[p] for p in pairs),
+        is_square_zero=not any(any(R.apply(v)) for v in Re),
+        is_invertible=invertible,
+    )
+    return flags, bracket, form
+
+
+ENTRY = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """A random skew bracket and form (not omega-Lie, as the identities do
+    not need it), an operator and a weight.  The operator is a random
+    matrix or a scalar: lam = -w is Rota-Baxter of weight w, lam = 1 an
+    automorphism."""
+    n = draw(st.integers(2, 4))
+    pairs = list(combinations(range(n), 2))
+    brackets = {} if draw(st.booleans()) else {p: draw(st.lists(ENTRY, min_size=n, max_size=n)) for p in pairs}
+    omega = {p: draw(ENTRY) for p in pairs}
+    L = OmegaAlgebra.from_brackets([f"e{i}" for i in range(n)], brackets, omega)
+    weight = draw(st.sampled_from([0, 1, -1, Fraction(-1, 2)]) | st.fractions(-2, 2, max_denominator=4))
+    scalar = draw(st.sampled_from([None, 0, 1, -Fraction(weight)]))
+    if scalar is None:
+        R = OperatorMatrix([[draw(ENTRY) for _ in range(n)] for _ in range(n)])
+    else:
+        R = OperatorMatrix.identity(n).scale(scalar)
+    return L, R, weight
+
+
+@settings(max_examples=120, deadline=None)
+@given(evaluation_inputs())
+def test_evaluation_matches_the_fraction_reference(inputs):
+    L, R, weight = inputs
+    flags, bracket, form = _reference_evaluation(L, R, weight)
+    ev = evaluate_operator(L, R, weight)
+    assert ev.flags == flags
+    assert ev.rows == tuple(tuple(ev.d * x for x in row) for row in R.entries)
+    assert [[tuple(Fraction(x, ev.D * ev.d) for x in v) for v in row] for row in ev.bracket] == bracket
+    assert [[Fraction(x, ev.D * ev.d**2) for x in row] for row in ev.form] == form
+
+
+# sha256 of the evaluations below as the per-pair evaluation computed them:
+# one pass over all basis pairs must give every flag, scale and table again
+EVALUATIONS_SHA256 = "f895c02121cbaf8357ba368c475d3507addd0a131fafd7e47861c3a3fe1e15ba"
+
+
+def test_evaluations_of_sampled_operators_pinned(catalog):
+    rng = random.Random(27)
+    h = hashlib.sha256()
+    files = resources.files("omegarb").joinpath("data/candidates").iterdir()
+    for path in sorted(files, key=lambda path: path.name):
+        name = path.name.removesuffix(".yaml")
+        L = catalog[name.split("_", 1)[1]].instantiate()
+        ks = range(1, L.dim + 1)
+        for ideal, cert in _load_builtin_candidates(name, _candidate_table(L.dim)):
+            for point in sample_points(ideal, cert, 3, rng):
+                R = OperatorMatrix([[point[entry_name(i, j)] for j in ks] for i in ks])
+                for S in (R, R.then(R)):
+                    for weight in (0, 1, Fraction(-1, 2)):
+                        ev = evaluate_operator(L, S, weight)
+                        h.update(repr((astuple(ev.flags),) + tuple(ev)[1:]).encode())
+    assert h.hexdigest() == EVALUATIONS_SHA256
 
 
 # -- linear families of special maps -------------------------------------------------

@@ -550,6 +550,12 @@ def _reference_chain(p, solvable, inverted, grow):
                 out[m[:vidx] + (0,) + m[vidx + 1 :]] = c
         return Polynomial(g.table, out)
 
+    def substitute(g, vidx, value):
+        out = Polynomial.zero(g.table)
+        for m, c in g.terms.items():
+            out = out + (value ** m[vidx]).mul_term(m[:vidx] + (0,) + m[vidx + 1 :], c)
+        return out
+
     def invert(names):
         nonlocal table, gens, steps
         if not names:
@@ -609,7 +615,7 @@ def _reference_chain(p, solvable, inverted, grow):
         rest = Polynomial(table, {m: cc for m, cc in g.terms.items() if m[vidx] == 0})
         expr = cancel(rest.mul_term(tuple(inv), Fraction(-1) / c))
         subs = (
-            cancel(other.substitute({name: expr})) if other.degree_in(name) else other
+            cancel(substitute(other, vidx, expr)) if other.degree_in(name) else other
             for other in gens
         )
         gens = [s for s in subs if not s.is_zero()]

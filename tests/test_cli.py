@@ -480,6 +480,40 @@ def test_negative_rationals_may_follow_their_option(tmp_path, capsys):
     assert code == 0 and json.loads(out)["alpha"] == "-1/4"
 
 
+def test_rational_options_read_grammar_literals_only(tmp_path, capsys):
+    # Fraction() alone reads 1e3 and 1_000, and 1e5000 ended in a traceback
+    # when the weight was printed
+    op = tmp_path / "op.yaml"
+    op.write_text(PINNED_OPERATORS["half"])
+    classify = ["classify", "L1", "--op", str(op)]
+    for argv in (
+        [*classify, "--weight", "1e3"],
+        [*classify, "--weight", "1e5000"],
+        [*classify, "--weight", "0", "--param", "a=1e3"],
+        ["solve", "Atilde_alpha", "bc", "--alpha", "1_000"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "bad rational literal" in err
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="int() has no digit limit")
+def test_oversized_yaml_integers_are_usage_errors(tmp_path, capsys):
+    # PyYAML's int constructor raises ValueError past the str -> int digit limit
+    big = "1" * (sys.get_int_max_str_digits() + 1)
+    op = tmp_path / "op.yaml"
+    op.write_text(f"rows:\n  - [{big}, 0, 0]\n  - [0, 0, 0]\n  - [0, 0, 0]\n")
+    catalog = tmp_path / "catalog.yaml"
+    catalog.write_text(
+        "- name: line\n  dim: 1\n  basis: [a]\n"
+        f"  params:\n    - name: t\n      exclude: [{big}]\n"
+    )
+    for path, argv in ((op, ["classify", "L1", "--op", str(op)]), (catalog, ["validate", str(catalog)])):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{path} holds a value that cannot be read" in err
+
+
 def test_expectations_name_their_missing_key(tmp_path, capsys):
     path = tmp_path / "expect.yaml"
     for text, key in (("profile: bc\n", "'rows'"), ("rows: [{algebra: L1}]\n", "'profile'")):

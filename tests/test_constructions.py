@@ -210,31 +210,32 @@ def test_iteration_classifies_once_per_step(catalog, evaluations, steps):
 
 @pytest.fixture
 def pair_passes(monkeypatch):
-    """The arguments of every `pair_identities` call the evaluation makes."""
+    """The arguments of every `operator_identities` pass the evaluation
+    makes: one pass reads every basis pair."""
     import omegarb.algebras as algebras
     import omegarb.constructions as constructions
 
     calls = []
-    original = algebras.pair_identities
+    original = algebras.operator_identities
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
     for module in (algebras, constructions):
-        monkeypatch.setattr(module, "pair_identities", counting, raising=False)
+        monkeypatch.setattr(module, "operator_identities", counting, raising=False)
     return calls
 
 
 def test_each_construction_evaluates_the_pair_once(catalog, pair_passes):
-    """One pass of the identities per fresh (algebra, operator): 3 basis
-    pairs of L1 per evaluation, none repeated to read the bracket or the
+    """One pass of the identities per fresh (algebra, operator), over all
+    3 basis pairs of L1 at once, none repeated to read the bracket or the
     form."""
     R = OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]])
     for build, want in (
-        (lambda L: omega_deform(L, R), 3),
-        (lambda L: homlie_from_rb(L, R), 3),
-        (lambda L: iterate_deform(L, R, 3), 9),
+        (lambda L: omega_deform(L, R), 1),
+        (lambda L: homlie_from_rb(L, R), 1),
+        (lambda L: iterate_deform(L, R, 3), 3),
     ):
         pair_passes.clear()
         build(catalog["L1"].instantiate())
@@ -248,7 +249,7 @@ def test_constructions_share_the_evaluation_of_an_equal_pair(catalog, evaluation
     R = OperatorMatrix([[0, 0, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
     L = catalog["L1"].instantiate()
     omega_deform(L, R)
-    assert len(pair_passes) == 3
+    assert len(pair_passes) == 1
     for build in (
         lambda: homlie_from_rb(L, R),
         lambda: left_symmetric_from_rb(L, OperatorMatrix(R.entries)),  # equal, not the same
@@ -259,7 +260,7 @@ def test_constructions_share_the_evaluation_of_an_equal_pair(catalog, evaluation
         assert pair_passes == []
     pair_passes.clear()
     iterate_deform(L, R, 2)
-    assert len(pair_passes) == 3  # R^2 on the fresh L_1 only
+    assert len(pair_passes) == 1  # R^2 on the fresh L_1 only
     for M, S in (
         (catalog["L1"].instantiate(), R),  # equal to L, not the same object
         (L, OperatorMatrix.zero(3)),  # a different operator on the same L
@@ -272,7 +273,7 @@ def test_constructions_share_the_evaluation_of_an_equal_pair(catalog, evaluation
     pair_passes.clear()
     classify_map(L, R)
     classify_map(L, R)
-    assert len(pair_passes) == 6  # two evaluations of 3 pairs
+    assert len(pair_passes) == 2  # two evaluations, one pass each
 
 
 def test_the_integer_passes_read_no_fraction_view(L1, monkeypatch, evaluations):

@@ -86,9 +86,11 @@ def test_the_check_sees_a_cache(tmp_path):
     assert cache_uses(PACKAGE / "solver.py")  # generate_system is cached, and seen
 
 
-# the operator identities are read in one integer pass per (algebra,
-# operator), `algebras.evaluate_operator`, and over polynomials by the solver;
-# the constructions take their tables from that pass instead of re-running it
+# the operator identities are read in one pass over all basis pairs,
+# `algebras.operator_identities`: over ints by `algebras.evaluate_operator`,
+# once per (algebra, operator), and over polynomials by the solver; the
+# constructions take their tables from that pass instead of re-running it,
+# and the per-pair helper it replaced is gone
 IDENTITY_READERS = {"algebras.py", "solver.py"}
 
 
@@ -105,21 +107,22 @@ def name_references(path: Path, name: str) -> int:
     return count
 
 
-def test_only_the_evaluation_and_the_solver_read_pair_identities():
-    readers = {p.name for p in PACKAGE.glob("*.py") if name_references(p, "pair_identities")}
+def test_only_the_evaluation_and_the_solver_read_operator_identities():
+    readers = {p.name for p in PACKAGE.glob("*.py") if name_references(p, "operator_identities")}
     assert readers == IDENTITY_READERS
+    assert not any(name_references(p, "pair_identities") for p in PACKAGE.glob("*.py"))
 
 
 def test_the_check_sees_a_reference(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
-        '"""pair_identities in a docstring is no reference."""\n'
-        "from .algebras import pair_identities\n"
+        '"""operator_identities in a docstring is no reference."""\n'
+        "from .algebras import operator_identities\n"
         "from . import algebras\n"
-        "algebras.pair_identities(None, (), 0, 1)\n"
-        "pair_identities(None, (), 0, 1)\n"
+        "algebras.operator_identities(None, ())\n"
+        "operator_identities(None, ())\n"
     )
-    assert name_references(probe, "pair_identities") == 3
+    assert name_references(probe, "operator_identities") == 3
 
 
 # an algebra is cleared in one place, `algebras.integral_algebra`, and a

@@ -159,38 +159,21 @@ def test_table_mismatch_raises():
         P("x", T2) + P("x", T3)
 
 
-# -- substitution -------------------------------------------------------------
+# -- evaluation ---------------------------------------------------------------
 
 
-def test_substitute_satisfies_quadratic_constraint():
+def test_evaluate_satisfies_quadratic_constraint():
     t = VariableTable.of("a", "b", "c")
     f = parse_polynomial("a^2 + b*c", t)
-    assert f.substitute({"a": 1, "b": 1, "c": -1}).is_zero()
+    assert f.evaluate({"a": 1, "b": 1, "c": -1}) == 0
 
 
-def test_substitute_identity_assignment():
-    t = VariableTable.of("x12", "x13", "x22", "x23")
-    f = parse_polynomial("x12*x23 - x13*x22", t)
-    assert f.substitute({}) == f
-    assert f.substitute({"x12": parse_polynomial("x12", t)}) == f
-
-
-def test_substitute_linear_relation_at_point():
+def test_evaluate_linear_relation_at_point():
     t = VariableTable.of("a", "b", "c", "d", "r", "u")
     f = parse_polynomial("a*b + d*u + c*r", t)
     point = {"a": 0, "b": 0, "c": 1, "d": 0, "r": 0, "u": 0}
-    assert f.substitute(point).is_zero()
-
-
-def test_substitute_polynomial_value():
-    f = P("x^2 + y")
-    g = f.substitute({"x": P("y + z")})
-    assert g == P("y^2 + 2*y*z + z^2 + y")
-
-
-def test_substitute_partial_leaves_rest():
-    f = P("x*y + z")
-    assert f.substitute({"x": 2}) == P("2*y + z")
+    assert f.evaluate(point) == 0
+    assert f.evaluate(dict(point, r=2)) == 2
 
 
 # -- canonical form and ring axioms -------------------------------------------
@@ -257,7 +240,6 @@ def test_coefficients_are_canonical(f, g, q, mono, a, b):
         assert_canonical(result)
         assert result.terms == {m: c for m, c in want.items() if c}
     results = [f.monic(order), f.primitive(order), f.lift(T3.extend("t"))]
-    results.append(f.substitute({"x": g, "y": q}))
     results.append(reduce(f, [a, b], order))
     if g:
         quotient = exact_divide(f * g, g, order)
@@ -438,6 +420,22 @@ def test_rational_round_trip():
         assert parse_rational(str(q)) == q
     with pytest.raises(PolyParseError):
         parse_rational("1.5")
+
+
+def test_rational_literals_are_the_grammar_numbers():
+    # Fraction() alone also reads 1e3, 1_000 and 1e5000
+    for text, want in (("3", 3), (" -3/4 ", Fraction(-3, 4)), ("+2", 2), ("10/4", Fraction(5, 2))):
+        assert parse_rational(text) == want
+    for text in ("1e3", "1_000", "1e5000", "0x10", "- 3", "--3", "3/-4", "3 / 4", "1/0", "", "+", "x"):
+        with pytest.raises(PolyParseError, match="bad rational literal"):
+            parse_rational(text)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="int() has no digit limit")
+def test_overlong_rational_literal_is_named_briefly():
+    with pytest.raises(PolyParseError, match="number too long") as exc:
+        parse_rational("-" + "1" * (sys.get_int_max_str_digits() + 1))
+    assert len(str(exc.value)) < 200
 
 
 def test_printer_uses_order():

@@ -10,9 +10,11 @@ import pytest
 from omegarb.algebras import (
     OmegaAlgebra,
     OperatorMatrix,
+    apply_operator,
     classify_map,
+    form_value,
     operator_square,
-    pair_identities,
+    structure_product,
 )
 from omegarb.ideals import (
     ideal_contains,
@@ -23,6 +25,7 @@ from omegarb.ideals import (
     radical_membership,
     sample_points,
 )
+from omegarb.linalg import identity
 from omegarb.poly import Polynomial, grevlex_order, parse_polynomial
 from omegarb.solver import (
     PROFILES,
@@ -126,26 +129,44 @@ def test_generated_equations_pinned(catalog):
     assert h.hexdigest() == GENERATED_EQUATIONS_SHA256
 
 
-def test_pair_order_does_not_matter(L1, L1_8):
+def _reversed_pair_equations(L, profile):
+    """The identities expanded on every pair (e_i, e_j) with i > j, straight
+    from the product, form and operator helpers, over the stored form as
+    `generate_equations` reads it.  The helpers take the ring entries on the
+    left, so [e_i, R e_j] is taken as -[R e_j, e_i]."""
+    R = GenericOperator.of_dimension(L.dim)
+    zero = Polynomial.zero(R.table)
+    _, c, omega = L.integral
+    rows, unit = R.entries, identity(L.dim)
+    out = []
+    for i in range(L.dim):
+        for j in range(i):
+            r_i, r_j = rows[i], rows[j]
+            left = structure_product(c, r_i, unit[j], zero)
+            right = structure_product(c, r_j, unit[i], zero)
+            inner = [a - b + profile.weight * x for a, b, x in zip(left, right, c[i][j])]
+            image = structure_product(c, r_i, r_j, zero)
+            out.extend(a - b for a, b in zip(image, apply_operator(rows, inner, zero)))
+            if profile.compatible:
+                out.append(form_value(omega, r_i, unit[j], zero) - form_value(omega, r_j, unit[i], zero))
+            if profile.isometric:
+                out.append(form_value(omega, r_i, r_j, zero) - omega[i][j])
+    if profile.square_zero:
+        out.extend(p for row in operator_square(rows, zero) for p in row)
+    return R, out
+
+
+def test_pair_order_does_not_matter(L1, L1_8, atilde):
     # expanding the identities on (e_j, e_i) instead of (e_i, e_j) negates
-    # each polynomial, so the sign-normalized generator sets coincide
-    for L in (L1, L1_8):
-        R = GenericOperator.of_dimension(L.dim)
-        zero = Polynomial.zero(R.table)
-        order = grevlex_order(R.table)
-        norm = lambda polys: {p.primitive(order) for p in polys if p}
-        for profile in (PROFILES["b"], PROFILES["bc"], PROFILES["bs"]):
-            _, fwd = generate_equations(L, profile)
-            rev = []
-            if profile.square_zero:
-                rev = [p for row in operator_square(R.entries, zero) for p in row]
-            for i in range(L.dim):
-                for j in range(i):
-                    ids = pair_identities(L, R.entries, i, j, profile.weight, zero)
-                    rev.extend(ids.rb)
-                    if profile.compatible:
-                        rev.append(ids.compat)
-            assert norm(fwd) == norm(rev)
+    # each polynomial, so the sign-normalized generator sets coincide; the
+    # reference takes each pair from the product and form helpers, not from
+    # the tables of the one pass over the pairs
+    for L in (L1, L1_8, atilde(Fraction(-1, 4))):
+        for profile in PROFILES.values():
+            R, rev = _reversed_pair_equations(L, profile)
+            order = grevlex_order(R.table)
+            norm = lambda polys: {p.primitive(order) for p in polys if p}
+            assert norm(generate_equations(L, profile)[1]) == norm(rev)
 
 
 # -- membership ----------------------------------------------------------------
