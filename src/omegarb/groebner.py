@@ -3,22 +3,46 @@
 Inside the kernel every basis element is a primitive integer coefficient
 dict (content 1) with a positive leading coefficient.  Its lead data is
 computed once, when it enters a basis, and read everywhere after that.  A
-lead table is a list of ``(leading monomial, divisibility mask, leading
-coefficient, terms)`` entries in basis order: ``buchberger`` keeps one beside
-its basis, forms S-polynomials from it, reduces against it and appends to
-it, and keeps its active entries (the reducers) minimal and auto-reduced at
+lead table is a list of ``(leading monomial, leading coefficient, terms,
+packing)`` entries in basis order: ``buchberger`` keeps one beside its
+basis, forms S-polynomials from it, reduces against it and appends to it,
+and keeps its active entries (the reducers) minimal and auto-reduced at
 every step, so at the end it only sorts them and ``interreduce`` makes them
 monic; ``reduce`` and ``is_groebner_basis`` build one per call from the
 caller's rational polynomials by clearing denominators and content.  A
 :class:`GroebnerBasis` keeps one for its membership tests (``contains``,
-behind ``ideals.ideal_membership``): ``buchberger`` hands over its sorted
-reducers, and a basis built elsewhere makes one on its first test.
-Converting the monic basis back to integers on every test cost more than
-the rest of the test.
+behind ``ideals.ideal_membership``) and for ``leading_monomials``:
+``buchberger`` hands over its sorted reducers, and a basis built elsewhere
+makes one on first use.  Converting the monic basis back to integers on
+every test cost more than the rest of the test.
 
-The mask of a monomial has bit i set when variable i occurs.  A divisor's
-mask is a subset of its multiple's, so the divisor scan and the pair
-criteria call ``mono_divides`` only when ``lmask & ~mask(m)`` is zero.
+Inside the kernel a monomial is one int (Monagan and Pearce, "Sparse
+polynomial division using a heap", J. Symb. Comp. 46, 2011).  The low
+n * w bits hold one w-bit field per variable, the exponent of variable i
+at bit i * w, with the top bit of every field, its guard bit, kept clear.
+The bits above hold the order key: ``MonomialOrder.weights`` is the key of
+each unit vector, every key is linear, so key(m) is the sum of m[i] times
+weights[i], and its components, most significant first, are signed digits
+of w + bitlen(n) + 1 bits, wide enough for any key of w-bit exponents.  So
+comparing two packed monomials compares them in the order, a product is a
+sum, an exact quotient a difference, and with G the guard bits, a divides
+b exactly when ``((b | G) - a) & G == G``: a field of b below a's borrows
+its guard bit.  The lcm's fields are the larger field of each pair, picked
+by the same test field by field (``_Packing.max_fields``); the pair
+criteria compare those fields, and the lcm is packed again, key and all,
+only for a pair that enters the queue.  ``Polynomial`` and
+``GroebnerBasis.elements`` keep exponent tuples: a monomial is packed as
+the sum of its exponents times the packed unit vectors and unpacked by
+reading the low bytes as an array of w-bit fields.
+
+Fields start at w = 16 bits.  Packing raises ``_Overflow`` for an input
+exponent past 2^(w-1) - 1, and so does ``_normal_form`` when it pops a
+term with a guard bit set, before reducing it: the sum of two valid
+fields stays below 2^w, so no carry has crossed a field by then.
+``buchberger``, ``reduce``, ``s_polynomial``, ``is_groebner_basis`` and the
+lead table of a :class:`GroebnerBasis` then run again from the start with
+fields twice as wide, up to 64 bits; an exponent past 2^63 - 1 raises
+OverflowError.  ``exact_divide`` works on exponent tuples.
 
 ``_normal_form`` is the one normal-form routine, and it pseudo-reduces over
 the integers.  To cancel a term c*x^m against an entry with leading
@@ -36,16 +60,15 @@ The one division by a leading coefficient happens in ``interreduce``, which
 makes each element monic: a :class:`GroebnerBasis` holds monic
 polynomials, whose coefficients stay ints when the leading coefficient of
 the primitive element is 1.  A polynomial with integer coefficients hands
-its own terms dict to the kernel, which copies before it writes: no
+its own terms to the kernel, which packs them into a dict of its own: no
 routine here mutates a dict it did not build.
 
-The normal form keeps its pending monomials in a heap keyed by
-``MonomialOrder.desc_key``, so each monomial's key is computed once, when it
-first appears, and the largest pending monomial pops first.  Terms are
-reduced in strictly descending order, and when several leading monomials
-divide the current term the first entry in list order wins; the remainder
-is therefore the same, term for term and in the same dict order, as a scan
-of the whole pending set on every step would give.
+The normal form keeps its pending monomials in a heap of negated packed
+monomials, so the largest pending monomial pops first.  Terms are reduced
+in strictly descending order, and when several leading monomials divide
+the current term the first entry in list order wins; the remainder is
+therefore the same, term for term and in the same dict order, as a scan of
+the whole pending set on every step would give.
 
 Every element h enters as a nonzero normal form against the reducers,
 from a generator past ``groebner_prefix`` or from a critical pair.
@@ -54,7 +77,8 @@ criteria (J. Symb. Comp. 6, 1988) in the form of Becker and Weispfenning's
 UPDATE (Groebner Bases, 1993, p. 230):
 - of the new pairs (g, h), one is kept for each lcm that is not a proper
   multiple of another new pair's lcm, and a kept pair whose leading
-  monomials are coprime is dropped (Buchberger's product criterion);
+  monomials are coprime (their lcm is their product) is dropped
+  (Buchberger's product criterion);
 - an old pair (g1, g2) is dropped when LM(h) divides its lcm t and neither
   lcm(g1, h) nor lcm(g2, h) equals t (the chain criterion);
 - an element whose leading monomial LM(h) divides leaves the reducers;
@@ -63,9 +87,9 @@ Each remaining reducer with a term that LM(h) divides is then rewritten as
 its normal form against the other reducers (Becker and Weispfenning,
 Ch. 5), so the reducers stay a minimal auto-reduced set.  The rewrite keeps
 the reducer's leading monomial, so its pending pairs stay valid.
-Surviving pairs wait in a heap keyed by ``order.key`` of their lcm alone,
-and the generators wait beside them, keyed by their leading monomial, so
-the smallest lcm or leading monomial in the order goes first (Buchberger's
+Surviving pairs wait in a heap keyed by their packed lcm alone, and the
+generators wait beside them, keyed by their leading monomial, so the
+smallest lcm or leading monomial in the order goes first (Buchberger's
 normal strategy, 1985) under every order, and a generator before a pair on
 a tie.  Under grevlex that is degree by degree, and under an elimination
 order block degree first.  A generator so waits until every pair with a
@@ -76,14 +100,14 @@ degree-first rule grew remainders of degree 29 on an input with a
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm
-from operator import add, itemgetter
-from typing import NamedTuple
+from operator import itemgetter, mul
+from typing import Callable, NamedTuple
 
 from .poly import (
     DimensionMismatchError,
@@ -92,37 +116,107 @@ from .poly import (
     Polynomial,
     mono_div,
     mono_divides,
-    mono_lcm,
 )
+
+# bits of one exponent field -> the memoryview format that reads it
+_FIELD_FORMATS = {16: "H", 32: "I", 64: "Q"}
+
+
+class _Overflow(Exception):
+    """A term needs more bits than its exponent fields hold."""
+
+
+class _Packing:
+    """The monomials of one order packed into ints with ``width``-bit
+    exponent fields (see the module docstring)."""
+
+    __slots__ = ("order", "width", "units", "guard", "low", "fill", "limit", "nbytes", "fmt")
+
+    def __init__(self, order: MonomialOrder, width: int = 16):
+        n = len(order.priority)
+        self.order = order
+        self.width = width
+        self.fmt = _FIELD_FORMATS[width]
+        self.nbytes = n * width // 8
+        self.low = (1 << (n * width)) - 1
+        self.fill = (1 << width) - 1  # one field, all ones
+        # low // fill has the lowest bit of every field set
+        self.guard = self.low // self.fill << (width - 1)
+        self.limit = (1 << (width - 1)) - 1
+        # one digit per key component, most significant first: a component
+        # is below n * 2^width in size, so a digit of width + bitlen(n) + 1
+        # bits holds it with its sign
+        digit = 1 << (width + n.bit_length() + 1)
+        places = [digit**k for k in reversed(range(len(order.weights[0])))] if n else []
+        self.units = tuple(
+            (sum(map(mul, w, places)) << (n * width)) + (1 << (i * width))
+            for i, w in enumerate(order.weights)
+        )
+
+    def wider(self) -> "_Packing":
+        if 2 * self.width not in _FIELD_FORMATS:
+            raise OverflowError(f"an exponent above {self.limit} does not fit the Groebner kernel")
+        return _Packing(self.order, 2 * self.width)
+
+    def pack(self, m: Mono) -> int:
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, m: int) -> Mono:
+        return tuple(memoryview((m & self.low).to_bytes(self.nbytes, sys.byteorder)).cast(self.fmt))
+
+    def pack_terms(self, terms: dict) -> dict:
+        """The terms with packed monomials; raises _Overflow when an
+        exponent reaches a guard bit."""
+        if self.nbytes and max(map(max, terms), default=0) > self.limit:
+            raise _Overflow
+        units = self.units
+        return {sum(map(mul, m, units)): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        unpack = self.unpack
+        return {unpack(m): c for m, c in terms.items()}
+
+    def max_fields(self, a: int, b: int) -> int:
+        """The exponent fields of lcm(a, b), with no order key."""
+        low, guard = self.low, self.guard
+        a &= low
+        b &= low
+        # the guard bit of a field stays set where a's exponent is >= b's,
+        # and pick fills those fields with ones
+        pick = ((((a | guard) - b) & guard) >> (self.width - 1)) * self.fill
+        return (a & pick) | (b & ~pick)
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.pack(self.unpack(self.max_fields(a, b)))
+
+
+def _widening(P: _Packing, run: Callable):
+    """run(P), restarted with twice as wide exponent fields while a term
+    overflows them."""
+    while True:
+        try:
+            return run(P)
+        except _Overflow:
+            P = P.wider()
 
 
 class _Lead(NamedTuple):
-    lm: Mono
-    mask: int
+    lm: int
     lc: int
-    terms: dict  # Mono -> int
+    terms: dict  # packed monomial -> int
+    pack: _Packing
 
 
-@cache
-def _bits(n: int) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(n))
-
-
-def _mask(m: Mono) -> int:
-    """Bit i set iff variable i occurs in m."""
-    return sum(compress(_bits(len(m)), m))
-
-
-def _lead(terms: dict, order: MonomialOrder) -> _Lead:
+def _lead(terms: dict, P: _Packing) -> _Lead:
     """Lead entry of the primitive multiple, with a positive leading
-    coefficient, of a nonzero integer coefficient dict."""
-    lm = max(terms, key=order.key)
+    coefficient, of a nonzero packed integer coefficient dict."""
+    lm = max(terms)
     d = gcd(*terms.values())
     if terms[lm] < 0:
         d = -d
     if d != 1:
         terms = {m: c // d for m, c in terms.items()}
-    return _Lead(lm, _mask(lm), terms[lm], terms)
+    return _Lead(lm, terms[lm], terms, P)
 
 
 def _integer_terms(terms) -> tuple[dict, int]:
@@ -135,22 +229,26 @@ def _integer_terms(terms) -> tuple[dict, int]:
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
-def _integer_table(polys, order: MonomialOrder) -> list[dict]:
-    """The integer terms of the nonzero polynomials, each over the order's
-    variables."""
+def _check_table(p: Polynomial, order: MonomialOrder) -> None:
+    if len(p.table) != len(order.priority):
+        raise DimensionMismatchError(
+            f"order over {len(order.priority)} variables, table of {len(p.table)}"
+        )
+
+
+def _integer_table(polys, P: _Packing) -> list[dict]:
+    """The packed integer terms of the nonzero polynomials, each over the
+    order's variables."""
     out = []
     for p in polys:
         if p:
-            if len(p.table) != len(order.priority):
-                raise DimensionMismatchError(
-                    f"order over {len(order.priority)} variables, table of {len(p.table)}"
-                )
-            out.append(_integer_terms(p.terms)[0])
+            _check_table(p, P.order)
+            out.append(P.pack_terms(_integer_terms(p.terms)[0]))
     return out
 
 
-def _lead_table(polys, order: MonomialOrder) -> list[_Lead]:
-    return [_lead(terms, order) for terms in _integer_table(polys, order)]
+def _lead_table(polys, P: _Packing) -> list[_Lead]:
+    return [_lead(terms, P) for terms in _integer_table(polys, P)]
 
 
 @dataclass(frozen=True)
@@ -161,17 +259,31 @@ class GroebnerBasis:
 
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
-    # the integer lead table of ``elements``; ``buchberger`` hands over its
-    # reducers, otherwise the first ``contains`` builds it
+    # the packed integer lead table of ``elements``; ``buchberger`` hands
+    # over its reducers, otherwise the first ``contains`` or
+    # ``leading_monomials`` builds it
     _leads: list = field(default=None, repr=False, compare=False)
 
+    def _packing(self) -> _Packing:
+        return self._leads[0].pack if self._leads else _Packing(self.order)
+
+    def _leads_at(self, P: _Packing) -> list[_Lead]:
+        """The lead table packed with P's field width, kept."""
+        leads = self._leads
+        if leads is None or leads[0].pack.width != P.width:
+            leads = _lead_table(self.elements, P)
+            object.__setattr__(self, "_leads", leads)
+        return leads
+
     def contains(self, f: Polynomial) -> bool:
-        """f lies in the ideal: its normal form is zero.  The lead table is
-        built on the first call, unless ``buchberger`` supplied it, and
-        kept."""
-        if self._leads is None:
-            object.__setattr__(self, "_leads", _lead_table(self.elements, self.order))
-        return not _normal_form(_integer_terms(f.terms)[0], self._leads, self.order)[0]
+        """f lies in the ideal: its normal form is zero."""
+        if not self.elements:
+            return not f
+        terms = _integer_terms(f.terms)[0]
+        return _widening(
+            self._packing(),
+            lambda P: not _normal_form(P.pack_terms(terms), self._leads_at(P), P)[0],
+        )
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.elements)
@@ -180,30 +292,36 @@ class GroebnerBasis:
         return not self.elements
 
     def leading_monomials(self) -> list[tuple[int, ...]]:
-        return [g.leading_monomial(self.order) for g in self.elements]
+        """The leading monomials of the elements, read off the lead table."""
+        if not self.elements:
+            return []
+        return [e.pack.unpack(e.lm) for e in _widening(self._packing(), self._leads_at)]
 
 
-def _normal_form(terms: dict, leads: list[_Lead], order: MonomialOrder) -> tuple[dict, int | Fraction]:
-    """``(r, M)`` for the full normal form of ``terms`` (a monomial -> integer
-    mapping; zero coefficients are skipped) modulo the lead table, by
-    pseudo-reduction: r has integer coefficients, M is a positive rational,
-    M*terms - r lies in the ideal of the table, no monomial of r is
-    divisible by a leading monomial, and r's terms are inserted in
-    descending monomial order."""
-    desc_key = order.desc_key
-    work = dict(terms)
-    heap = [(desc_key(m), m) for m in work]
+def _normal_form(work: dict, leads: list[_Lead], P: _Packing) -> tuple[dict, int | Fraction]:
+    """``(r, M)`` for the full normal form of ``work`` (a packed monomial ->
+    integer mapping; zero coefficients are skipped) modulo the lead table,
+    by pseudo-reduction: r has integer coefficients, M is a positive
+    rational, M*work - r lies in the ideal of the table, no monomial of r
+    is divisible by a leading monomial, and r's terms are inserted in
+    descending monomial order.  ``work`` is consumed: every caller hands
+    over a dict it built for the call.  Raises _Overflow on a term with a
+    guard bit set, before it is reduced."""
+    guard = P.guard
+    heap = [-m for m in work]
     heapify(heap)
     remainder: dict = {}
     mult = 1
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        mmask = _mask(m)
-        for lm, lmask, lc, g in leads:
-            if not (lmask & ~mmask) and mono_divides(lm, m):
+        if m & guard:
+            raise _Overflow
+        mg = m | guard
+        for lm, lc, g, _ in leads:
+            if (mg - lm) & guard == guard:
                 break
         else:
             remainder[m] = c
@@ -218,16 +336,16 @@ def _normal_form(terms: dict, leads: list[_Lead], order: MonomialOrder) -> tuple
                     work[t] *= scale
                 for t in remainder:
                     remainder[t] *= scale
-        shift = mono_div(m, lm)
+        shift = m - lm
         # every new monomial is below m, so none is popped yet
         for gm, gc in g.items():
-            t = tuple(map(add, gm, shift))
+            t = gm + shift
             if t == m:
                 continue
             old = work.get(t)
             if old is None:
                 work[t] = -c * gc
-                heappush(heap, (desc_key(t), t))
+                heappush(heap, -t)
             else:
                 work[t] = old - c * gc
         if scale != 1:
@@ -248,24 +366,29 @@ def reduce(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     The returned remainder r satisfies f - r in <basis> and no monomial of r
     is divisible by any leading monomial of the basis.  Empty basis returns f.
     """
-    leads = _lead_table(basis, order)
-    if not leads:
-        return f
+    basis = list(basis)
     terms, den = _integer_terms(f.terms)
-    r, mult = _normal_form(terms, leads, order)
-    scale = den * mult
-    if scale == 1:
-        return Polynomial(f.table, r)
-    return Polynomial(f.table, {m: Fraction(c, scale) for m, c in r.items()})
+
+    def run(P: _Packing) -> Polynomial:
+        leads = _lead_table(basis, P)
+        if not leads:
+            return f
+        r, mult = _normal_form(P.pack_terms(terms), leads, P)
+        scale = den * mult
+        if scale == 1:
+            return Polynomial(f.table, P.unpack_terms(r))
+        return Polynomial(f.table, {m: Fraction(c, scale) for m, c in P.unpack_terms(r).items()})
+
+    return _widening(_Packing(order), run)
 
 
 def _s_terms(a: _Lead, b: _Lead) -> dict:
     """Terms of spol(a, b), the cancelled lcm term kept with coefficient 0."""
-    t = mono_lcm(a.lm, b.lm)
-    sa, sb = mono_div(t, a.lm), mono_div(t, b.lm)
-    out = {tuple(map(add, m, sa)): c * b.lc for m, c in a.terms.items()}
+    t = a.pack.lcm(a.lm, b.lm)
+    sa, sb = t - a.lm, t - b.lm
+    out = {m + sa: c * b.lc for m, c in a.terms.items()}
     for m, c in b.terms.items():
-        u = tuple(map(add, m, sb))
+        u = m + sb
         old = out.get(u)
         out[u] = -c * a.lc if old is None else old - c * a.lc
     return out
@@ -276,13 +399,22 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     leading monomials; the leading terms cancel."""
     if f.is_zero() or g.is_zero():
         raise ValueError("s-polynomial of the zero polynomial is undefined")
+    _check_table(f, order)
+    _check_table(g, order)
 
     # _s_terms only multiplies, so it takes the rational lead data as it is
-    def lead(p: Polynomial) -> _Lead:
-        lm = p.leading_monomial(order)
-        return _Lead(lm, _mask(lm), p.terms[lm], p.terms)
+    def lead(p: Polynomial, P: _Packing) -> _Lead:
+        terms = P.pack_terms(p.terms)
+        lm = max(terms)
+        return _Lead(lm, terms[lm], terms, P)
 
-    return Polynomial(f.table, _s_terms(lead(f), lead(g)))
+    def run(P: _Packing) -> Polynomial:
+        s = _s_terms(lead(f, P), lead(g, P))
+        if any(m & P.guard for m in s):
+            raise _Overflow
+        return Polynomial(f.table, P.unpack_terms(s))
+
+    return _widening(_Packing(order), run)
 
 
 def interreduce(gens: list[_Lead], table) -> list[Polynomial]:
@@ -290,51 +422,49 @@ def interreduce(gens: list[_Lead], table) -> list[Polynomial]:
     basis given as lead entries sorted ascending by leading monomial: each
     element divided by its leading coefficient.  An element with leading
     coefficient 1 stays in ints."""
-    return [
-        Polynomial(table, e.terms if e.lc == 1 else {m: Fraction(c, e.lc) for m, c in e.terms.items()})
-        for e in gens
-    ]
+    out = []
+    for e in gens:
+        terms = e.pack.unpack_terms(e.terms)
+        if e.lc != 1:
+            terms = {m: Fraction(c, e.lc) for m, c in terms.items()}
+        out.append(Polynomial._of(table, terms))
+    return out
 
 
-def _install(k: int, basis: list[_Lead], active: list[int], pairs: list, key) -> list[int]:
+def _install(k: int, basis: list[_Lead], active: list[int], pairs: list, P: _Packing) -> list[int]:
     """Install ``basis[k]`` by the Gebauer-Moeller criteria: drop the old
     pairs it makes redundant from the heap ``pairs``, push the new pairs
     that survive, and return the new list of active (reducer) indices."""
-    h = basis[k]
-    hlm, hmask = h.lm, h.mask
-    # new pairs (i, k) as (lcm, lcm mask, coprime, i)
-    fresh = [
-        (mono_lcm(basis[i].lm, hlm), basis[i].mask | hmask, not (basis[i].mask & hmask), i)
-        for i in active
-    ]
+    h = basis[k].lm
+    guard, low, fields = P.guard, P.low, P.max_fields
+    # new pairs (i, k) as (exponent fields of the lcm, coprime, i): the
+    # leading monomials are coprime when their lcm is their product
+    fresh = []
+    for i in active:
+        g = basis[i].lm
+        t = fields(g, h)
+        fresh.append((t, t == (g + h) & low, i))
     kept = []
     while fresh:
         p = fresh.pop()
-        t, tmask, coprime = p[0], p[1], p[2]
-        if coprime or not any(
-            not (q[1] & ~tmask) and mono_divides(q[0], t) for q in chain(fresh, kept)
-        ):
+        tg = p[0] | guard
+        if p[1] or not any((tg - q[0]) & guard == guard for q in chain(fresh, kept)):
             kept.append(p)
-    # old pairs (i, j) as (key, i, j, lcm, lcm mask)
+    # old pairs (i, j) as (lcm, i, j)
     survivors = [
         p
         for p in pairs
-        if (hmask & ~p[4])
-        or not mono_divides(hlm, p[3])
-        or mono_lcm(basis[p[1]].lm, hlm) == p[3]
-        or mono_lcm(basis[p[2]].lm, hlm) == p[3]
+        if ((p[0] | guard) - h) & guard != guard
+        or fields(basis[p[1]].lm, h) == p[0] & low
+        or fields(basis[p[2]].lm, h) == p[0] & low
     ]
     if len(survivors) < len(pairs):
         pairs[:] = survivors
         heapify(pairs)
-    for t, tmask, coprime, i in kept:
+    for t, coprime, i in kept:
         if not coprime:
-            heappush(pairs, (key(t), i, k, t, tmask))
-    active = [
-        i
-        for i in active
-        if (hmask & ~basis[i].mask) or not mono_divides(hlm, basis[i].lm)
-    ]
+            heappush(pairs, (P.pack(P.unpack(t)), i, k))
+    active = [i for i in active if ((basis[i].lm | guard) - h) & guard != guard]
     active.append(k)
     return active
 
@@ -355,17 +485,22 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
     gens = list(gens)
     if not any(gens):
         return GroebnerBasis(order, ())
+    return _widening(_Packing(order), lambda P: _buchberger(gens, groebner_prefix, P))
+
+
+def _buchberger(gens: list[Polynomial], groebner_prefix: int, P: _Packing) -> GroebnerBasis:
+    order = P.order
     table = gens[0].table
-    key = order.key
+    guard = P.guard
     # every element that ever entered, in entry order; pairs index into it
-    basis = _lead_table(gens[:groebner_prefix], order)
+    basis = _lead_table(gens[:groebner_prefix], P)
     active = list(range(len(basis)))
     reducers = basis[:]
     pairs: list[tuple] = []
-    # the later generators as (key of the leading monomial, terms), largest
-    # first, so the smallest pops off the end
+    # the later generators as (leading monomial, terms), largest first, so
+    # the smallest pops off the end
     inputs = sorted(
-        ((max(map(key, t)), t) for t in _integer_table(gens[groebner_prefix:], order)),
+        ((max(t), t) for t in _integer_table(gens[groebner_prefix:], P)),
         key=itemgetter(0),
         reverse=True,
     )
@@ -375,36 +510,41 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
             if inputs and (not pairs or inputs[-1][0] <= pairs[0][0]):
                 yield inputs.pop()[1]
             else:
-                i, j = heappop(pairs)[1:3]
+                i, j = heappop(pairs)[1:]
                 yield _s_terms(basis[i], basis[j])
 
     for terms in entering():
-        r = _normal_form(terms, reducers, order)[0]
+        r = _normal_form(terms, reducers, P)[0]
         if not r:
             continue
-        e = _lead(r, order)
-        if not e.mask:
+        e = _lead(r, P)
+        if not e.lm:
             return GroebnerBasis(order, (Polynomial.constant(table, 1),))
         basis.append(e)
-        active = _install(len(basis) - 1, basis, active, pairs, key)
+        active = _install(len(basis) - 1, basis, active, pairs, P)
         for i in active[:-1]:
-            if any(mono_divides(e.lm, m) for m in basis[i].terms):
+            if any(((m | guard) - e.lm) & guard == guard for m in basis[i].terms):
                 rest = [basis[j] for j in active if j != i]
-                basis[i] = _lead(_normal_form(basis[i].terms, rest, order)[0], order)
+                basis[i] = _lead(_normal_form(dict(basis[i].terms), rest, P)[0], P)
         reducers = [basis[i] for i in active]
-    reducers.sort(key=lambda e: key(e.lm))
+    reducers.sort(key=itemgetter(0))
     return GroebnerBasis(order, tuple(interreduce(reducers, table)), reducers)
 
 
 def is_groebner_basis(polys, order: MonomialOrder) -> bool:
     """Buchberger criterion, checked directly: every s-polynomial of two
     elements reduces to zero against the set."""
-    G = _lead_table(polys, order)
-    return not any(
-        _normal_form(_s_terms(G[i], G[j]), G, order)[0]
-        for i in range(len(G))
-        for j in range(i + 1, len(G))
-    )
+    polys = list(polys)
+
+    def run(P: _Packing) -> bool:
+        G = _lead_table(polys, P)
+        return not any(
+            _normal_form(_s_terms(G[i], G[j]), G, P)[0]
+            for i in range(len(G))
+            for j in range(i + 1, len(G))
+        )
+
+    return _widening(_Packing(order), run)
 
 
 def exact_divide(f: Polynomial, divisor: Polynomial, order: MonomialOrder) -> Polynomial:

@@ -319,19 +319,21 @@ def _min_hitting_set(supports: list[frozenset[int]]) -> int:
         if not any(t <= s for t in minimal):
             minimal.append(s)
     best = len(set().union(*minimal)) if minimal else 0
+    return _hitting_search(minimal, 0, best)
 
-    def search(remaining: list[frozenset[int]], chosen: int, best: int) -> int:
-        if not remaining:
-            return chosen
-        if chosen + 1 >= best:
-            return best
-        pivot = min(remaining, key=len)
-        for v in sorted(pivot):
-            rest = [s for s in remaining if v not in s]
-            best = min(best, search(rest, chosen + 1, best))
+
+def _hitting_search(remaining: list[frozenset[int]], chosen: int, best: int) -> int:
+    """min(best, chosen + the smallest number of variables meeting every
+    set of ``remaining``), by branching on the variables of a smallest set."""
+    if not remaining:
+        return chosen
+    if chosen + 1 >= best:
         return best
-
-    return search(minimal, 0, best)
+    pivot = min(remaining, key=len)
+    for v in sorted(pivot):
+        rest = [s for s in remaining if v not in s]
+        best = min(best, _hitting_search(rest, chosen + 1, best))
+    return best
 
 
 def krull_dim(I: Ideal):
@@ -670,6 +672,23 @@ def _split_factor(I: Ideal) -> Optional[Polynomial]:
 _SPLIT_DEPTH = 24
 
 
+def _split_leaves(J: Ideal, depth: int, leaves: list[Ideal]) -> bool:
+    """Append the leaves of the split of V(J), a branch ``depth`` splits
+    deep, to ``leaves``: the branch V(J + <v>) first, then V(J : v^inf).
+    False when a branch was kept whole at ``_SPLIT_DEPTH``."""
+    if J.contains_one():
+        return True
+    v = _split_factor(J)
+    if v is None or depth >= _SPLIT_DEPTH:
+        leaves.append(Ideal.from_basis(J.table, J.groebner()))
+        return v is None
+    gb = J.groebner()
+    # J's reduced basis stays a reduced Groebner basis prefix of J + <v>
+    with_v = buchberger(gb.elements + (v,), gb.order, groebner_prefix=len(gb.elements))
+    complete = _split_leaves(Ideal.from_basis(J.table, with_v), depth + 1, leaves)
+    return _split_leaves(saturate(J, v), depth + 1, leaves) and complete
+
+
 def split_heuristic(I: Ideal) -> SplitResult:
     """Cover V(I) by splitting V(I) = V(I + <v>) cup V(I : v^inf) on
     variables that factor out of a generator.  A branch deeper than
@@ -679,27 +698,7 @@ def split_heuristic(I: Ideal) -> SplitResult:
     if I.contains_one():
         return SplitResult([], True)
     leaves: list[Ideal] = []
-    complete = True
-
-    def descend(J: Ideal, depth: int) -> None:
-        nonlocal complete
-        if J.contains_one():
-            return
-        v = _split_factor(J)
-        if v is None:
-            leaves.append(Ideal.from_basis(J.table, J.groebner()))
-            return
-        if depth >= _SPLIT_DEPTH:
-            complete = False
-            leaves.append(Ideal.from_basis(J.table, J.groebner()))
-            return
-        gb = J.groebner()
-        # J's reduced basis stays a reduced Groebner basis prefix of J + <v>
-        with_v = buchberger(gb.elements + (v,), gb.order, groebner_prefix=len(gb.elements))
-        descend(Ideal.from_basis(J.table, with_v), depth + 1)
-        descend(saturate(J, v), depth + 1)
-
-    descend(I, 0)
+    complete = _split_leaves(I, 0, leaves)
     # deduplicate, then drop leaves whose variety sits inside another leaf:
     # the deduplicated leaves are distinct, so K subseteq J is strict
     unique: list[Ideal] = []

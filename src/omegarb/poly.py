@@ -190,6 +190,12 @@ class MonomialOrder:
     desc_key: Callable[[Mono], tuple] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    # weights[i] = key(e_i) for the unit vector e_i.  Every key is linear,
+    # key(m) = sum of m[i] * weights[i] componentwise, which lets the
+    # Groebner kernel fold a monomial's key into one integer.
+    weights: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "elimination"):
@@ -232,6 +238,8 @@ class MonomialOrder:
 
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "desc_key", desc_key)
+        units = ((0,) * i + (1,) + (0,) * (len(pr) - 1 - i) for i in range(len(pr)))
+        object.__setattr__(self, "weights", tuple(map(key, units)))
 
 
 def _resolve_priority(table: VariableTable, names: Sequence[str] | None) -> tuple[int, ...]:
@@ -325,8 +333,9 @@ class Polynomial:
 
     @classmethod
     def _of(cls, table: VariableTable, terms: dict[Mono, Scalar]) -> "Polynomial":
-        """The polynomial of terms that this class's arithmetic, or a split
-        of one polynomial into parts (``ideals._split_by_power``), built from
+        """The polynomial of terms that this class's arithmetic, a split of
+        one polynomial into parts (``ideals._split_by_power``) or the
+        Groebner kernel's unpacking (``groebner.interreduce``) built from
         polynomials over ``table``: the monomials already have its shape and
         the coefficients are ints and Fractions, so only the zeros are
         dropped and the integral Fractions turned into ints."""

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from omegarb.algebras import OmegaAlgebra, validate_algebra
 from omegarb.groebner import (
+    GroebnerBasis,
+    _Packing,
     buchberger,
     exact_divide,
     is_groebner_basis,
@@ -18,12 +20,15 @@ from omegarb.groebner import (
 )
 from omegarb.ideals import ideal_equal, krull_dim, make_ideal
 from omegarb.poly import (
+    MonomialOrder,
     Polynomial,
     VariableTable,
     elimination_order,
     grevlex_order,
     lex_order,
     mono_divides,
+    mono_lcm,
+    mono_mul,
     parse_polynomial,
 )
 from omegarb.solver import PROFILES, generate_system
@@ -404,3 +409,81 @@ def test_generic_bi1_cell_keeps_its_reducers_reduced():
     assert len(basis) == 10
     assert is_groebner_basis(basis, order)
     assert all(reduce(g, basis, order).is_zero() for g in I.generators)
+
+
+# -- packed monomials ---------------------------------------------------------------
+
+
+@st.composite
+def packed_pairs(draw):
+    """A packing of 1 to 12 variables under a random order kind, priority
+    and block, with two monomials whose sum still fits its fields."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["lex", "grevlex", "elimination"] if n > 1 else ["lex", "grevlex"]))
+    priority = tuple(draw(st.permutations(range(n))))
+    block = draw(st.integers(1, n - 1)) if kind == "elimination" else 0
+    width = draw(st.sampled_from([16, 32, 64]))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, (1 << (width - 2)) - 1))
+    a = draw(st.tuples(*[exponent] * n))
+    b = draw(st.one_of(st.tuples(*[exponent] * n), st.just(a)))
+    return _Packing(MonomialOrder(kind, priority, block), width), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+def test_packed_monomials_follow_the_tuples(case):
+    P, a, b = case
+    key, guard = P.order.key, P.guard
+    pa, pb = P.pack(a), P.pack(b)
+    assert P.unpack(pa) == a and P.unpack(pb) == b
+    assert not (pa | pb) & guard
+    assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
+        assert ((((py | guard) - px) & guard) == guard) == mono_divides(x, y)
+    ab = mono_mul(a, b)
+    assert pa + pb == P.pack(ab) and P.unpack(pa + pb) == ab
+    assert ((((pa + pb) | guard) - pa) & guard) == guard
+    assert P.lcm(pa, pb) == P.pack(mono_lcm(a, b))
+    assert P.max_fields(pa, pb) == P.pack(mono_lcm(a, b)) & P.low
+
+
+# lex z > y > x: the reduced basis of these generators reaches x^6
+WIDE_GENERATORS = ["x*y - z^2", "x*z - y^2 + 1", "y^3 - x*z^2"]
+T3_ZYX = lex_order(T3, ["z", "y", "x"])
+
+
+def _x_to_the(p: Polynomial, k: int) -> Polynomial:
+    """p with x replaced by x^k, built term by term."""
+    out = Polynomial.zero(T3)
+    for (i, j, l), c in p.terms.items():
+        out = out + Polynomial.monomial(T3, (k * i, j, l), c)
+    return out
+
+
+@pytest.mark.parametrize("k", [2**14 + 1, 2**15 + 3])
+def test_wide_exponents_restart_with_wider_fields(k):
+    # x -> x^k keeps the lex order and divisibility, so the reduced basis
+    # maps over.  At k = 2^14 + 1 every input fits 16-bit fields but the
+    # basis reaches x^(6k), so the run restarts from a new term; at
+    # k = 2^15 + 3 the input itself is past 2^15.
+    gens = [parse_polynomial(g, T3) for g in WIDE_GENERATORS]
+    small = buchberger(gens, T3_ZYX)
+    assert max(m[0] for g in small.elements for m in g.terms) == 6
+    wide = buchberger([_x_to_the(g, k) for g in gens], T3_ZYX)
+    assert wide.elements == tuple(_x_to_the(g, k) for g in small.elements)
+    assert wide.leading_monomials() == [(k * i, j, l) for i, j, l in small.leading_monomials()]
+    assert is_groebner_basis(wide.elements, T3_ZYX)
+    member = _x_to_the(gens[0] * gens[1] + gens[2], k)
+    assert wide.contains(member) and not wide.contains(member + 1)
+    # a basis built elsewhere packs its own lead table, as wide as it needs
+    assert GroebnerBasis(T3_ZYX, wide.elements).contains(member)
+
+
+def test_wide_exponents_reduce_and_s_polynomial():
+    x, y = Polynomial.monomial(T3, (2**15, 0, 0)), Polynomial.variable(T3, "y")
+    big = Polynomial.monomial(T3, (2**16, 0, 0))
+    assert reduce(big, [x - y], lex_order(T3)) == y * y
+    # y * x^(2^16) - x^(2^15) * (x^(2^15) * y - 1)
+    assert s_polynomial(big, x * y - 1, lex_order(T3)) == x
+    with pytest.raises(OverflowError):
+        buchberger([Polynomial.monomial(T3, (2**63, 0, 0)) - y], lex_order(T3))

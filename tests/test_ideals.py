@@ -1,5 +1,6 @@
 """Ideal algebra on the 9-entry operator ring and small toy rings."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,10 @@ from omegarb.ideals import (
     product,
     radical_membership,
     saturate,
+    split_heuristic,
 )
 from omegarb.poly import VariableTable, parse_polynomial
+from omegarb.solver import PROFILES, generate_system
 
 A = VariableTable.of(*[f"x{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)])
 B5 = VariableTable.of("x12", "x13", "x21", "x22", "x23")
@@ -322,6 +325,26 @@ def test_dimension_monotone_under_containment(six_gen_ideal):
     larger = make_ideal(A, six_gen_ideal.generators + (PA("x13"),))
     d1, d2 = krull_dim(six_gen_ideal), krull_dim(larger)
     assert d1 >= d2
+
+
+def test_split_and_dimension_leave_no_reference_cycles(L1):
+    # a cycle outlives its call until the cyclic collector runs, and the
+    # split's would hold every leaf (its Ideals, cached bases, lead tables)
+    I = generate_system(L1, PROFILES["bi1"])
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        leaves = split_heuristic(I).ideals
+        dim = krull_dim(I)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert len(leaves) == 3 and dim == 2
+    assert garbage == 0
 
 
 # -- equality and serialization --------------------------------------------------------
