@@ -20,20 +20,23 @@ Inside the kernel a monomial is one int (Monagan and Pearce, "Sparse
 polynomial division using a heap", J. Symb. Comp. 46, 2011).  The low
 n * w bits hold one w-bit field per variable, the exponent of variable i
 at bit i * w, with the top bit of every field, its guard bit, kept clear.
-The bits above hold the order key: ``MonomialOrder.weights`` is the key of
-each unit vector, every key is linear, so key(m) is the sum of m[i] times
-weights[i], and its components, most significant first, are signed digits
-of w + bitlen(n) + 1 bits, wide enough for any key of w-bit exponents.  So
-comparing two packed monomials compares them in the order, a product is a
-sum, an exact quotient a difference, and with G the guard bits, a divides
-b exactly when ``((b | G) - a) & G == G``: a field of b below a's borrows
-its guard bit.  The lcm's fields are the larger field of each pair, picked
-by the same test field by field (``_Packing.max_fields``); the pair
-criteria compare those fields, and the lcm is packed again, key and all,
-only for a pair that enters the queue.  ``Polynomial`` and
+The bits above hold the order key: every key is linear, so key(m) is the
+sum of m[i] times ``order.key`` of the i-th unit vector, and its
+components, most significant first, are signed digits of w + bitlen(n) + 1
+bits, wide enough for any key of w-bit exponents.  So comparing two packed
+monomials compares them in the order, a product is a sum, an exact
+quotient a difference, and with G the guard bits, a divides b exactly when
+``((b | G) - a) & G == G``: a field of b below a's borrows its guard bit.
+The lcm's fields are the larger field of each pair, picked by the same
+test field by field (``_Packing.max_fields``); the pair criteria compare
+those fields, and the lcm is packed again, key and all, only for a pair
+that enters the queue.  ``Polynomial`` and
 ``GroebnerBasis.elements`` keep exponent tuples: a monomial is packed as
 the sum of its exponents times the packed unit vectors and unpacked by
-reading the low bytes as an array of w-bit fields.
+reading the low bytes as an array of w-bit fields.  One packing is kept
+per (order, width) for the whole process (``_packing``), shared by equal
+orders, so a basis repacks its lead table only when a call needs wider
+fields.
 
 Fields start at w = 16 bits.  Packing raises ``_Overflow`` for an input
 exponent past 2^(w-1) - 1, and so does ``_normal_form`` when it pops a
@@ -103,6 +106,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
@@ -128,7 +132,7 @@ class _Overflow(Exception):
 
 class _Packing:
     """The monomials of one order packed into ints with ``width``-bit
-    exponent fields (see the module docstring)."""
+    exponent fields (see the module docstring); built by ``_packing``."""
 
     __slots__ = ("order", "width", "units", "guard", "low", "fill", "limit", "nbytes", "fmt")
 
@@ -147,16 +151,17 @@ class _Packing:
         # is below n * 2^width in size, so a digit of width + bitlen(n) + 1
         # bits holds it with its sign
         digit = 1 << (width + n.bit_length() + 1)
-        places = [digit**k for k in reversed(range(len(order.weights[0])))] if n else []
+        weights = [order.key((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
+        places = [digit**k for k in reversed(range(len(weights[0])))] if n else []
         self.units = tuple(
             (sum(map(mul, w, places)) << (n * width)) + (1 << (i * width))
-            for i, w in enumerate(order.weights)
+            for i, w in enumerate(weights)
         )
 
     def wider(self) -> "_Packing":
         if 2 * self.width not in _FIELD_FORMATS:
             raise OverflowError(f"an exponent above {self.limit} does not fit the Groebner kernel")
-        return _Packing(self.order, 2 * self.width)
+        return _packing(self.order, 2 * self.width)
 
     def pack(self, m: Mono) -> int:
         return sum(map(mul, m, self.units))
@@ -188,6 +193,13 @@ class _Packing:
 
     def lcm(self, a: int, b: int) -> int:
         return self.pack(self.unpack(self.max_fields(a, b)))
+
+
+@cache
+def _packing(order: MonomialOrder, width: int = 16) -> _Packing:
+    """The one packing of ``order`` (and of every order equal to it) with
+    ``width``-bit fields."""
+    return _Packing(order, width)
 
 
 def _widening(P: _Packing, run: Callable):
@@ -265,18 +277,19 @@ class GroebnerBasis:
     _leads: list = field(default=None, repr=False, compare=False)
 
     def _packing(self) -> _Packing:
-        return self._leads[0].pack if self._leads else _Packing(self.order)
+        return self._leads[0].pack if self._leads else _packing(self.order)
 
     def _leads_at(self, P: _Packing) -> list[_Lead]:
-        """The lead table packed with P's field width, kept."""
+        """The lead table packed by P, kept."""
         leads = self._leads
-        if leads is None or leads[0].pack.width != P.width:
+        if leads is None or leads[0].pack is not P:
             leads = _lead_table(self.elements, P)
             object.__setattr__(self, "_leads", leads)
         return leads
 
     def contains(self, f: Polynomial) -> bool:
         """f lies in the ideal: its normal form is zero."""
+        _check_table(f, self.order)
         if not self.elements:
             return not f
         terms = _integer_terms(f.terms)[0]
@@ -366,6 +379,7 @@ def reduce(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     The returned remainder r satisfies f - r in <basis> and no monomial of r
     is divisible by any leading monomial of the basis.  Empty basis returns f.
     """
+    _check_table(f, order)
     basis = list(basis)
     terms, den = _integer_terms(f.terms)
 
@@ -379,7 +393,7 @@ def reduce(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
             return Polynomial(f.table, P.unpack_terms(r))
         return Polynomial(f.table, {m: Fraction(c, scale) for m, c in P.unpack_terms(r).items()})
 
-    return _widening(_Packing(order), run)
+    return _widening(_packing(order), run)
 
 
 def _s_terms(a: _Lead, b: _Lead) -> dict:
@@ -414,7 +428,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
             raise _Overflow
         return Polynomial(f.table, P.unpack_terms(s))
 
-    return _widening(_Packing(order), run)
+    return _widening(_packing(order), run)
 
 
 def interreduce(gens: list[_Lead], table) -> list[Polynomial]:
@@ -485,7 +499,7 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
     gens = list(gens)
     if not any(gens):
         return GroebnerBasis(order, ())
-    return _widening(_Packing(order), lambda P: _buchberger(gens, groebner_prefix, P))
+    return _widening(_packing(order), lambda P: _buchberger(gens, groebner_prefix, P))
 
 
 def _buchberger(gens: list[Polynomial], groebner_prefix: int, P: _Packing) -> GroebnerBasis:
@@ -544,13 +558,14 @@ def is_groebner_basis(polys, order: MonomialOrder) -> bool:
             for j in range(i + 1, len(G))
         )
 
-    return _widening(_Packing(order), run)
+    return _widening(_packing(order), run)
 
 
 def exact_divide(f: Polynomial, divisor: Polynomial, order: MonomialOrder) -> Polynomial:
     """Quotient f / divisor when the division is exact; raises otherwise."""
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    _check_table(f, order)
     table = f.table
     lm, lc = divisor.leading_term(order)
     work = dict(f.terms)

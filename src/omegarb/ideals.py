@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .groebner import GroebnerBasis, buchberger, exact_divide
 from .poly import (
+    DimensionMismatchError,
     MonomialOrder,
     Polynomial,
     VariableTable,
@@ -150,6 +151,8 @@ def ideal_to_text(I: Ideal, order: MonomialOrder | None = None) -> str:
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:
     """True iff the normal form of f against a Groebner basis of I is zero."""
+    if f.table != I.table:
+        raise DimensionMismatchError("polynomial and ideal over different variable tables")
     if f.is_zero():
         return True
     return I.groebner().contains(f)

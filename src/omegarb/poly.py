@@ -175,25 +175,16 @@ class MonomialOrder:
     """Total multiplicative monomial order over a priority permutation of
     variable indices (priority[0] is the most significant): lex, grevlex,
     or the elimination order of the first ``block`` priority variables,
-    which compares their total degree first and breaks ties by grevlex."""
+    which compares their total degree first and breaks ties by grevlex.
+    Orders compare and hash on kind, priority and block."""
 
     kind: str  # "lex" | "grevlex" | "elimination"
     priority: tuple[int, ...]
     block: int = 0  # eliminated variables, only for "elimination"
-    # key(a) < key(b) iff a < b; desc_key(a) < desc_key(b) iff a > b, so a
-    # min-heap on desc_key pops the largest monomial first.  Both are flat
-    # tuples of ints built by C-level permutations, and neither checks the
-    # monomial's length: Polynomial.leading_monomial checks the order's.
+    # key(a) < key(b) iff a < b: a flat tuple of ints, linear in the
+    # exponents, built by C-level permutations that do not check the
+    # monomial's length (Polynomial.leading_monomial checks the order's)
     key: Callable[[Mono], tuple] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-    desc_key: Callable[[Mono], tuple] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-    # weights[i] = key(e_i) for the unit vector e_i.  Every key is linear,
-    # key(m) = sum of m[i] * weights[i] componentwise, which lets the
-    # Groebner kernel fold a monomial's key into one integer.
-    weights: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
 
@@ -208,21 +199,13 @@ class MonomialOrder:
                 f"block {self.block} does not fit a {self.kind} order of {len(pr)} variables"
             )
         object.__setattr__(self, "priority", pr)
-        # desc_key negates every component of key, which reverses the
-        # comparison of these equal-length integer tuples
         if self.kind == "lex":
-            key = ranked = _permuter(pr)
-
-            def desc_key(m: Mono) -> tuple:
-                return tuple(map(neg, ranked(m)))
+            key = _permuter(pr)
         elif self.kind == "grevlex":
             ranked = _permuter(pr[::-1])
 
             def key(m: Mono) -> tuple:
                 return (sum(m), *map(neg, ranked(m)))
-
-            def desc_key(m: Mono) -> tuple:
-                return (-sum(m), *ranked(m))
         else:
             # block degree, then grevlex over the priority; the total degree
             # and the other exponents fix pr[0]'s, so it is left out and the
@@ -233,13 +216,7 @@ class MonomialOrder:
             def key(m: Mono) -> tuple:
                 return (sum(blocked(m)), sum(m), *map(neg, ranked(m)))
 
-            def desc_key(m: Mono) -> tuple:
-                return (-sum(blocked(m)), -sum(m), *ranked(m))
-
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "desc_key", desc_key)
-        units = ((0,) * i + (1,) + (0,) * (len(pr) - 1 - i) for i in range(len(pr)))
-        object.__setattr__(self, "weights", tuple(map(key, units)))
 
 
 def _resolve_priority(table: VariableTable, names: Sequence[str] | None) -> tuple[int, ...]:
@@ -489,8 +466,8 @@ class Polynomial:
 
     def sorted_terms(self, order: MonomialOrder) -> list[tuple[Mono, Scalar]]:
         """Terms in strictly descending monomial order."""
-        key = order.desc_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]))
+        key = order.key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def leading_monomial(self, order: MonomialOrder) -> Mono:
         if not self.terms:

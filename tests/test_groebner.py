@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegarb import groebner
 from omegarb.algebras import OmegaAlgebra, validate_algebra
 from omegarb.groebner import (
     GroebnerBasis,
+    _packing,
     _Packing,
     buchberger,
     exact_divide,
@@ -18,8 +20,9 @@ from omegarb.groebner import (
     reduce,
     s_polynomial,
 )
-from omegarb.ideals import ideal_equal, krull_dim, make_ideal
+from omegarb.ideals import ideal_contains, ideal_equal, ideal_membership, krull_dim, make_ideal
 from omegarb.poly import (
+    DimensionMismatchError,
     MonomialOrder,
     Polynomial,
     VariableTable,
@@ -283,15 +286,19 @@ def test_reduce_remainders_are_pinned(key):
 def fraction_normal_form(terms, basis, order):
     """Reference implementation: the rational normal form that divides by the
     divisor's leading coefficient at every step, with the kernel's term order
-    (heap on desc_key) and divisor choice (first in list order)."""
+    (heap on the negated key) and divisor choice (first in list order)."""
     from fractions import Fraction
     from heapq import heapify, heappop, heappush
+    from operator import neg
 
     from omegarb.poly import mono_div, mono_divides, mono_mul
 
+    def desc(m):
+        return tuple(map(neg, order.key(m)))
+
     leads = [(g.leading_monomial(order), g.leading_coefficient(order), g) for g in basis if g]
     work = dict(terms)
-    heap = [(order.desc_key(m), m) for m in work]
+    heap = [(desc(m), m) for m in work]
     heapify(heap)
     remainder = {}
     while heap:
@@ -310,7 +317,7 @@ def fraction_normal_form(terms, basis, order):
                     old = work.get(t)
                     if old is None:
                         work[t] = -factor * gc
-                        heappush(heap, (order.desc_key(t), t))
+                        heappush(heap, (desc(t), t))
                     else:
                         work[t] = old - factor * gc
                 break
@@ -487,3 +494,56 @@ def test_wide_exponents_reduce_and_s_polynomial():
     assert s_polynomial(big, x * y - 1, lex_order(T3)) == x
     with pytest.raises(OverflowError):
         buchberger([Polynomial.monomial(T3, (2**63, 0, 0)) - y], lex_order(T3))
+
+
+# -- one packing per order ------------------------------------------------------------
+
+
+def test_equal_orders_share_one_packing(monkeypatch):
+    first, second = (MonomialOrder("grevlex", (2, 0, 1)) for _ in range(2))
+    assert first is not second and first == second
+    gens = [parse_polynomial(g, T3) for g in WIDE_GENERATORS]
+    a, b = buchberger(gens, first), buchberger(gens, second)
+    P = a._leads[0].pack
+    assert b._leads[0].pack is P and _packing(second) is P and P.width == 16
+    used = []
+    widening = groebner._widening
+    monkeypatch.setattr(groebner, "_widening", lambda P, run: used.append(P) or widening(P, run))
+    reduce(gens[0] * gens[1] + 1, b.elements, second)
+    s_polynomial(gens[0], gens[1], second)
+    assert is_groebner_basis(a.elements, second)
+    assert a.contains(gens[2]) and GroebnerBasis(second, b.elements).contains(gens[0])
+    assert len(used) == 5 and all(Q is P for Q in used)
+
+
+def test_an_overflowed_run_reuses_the_wider_packing():
+    first, second = (MonomialOrder("lex", (2, 0, 1)) for _ in range(2))
+    gens = [_x_to_the(parse_polynomial(g, T3), 2**15 + 3) for g in WIDE_GENERATORS]
+    P = buchberger(gens, first)._leads[0].pack
+    assert P.width == 32 and P is _packing(second, 32) and P is _packing(first).wider()
+    assert buchberger(gens, second)._leads[0].pack is P
+
+
+# -- membership against a basis over another table ----------------------------------
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z", "w")])
+def test_polynomials_over_another_table_are_rejected(names):
+    # packed against three variables, x*w would lose w and read as a member of <x>
+    other = VariableTable(names)
+    f = parse_polynomial("x*y" if len(names) == 2 else "x*w", other)
+    order = grevlex_order(T3)
+    x = parse_polynomial("x", T3)
+    basis = buchberger([x], order)
+    with pytest.raises(DimensionMismatchError):
+        basis.contains(f)
+    with pytest.raises(DimensionMismatchError):
+        GroebnerBasis(order, basis.elements).contains(f)
+    with pytest.raises(DimensionMismatchError):
+        reduce(f, basis.elements, order)
+    with pytest.raises(DimensionMismatchError):
+        exact_divide(f, x, order)
+    with pytest.raises(DimensionMismatchError):
+        ideal_membership(f, make_ideal(T3, [x]))
+    with pytest.raises(DimensionMismatchError):
+        ideal_contains(make_ideal(T3, [x]), make_ideal(other, [f]))

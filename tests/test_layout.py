@@ -189,9 +189,10 @@ def test_every_traced_name_resolves_on_the_package():
 C_LOADER = "CSafeLoader"
 
 
-def enclosing_uses(path: Path, name: str) -> list[str]:
-    """The enclosing function, ``module.function`` or ``module`` at top
-    level, of every import of, reference to, or string equal to ``name``."""
+def enclosing_nodes(path: Path) -> list[tuple[str, ast.AST]]:
+    """Every node of ``path`` but the function definitions themselves, in
+    source order, with its enclosing function: ``module.function``, or
+    ``module`` at top level."""
     found = []
 
     def visit(node, where):
@@ -199,17 +200,24 @@ def enclosing_uses(path: Path, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{path.stem}.{child.name}")
                 continue
-            if (
-                (isinstance(child, ast.alias) and child.name == name)
-                or (isinstance(child, ast.Name) and child.id == name)
-                or (isinstance(child, ast.Attribute) and child.attr == name)
-                or (isinstance(child, ast.Constant) and child.value == name)
-            ):
-                found.append(where)
+            found.append((where, child))
             visit(child, where)
 
     visit(ast.parse(path.read_text("utf-8")), path.stem)
     return found
+
+
+def enclosing_uses(path: Path, name: str) -> list[str]:
+    """The enclosing function of every import of, reference to, or string
+    equal to ``name``."""
+    return [
+        where
+        for where, child in enclosing_nodes(path)
+        if (isinstance(child, ast.alias) and child.name == name)
+        or (isinstance(child, ast.Name) and child.id == name)
+        or (isinstance(child, ast.Attribute) and child.attr == name)
+        or (isinstance(child, ast.Constant) and child.value == name)
+    ]
 
 
 def test_only_the_shipped_data_reader_names_the_c_loader():
@@ -231,3 +239,41 @@ def test_the_check_sees_a_second_c_loader(tmp_path):
     assert enclosing_uses(probe, C_LOADER) == [
         "catalog", "catalog.read_builtin_yaml", "catalog.read_yaml"
     ]
+
+
+# the Groebner kernel owns its monomial packing: ``MonomialOrder`` keeps
+# only its key, and ``groebner._packing`` builds the one packing per (order,
+# width) that every kernel call shares
+PACKING_NAMES = ("weights", "desc_key")
+
+
+def call_sites(path: Path, name: str) -> list[str]:
+    """The enclosing function, as in ``enclosing_uses``, of every call of
+    ``name`` in ``path``."""
+    return [
+        where
+        for where, node in enclosing_nodes(path)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_the_kernel_packs_monomials():
+    poly = PACKAGE / "poly.py"
+    assert [u for name in PACKING_NAMES for u in enclosing_uses(poly, name)] == []
+    builders = [u for p in sorted(PACKAGE.glob("*.py")) for u in call_sites(p, "_Packing")]
+    assert builders == ["groebner._packing"]
+
+
+def test_the_check_sees_a_call(tmp_path):
+    probe = tmp_path / "groebner.py"
+    probe.write_text(
+        '"""_Packing(order) in a docstring is no call."""\n'
+        "class _Packing:\n"
+        "    def wider(self) -> '_Packing':\n"
+        "        return _Packing(self.order, 32)\n"
+        "def _packing(order: _Packing):\n"
+        "    return _Packing(order)\n"
+        "P = groebner._Packing(None)\n"
+    )
+    assert call_sites(probe, "_Packing") == ["groebner.wider", "groebner._packing", "groebner"]
