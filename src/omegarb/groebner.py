@@ -8,13 +8,20 @@ packing)`` entries in basis order: ``buchberger`` keeps one beside its
 basis, forms S-polynomials from it, reduces against it and appends to it,
 and keeps its active entries (the reducers) minimal and auto-reduced at
 every step, so at the end it only sorts them and ``interreduce`` makes them
-monic; ``reduce`` and ``is_groebner_basis`` build one per call from the
-caller's rational polynomials by clearing denominators and content.  A
-:class:`GroebnerBasis` keeps one for its membership tests (``contains``,
-behind ``ideals.ideal_membership``) and for ``leading_monomials``:
-``buchberger`` hands over its sorted reducers, and a basis built elsewhere
-makes one on first use.  Converting the monic basis back to integers on
-every test cost more than the rest of the test.
+monic.  Lead tables are built from rational polynomials, by clearing
+denominators and content, in three places only: ``reduce`` and
+``is_groebner_basis`` build one per call, ``buchberger`` builds one of the
+prefix it is told is a basis (``groebner_prefix``), and a
+:class:`GroebnerBasis` built elsewhere than in ``buchberger`` builds its
+own on first use (``buchberger`` hands over its sorted reducers).  Every
+other call reads the table a basis keeps:
+``contains`` (behind ``ideals.ideal_membership``) packs only the tested
+polynomial; ``contains_ideal`` reduces one basis's table against
+another's; ``product_cover`` multiplies its factors' tables as packed
+dicts and reduces the products and their squares against the basis;
+``extend`` runs ``buchberger`` from a copy of the table; and
+``leading_monomials`` reads it off.  Converting a monic basis back to
+integers on every test cost more than the rest of the test.
 
 Inside the kernel a monomial is one int (Monagan and Pearce, "Sparse
 polynomial division using a heap", J. Symb. Comp. 46, 2011).  The low
@@ -40,11 +47,12 @@ fields.
 
 Fields start at w = 16 bits.  Packing raises ``_Overflow`` for an input
 exponent past 2^(w-1) - 1, and so does ``_normal_form`` when it pops a
-term with a guard bit set, before reducing it: the sum of two valid
-fields stays below 2^w, so no carry has crossed a field by then.
-``buchberger``, ``reduce``, ``s_polynomial``, ``is_groebner_basis`` and the
-lead table of a :class:`GroebnerBasis` then run again from the start with
-fields twice as wide, up to 64 bits; an exponent past 2^63 - 1 raises
+term with a guard bit set, before reducing it, and ``product_cover`` when
+a product or a square sets one: the sum of two valid fields stays below
+2^w, so no carry has crossed a field by then.  ``buchberger``, ``reduce``,
+``s_polynomial``, ``is_groebner_basis`` and the methods of a
+:class:`GroebnerBasis` then run again from the start with fields twice as
+wide, up to 64 bits; an exponent past 2^63 - 1 raises
 OverflowError.  ``exact_divide`` works on exponent tuples.
 
 ``_normal_form`` is the one normal-form routine, and it pseudo-reduces over
@@ -111,7 +119,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .poly import (
     DimensionMismatchError,
@@ -272,31 +280,104 @@ class GroebnerBasis:
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
     # the packed integer lead table of ``elements``; ``buchberger`` hands
-    # over its reducers, otherwise the first ``contains`` or
-    # ``leading_monomials`` builds it
+    # over its reducers, otherwise the first call that reads it builds it
     _leads: list = field(default=None, repr=False, compare=False)
 
     def _packing(self) -> _Packing:
         return self._leads[0].pack if self._leads else _packing(self.order)
 
     def _leads_at(self, P: _Packing) -> list[_Lead]:
-        """The lead table packed by P, kept."""
+        """The lead table packed by P, kept.  The zero ideal's table is
+        empty under every packing."""
         leads = self._leads
-        if leads is None or leads[0].pack is not P:
+        if leads is None or leads and leads[0].pack is not P:
             leads = _lead_table(self.elements, P)
             object.__setattr__(self, "_leads", leads)
         return leads
 
+    def _same_order(self, other: "GroebnerBasis") -> None:
+        # a lead table read under another order would be kept in its place
+        if other.order != self.order:
+            raise ValueError("Groebner bases under different orders")
+
     def contains(self, f: Polynomial) -> bool:
         """f lies in the ideal: its normal form is zero."""
         _check_table(f, self.order)
-        if not self.elements:
-            return not f
         terms = _integer_terms(f.terms)[0]
         return _widening(
             self._packing(),
             lambda P: not _normal_form(P.pack_terms(terms), self._leads_at(P), P)[0],
         )
+
+    def contains_ideal(self, other: "GroebnerBasis") -> bool:
+        """The ideal of ``other``, a basis under the same order, lies in
+        this one: every element of its lead table has normal form zero
+        against this lead table.  Both tables are read packed."""
+        self._same_order(other)
+
+        def run(P: _Packing) -> bool:
+            leads = self._leads_at(P)
+            return not any(_normal_form(dict(e.terms), leads, P)[0] for e in other._leads_at(P))
+
+        return _widening(self._packing(), run)
+
+    def product_cover(self, factors: Sequence["GroebnerBasis"], cap: int) -> Optional[list[Polynomial]]:
+        """The products of one element from each basis in ``factors`` (under
+        this basis's order) that this ideal does not put in its radical by a
+        normal form; None when a step would form more than ``cap`` products.
+
+        An element that lies in this ideal I is dropped first, since every
+        product with it lies in I; a factor with none left makes the product
+        lie in I, and the answer is empty.  The products are then built one
+        factor at a time as packed integer dicts, where a monomial product
+        is an int sum.  A partial product that lies in I, or whose square
+        does, is in sqrt(I), an ideal, and so is every extension of it: it
+        is dropped.  The last step's survivors come back as polynomials, a
+        nonzero integer multiple of each product, for the caller's radical
+        test."""
+        if not factors:
+            raise ValueError("no factors")
+        for basis in factors:
+            self._same_order(basis)
+
+        def run(P: _Packing) -> Optional[list[Polynomial]]:
+            leads = self._leads_at(P)
+
+            def outside(terms: dict) -> bool:
+                return bool(_normal_form(dict(terms), leads, P)[0])
+
+            kept = [[e.terms for e in basis._leads_at(P) if outside(e.terms)] for basis in factors]
+            if not all(kept):
+                return []
+            partial = [{0: 1}]  # the packed constant 1
+            for terms in kept:
+                if len(partial) * len(terms) > cap:
+                    return None
+                products = {}
+                for p in partial:
+                    for g in terms:
+                        pg = _times(p, g, P)
+                        products.setdefault(frozenset(pg.items()), pg)
+                partial = [
+                    p
+                    for p in products.values()
+                    if outside(p) and _normal_form(_times(p, p, P), leads, P)[0]
+                ]
+            return [Polynomial._of(factors[0].elements[0].table, P.unpack_terms(p)) for p in partial]
+
+        return _widening(self._packing(), run)
+
+    def extend(self, gens) -> "GroebnerBasis":
+        """The reduced basis of this ideal plus ``gens`` under the same
+        order.  The computation starts from this basis's own lead table, a
+        reduced Groebner basis already, so only pairs with the new
+        generators are formed."""
+        gens = list(gens)
+        if not self.elements:
+            return buchberger(gens, self.order)
+        table = self.elements[0].table
+        # _buchberger rewrites its reducers in place: it gets a copy
+        return _widening(self._packing(), lambda P: _buchberger(self._leads_at(P)[:], gens, table, P))
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.elements)
@@ -306,9 +387,23 @@ class GroebnerBasis:
 
     def leading_monomials(self) -> list[tuple[int, ...]]:
         """The leading monomials of the elements, read off the lead table."""
-        if not self.elements:
-            return []
         return [e.pack.unpack(e.lm) for e in _widening(self._packing(), self._leads_at)]
+
+
+def _times(a: dict, b: dict, P: _Packing) -> dict:
+    """The product of two packed integer coefficient dicts; raises
+    _Overflow when a monomial of it sets a guard bit, since a normal form
+    may cancel that term before it pops it, and squaring it would carry
+    across fields."""
+    out: dict = {}
+    for m, c in a.items():
+        for n, d in b.items():
+            t = m + n
+            out[t] = out.get(t, 0) + c * d
+    guard = P.guard
+    if any(t & guard for t in out):
+        raise _Overflow
+    return {t: c for t, c in out.items() if c}
 
 
 def _normal_form(work: dict, leads: list[_Lead], P: _Packing) -> tuple[dict, int | Fraction]:
@@ -490,7 +585,8 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
     An all-zero (or empty) generator list yields the empty basis for the zero
     ideal.  ``groebner_prefix=k`` asserts that the first k generators are
     already a reduced Groebner basis under ``order``, so their mutual pairs
-    are skipped (used for incremental extensions of a cached basis).
+    are skipped: a basis lifted to a larger ring extends this way, and a
+    kept basis through ``GroebnerBasis.extend``, which skips the packing.
     The later generators wait in the pair queue, keyed by their leading
     monomial as a pair is by its lcm, and a generator goes before a pair
     on a tie.  Each generator and each S-polynomial enters as its normal
@@ -499,22 +595,26 @@ def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> Groeb
     gens = list(gens)
     if not any(gens):
         return GroebnerBasis(order, ())
-    return _widening(_packing(order), lambda P: _buchberger(gens, groebner_prefix, P))
+    prefix, later = gens[:groebner_prefix], gens[groebner_prefix:]
+    return _widening(
+        _packing(order), lambda P: _buchberger(_lead_table(prefix, P), later, gens[0].table, P)
+    )
 
 
-def _buchberger(gens: list[Polynomial], groebner_prefix: int, P: _Packing) -> GroebnerBasis:
+def _buchberger(basis: list[_Lead], gens: list[Polynomial], table, P: _Packing) -> GroebnerBasis:
+    """The reduced basis of the ideal of ``basis``, the lead table of a
+    reduced Groebner basis, which the run takes over and extends in place,
+    plus ``gens``."""
     order = P.order
-    table = gens[0].table
     guard = P.guard
     # every element that ever entered, in entry order; pairs index into it
-    basis = _lead_table(gens[:groebner_prefix], P)
     active = list(range(len(basis)))
     reducers = basis[:]
     pairs: list[tuple] = []
     # the later generators as (leading monomial, terms), largest first, so
     # the smallest pops off the end
     inputs = sorted(
-        ((max(t), t) for t in _integer_table(gens[groebner_prefix:], P)),
+        ((max(t), t) for t in _integer_table(gens, P)),
         key=itemgetter(0),
         reverse=True,
     )

@@ -14,8 +14,11 @@ routine that adjoins a tag t and eliminates it.  Saturation seeds that
 elimination with I's cached reduced grevlex basis, lifted: the elimination
 order of t agrees with grevlex on t-free monomials, so the lifted basis is
 already a reduced Groebner basis there and only the pairs with 1 - t*f are
-formed.  The Rabinowitsch test of radical membership and the child
-I + <v> of a split extend the cached basis the same way.
+formed.  The Rabinowitsch test of radical membership extends the cached
+basis the same way, and the child I + <v> of a split extends it from its
+packed lead table (``GroebnerBasis.extend``).  Containment of ideals and
+the radical cover of a decomposition read the packed lead tables of the
+cached bases, and pack no polynomial again.
 
 Primality is certified, never decided.  A certificate is a set S of
 inverted variables, nothing more.  It checks when I : (prod S)^inf = I, so
@@ -159,8 +162,11 @@ def ideal_membership(f: Polynomial, I: Ideal) -> bool:
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
-    """J subseteq I, by membership of each generator of J."""
-    return all(ideal_membership(g, I) for g in J.generators)
+    """J subseteq I: every element of J's reduced basis has normal form zero
+    against I's, both read from their packed lead tables."""
+    if I.table != J.table:
+        raise DimensionMismatchError("ideals over different variable tables")
+    return I.groebner().contains_ideal(J.groebner())
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
@@ -576,24 +582,6 @@ class ComponentReport:
 _COVER_CAP = 60
 
 
-def _product_cover(I: Ideal, factors: Sequence[Sequence[Polynomial]]) -> Optional[bool]:
-    """Whether every product of one polynomial from each list in
-    ``factors`` lies in sqrt(I); None when a step would test more than
-    ``_COVER_CAP`` products.
-
-    The products are built one list at a time.  A partial product that lies
-    in I, or whose square does, is in sqrt(I), an ideal, and so is every
-    extension of it: it is dropped.  The survivors of the last step, and
-    only they, get the Rabinowitsch test."""
-    partial = [Polynomial.constant(I.table, 1)]
-    for gens in factors:
-        if len(partial) * len(gens) > _COVER_CAP:
-            return None
-        products = dict.fromkeys(p * g for p in partial for g in gens)
-        partial = [p for p in products if not _in_radical_by_square(p, I)]
-    return all(_rabinowitsch(p, I) for p in partial)
-
-
 def verify_components(
     I: Ideal,
     candidates: Sequence[tuple[Ideal, Optional[PrimalityCertificate]]],
@@ -601,16 +589,19 @@ def verify_components(
     """Certify that V(I) is the union of the candidate prime varieties.
 
     Checks: (i) I subseteq p_i, so V(p_i) subseteq V(I); (ii) the product of
-    the candidates lies in sqrt(I), so V(I) is covered.  A product with a
-    factor in I lies in I, so only the generators outside I enter the
+    the candidates lies in sqrt(I), so V(I) is covered.  The factors of the
+    product are the candidates' reduced bases, and ``product_cover``
+    multiplies them in packed form against I's lead table.  A product with a
+    factor in I lies in I, so only the basis elements outside I enter the
     products, and a candidate with none left lies in I and covers V(I)
     alone.  The products are built one candidate at a time, and a partial
-    product whose square lies in I is dropped with all its extensions; only
-    the last step's survivors get the Rabinowitsch test.  Past 60 products
-    in one step the intersection of the candidates is tested instead, since
-    sqrt(prod p_i) = sqrt(cap p_i); (iii) each primality certificate
-    validates; (iv) no candidate contains another.  ``confirmed`` requires
-    all four.
+    product that lies in I, or whose square does, is dropped with all its
+    extensions; only the last step's survivors get the Rabinowitsch test.
+    Past 60 products in one step the intersection of the candidates is
+    tested instead, since sqrt(prod p_i) = sqrt(cap p_i); (iii) each
+    primality certificate validates; (iv) no candidate contains another.
+    Containment (i) and (iv) compare the packed lead tables of two reduced
+    bases.  ``confirmed`` requires all four.
     """
     if not candidates:
         raise ValueError("no candidate components supplied")
@@ -622,15 +613,16 @@ def verify_components(
         else:
             status = "passed" if check_primality(ideal_p, cert) else "failed"
         reports.append(CandidateReport(contains, status, krull_dim(ideal_p)))
-    outside = [[g for g in p.generators if not ideal_membership(g, I)] for p, _ in candidates]
-    in_radical = not all(outside) or _product_cover(I, outside)
-    if in_radical is None:
+    survivors = I.groebner().product_cover([p.groebner() for p, _ in candidates], _COVER_CAP)
+    if survivors is None:
         # sqrt(product) = sqrt(intersection): test the far smaller
         # intersection generating set against sqrt(I) instead
         meet = candidates[0][0]
         for ideal_p, _ in candidates[1:]:
             meet = intersect(meet, ideal_p)
         in_radical = radical_contains(I, meet)
+    else:
+        in_radical = all(_rabinowitsch(p, I) for p in survivors)
     irredundant = not any(
         ideal_contains(pj, pi)  # p_i subseteq p_j
         for i, (pi, _) in enumerate(candidates)
@@ -685,10 +677,8 @@ def _split_leaves(J: Ideal, depth: int, leaves: list[Ideal]) -> bool:
     if v is None or depth >= _SPLIT_DEPTH:
         leaves.append(Ideal.from_basis(J.table, J.groebner()))
         return v is None
-    gb = J.groebner()
     # J's reduced basis stays a reduced Groebner basis prefix of J + <v>
-    with_v = buchberger(gb.elements + (v,), gb.order, groebner_prefix=len(gb.elements))
-    complete = _split_leaves(Ideal.from_basis(J.table, with_v), depth + 1, leaves)
+    complete = _split_leaves(Ideal.from_basis(J.table, J.groebner().extend((v,))), depth + 1, leaves)
     return _split_leaves(saturate(J, v), depth + 1, leaves) and complete
 
 

@@ -376,6 +376,32 @@ def test_table_s_polynomial_counts_are_pinned(catalog, monkeypatch, table_id, fo
     assert count[0] == formed
 
 
+def _count_packings(monkeypatch) -> list[int]:
+    """A one-element counter of the coefficient dicts the kernel packs from
+    now on."""
+    count = [0]
+    pack_terms = groebner._Packing.pack_terms
+
+    def counted(self, terms):
+        count[0] += 1
+        return pack_terms(self, terms)
+
+    monkeypatch.setattr(groebner._Packing, "pack_terms", counted)
+    return count
+
+
+@pytest.mark.parametrize("table_id, packed", [(1, 66), (2, 69)])
+def test_table_packing_counts_are_pinned(catalog, monkeypatch, table_id, packed):
+    # a work guard by counters: containment and the radical cover read the
+    # lead tables their bases already hold packed (265 and 216 packings
+    # when each polynomial was packed again for a membership test)
+    generate_system.cache_clear()
+    count = _count_packings(monkeypatch)
+    report = run_table(table_id, _builtin_expectations(table_id), catalog)
+    assert report["summary"]["FAIL"] == 0
+    assert count[0] == packed
+
+
 @pytest.fixture(scope="module")
 def seeded_on_shipped_rows(catalog):
     """Every ideal built from a known basis while the shipped rows of tables

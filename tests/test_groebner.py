@@ -5,7 +5,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from omegarb import groebner
@@ -20,7 +20,14 @@ from omegarb.groebner import (
     reduce,
     s_polynomial,
 )
-from omegarb.ideals import ideal_contains, ideal_equal, ideal_membership, krull_dim, make_ideal
+from omegarb.ideals import (
+    _in_radical_by_square,
+    ideal_contains,
+    ideal_equal,
+    ideal_membership,
+    krull_dim,
+    make_ideal,
+)
 from omegarb.poly import (
     DimensionMismatchError,
     MonomialOrder,
@@ -547,3 +554,115 @@ def test_polynomials_over_another_table_are_rejected(names):
         ideal_membership(f, make_ideal(T3, [x]))
     with pytest.raises(DimensionMismatchError):
         ideal_contains(make_ideal(T3, [x]), make_ideal(other, [f]))
+
+
+# -- ideal-to-ideal tests on the packed lead tables -----------------------------------
+
+T3_GREVLEX = grevlex_order(T3)
+WIDE = 2**14  # its square needs 32-bit fields
+
+
+def _T3(text: str) -> Polynomial:
+    return parse_polynomial(text, T3)
+
+
+def _reference_cover(I, factors, cap):
+    """The radical cover's survivors built from polynomials: the
+    reduced-basis elements outside I, multiplied one factor at a time, a
+    product dropped when it or its square lies in I."""
+    kept = [[g for g in F.groebner().elements if not ideal_membership(g, I)] for F in factors]
+    if not all(kept):
+        return []
+    partial = [Polynomial.constant(T3, 1)]
+    for gens in kept:
+        if len(partial) * len(gens) > cap:
+            return None
+        products = dict.fromkeys(p * g for p in partial for g in gens)
+        partial = [p for p in products if not _in_radical_by_square(p, I)]
+    return partial
+
+
+def _packed_cover(I, factors, cap):
+    survivors = I.groebner().product_cover([F.groebner() for F in factors], cap)
+    return None if survivors is None else [p.monic(T3_GREVLEX) for p in survivors]
+
+
+small_ideals = st.lists(small_polys(T3, SMALL_COEFF), min_size=1, max_size=2).map(lambda gens: make_ideal(T3, gens))
+
+
+def _wide(*texts: str):
+    """The ideal of the polynomials with x replaced by x^WIDE."""
+    return make_ideal(T3, [_x_to_the(_T3(t), WIDE) for t in texts])
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(small_ideals, st.lists(small_ideals, min_size=1, max_size=3), st.sampled_from([2, 60]))
+# a square, then a product and a square, past 16-bit fields
+@example(_wide("y^2", "z"), [_wide("x + y")], 60)
+@example(_wide("y^2"), [_wide("x*y")], 60)
+@example(_wide("y*z"), [_wide("x + z"), _wide("x - y")], 60)
+def test_packed_ideal_tests_match_the_polynomial_reference(I, factors, cap):
+    for J in factors:
+        assert ideal_contains(I, J) == all(ideal_membership(g, I) for g in J.generators)
+    assert _packed_cover(I, factors, cap) == _reference_cover(I, factors, cap)
+
+
+def test_the_cover_restarts_wider_when_a_square_overflows():
+    I, F = _wide("y^2"), _wide("x*y + z")
+    gb = I.groebner()
+    assert gb._leads[0].pack.width == 16
+    # (x^WIDE*y + z)^2 has x^(2*WIDE), past a 16-bit field
+    assert gb.product_cover([F.groebner()], 60) == list(F.generators)
+    assert gb._leads[0].pack.width == 32
+    assert gb.product_cover([_wide("x*y").groebner()], 60) == []
+
+
+def test_the_zero_ideal_through_the_packed_tests():
+    x = _T3("x")
+    X = buchberger([x], T3_GREVLEX)
+    built = GroebnerBasis(T3_GREVLEX, ())  # builds its empty lead table on first use
+    for zero in (buchberger([], T3_GREVLEX), built, built):
+        assert zero.contains_ideal(zero) and X.contains_ideal(zero)
+        assert not zero.contains_ideal(X)
+        # x and x^2 lie outside the zero ideal; a zero factor makes the product zero
+        assert zero.product_cover([X], 60) == [x] and X.product_cover([zero], 60) == []
+        assert zero.extend([x]).elements == X.elements
+        assert zero.leading_monomials() == []
+        assert zero.contains(Polynomial.zero(T3)) and not zero.contains(x)
+    assert ideal_contains(make_ideal(T3, [x]), make_ideal(T3, []))
+    assert not ideal_contains(make_ideal(T3, []), make_ideal(T3, [x]))
+
+
+def test_the_unit_ideal_through_the_packed_tests():
+    one, x = Polynomial.constant(T3, 1), _T3("x")
+    unit, X = buchberger([one], T3_GREVLEX), buchberger([x], T3_GREVLEX)
+    assert unit.contains_ideal(X) and unit.contains_ideal(unit) and not X.contains_ideal(unit)
+    # x lies in the unit ideal; 1 lies outside <x>, and so does its square
+    assert unit.product_cover([X, X], 60) == [] and X.product_cover([unit], 60) == [one]
+    assert unit.extend([x]).elements == (one,) and X.extend([3 * one]).elements == (one,)
+    assert ideal_contains(make_ideal(T3, [one]), make_ideal(T3, [x]))
+
+
+def test_extending_a_basis_packs_only_the_new_generators(monkeypatch):
+    gens = [_T3(g) for g in WIDE_GENERATORS]
+    gb = buchberger(gens[:2], T3_GREVLEX)
+    leads = list(gb._leads)
+    packed = []
+    pack_terms = _Packing.pack_terms
+    monkeypatch.setattr(_Packing, "pack_terms", lambda P, terms: packed.append(terms) or pack_terms(P, terms))
+    extended = gb.extend(gens[2:])
+    assert len(packed) == 1
+    assert extended.elements == buchberger(gens, T3_GREVLEX).elements
+    # the run rewrote its own copy of the lead table
+    assert gb._leads == leads and gb.contains(gens[0]) and not gb.contains(gens[2])
+
+
+def test_packed_tests_reject_another_order():
+    x = _T3("x")
+    gb = buchberger([x], T3_GREVLEX)
+    other = buchberger([x], T3_ZYX)
+    with pytest.raises(ValueError):
+        gb.contains_ideal(other)
+    with pytest.raises(ValueError):
+        gb.product_cover([other], 60)
