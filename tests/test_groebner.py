@@ -587,7 +587,9 @@ def _packed_cover(I, factors, cap):
     return None if survivors is None else [p.monic(T3_GREVLEX) for p in survivors]
 
 
-small_ideals = st.lists(small_polys(T3, SMALL_COEFF), min_size=1, max_size=2).map(lambda gens: make_ideal(T3, gens))
+small_ideals = st.lists(small_polys(T3, SMALL_COEFF), min_size=1, max_size=2).map(
+    lambda gens: make_ideal(T3, gens)
+)
 
 
 def _wide(*texts: str):
@@ -598,7 +600,7 @@ def _wide(*texts: str):
 @seed(20261020)
 @settings(max_examples=60, deadline=None)
 @given(small_ideals, st.lists(small_ideals, min_size=1, max_size=3), st.sampled_from([2, 60]))
-# a square, then a product and a square, past 16-bit fields
+# two squares and a product past 16-bit fields
 @example(_wide("y^2", "z"), [_wide("x + y")], 60)
 @example(_wide("y^2"), [_wide("x*y")], 60)
 @example(_wide("y*z"), [_wide("x + z"), _wide("x - y")], 60)
