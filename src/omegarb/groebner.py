@@ -35,9 +35,9 @@ monomials compares them in the order, a product is a sum, an exact
 quotient a difference, and with G the guard bits, a divides b exactly when
 ``((b | G) - a) & G == G``: a field of b below a's borrows its guard bit.
 The lcm's fields are the larger field of each pair, picked by the same
-test field by field (``_Packing.max_fields``); the pair criteria compare
-those fields, and the lcm is packed again, key and all, only for a pair
-that enters the queue.  ``Polynomial`` and
+test field by field (``_Packing.max_fields``, which takes the fields alone,
+``m & low``); the pair criteria compare those fields, and the lcm is packed
+again, key and all, only for a pair that enters the queue.  ``Polynomial`` and
 ``GroebnerBasis.elements`` keep exponent tuples: a monomial is packed as
 the sum of its exponents times the packed unit vectors and unpacked by
 reading the low bytes as an array of w-bit fields.  One packing is kept
@@ -77,7 +77,8 @@ routine here mutates a dict it did not build.
 The normal form keeps its pending monomials in a heap of negated packed
 monomials, so the largest pending monomial pops first.  Terms are reduced
 in strictly descending order, and when several leading monomials divide
-the current term the first entry in list order wins; the remainder is
+the current term the first entry in list order wins (the scan reads a list
+of the packed leading monomials, built once per call); the remainder is
 therefore the same, term for term and in the same dict order, as a scan of
 the whole pending set on every step would give.
 
@@ -94,10 +95,18 @@ UPDATE (Groebner Bases, 1993, p. 230):
   lcm(g1, h) nor lcm(g2, h) equals t (the chain criterion);
 - an element whose leading monomial LM(h) divides leaves the reducers;
   its pairs stay pending.
+``_install`` makes one pass over the reducers, for the new pairs and the
+reducers that stay, and tests the divisibilities in plain loops that stop
+at the first divisor; with ``h & low`` taken once, the lcm fields of every
+pair come from ``_Packing.max_fields``.
 Each remaining reducer with a term that LM(h) divides is then rewritten as
 its normal form against the other reducers (Becker and Weispfenning,
 Ch. 5), so the reducers stay a minimal auto-reduced set.  The rewrite keeps
-the reducer's leading monomial, so its pending pairs stay valid.
+the reducer's leading monomial, so its pending pairs stay valid.  In a
+monomial order a | b implies a <= b, and no term passes its leading
+monomial, so a reducer's terms are scanned (``_has_multiple``) only when
+its leading monomial is above LM(h); it is never equal to it, since
+``_install`` has dropped that reducer.
 Surviving pairs wait in a heap keyed by their packed lcm alone, and the
 generators wait beside them, keyed by their leading monomial, so the
 smallest lcm or leading monomial in the order goes first (Buchberger's
@@ -190,17 +199,15 @@ class _Packing:
         return {unpack(m): c for m, c in terms.items()}
 
     def max_fields(self, a: int, b: int) -> int:
-        """The exponent fields of lcm(a, b), with no order key."""
-        low, guard = self.low, self.guard
-        a &= low
-        b &= low
+        """The exponent fields of lcm(a, b), for a and b given as their
+        exponent fields alone (``m & low``), with no order key."""
         # the guard bit of a field stays set where a's exponent is >= b's,
         # and pick fills those fields with ones
-        pick = ((((a | guard) - b) & guard) >> (self.width - 1)) * self.fill
+        pick = ((((a | self.guard) - b) & self.guard) >> (self.width - 1)) * self.fill
         return (a & pick) | (b & ~pick)
 
     def lcm(self, a: int, b: int) -> int:
-        return self.pack(self.unpack(self.max_fields(a, b)))
+        return self.pack(self.unpack(self.max_fields(a & self.low, b & self.low)))
 
 
 @cache
@@ -416,6 +423,7 @@ def _normal_form(work: dict, leads: list[_Lead], P: _Packing) -> tuple[dict, int
     over a dict it built for the call.  Raises _Overflow on a term with a
     guard bit set, before it is reduced."""
     guard = P.guard
+    lms = [e.lm for e in leads]
     heap = [-m for m in work]
     heapify(heap)
     remainder: dict = {}
@@ -428,12 +436,15 @@ def _normal_form(work: dict, leads: list[_Lead], P: _Packing) -> tuple[dict, int
         if m & guard:
             raise _Overflow
         mg = m | guard
-        for lm, lc, g, _ in leads:
+        for lm in lms:
             if (mg - lm) & guard == guard:
                 break
         else:
             remainder[m] = c
             continue
+        # the first entry with this leading monomial is the first that
+        # divides m
+        _, lc, g, _ = leads[lms.index(lm)]
         scale = 1
         if lc != 1:
             d = gcd(c, lc)
@@ -546,36 +557,64 @@ def _install(k: int, basis: list[_Lead], active: list[int], pairs: list, P: _Pac
     that survive, and return the new list of active (reducer) indices."""
     h = basis[k].lm
     guard, low, fields = P.guard, P.low, P.max_fields
+    hl = h & low
     # new pairs (i, k) as (exponent fields of the lcm, coprime, i): the
-    # leading monomials are coprime when their lcm is their product
+    # leading monomials are coprime when their lcm is their product; the
+    # reducers whose leading monomial h does not divide stay active
     fresh = []
+    remaining = []
     for i in active:
         g = basis[i].lm
-        t = fields(g, h)
-        fresh.append((t, t == (g + h) & low, i))
+        if ((g | guard) - h) & guard != guard:
+            remaining.append(i)
+        g &= low
+        t = fields(g, hl)
+        fresh.append((t, t == g + hl, i))
+    # a new pair that is not coprime goes when another new pair's lcm,
+    # pending or kept, divides its own
     kept = []
     while fresh:
         p = fresh.pop()
+        if p[1]:
+            kept.append(p)
+            continue
         tg = p[0] | guard
-        if p[1] or not any((tg - q[0]) & guard == guard for q in chain(fresh, kept)):
+        for q in chain(fresh, kept):
+            if (tg - q[0]) & guard == guard:
+                break
+        else:
             kept.append(p)
     # old pairs (i, j) as (lcm, i, j)
-    survivors = [
-        p
-        for p in pairs
-        if ((p[0] | guard) - h) & guard != guard
-        or fields(basis[p[1]].lm, h) == p[0] & low
-        or fields(basis[p[2]].lm, h) == p[0] & low
-    ]
+    survivors = []
+    for p in pairs:
+        t = p[0]
+        if ((t | guard) - h) & guard == guard:
+            t &= low
+            if fields(basis[p[1]].lm & low, hl) != t and fields(basis[p[2]].lm & low, hl) != t:
+                continue
+        survivors.append(p)
     if len(survivors) < len(pairs):
         pairs[:] = survivors
         heapify(pairs)
     for t, coprime, i in kept:
         if not coprime:
             heappush(pairs, (P.pack(P.unpack(t)), i, k))
-    active = [i for i in active if ((basis[i].lm | guard) - h) & guard != guard]
-    active.append(k)
-    return active
+    remaining.append(k)
+    return remaining
+
+
+def _has_multiple(e: _Lead, h: int, guard: int) -> bool:
+    """Some term of the entry e is a multiple of the packed monomial h.  A
+    multiple of h is at least h in the order, and no term of e passes e.lm,
+    so e's terms are read only when e.lm is not below h: in ``_buchberger``
+    that is when e.lm is above h, since ``_install`` has dropped a reducer
+    whose leading monomial h divides."""
+    if e.lm < h:
+        return False
+    for m in e.terms:
+        if ((m | guard) - h) & guard == guard:
+            return True
+    return False
 
 
 def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> GroebnerBasis:
@@ -637,7 +676,7 @@ def _buchberger(basis: list[_Lead], gens: list[Polynomial], table, P: _Packing) 
         basis.append(e)
         active = _install(len(basis) - 1, basis, active, pairs, P)
         for i in active[:-1]:
-            if any(((m | guard) - e.lm) & guard == guard for m in basis[i].terms):
+            if _has_multiple(basis[i], e.lm, guard):
                 rest = [basis[j] for j in active if j != i]
                 basis[i] = _lead(_normal_form(dict(basis[i].terms), rest, P)[0], P)
         reducers = [basis[i] for i in active]

@@ -419,16 +419,23 @@ def _solve_chain(p: Ideal, inverted: Sequence[str], grow: bool) -> Optional[_Cha
         """g's parts by power of ``name`` and the variables to invert
         before solving ``name`` from g; None when g does not give ``name``
         a usable coefficient."""
-        if g.degree_in(name) != 1:
+        vidx = table.index(name)
+        # one pass over g's terms: the degree in ``name`` must be 1, with a
+        # one-term coefficient; its monomial is the term's without ``name``
+        linear = None
+        for m in g.terms:
+            k = m[vidx]
+            if k:
+                if k > 1 or linear is not None:
+                    return None
+                linear = m
+        if linear is None:
             return None
-        parts = _split_by_power(g, table.index(name))
-        if parts[1].num_terms() != 1:
-            return None
-        (mono,) = parts[1].terms
-        new = [table.names[i] for i in sorted(mono_support(mono)) if table.names[i] not in S]
+        names = table.names
+        new = [names[i] for i, e in enumerate(linear) if e and i != vidx and names[i] not in S]
         if new and not grow:
             return None
-        return parts, new
+        return _split_by_power(g, vidx), new
 
     def cleared(h: Polynomial, vidx: int, num: Polynomial, den: Polynomial) -> Polynomial:
         """den^d * h(num/den), by Horner's rule on the parts of h."""

@@ -10,9 +10,11 @@ above 1:
 
 The empty dict is the zero polynomial.  ``Polynomial.__init__`` puts what it
 is given into that form and raises TypeError for any other coefficient type,
-a float among them; the class's own arithmetic keeps the form, so the
-integer-coefficient systems of the operator varieties never construct a
-``Fraction``.  Every division of a coefficient goes through ``Fraction``.
+a float among them; ``+``, ``-`` and ``*`` with an operand that is neither a
+polynomial nor an int or a ``Fraction`` raise TypeError too.  The class's
+own arithmetic keeps the form, so the integer-coefficient systems of the
+operator varieties never construct a ``Fraction``.  Every division of a
+coefficient goes through ``Fraction``.
 All arithmetic is exact; there is no floating point anywhere.  Two
 polynomials are equal, and hash equal, exactly when their values are.
 Term order is not baked into the representation:
@@ -310,23 +312,21 @@ class Polynomial:
 
     @classmethod
     def _of(cls, table: VariableTable, terms: dict[Mono, Scalar]) -> "Polynomial":
-        """The polynomial of terms that this class's arithmetic, a split of
-        one polynomial into parts (``ideals._split_by_power``) or the
-        Groebner kernel's unpacking (``groebner.interreduce``) built from
-        polynomials over ``table``: the monomials already have its shape and
-        the coefficients are ints and Fractions, so only the zeros are
-        dropped and the integral Fractions turned into ints."""
+        """The polynomial of terms that a split of one polynomial into parts
+        (``ideals._split_by_power``), a product, a scaling, a table surgery
+        or the Groebner kernel's unpacking (``groebner.interreduce``) built
+        from polynomials over ``table``: the monomials already have its
+        shape and the coefficients are ints and Fractions, so only the zeros
+        are dropped and the integral Fractions turned into ints.  Sums,
+        differences and negations keep the stored form term by term, and do
+        not come through here."""
         clean = {}
         for m, c in terms.items():
             if c:
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
                 clean[m] = c
-        p = object.__new__(cls)
-        object.__setattr__(p, "table", table)
-        object.__setattr__(p, "terms", clean)
-        object.__setattr__(p, "_hash", None)
-        return p
+        return _stored(table, clean)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -386,30 +386,33 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._of(self.table, {m: -c for m, c in self.terms.items()})
+        return _stored(self.table, {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.constant(self.table, other)
-        _check_same_table(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            old = out.get(m)
-            out[m] = c if old is None else old + c
-        return Polynomial._of(self.table, out)
+        return _merged(self, other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.constant(self.table, other)
-        return self + (-other)
+        return _merged(self, other, True)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return _merged(-self, Polynomial.constant(self.table, other), False)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return self.scale(other)
         _check_same_table(self, other)
         if not self.terms or not other.terms:
@@ -588,6 +591,38 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()!r})"
+
+
+def _stored(table: VariableTable, terms: dict[Mono, Scalar]) -> Polynomial:
+    """The polynomial of ``terms``, a dict already in the stored form over
+    ``table``, taken over as it is."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "table", table)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_hash", None)
+    return p
+
+
+def _merged(a: Polynomial, b: Polynomial, subtract: bool) -> Polynomial:
+    """a + b, or a - b with ``subtract``, merged term by term into a copy of
+    a's terms.  Only a merged term can cancel, and only the sum of two
+    Fractions can turn integral, so the stored form is kept without a
+    second pass."""
+    _check_same_table(a, b)
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        old = out.get(m)
+        if old is None:
+            out[m] = -c if subtract else c
+            continue
+        c = old - c if subtract else old + c
+        if not c:
+            del out[m]
+        elif type(c) is Fraction and c.denominator == 1:
+            out[m] = c.numerator
+        else:
+            out[m] = c
+    return _stored(a.table, out)
 
 
 def _term_text(table: VariableTable, mono: Mono, coeff: Scalar) -> str:

@@ -314,6 +314,25 @@ def _count_s_polynomials(monkeypatch) -> list[int]:
     return count
 
 
+# the normal forms each table computes, generators, S-polynomials and
+# reducer rewrites together: a kernel change that keeps the pairs but
+# reduces more often shows here
+NORMAL_FORMS = {1: 265, 2: 304, 3: 6978}
+
+
+def _count_normal_forms(monkeypatch) -> list[int]:
+    """A one-element counter of the kernel's normal forms from now on."""
+    count = [0]
+    normal_form = groebner._normal_form
+
+    def counted(work, leads, P):
+        count[0] += 1
+        return normal_form(work, leads, P)
+
+    monkeypatch.setattr(groebner, "_normal_form", counted)
+    return count
+
+
 def _unseeded_split(I):
     """The split descent of ``split_heuristic`` without basis reuse: each
     child and each saturation is computed from generators."""
@@ -359,9 +378,11 @@ def test_table1_forms_few_s_polynomials(catalog, monkeypatch):
     # from generators, 16 from the cached basis
     generate_system.cache_clear()
     count = _count_s_polynomials(monkeypatch)
+    normal_forms = _count_normal_forms(monkeypatch)
     report = run_table(1, _builtin_expectations(1), catalog)
     assert report["summary"]["FAIL"] == 0
     assert count[0] == 16
+    assert normal_forms[0] == NORMAL_FORMS[1]
 
 
 @pytest.mark.parametrize("table_id, formed", [(2, 91), (3, 3413)])
@@ -371,9 +392,11 @@ def test_table_s_polynomial_counts_are_pinned(catalog, monkeypatch, table_id, fo
     # but forms more pairs shows here
     generate_system.cache_clear()
     count = _count_s_polynomials(monkeypatch)
+    normal_forms = _count_normal_forms(monkeypatch)
     report = run_table(table_id, _builtin_expectations(table_id), catalog)
     assert report["summary"]["FAIL"] == 0
     assert count[0] == formed
+    assert normal_forms[0] == NORMAL_FORMS[table_id]
 
 
 def _count_packings(monkeypatch) -> list[int]:

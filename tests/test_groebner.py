@@ -3,6 +3,8 @@ localization computation in 6 variables (z > x12 > x13 > x21 > x22 > x23)."""
 
 import signal
 from contextlib import contextmanager
+from heapq import heapify, heappop, heappush
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -458,7 +460,7 @@ def test_packed_monomials_follow_the_tuples(case):
     assert pa + pb == P.pack(ab) and P.unpack(pa + pb) == ab
     assert ((((pa + pb) | guard) - pa) & guard) == guard
     assert P.lcm(pa, pb) == P.pack(mono_lcm(a, b))
-    assert P.max_fields(pa, pb) == P.pack(mono_lcm(a, b)) & P.low
+    assert P.max_fields(pa & P.low, pb & P.low) == P.pack(mono_lcm(a, b)) & P.low
 
 
 # lex z > y > x: the reduced basis of these generators reaches x^6
@@ -501,6 +503,113 @@ def test_wide_exponents_reduce_and_s_polynomial():
     assert s_polynomial(big, x * y - 1, lex_order(T3)) == x
     with pytest.raises(OverflowError):
         buchberger([Polynomial.monomial(T3, (2**63, 0, 0)) - y], lex_order(T3))
+
+
+# -- the pair update and the reducer rewrite against their references --------------
+
+
+def _reference_install(k, basis, active, pairs, P):
+    """The pair update as it stood before its loops were unrolled: the
+    Gebauer-Moeller criteria through ``any`` over every other new pair, and
+    the lcm fields of two packed monomials taken with their keys masked
+    off."""
+    h = basis[k].lm
+    guard, low = P.guard, P.low
+
+    def fields(a, b):
+        a &= low
+        b &= low
+        pick = ((((a | guard) - b) & guard) >> (P.width - 1)) * P.fill
+        return (a & pick) | (b & ~pick)
+
+    fresh = []
+    for i in active:
+        g = basis[i].lm
+        t = fields(g, h)
+        fresh.append((t, t == (g + h) & low, i))
+    kept = []
+    while fresh:
+        p = fresh.pop()
+        tg = p[0] | guard
+        if p[1] or not any((tg - q[0]) & guard == guard for q in chain(fresh, kept)):
+            kept.append(p)
+    survivors = [
+        p
+        for p in pairs
+        if ((p[0] | guard) - h) & guard != guard
+        or fields(basis[p[1]].lm, h) == p[0] & low
+        or fields(basis[p[2]].lm, h) == p[0] & low
+    ]
+    if len(survivors) < len(pairs):
+        pairs[:] = survivors
+        heapify(pairs)
+    for t, coprime, i in kept:
+        if not coprime:
+            heappush(pairs, (P.pack(P.unpack(t)), i, k))
+    active = [i for i in active if ((basis[i].lm | guard) - h) & guard != guard]
+    active.append(k)
+    return active
+
+
+@st.composite
+def packings(draw, widths=(16, 32)):
+    """A shared packing under lex, grevlex or an elimination order over a
+    permuted priority of 2 to 5 variables, with its exponents drawn small
+    (so that divisibility is common) or up to the field's limit."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["lex", "grevlex", "elimination"]))
+    priority = tuple(draw(st.permutations(range(n))))
+    block = draw(st.integers(1, n - 1)) if kind == "elimination" else 0
+    P = _packing(MonomialOrder(kind, priority, block), draw(st.sampled_from(widths)))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, P.limit))
+    return P, st.tuples(*[exponent] * n).map(P.pack)
+
+
+@st.composite
+def pair_updates(draw):
+    """(k, lead table, active indices, pair heap, packing) for installing
+    the last entry: the active list is any ordered subset of the others,
+    and the heap holds the lcm of each drawn pair of earlier entries."""
+    P, packed = draw(packings())
+    lms = draw(st.lists(packed, min_size=1, max_size=10))
+    basis = [groebner._Lead(lm, 1, {lm: 1}, P) for lm in lms]
+    k = len(basis) - 1
+    active = draw(st.permutations(sorted(draw(st.sets(st.integers(0, k - 1), max_size=k)) if k else [])))
+    index_pairs = draw(
+        st.lists(st.tuples(st.integers(0, max(k - 1, 0)), st.integers(0, max(k - 1, 0))), max_size=12)
+    )
+    pairs = [(P.lcm(lms[i], lms[j]), i, j) for i, j in index_pairs if i < j]
+    heapify(pairs)
+    return k, basis, list(active), pairs, P
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None)
+@given(pair_updates())
+def test_the_pair_update_matches_its_reference(case):
+    k, basis, active, pairs, P = case
+    want_pairs = pairs[:]
+    want_active = _reference_install(k, basis, active[:], want_pairs, P)
+    got_active = groebner._install(k, basis, active[:], pairs, P)
+    assert got_active == want_active
+    assert sorted(pairs) == sorted(want_pairs)
+    # a valid heap: the next pair popped is the same
+    assert [heappop(pairs) for _ in range(len(pairs))] == sorted(want_pairs)
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None)
+@given(packings().flatmap(lambda c: st.tuples(st.just(c[0]), st.lists(c[1], min_size=1, max_size=8), c[1])))
+def test_the_order_filtered_rewrite_test_matches_the_full_scan(case):
+    P, monomials, h = case
+    terms = dict.fromkeys(monomials, 1)
+    e = groebner._Lead(max(terms), 1, terms, P)
+    guard = P.guard
+    full = any(((m | guard) - h) & guard == guard for m in terms)
+    assert groebner._has_multiple(e, h, guard) == full
+    # h is drawn among the terms too, so that a divisible term comes up
+    for t in terms:
+        assert groebner._has_multiple(e, t, guard)
 
 
 # -- one packing per order ------------------------------------------------------------

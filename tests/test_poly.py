@@ -1,9 +1,10 @@
 import re
 import sys
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from omegarb.catalog import evaluate_rational_expression
@@ -270,6 +271,76 @@ def test_float_coefficients_are_rejected():
         Polynomial.variable(T, "x").scale(0.5)
     with pytest.raises(TypeError):
         Polynomial.variable(T, "x").evaluate({"x": 0.5})
+
+
+@pytest.mark.parametrize("other", [0.5, "a"])
+@pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+def test_arithmetic_with_another_operand_type_raises_type_error(op, other):
+    # the operation returns NotImplemented, so Python raises TypeError (the
+    # operand was read as a polynomial, and raised AttributeError)
+    x = Polynomial.variable(T3, "x")
+    with pytest.raises(TypeError):
+        op(x, other)
+    with pytest.raises(TypeError):
+        op(other, x)
+
+
+# ints and Fractions, with integral Fractions among the drawn values
+SCALARS = st.one_of(st.integers(-3, 3), coeffs, st.integers(-3, 3).map(lambda k: Fraction(2 * k, 2)))
+
+
+@st.composite
+def merging_pairs(draw):
+    """(f, g) over T3 where g takes some of f's monomials with a value that
+    cancels f's term in f + g or in f - g, or makes that sum or difference
+    integral, and others with any value."""
+    f = Polynomial(T3, draw(st.dictionaries(monos, SCALARS, max_size=5)))
+    g = dict(draw(st.dictionaries(monos, SCALARS, max_size=3)))
+    for m, c in f.terms.items():
+        k = draw(st.integers(-2, 2))
+        g[m] = draw(st.sampled_from([-c, c, k - c, c - k, c + Fraction(1, 2)]))
+    return f, Polynomial(T3, g)
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None)
+@given(merging_pairs(), SCALARS)
+def test_arithmetic_keeps_the_stored_form(fg, q):
+    f, g = fg
+    F, G = as_fractions(f), as_fractions(g)
+    total, difference, product = dict(F), dict(F), {}
+    for m, c in G.items():
+        total[m] = total.get(m, Fraction(0)) + c
+        difference[m] = difference.get(m, Fraction(0)) - c
+    for m, c in F.items():
+        for n, d in G.items():
+            k = mono_mul(m, n)
+            product[k] = product.get(k, Fraction(0)) + c * d
+    constant = (0, 0, 0)
+    plus_q, minus_q = dict(F), {m: -c for m, c in F.items()}
+    plus_q[constant] = plus_q.get(constant, Fraction(0)) + q
+    minus_q[constant] = minus_q.get(constant, Fraction(0)) + q
+    for result, want in (
+        (f + g, total),
+        (f - g, difference),
+        (-f, {m: -c for m, c in F.items()}),
+        (f * g, product),
+        (f + q, plus_q),
+        (q + f, plus_q),
+        (f - q, {m: -c for m, c in minus_q.items()}),
+        (q - f, minus_q),
+        (f * q, {m: c * q for m, c in F.items()}),
+        (q * f, {m: c * q for m, c in F.items()}),
+    ):
+        # the validating constructor's result, and no zero stored
+        assert result.terms == Polynomial(T3, want).terms
+        assert all(result.terms.values())
+        assert_canonical(result)
+    mixed = Polynomial.variable(T2, "x")
+    for op in (add, sub, mul):
+        for a, b in ((f, mixed), (mixed, f)):
+            with pytest.raises(DimensionMismatchError):
+                op(a, b)
 
 
 @settings(max_examples=60, deadline=None)
