@@ -276,8 +276,7 @@ def test_float_coefficients_are_rejected():
 @pytest.mark.parametrize("other", [0.5, "a"])
 @pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
 def test_arithmetic_with_another_operand_type_raises_type_error(op, other):
-    # the operation returns NotImplemented, so Python raises TypeError (the
-    # operand was read as a polynomial, and raised AttributeError)
+    # the operation returns NotImplemented, so Python raises TypeError
     x = Polynomial.variable(T3, "x")
     with pytest.raises(TypeError):
         op(x, other)
