@@ -33,11 +33,14 @@ integer data handed to ``OmegaAlgebra.from_integral`` is reduced in one,
 :func:`operator_identities` takes the operator's scale, so that the weight
 term is w d and the isometry defect subtracts d^2 (D omega_ij).
 :func:`evaluate_operator` reads that pass over the ints of (L, R): it lifts
-d to clear the weight too, tests integer values for zero
-or equality, never divides, and returns the flags (all that
-:func:`classify_map` reports) together with the deformed bracket and the
-image form at their integer scales, so that every construction (see
-``constructions``) takes its check and its tables from one evaluation.
+d to clear the weight too, tests integer values for zero or equality,
+never divides, and returns the flags (all that :func:`classify_map`
+reports) together with the deformed bracket and the image form at their
+integer scales.  :func:`kept_evaluation` is its one reader for
+classification and the constructions (see ``constructions``): L keeps the
+last evaluation made for it, with its operator and weight, outside its
+fields, so classifying R and then building from it on the same L takes the
+checks and the tables from one pass.
 :func:`validate_algebra` takes the Jacobi defect with the form at scale
 D^2, and divides each residual it reports back: the skew residuals by D,
 the Jacobi residuals by D^2.  ``OperatorMatrix.then`` composes two
@@ -633,13 +636,11 @@ def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorE
     scale D d^2; invertibility is a pivot in every column of d R.  A weight
     that is not an int or a Fraction, a float among them, raises TypeError.
     """
-    if not isinstance(weight, (int, Fraction)):
-        raise TypeError(f"weight {weight!r} is not an int or a Fraction; use exact rationals")
+    w = _exact_weight(weight)
     A = L.integral  # (D, D c, D omega)
     n = len(A.c)
     if R.dim != n:
         raise ValueError("operator and algebra dimensions differ")
-    w = Fraction(weight)
     d, rows = R.d, R.rows  # rows[i] = d R(e_i)
     if d % w.denominator:
         lift = lcm(d, w.denominator) // d
@@ -678,9 +679,37 @@ def evaluate_operator(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorE
     )
 
 
+def _exact_weight(weight) -> Fraction:
+    """The weight as a Fraction: any type but an int or a Fraction, a float
+    among them, raises TypeError."""
+    if not isinstance(weight, (int, Fraction)):
+        raise TypeError(f"weight {weight!r} is not an int or a Fraction; use exact rationals")
+    return Fraction(weight)
+
+
+def kept_evaluation(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> OperatorEvaluation:
+    """The evaluation of (L, R) at weight w that classification and the
+    constructions share.  L keeps the last one made for it, with its
+    operator and weight, in an attribute that is not a field, so it is
+    outside L's equality, hash and repr and goes when L goes; a call with
+    an operator equal to that one (by value) and an equal weight reads it,
+    any other evaluates and replaces it.  The weight's type is checked
+    before the lookup, so a float raises TypeError even where it equals the
+    kept weight.  The evaluation's tables are tuples, so a reader cannot
+    change what the next one reads."""
+    w = _exact_weight(weight)
+    kept = getattr(L, "_kept_evaluation", None)
+    if kept is not None and kept[1] == w and kept[0] == R:
+        return kept[2]
+    ev = evaluate_operator(L, R, w)
+    object.__setattr__(L, "_kept_evaluation", (R, w, ev))
+    return ev
+
+
 def classify_map(L: OmegaAlgebra, R: OperatorMatrix, weight=0) -> MapClassification:
-    """The flags of :func:`evaluate_operator`."""
-    return evaluate_operator(L, R, weight).flags
+    """The flags of the evaluation of (L, R) at the weight, read through
+    :func:`kept_evaluation`."""
+    return kept_evaluation(L, R, weight).flags
 
 
 def inverse_correspondence(L: OmegaAlgebra, R: OperatorMatrix) -> OperatorMatrix:

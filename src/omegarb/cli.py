@@ -539,11 +539,17 @@ def _operator_for(L, args) -> OperatorMatrix:
     return R
 
 
+# the most deformation steps `construct deform` runs: each step keeps its
+# algebra, and a nilpotent R deforms by the zero operator from some power
+# on, which never halts the iteration, so the count alone bounds the memory
+MAX_STEPS = 64
+
+
 def cmd_construct(args) -> int:
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise UsageError(f"--steps must be between 1 and {MAX_STEPS}, got {args.steps}")
     L, a = _algebra_arg(args)
     R = _operator_for(L, args)
-    if args.steps < 1:
-        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     provenance = [
         f"constructed: {args.kind} from {args.algebra}"
         + (f" (alpha = {a})" if a is not None else ""),

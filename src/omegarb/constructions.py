@@ -3,20 +3,21 @@ deformed omega-Lie algebras, Hom-Lie algebras, and module twists.
 
 Every construction starts from one pair (L, R) and reads one
 ``algebras.evaluate_operator`` pass over it, the code that also classifies
-operators and generates the operator varieties.  The weight-0
-constructions (the left-symmetric product, the deformation and its
-iterates, the Hom-Lie algebra) share that pass through `_evaluation`: L
-keeps the last evaluation made for it, with its operator, outside its
-fields, and a second construction on L with an equal R reads it.  Nothing
-is kept at module level, and nothing outlives L.  ``classify_map`` and the
-weight-1 `module_twist` evaluate on their own.  The pass decides the
-hypotheses: a failed one raises :class:`PreconditionError` naming it, since
-a silently misused construction produces tables that violate the claimed
-identities.  The same pass gives the tables to build from, over ints: an
-algebra or operator is cleared once, when it is built, so with the algebra
-stored at scale D and the operator at scale d, the pass gives the rows
-d R, the bracket [x,y]_R at scale D d and the form omega(R(x),R(y)) at
-scale D d^2.  `iterate_deform` reads one evaluation of (L_{i-1}, R^i) per
+operators and generates the operator varieties.  Every construction reads
+that pass through ``algebras.kept_evaluation``, as ``classify_map`` does:
+L keeps the last evaluation made for it, with its operator and weight,
+outside its fields, so the weight-0 constructions (the left-symmetric
+product, the deformation and its iterates, the Hom-Lie algebra) on L with
+an equal R read the one that classifying R at weight 0, or an earlier
+construction, made; the weight-1 `module_twist` reads the same way.
+Nothing is kept at module level, and nothing outlives L.  The pass decides
+the hypotheses: a failed one raises :class:`PreconditionError` naming it,
+since a silently misused construction produces tables that violate the
+claimed identities.  The same pass gives the tables to build from, over
+ints: an algebra or operator is cleared once, when it is built, so with
+the algebra stored at scale D and the operator at scale d, the pass gives
+the rows d R, the bracket [x,y]_R at scale D d and the form
+omega(R(x),R(y)) at scale D d^2.  `iterate_deform` reads one evaluation of (L_{i-1}, R^i) per
 step, which both decides the step and feeds the private `_deform`;
 `omega_deform` is its first step.
 
@@ -45,12 +46,11 @@ from typing import Optional, Sequence
 from .algebras import (
     IntegralAlgebra,
     OmegaAlgebra,
-    OperatorEvaluation,
     OperatorMatrix,
     Subspace,
     apply_operator,
-    evaluate_operator,
     jacobi_defect,
+    kept_evaluation,
     structure_product,
     validate_algebra,
 )
@@ -86,21 +86,6 @@ class IterationHalted(RuntimeError):
             f"iteration halted at step {step}: R^{step} is not a compatible"
             f" weight-0 Rota-Baxter operator on the previous algebra"
         )
-
-
-def _evaluation(L: OmegaAlgebra, R: OperatorMatrix) -> OperatorEvaluation:
-    """The weight-0 evaluation of (L, R) that the constructions share.  L
-    keeps the last one made for it, with its operator, in an attribute that
-    is not a field, so it is outside L's equality, hash and repr; a call
-    with an operator equal to that one (by value) reads it, any other
-    evaluates and replaces it.  The evaluation's tables are tuples, so a
-    reader cannot change what the next one reads."""
-    kept = getattr(L, "_kept_evaluation", None)
-    if kept is not None and kept[0] == R:
-        return kept[1]
-    ev = evaluate_operator(L, R)
-    object.__setattr__(L, "_kept_evaluation", (R, ev))
-    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +148,7 @@ def left_symmetric_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> LeftSymmetricA
     operator times the stored omega is zero.  The table [R e_i, e_j] is
     stored at scale D d, reduced, and checked by :func:`is_left_symmetric`."""
     A = L.integral
-    ev = _evaluation(L, R)
+    ev = kept_evaluation(L, R)
     if not ev.flags.is_rb:
         raise PreconditionError("R is a Rota-Baxter operator of weight 0")
     for i, r in enumerate(ev.rows):  # row i is d R(e_i)
@@ -207,11 +192,13 @@ def _deform(basis_names, ev) -> OmegaAlgebra:
 def iterate_deform(L: OmegaAlgebra, R: OperatorMatrix, steps: int) -> list[OmegaAlgebra]:
     """Iterated deformation: L_0 = L and L_i deforms L_{i-1} by R^i.
 
-    Each step reads the evaluation of (L_{i-1}, R^i) that the constructions
-    share (`_evaluation`), so step 1 reads the one an earlier construction
-    on L with an equal R made, when there is one.  The evaluation decides
-    whether R^i is a compatible weight-0 Rota-Baxter operator on L_{i-1},
-    and its bracket and form build L_i, which is validated.  A failure at
+    Each step reads the kept evaluation of (L_{i-1}, R^i)
+    (``algebras.kept_evaluation``), so step 1 reads the one that
+    classification or an earlier construction on L with an equal R made,
+    when there is one, and every later step evaluates on the fresh
+    L_{i-1}.  The evaluation decides whether R^i is a compatible weight-0
+    Rota-Baxter operator on L_{i-1}, and its bracket and form build L_i,
+    which is validated.  A failure at
     step 1 (R on L) raises :class:`PreconditionError`; a later one halts the
     iteration with :class:`IterationHalted`, carrying the offending step
     and the algebras built so far.  R^i is R^{i-1} then R, one integer
@@ -223,7 +210,7 @@ def iterate_deform(L: OmegaAlgebra, R: OperatorMatrix, steps: int) -> list[Omega
     for i in range(1, steps + 1):
         if i > 1:
             power = power.then(R)
-        ev = _evaluation(produced[-1], power)
+        ev = kept_evaluation(produced[-1], power)
         if not (ev.flags.is_rb and ev.flags.is_compatible):
             if i == 1:
                 raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
@@ -276,7 +263,7 @@ def homlie_from_rb(L: OmegaAlgebra, R: OperatorMatrix) -> HomLieAlgebra:
     weight-0 Rota-Baxter operator with R^2 = 0.  The hypotheses are checked;
     the bracket is stored at scale D d, reduced, and checked by
     :func:`hom_jacobi_holds`."""
-    ev = _evaluation(L, R)
+    ev = kept_evaluation(L, R)
     if not (ev.flags.is_rb and ev.flags.is_compatible):
         raise PreconditionError("R is a compatible Rota-Baxter operator of weight 0")
     if not ev.flags.is_square_zero:
@@ -446,12 +433,13 @@ def module_twist(
 
     Requires R isometric Rota-Baxter of weight 1 and R([R(L), L]) contained
     in the annihilator of V, checked pair by pair as R([R(e_i), e_j])
-    acting by the zero matrix.  Both come from one evaluation of (L, R):
+    acting by the zero matrix.  Both come from the kept weight-1
+    evaluation of (L, R) (``algebras.kept_evaluation``):
     from its rows d R, [R(e_i), e_j] at scale D d and R of it at scale
     D d^2, and the action of R(e_i) as that of d R(e_i) divided by d.  The
     twisted action is validated before being returned.
     """
-    ev = evaluate_operator(L, R, 1)
+    ev = kept_evaluation(L, R, 1)
     if not (ev.flags.is_rb and ev.flags.is_isometric):
         raise PreconditionError("R is an isometric Rota-Baxter operator of weight 1")
     for i, products in enumerate(_image_products(L.integral.c, ev.rows)):

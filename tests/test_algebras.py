@@ -21,6 +21,7 @@ from omegarb.algebras import (
     classify_map,
     evaluate_operator,
     inverse_correspondence,
+    kept_evaluation,
     kernel_omega,
     validate_algebra,
 )
@@ -145,6 +146,24 @@ def test_float_weights_are_rejected(L1):
             evaluate_operator(L1, R, weight)
         with pytest.raises(TypeError):
             classify_map(L1, R, weight)
+
+
+def test_classification_reads_only_a_kept_evaluation_of_its_weight(catalog):
+    """-id is Rota-Baxter of weight 1, not of weight 0, on L1: classifying
+    it at weight 1 after weight 0 gives the weight-1 flags, and a float
+    weight equal to the kept one still raises."""
+    L = catalog["L1"].instantiate()
+    R = OperatorMatrix.identity(3).scale(-1)
+    at_zero = classify_map(L, R, 0)
+    at_one = classify_map(L, R, 1)
+    assert not at_zero.is_rb and at_one.is_rb and at_one.weight == 1
+    assert at_one == evaluate_operator(L, R, 1).flags
+    assert classify_map(L, R, 0) == at_zero  # L keeps the weight-0 evaluation
+    with pytest.raises(TypeError):
+        classify_map(L, R, 0.0)
+    with pytest.raises(TypeError):
+        kept_evaluation(L, R, 0.0)
+    assert classify_map(L, R, Fraction(0)) == at_zero
 
 
 # -- the one evaluation against a Fraction reference ---------------------------------

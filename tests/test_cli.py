@@ -598,6 +598,40 @@ def test_construct_deform_steps_below_one_is_usage_error(tmp_path, capsys, steps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("steps", [10**20, "bound + 1"])
+def test_construct_deform_steps_above_the_bound_is_usage_error(tmp_path, capsys, monkeypatch, steps):
+    """A step count above `MAX_STEPS` exits 2 naming the bound, before the
+    operator file is read or any step starts."""
+    from omegarb import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli, "iterate_deform", never)
+    monkeypatch.setattr(cli, "parse_operator_file", never)
+    steps = cli.MAX_STEPS + 1 if steps == "bound + 1" else steps
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['0','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    code, out, err = run(
+        capsys, "construct", "deform", "L1", "--op", str(op), "--steps", str(steps), "--json"
+    )
+    assert code == 2 and out == ""
+    assert "--steps" in err and str(cli.MAX_STEPS) in err and str(steps) in err
+    assert "Traceback" not in err
+
+
+def test_construct_deform_runs_up_to_the_bound(tmp_path, capsys):
+    from omegarb.cli import MAX_STEPS
+
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['0','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    code, out, _ = run(
+        capsys, "construct", "deform", "L1", "--op", str(op), "--steps", str(MAX_STEPS), "--json"
+    )
+    assert code == 0
+    assert len(json.loads(out)["algebras"]) == MAX_STEPS
+
+
 ONE_STEP_DEFORM_JSON = """{
   "algebra": "L1",
   "algebras": [

@@ -6,13 +6,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omegarb.algebras import (
     OmegaAlgebra,
     OperatorMatrix,
     Subspace,
     classify_map,
+    evaluate_operator,
     inverse_correspondence,
+    kept_evaluation,
     validate_algebra,
 )
 from omegarb.constructions import (
@@ -186,17 +190,19 @@ def _assert_iteration_matches_chain(L, R, steps):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The arguments of every `evaluate_operator` call the constructions make."""
-    import omegarb.constructions as constructions
+    """The (algebra, operator) of every `evaluate_operator` call that
+    `algebras.kept_evaluation`, the one reader classification and the
+    constructions go through, makes."""
+    import omegarb.algebras as algebras
 
     calls = []
-    evaluate = constructions.evaluate_operator
+    evaluate = algebras.evaluate_operator
 
-    def counting(*args):
-        calls.append(args)
-        return evaluate(*args)
+    def counting(L, R, weight=0):
+        calls.append((L, R))
+        return evaluate(L, R, weight)
 
-    monkeypatch.setattr(constructions, "evaluate_operator", counting)
+    monkeypatch.setattr(algebras, "evaluate_operator", counting)
     return calls
 
 
@@ -245,7 +251,8 @@ def test_each_construction_evaluates_the_pair_once(catalog, pair_passes):
 def test_constructions_share_the_evaluation_of_an_equal_pair(catalog, evaluations, pair_passes):
     """A second construction on the same L with an equal R reads the kept
     evaluation: no pair pass.  A new, equal L or a different R evaluates
-    afresh, and `classify_map` evaluates on every call."""
+    afresh, and `classify_map` reads the kept evaluation as the
+    constructions do."""
     R = OperatorMatrix([[0, 0, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
     L = catalog["L1"].instantiate()
     omega_deform(L, R)
@@ -270,10 +277,40 @@ def test_constructions_share_the_evaluation_of_an_equal_pair(catalog, evaluation
         evaluations.clear()
         homlie_from_rb(M, S)
         assert evaluations == [(M, S)] and evaluations[0][0] is M
+    M = catalog["L1"].instantiate()
     pair_passes.clear()
-    classify_map(L, R)
-    classify_map(L, R)
-    assert len(pair_passes) == 2  # two evaluations, one pass each
+    classify_map(M, R)
+    classify_map(M, R)
+    homlie_from_rb(M, R)
+    assert len(pair_passes) == 1  # the first classification evaluates; the rest read it
+
+
+def test_the_constructions_chain_makes_two_passes_per_operator(catalog, pair_passes):
+    """One operator through the chain the constructions benchmark runs:
+    `classify_map`, `left_symmetric_from_rb`, `iterate_deform` (2 steps)
+    and `homlie_from_rb` on one fresh L.  The classification's evaluation
+    serves the left-symmetric product, step 1 and the Hom-Lie algebra, so
+    the chain makes one pass for (L, R) and one for R^2 on L_1; an
+    operator rejected at step 1 makes no second."""
+    accepted = OperatorMatrix([[0, 0, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
+    rejected = OperatorMatrix([[1, 1, 0], [0, 0, 0], [0, 0, 0]])  # RB, not compatible
+    for R, want in ((accepted, 2), (rejected, 1)):
+        L = catalog["L1"].instantiate()
+        pair_passes.clear()
+        assert classify_map(L, R, 0).is_rb
+        outcome = []
+        for build in (
+            lambda: left_symmetric_from_rb(L, R),
+            lambda: iterate_deform(L, R, 2),
+            lambda: homlie_from_rb(L, R),
+        ):
+            try:
+                build()
+                outcome.append("accepted")
+            except PreconditionError:
+                outcome.append("rejected")
+        assert outcome == (["accepted"] * 3 if R is accepted else ["rejected"] * 3)
+        assert len(pair_passes) == want
 
 
 def test_the_integer_passes_read_no_fraction_view(L1, monkeypatch, evaluations):
@@ -316,7 +353,7 @@ def test_the_integer_passes_read_no_fraction_view(L1, monkeypatch, evaluations):
     assert module_twist(L1, zero_module, minus_id).module_dim == 0
     with pytest.raises(PreconditionError, match="annihilator"):
         module_twist(L1, V, minus_id)
-    assert len(evaluations) == 2  # one per twist
+    assert len(evaluations) == 1  # the second twist reads the first's evaluation
     generate_system.cache_clear()
     try:
         for profile in PROFILES.values():
@@ -789,6 +826,74 @@ def test_sharing_the_evaluation_never_changes_an_answer(catalog):
         assert type(ev.bracket) is type(ev.form) is tuple
         assert all(type(row) is tuple for row in ev.bracket + ev.form)
     assert kinds == {"LeftSymmetricAlgebra", "list", "str", "rejected", "halted"}
+
+
+# the operators on L1 the kept-evaluation test draws from: equal copies, so
+# a lookup must match by value, the zero operator (Rota-Baxter at every
+# weight), compatible weight-0 operators, one that is not compatible, and
+# -id, an isometric Rota-Baxter operator of weight 1 only
+_LSA_ROWS = [[0, 0, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
+MEMO_OPERATORS = (
+    OperatorMatrix(_LSA_ROWS),
+    OperatorMatrix(_LSA_ROWS),
+    OperatorMatrix.zero(3),
+    OperatorMatrix.zero(3),
+    OperatorMatrix([[-1, 1, 1], [-1, 1, 1], [0, 0, 0]]),
+    OperatorMatrix([[1, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    OperatorMatrix.identity(3).scale(-1),
+)
+MEMO_WEIGHTS = (0, Fraction(0), 1, Fraction(-1, 2))
+MEMO_BUILDS = {
+    "lsa": left_symmetric_from_rb,
+    "deform": lambda L, R: iterate_deform(L, R, 2),
+    "homlie": homlie_from_rb,
+    "twist": lambda L, R: module_twist(L, ModuleAction.from_matrices(3, [[], [], []]), R),
+}
+MEMO_CALLS = ("classify", "kept", *MEMO_BUILDS)
+
+
+def _outcome(build):
+    """What a construction returns, or how it refuses."""
+    try:
+        return build()
+    except PreconditionError as exc:
+        return ("rejected", exc.hypothesis)
+    except IterationHalted as exc:
+        return ("halted", exc.step, exc.produced)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(MEMO_CALLS),
+            st.integers(0, len(MEMO_OPERATORS) - 1),
+            st.sampled_from(MEMO_WEIGHTS),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+@example([("classify", 0, 1), ("lsa", 1, 0), ("classify", 1, 0)])
+@example([("twist", 6, 0), ("classify", 6, 0), ("kept", 6, 1), ("homlie", 6, 0)])
+@example([("kept", 2, Fraction(0)), ("classify", 3, 0), ("deform", 2, 0), ("kept", 3, 1)])
+def test_the_kept_evaluation_answers_as_a_fresh_one(catalog, calls):
+    """Random sequences of classifications, kept-evaluation reads and
+    constructions on one algebra, which keeps an evaluation from call to
+    call: every classification and read equals a fresh `evaluate_operator`
+    of (L, R, w), flags and tables, and every construction answers as on a
+    fresh algebra, which has no evaluation kept."""
+    L = catalog["L1"].instantiate()
+    for call, k, w in calls:
+        R = MEMO_OPERATORS[k]
+        if call == "classify":
+            assert classify_map(L, R, w) == evaluate_operator(L, R, w).flags
+        elif call == "kept":
+            assert kept_evaluation(L, R, w) == evaluate_operator(L, R, w)
+        else:
+            build = MEMO_BUILDS[call]
+            fresh = catalog["L1"].instantiate()
+            assert _outcome(lambda: build(L, R)) == _outcome(lambda: build(fresh, R))
 
 
 def _image_products_reference(L, R):

@@ -142,15 +142,15 @@ def test_the_constructions_neither_clear_nor_divide_a_table():
     assert {name: name_references(path, name) for name in names} == dict.fromkeys(names, 0)
 
 
-# the weight-0 constructions share one evaluation per (algebra, operator):
-# the algebra keeps the last one in an attribute that only `constructions`
-# reads or writes, so `algebras` keeps no evaluation state and
-# `classify_map` evaluates on every call.  getattr and setattr name the
-# attribute by a string, so string constants count as references too
+# classification and the constructions share one evaluation per
+# (algebra, operator, weight): the algebra keeps the last one in an
+# attribute that only `algebras.kept_evaluation` reads or writes, so no
+# construction keeps evaluation state of its own.  getattr and setattr name
+# the attribute by a string, so string constants count as references too
 KEPT_EVALUATION = "_kept_evaluation"
 
 
-def test_only_the_constructions_keep_an_evaluation_on_the_algebra():
+def test_only_algebras_keeps_an_evaluation_on_the_algebra():
     def references(path: Path) -> int:
         tree = ast.parse(path.read_text("utf-8"))
         strings = sum(
@@ -160,7 +160,9 @@ def test_only_the_constructions_keep_an_evaluation_on_the_algebra():
         return name_references(path, KEPT_EVALUATION) + strings
 
     readers = {p.name for p in PACKAGE.glob("*.py") if references(p)}
-    assert readers == {"constructions.py"}
+    assert readers == {"algebras.py"}
+    uses = enclosing_uses(PACKAGE / "algebras.py", KEPT_EVALUATION)
+    assert set(uses) == {"algebras.kept_evaluation"}
 
 
 # the benchmark's tracer patches these names by attribute lookup, so a
