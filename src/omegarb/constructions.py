@@ -33,14 +33,18 @@ the twisted Jacobi identity, or for L_R the defining identity.  The same
 integer data decide "image(R) inside ker(omega)" (the stored rows of R
 times the stored omega vanish), the series of `homlie_structure` (ranks of
 fraction-free echelon forms), the annihilator hypothesis of `module_twist`
-(R([R(x),y]) at scale D d^2) and the module identity (at scale D).
+(R([R(x),y]) at scale D d^2) and the module identity (at scale D).  The
+two series share their first term [g, g], the echelon form of the stored
+bracket rows c[i][j] for i < j, and a derived step brackets each unordered
+pair of its term once: the bracket is skew, which a `HomLieAlgebra` checks
+when it is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from typing import Optional, Sequence
 
 from .algebras import (
@@ -230,12 +234,22 @@ class HomLieAlgebra:
 
     The bracket is stored cleared of denominators as ``integral`` = (D, D c,
     ()) at content 1; ``c`` is the Fraction view of it, rebuilt on each
-    access."""
+    access.  The bracket is skew, c[j][i] = -c[i][j] and c[i][i] = 0: that
+    is checked when the algebra is made, and a table that breaks it raises
+    ``ValueError``, since `homlie_structure` brackets unordered pairs."""
 
     dim: int
     basis_names: tuple[str, ...]
     integral: IntegralAlgebra
     twist: OperatorMatrix
+
+    def __post_init__(self):
+        c = self.integral.c
+        for i, j in combinations_with_replacement(range(len(c)), 2):
+            if any(x + y for x, y in zip(c[i][j], c[j][i])):
+                raise ValueError(
+                    f"the bracket is not skew at [{self.basis_names[i]}, {self.basis_names[j]}]"
+                )
 
     @property
     def c(self) -> tuple[tuple[Vector, ...], ...]:
@@ -303,17 +317,20 @@ class SeriesReport:
         return "non-solvable"
 
 
-def _series_dims(c, full, lower: bool) -> tuple[int, ...]:
-    """Dims of U_0 = full and U_{k+1} = [U_k, U_k] (derived) or [U_k, full]
-    (lower central), up to the first term that vanishes or stops shrinking.
-    Each U_k is held as the integer echelon rows of its spanning brackets."""
-    U, dims = full, [len(full)]
-    while U:
-        W = full if lower else U
-        U = fraction_free_rref([structure_product(c, u, w, 0) for u in U for w in W])[0]
-        if len(U) == dims[-1]:
-            break
+def _series_dims(c, first, lower: bool) -> tuple[int, ...]:
+    """Dims of U_0 = the full space, U_1 = ``first`` = [g, g], and U_{k+1} =
+    [U_k, U_k] (derived) or [U_k, g] (lower central), up to the first term
+    that vanishes or stops shrinking.  Each U_k is held as the integer
+    echelon rows of its spanning brackets; the bracket is skew, so a derived
+    step brackets each unordered pair of U_k once."""
+    full = identity(len(c))
+    U, dims = first, [len(c)]
+    while len(U) < dims[-1]:
         dims.append(len(U))
+        if not U:
+            break
+        pairs = product(U, full) if lower else combinations(U, 2)
+        U = fraction_free_rref([structure_product(c, u, w, 0) for u, w in pairs])[0]
     return tuple(dims)
 
 
@@ -322,11 +339,12 @@ def homlie_structure(g: HomLieAlgebra) -> SeriesReport:
     whose term vanishes (2 means [g,g] != 0 but the next term is zero).  The
     brackets are taken over the stored integer table, which spans the same
     terms, and each term's dim is the rank of its fraction-free echelon
-    form."""
+    form.  Both series share their first term [g, g], the echelon form of
+    the stored rows [e_i, e_j] = c[i][j] for i < j."""
     c = g.integral.c
-    full = identity(g.dim)
-    derived_dims = _series_dims(c, full, lower=False)
-    lower_dims = _series_dims(c, full, lower=True)
+    first = fraction_free_rref([c[i][j] for i, j in combinations(range(g.dim), 2)])[0]
+    derived_dims = _series_dims(c, first, lower=False)
+    lower_dims = _series_dims(c, first, lower=True)
     solvable = derived_dims[-1] == 0
     nilpotent = lower_dims[-1] == 0
     abelian = len(lower_dims) >= 2 and lower_dims[1] == 0 if g.dim else True

@@ -777,7 +777,8 @@ def evaluate_expression(
                 else:
                     pending.append(("neg", at))
             elif not (start and kind == "op" and val == "+"):
-                raise fail(f"expected a term, found {val!r}", at)
+                found = "the end of the text" if kind is None else repr(val)
+                raise fail(f"expected a term, found {found}", at)
             start = False
             continue
         if powerable and kind == "op" and val == "^":

@@ -249,7 +249,7 @@ def test_expression_errors_name_their_position():
         ("q + a", "unknown name 'q' at position 0"),
         ("a^-1", "exponent must be a nonnegative integer at position 2"),
         ("2^2^2", "unexpected token '\\^' at position 3"),
-        ("a*", "expected a term, found None at position 2"),
+        ("a*", "expected a term, found the end of the text at position 2"),
         ("(a", "expected '\\)' at position 2"),
     ]:
         with pytest.raises(PolyParseError, match=message):

@@ -356,6 +356,17 @@ def test_classify_zero_denominator_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_classify_entry_that_ends_too_early_is_usage_error(tmp_path, capsys):
+    op = tmp_path / "op.yaml"
+    for entry in ("1*", ""):
+        op.write_text(f"rows:\n  - ['{entry}','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+        code, out, err = run(capsys, "classify", "L1", "--op", str(op))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"found the end of the text at position {len(entry)}" in err
+        assert "None" not in err
+
+
 def test_classify_deeply_nested_entry_is_usage_error(tmp_path, capsys):
     deep = "(" * 3000 + "1" + ")" * 3000
     op = tmp_path / "op.yaml"

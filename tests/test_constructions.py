@@ -3,13 +3,17 @@ deformations, Hom-Lie algebras, series analysis, and module twists."""
 
 import math
 import random
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from omegarb import constructions
 from omegarb.algebras import (
+    IntegralAlgebra,
     OmegaAlgebra,
     OperatorMatrix,
     Subspace,
@@ -562,6 +566,93 @@ def test_series_match_the_subspace_reference_on_table3_points(L1_2, L1_8):
                 assert (rep.derived_dims, rep.lower_central_dims) == _series_reference(g)
                 categories.add(rep.category)
     assert {"nilpotent", "solvable"} <= categories
+
+
+_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+
+
+@st.composite
+def skew_homlie_algebras(draw):
+    """A `HomLieAlgebra` of dimension 1 to 5 on a skew integer bracket:
+    the zero table, a rank-1 table (every [e_i, e_j] a multiple of one
+    vector), a nilpotent one ([e_i, e_j] in the span of the e_k, k > j,
+    for i < j) or any skew table, at a drawn scale and with any twist."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("zero", "rank-1", "nilpotent", "any")))
+    vector = st.lists(_ENTRIES, min_size=n, max_size=n)
+    v = draw(vector)
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        if kind == "zero":
+            row = [0] * n
+        elif kind == "rank-1":
+            row = [draw(_ENTRIES) * x for x in v]
+        elif kind == "nilpotent":
+            row = [draw(_ENTRIES) if k > j else 0 for k in range(n)]
+        else:
+            row = draw(vector)
+        c[i][j], c[j][i] = row, [-x for x in row]
+    table = tuple(tuple(map(tuple, layer)) for layer in c)
+    twist = OperatorMatrix(draw(st.lists(vector, min_size=n, max_size=n)))
+    scale = draw(st.integers(1, 6))
+    names = tuple(f"e{i}" for i in range(n))
+    return HomLieAlgebra(n, names, IntegralAlgebra(scale, table, ()).reduced(), twist)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(skew_homlie_algebras())
+def test_series_match_the_subspace_reference_on_random_skew_brackets(g):
+    """The shared first term from the stored rows and the derived steps over
+    unordered pairs give the dims of the `Subspace` reference, which
+    brackets every ordered pair of the rational bracket."""
+    rep = homlie_structure(g)
+    assert (rep.derived_dims, rep.lower_central_dims) == _series_reference(g)
+
+
+def test_a_hom_lie_algebra_needs_a_skew_bracket():
+    zero, z = (0, 0, 0), (0, 0, 1)
+    twist = OperatorMatrix.zero(3)
+    symmetric = ((zero, z, zero), (z, zero, zero), (zero, zero, zero))
+    nonzero_square = ((zero, zero, zero), (zero, zero, zero), (zero, zero, z))
+    for c, pair in ((symmetric, "[x, y]"), (nonzero_square, "[z, z]")):
+        with pytest.raises(ValueError, match=re.escape(f"not skew at {pair}")):
+            HomLieAlgebra(3, ("x", "y", "z"), IntegralAlgebra(1, c, ()), twist)
+    skew = ((zero, z, zero), (tuple(-x for x in z), zero, zero), (zero, zero, zero))
+    g = HomLieAlgebra(3, ("x", "y", "z"), IntegralAlgebra(1, skew, ()), twist)
+    assert homlie_structure(g).category == "nilpotent"
+
+
+def test_the_series_take_their_first_term_from_the_stored_rows(L1_8, monkeypatch):
+    """[g, g] is the echelon form of the rows c[i][j], shared by both series,
+    and a derived step brackets unordered pairs: on these L1_8 operators the
+    series make 4 and 9 bracket products and 3 eliminations (37 and 44
+    products and 4 eliminations when each series brackets every ordered
+    pair of the full space and of each term)."""
+    calls = {"products": 0, "eliminations": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        constructions, "structure_product", counted("products", constructions.structure_product)
+    )
+    monkeypatch.setattr(
+        constructions,
+        "fraction_free_rref",
+        counted("eliminations", constructions.fraction_free_rref),
+    )
+    T1 = OperatorMatrix([[1, -1, 0, 0], [1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 0, 0]])
+    T3 = OperatorMatrix([[0, 0, 0, 2], [1, 0, 1, 3], [0, 0, 0, -2], [0, 0, 0, 0]])
+    for T, products, dims in ((T1, 4, ((4, 1, 0), (4, 1, 0))), (T3, 9, ((4, 2, 0), (4, 2)))):
+        g = homlie_from_rb(L1_8, T)
+        calls.update(products=0, eliminations=0)
+        rep = homlie_structure(g)
+        assert calls == {"products": products, "eliminations": 3}
+        assert (rep.derived_dims, rep.lower_central_dims) == dims
 
 
 # -- modules -----------------------------------------------------------------------------

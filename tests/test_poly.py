@@ -459,6 +459,20 @@ def test_error_position_is_the_token_start(text, message, read):
         read(text)
 
 
+@pytest.mark.parametrize("text, at", [("x + y +", 7), ("x*", 2), ("(x -", 4), ("", 0), ("   ", 3)])
+@pytest.mark.parametrize(
+    "read",
+    [lambda t: P(t), lambda t: evaluate_rational_expression(t, {"x": 1, "y": 2})],
+    ids=["polynomial", "operator-entry"],
+)
+def test_text_that_ends_too_early_names_the_end(text, at, read):
+    # the message names the end of the text, not the parser's end marker
+    message = f"expected a term, found the end of the text at position {at}"
+    with pytest.raises(PolyParseError, match=re.escape(message)) as info:
+        read(text)
+    assert "None" not in str(info.value)
+
+
 @pytest.mark.parametrize("text", ["x/y", "x / 2", "(x/y)", "2*x/3"])
 def test_division_rejected_in_polynomial_text(text):
     with pytest.raises(PolyParseError, match="position"):
