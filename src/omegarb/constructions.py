@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from operator import add
 from typing import Optional, Sequence
 
 from .algebras import (
@@ -246,7 +247,7 @@ class HomLieAlgebra:
     def __post_init__(self):
         c = self.integral.c
         for i, j in combinations_with_replacement(range(len(c)), 2):
-            if any(x + y for x, y in zip(c[i][j], c[j][i])):
+            if any(map(add, c[i][j], c[j][i])):
                 raise ValueError(
                     f"the bracket is not skew at [{self.basis_names[i]}, {self.basis_names[j]}]"
                 )
@@ -323,7 +324,7 @@ def _series_dims(c, first, lower: bool) -> tuple[int, ...]:
     that vanishes or stops shrinking.  Each U_k is held as the integer
     echelon rows of its spanning brackets; the bracket is skew, so a derived
     step brackets each unordered pair of U_k once."""
-    full = identity(len(c))
+    full = identity(len(c)) if lower else None
     U, dims = first, [len(c)]
     while len(U) < dims[-1]:
         dims.append(len(U))
