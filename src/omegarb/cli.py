@@ -115,7 +115,10 @@ def _parse_candidates_data(data, table: VariableTable, context: str):
         where = f"{context}: candidate #{i}"
         if not isinstance(raw, dict) or not isinstance(raw.get("generators"), list):
             raise CatalogError(f"{where} needs a 'generators' list")
-        gens = [parse_polynomial(str(s), table) for s in raw["generators"]]
+        try:
+            gens = [parse_polynomial(str(s), table) for s in raw["generators"]]
+        except PolyParseError as exc:
+            raise CatalogError(f"{where}: {exc}") from None
         cert = None
         if "certificate" in raw:
             inverted = raw["certificate"]
@@ -179,6 +182,11 @@ def _check_expectations(data, where: str) -> dict:
         if not _has_shape(row.get("algebra"), str):
             raise CatalogError(f"{at} needs an 'algebra' name")
         _check_fields(row, _ROW_FIELDS, at)
+        if row.get("alpha") is not None:
+            try:
+                parse_rational(str(row["alpha"]))
+            except PolyParseError as exc:
+                raise CatalogError(f"{at}: 'alpha': {exc}") from None
         known = row.get("known_discrepancies") or {}
         _check_fields(known, {k: _ROW_FIELDS[k] for k in _PUBLISHED}, at)
     return data
@@ -193,7 +201,12 @@ def _load_module_file(path: str, dim: int) -> ModuleAction:
     matrices = data.get("matrices") if isinstance(data, dict) else None
     if not _has_shape(matrices, [[list]]):
         raise CatalogError(f"{path}: expected a mapping with 'matrices', a list of row lists")
-    values = [[[parse_rational(str(x)) for x in row] for row in m] for m in matrices]
+    values = []
+    for k, m in enumerate(matrices, 1):
+        try:
+            values.append([[parse_rational(str(x)) for x in row] for row in m])
+        except PolyParseError as exc:
+            raise CatalogError(f"{path}: matrix {k}: {exc}") from None
     try:
         return ModuleAction.from_matrices(dim, values)
     except ValueError as exc:  # a matrix count or shape that does not fit
@@ -321,25 +334,19 @@ def run_table_row(
     result["discrepancies"].extend(rep.discrepancy_flags)
     if rep.split is not None and not rep.split.complete:
         result["notes"].append(_SPLIT_INCOMPLETE)
-    if rep.components is not None:
-        unverified = [
-            i
-            for i, c in enumerate(rep.components.candidates)
-            if c.certificate_status != "passed"
-        ]
-        if unverified:
-            result["notes"].append(
-                "primality unverified for component(s) "
-                + ", ".join(str(i + 1) for i in unverified)
-                + " (no certificate found)"
-            )
+    records = [] if rep.components is None else rep.components.candidates
+    unverified = [i for i, c in enumerate(records) if c.certificate_status != "passed"]
+    if unverified:
+        result["notes"].append(
+            "primality unverified for component(s) "
+            + ", ".join(str(i + 1) for i in unverified)
+            + " (no certificate found)"
+        )
     if row.get("labels") is not None and profile.square_zero:
         labels = []
-        for idx, (J, cert) in enumerate(
-            zip(rep.component_ideals, rep.certificates)
-        ):
+        for idx, c in enumerate(records):
             label, notes = component_labels(
-                L, J, cert, seed=f"table{table_id}:{name}:{idx}"
+                L, c.ideal, c.certificate, seed=f"table{table_id}:{name}:{idx}"
             )
             labels.append(label if label else "unsampled")
             result["notes"].extend(f"component {idx + 1}: {n}" for n in notes)
@@ -436,18 +443,17 @@ def cmd_solve(args) -> int:
         lex_order(rep.ideal.table) if args.order == "lex" else grevlex_order(rep.ideal.table)
     )
     gb = rep.ideal.groebner(order)
-    comp = []
-    if rep.components is not None:
-        for i, (c, J) in enumerate(zip(rep.components.candidates, rep.component_ideals)):
-            comp.append(
-                {
-                    "index": i + 1,
-                    "dim": _dim_json(c.dim),
-                    "contains_variety_ideal": c.contains_ideal,
-                    "certificate": c.certificate_status,
-                    "generators": sorted(g.to_text(order) for g in J.generators),
-                }
-            )
+    records = [] if rep.components is None else rep.components.candidates
+    comp = [
+        {
+            "index": i,
+            "dim": _dim_json(c.dim),
+            "contains_variety_ideal": c.contains_ideal,
+            "certificate": c.certificate_status,
+            "generators": sorted(g.to_text(order) for g in c.ideal.generators),
+        }
+        for i, c in enumerate(records, 1)
+    ]
     report = {
         "algebra": args.algebra,
         "alpha": str(a) if a is not None else None,

@@ -38,6 +38,18 @@ two series share their first term [g, g], the echelon form of the stored
 bracket rows c[i][j] for i < j, and a derived step brackets each unordered
 pair of its term once: the bracket is skew, which a `HomLieAlgebra` checks
 when it is made.
+
+Solvability of the Hom-Lie algebra of R is a lemma, not a measurement.  A
+weight-0 Rota-Baxter operator satisfies R[x,y]_R = [Rx,Ry], so R maps
+(L, [,]_R) homomorphically onto (im R, [,]), and by induction
+R(L^(k)) = (im R)^(k) for every term of the derived series.  For u, v in
+ker R, [u,v]_R = 0, so (im R)^(k) = 0 gives L^(k+1) = 0: (L, [,]_R) is
+solvable exactly when im R is, with a derived length at most one more
+(Guo, An Introduction to Rota-Baxter Algebra, 2012, for the homomorphism).
+Neither the Jacobi nor the omega-Lie identity is used.  With R^2 = 0 on a
+4-dimensional L, im R lies in ker R, so dim im R <= 2 and the derived
+length is at most 3: no table-3 component can be non-solvable.  The
+"non-solvable" category stays, since `homlie_structure` takes any bracket.
 """
 
 from __future__ import annotations

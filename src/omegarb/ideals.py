@@ -152,10 +152,16 @@ def ideal_to_text(I: Ideal, order: MonomialOrder | None = None) -> str:
 # membership and equality
 
 
+def _same_table(a, b) -> None:
+    """Raise DimensionMismatchError unless ``a`` and ``b``, polynomials or
+    ideals, share one variable table."""
+    if a.table != b.table:
+        raise DimensionMismatchError("arguments over different variable tables")
+
+
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:
     """True iff the normal form of f against a Groebner basis of I is zero."""
-    if f.table != I.table:
-        raise DimensionMismatchError("polynomial and ideal over different variable tables")
+    _same_table(f, I)
     if f.is_zero():
         return True
     return I.groebner().contains(f)
@@ -164,16 +170,14 @@ def ideal_membership(f: Polynomial, I: Ideal) -> bool:
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
     """J subseteq I: every element of J's reduced basis has normal form zero
     against I's, both read from their packed lead tables."""
-    if I.table != J.table:
-        raise DimensionMismatchError("ideals over different variable tables")
+    _same_table(I, J)
     return I.groebner().contains_ideal(J.groebner())
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Equality via coincidence of reduced Groebner bases under a common
     order (reduced bases are canonical)."""
-    if I.table != J.table:
-        raise ValueError("ideals over different variable tables")
+    _same_table(I, J)
     order = I.default_order()
     return I.groebner(order).elements == J.groebner(order).elements
 
@@ -227,8 +231,7 @@ def _eliminate_tag(I: Ideal, tagged: Callable[[Polynomial], list[Polynomial]], p
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J via the one-tag trick: eliminate t from t*I + (1-t)*J."""
-    if I.table != J.table:
-        raise ValueError("ideals over different variable tables")
+    _same_table(I, J)
     if I.is_zero_ideal() or J.is_zero_ideal():
         return make_ideal(I.table, ())
     return _eliminate_tag(
@@ -241,6 +244,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 def colon(I: Ideal, f: Polynomial) -> Ideal:
     """I : f, computed as (1/f) * (I cap <f>); every generator of the
     intersection is exactly divisible by f."""
+    _same_table(I, f)
     if f.is_zero():
         raise ValueError("colon by the zero polynomial")
     if f.is_constant():
@@ -260,6 +264,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     with grevlex on t-free monomials, and the S-polynomials and reductions
     of t-free polynomials stay t-free, so the lifted basis is still a
     reduced Groebner basis there.  Only pairs with 1 - t*f are formed."""
+    _same_table(I, f)
     if f.is_zero():
         raise ValueError("saturation by the zero polynomial")
     if f.is_constant():
@@ -274,8 +279,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
 
 def product(I: Ideal, J: Ideal) -> Ideal:
     """Ideal generated by pairwise products of the generators."""
-    if I.table != J.table:
-        raise ValueError("ideals over different variable tables")
+    _same_table(I, J)
     return make_ideal(I.table, dict.fromkeys(g * h for g in I.generators for h in J.generators))
 
 
@@ -558,6 +562,10 @@ def sample_points(
 
 @dataclass
 class CandidateReport:
+    """One candidate component: its ideal and certificate as given, and what was found."""
+
+    ideal: Ideal
+    certificate: Optional[PrimalityCertificate]
     contains_ideal: bool
     certificate_status: str  # "passed" | "failed" | "unverified"
     dim: object  # int or EMPTY_VARIETY
@@ -608,7 +616,9 @@ def verify_components(
     tested instead, since sqrt(prod p_i) = sqrt(cap p_i); (iii) each
     primality certificate validates; (iv) no candidate contains another.
     Containment (i) and (iv) compare the packed lead tables of two reduced
-    bases.  ``confirmed`` requires all four.
+    bases.  ``confirmed`` requires all four.  The report holds one
+    :class:`CandidateReport` per candidate, in input order, carrying the
+    very ideal and certificate it was given.
     """
     if not candidates:
         raise ValueError("no candidate components supplied")
@@ -619,7 +629,7 @@ def verify_components(
             status = "unverified"
         else:
             status = "passed" if check_primality(ideal_p, cert) else "failed"
-        reports.append(CandidateReport(contains, status, krull_dim(ideal_p)))
+        reports.append(CandidateReport(ideal_p, cert, contains, status, krull_dim(ideal_p)))
     survivors = I.groebner().product_cover([p.groebner() for p, _ in candidates], _COVER_CAP)
     if survivors is None:
         # sqrt(product) = sqrt(intersection): test the far smaller

@@ -174,21 +174,20 @@ def profile_flags_match(
 
 @dataclass
 class VarietyReport:
-    """What `analyze_variety` computed for one cell.  ``discrepancy_flags``
-    holds the one check made on the computed values alone: confirmed
-    component dimensions whose maximum is not the total dimension."""
+    """What `analyze_variety` computed for one cell: ``components`` holds one
+    record per component (None without candidates), and ``discrepancy_flags``
+    the one check made on the computed values alone: confirmed component
+    dimensions whose maximum is not the total dimension."""
 
     ideal: Ideal
     dim: object  # int or EMPTY_VARIETY
     components: Optional[ComponentReport]
-    component_ideals: list[Ideal]
-    certificates: list[Optional[PrimalityCertificate]]
     split: Optional[SplitResult]
     discrepancy_flags: list[str]
 
     @property
     def n_components(self) -> int:
-        return len(self.component_ideals)
+        return 0 if self.components is None else len(self.components.candidates)
 
     @property
     def component_dims(self) -> tuple:
@@ -228,8 +227,6 @@ def analyze_variety(
         ideal=I,
         dim=dim,
         components=comp,
-        component_ideals=[c[0] for c in candidates],
-        certificates=[c[1] for c in candidates],
         split=split,
         discrepancy_flags=flags,
     )

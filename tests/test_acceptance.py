@@ -275,13 +275,13 @@ def _bc_point_sources(catalog):
             sources.append((L, ideal_p, cert))
     atilde = catalog["Atilde_alpha"].instantiate()
     arep = analyze_variety(atilde, PROFILES["bs"])
-    for ideal_p, cert in zip(arep.component_ideals, arep.certificates):
-        sources.append((atilde, ideal_p, cert))
+    for c in arep.components.candidates:
+        sources.append((atilde, c.ideal, c.certificate))
     # the L1_1 square-zero variety: single component, sampled generically
     l11 = catalog["L1_1"].instantiate()
     rep11 = analyze_variety(l11, PROFILES["bs"])
-    for ideal_p, cert in zip(rep11.component_ideals, rep11.certificates):
-        sources.append((l11, ideal_p, cert))
+    for c in rep11.components.candidates:
+        sources.append((l11, c.ideal, c.certificate))
     return sources
 
 

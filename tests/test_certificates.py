@@ -175,6 +175,10 @@ def test_two_component_decomposition_confirmed(I6, p1, p2):
     assert report.dims == (3, 3)
     assert report.product_in_radical
     assert report.irredundant
+    # one record per component carries the very pair it was given, in order
+    first, second = report.candidates
+    assert first.ideal is p1 and first.certificate is CERT1
+    assert second.ideal is p2 and second.certificate is CERT2
 
 
 def test_prime_ideal_is_its_own_decomposition(p1):
@@ -192,6 +196,7 @@ def test_single_candidate_does_not_cover(I6, p1):
 def test_missing_certificate_reports_unverified(I6, p1, p2):
     report = verify_components(I6, [(p1, None), (p2, CERT2)])
     assert report.candidates[0].certificate_status == "unverified"
+    assert report.candidates[0].certificate is None
     assert not report.confirmed
 
 

@@ -253,6 +253,33 @@ def test_table_rejects_an_unknown_profile_naming_the_file(tmp_path, capsys):
     assert err == f"error: {path}: unknown profile 'zz'; expected one of ['b', 'bc', 'bi1', 'bs']\n"
 
 
+def test_bad_candidate_generator_names_the_file_and_candidate(tmp_path, capsys):
+    path = tmp_path / "cands.yaml"
+    path.write_text("- generators: [x12, x13]\n- generators: ['x11 +']\n")
+    code, out, err = run(capsys, "solve", "L1", "bc", "--candidates", str(path))
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: candidate #1: ")
+    assert "found the end of the text at position 5 in 'x11 +'" in err
+
+
+def test_bad_module_entry_names_the_file_and_matrix(tmp_path, capsys):
+    op, module = tmp_path / "op.yaml", tmp_path / "module.yaml"
+    op.write_text("rows:\n  - ['0','0','0']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    zero = "[['0','0'],['0','0']]"
+    module.write_text(f"matrices:\n  - {zero}\n  - [['1','0'],['0','q']]\n  - {zero}\n")
+    code, out, err = run(capsys, "construct", "module-twist", "L1", "--op", str(op), "--module", str(module))
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err == f"error: {module}: matrix 2: bad rational literal 'q'\n"
+
+
+def test_bad_row_alpha_names_the_file_and_row(tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    path.write_text("profile: bs\nrows:\n  - {algebra: L1}\n  - {algebra: Atilde_alpha, alpha: 'zz'}\n")
+    code, out, err = run(capsys, "table", "3", "--expect", str(path))
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err == f"error: {path}: row #1: 'alpha': bad rational literal 'zz'\n"
+
+
 def test_construct_left_symmetric(tmp_path, capsys):
     op = tmp_path / "op.yaml"
     op.write_text(

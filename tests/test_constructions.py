@@ -842,6 +842,47 @@ def test_construction_soundness_on_sampled_points(L1, L2, L1_2, L1_8, rng):
                 assert A.m == products
 
 
+def _derived(bracket, U: Subspace) -> Subspace:
+    """[U, U] under ``bracket``, which is skew."""
+    return Subspace.span(U.ambient_dim, [bracket(u, v) for u, v in combinations(U.basis, 2)])
+
+
+def test_rb_operator_maps_the_derived_series_onto_its_image(catalog):
+    """The solvability lemma on the computed table-3 rows: a weight-0
+    Rota-Baxter R is a homomorphism from (L, [,]_R) onto (im R, [,]), so
+    R(L^(k)) = (im R)^(k) for every term of the derived series, and with
+    R^2 = 0 on a 4-dimensional L, dim im R <= 2 bounds the derived length
+    by 3.  8 points on each certified component of each computed row."""
+    from omegarb.cli import _row_candidates, _shipped_row
+    from omegarb.ideals import sample_points
+    from omegarb.solver import PROFILES, analyze_variety, entry_name
+
+    rng = random.Random(20261021)
+    longest = 0
+    for name, alpha in (("L1_1", None), ("L1_2", None), ("L1_8", None), ("Atilde_alpha", 2)):
+        L = catalog[name].instantiate({"alpha": F(alpha)} if alpha is not None else None)
+        n = L.dim
+        rep = analyze_variety(L, PROFILES["bs"], _row_candidates(_shipped_row(name, "bs"), n))
+        certified = [c for c in rep.components.candidates if c.certificate_status == "passed"]
+        assert certified, name
+        for c in certified:
+            for pt in sample_points(c.ideal, c.certificate, 8, rng):
+                R = OperatorMatrix([[pt[entry_name(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)])
+                g = homlie_from_rb(L, R)
+                U = Subspace.span(n, identity(n))
+                V = Subspace.span(n, [R.apply(u) for u in U.basis])  # im R
+                for k in range(4):
+                    assert Subspace.span(n, [R.apply(u) for u in U.basis]) == V, (name, pt, k)
+                    if U.is_zero():
+                        break
+                    U, V = _derived(g.bracket, U), _derived(L.bracket, V)
+                else:
+                    pytest.fail(f"{name} at {pt}: derived length above 3")
+                assert homlie_structure(g).solvable_length == k, (name, pt)
+                longest = max(longest, k)
+    assert longest >= 1  # some induced bracket is nonabelian
+
+
 def _outcome(build):
     """What a construction returns, or how it refuses."""
     try:

@@ -10,6 +10,7 @@ from omegarb.ideals import (
     EMPTY_VARIETY,
     colon,
     elimination,
+    ideal_contains,
     ideal_equal,
     ideal_membership,
     intersect,
@@ -17,11 +18,12 @@ from omegarb.ideals import (
     make_ideal,
     parse_ideal,
     product,
+    radical_contains,
     radical_membership,
     saturate,
     split_heuristic,
 )
-from omegarb.poly import VariableTable, parse_polynomial
+from omegarb.poly import DimensionMismatchError, VariableTable, parse_polynomial
 from omegarb.solver import PROFILES, generate_system
 
 A = VariableTable.of(*[f"x{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)])
@@ -66,6 +68,26 @@ def minors():
 
 
 # -- membership ----------------------------------------------------------------
+
+
+def test_two_argument_entry_points_reject_mismatched_tables():
+    # one check raises the one error, before any basis is computed
+    I, J, f = make_ideal(A, [PA("x11")]), make_ideal(B5, [PB("x12")]), PB("x12")
+    calls = {
+        "ideal_membership": lambda: ideal_membership(f, I),
+        "ideal_contains": lambda: ideal_contains(I, J),
+        "ideal_equal": lambda: ideal_equal(I, J),
+        "intersect": lambda: intersect(I, J),
+        "product": lambda: product(I, J),
+        "colon": lambda: colon(I, f),
+        "saturate": lambda: saturate(I, f),
+        "radical_membership": lambda: radical_membership(f, I),
+        "radical_contains": lambda: radical_contains(I, J),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DimensionMismatchError, match="different variable tables"):
+            call()
+        assert not I._cache and not J._cache, name
 
 
 def test_known_multiple_is_member(six_gen_ideal):

@@ -288,6 +288,26 @@ def test_analysis_heuristic_path(L1):
     assert rep.n_components >= 1
 
 
+def test_component_counts_read_the_records(L1):
+    from omegarb.catalog import load_builtin_catalog
+    from omegarb.cli import _load_builtin_candidates
+
+    # a split row: L1_1's square-zero variety is one 6-dimensional component
+    rep = analyze_variety(load_builtin_catalog()["L1_1"].instantiate(), PROFILES["bs"])
+    assert rep.split is not None
+    assert (rep.n_components, rep.component_dims, rep.confirmed) == (1, (6,), True)
+    # a candidates row: the shipped pair for L1 bc, kept in input order
+    cands = _load_builtin_candidates("table1_L1", GenericOperator.of_dimension(3).table)
+    rep = analyze_variety(L1, PROFILES["bc"], cands)
+    assert rep.split is None
+    assert (rep.n_components, rep.component_dims, rep.confirmed) == (2, (3, 3), True)
+    assert [(c.ideal, c.certificate) for c in rep.components.candidates] == cands
+    # no candidates: nothing verified, so no components and not confirmed
+    rep = analyze_variety(L1, PROFILES["bc"], [])
+    assert rep.components is None
+    assert (rep.n_components, rep.component_dims, rep.confirmed) == (0, (), False)
+
+
 def test_expected_record_discrepancy_flag():
     from omegarb.catalog import load_builtin_catalog
     from omegarb.cli import run_table_row
