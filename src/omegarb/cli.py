@@ -108,8 +108,8 @@ def _candidate_table(dim: int) -> VariableTable:
 
 
 def _parse_candidates_data(data, table: VariableTable, context: str):
-    if not isinstance(data, list):
-        raise CatalogError(f"{context}: candidates file must be a YAML list")
+    if not isinstance(data, list) or not data:
+        raise CatalogError(f"{context}: candidates file must be a nonempty YAML list")
     out = []
     for i, raw in enumerate(data):
         where = f"{context}: candidate #{i}"
@@ -188,6 +188,12 @@ def _check_expectations(data, where: str) -> dict:
             except PolyParseError as exc:
                 raise CatalogError(f"{at}: 'alpha': {exc}") from None
         known = row.get("known_discrepancies") or {}
+        unknown = [k for k in known if k not in _PUBLISHED]
+        if unknown:
+            raise CatalogError(
+                f"{at}: 'known_discrepancies': {unknown[0]!r} is not a published field;"
+                f" expected one of {', '.join(_PUBLISHED)}"
+            )
         _check_fields(known, {k: _ROW_FIELDS[k] for k in _PUBLISHED}, at)
     return data
 

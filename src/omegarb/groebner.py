@@ -9,12 +9,14 @@ basis, forms S-polynomials from it, reduces against it and appends to it,
 and keeps its active entries (the reducers) minimal and auto-reduced at
 every step, so at the end it only sorts them and ``interreduce`` makes them
 monic.  Lead tables are built from rational polynomials, by clearing
-denominators and content, in three places only: ``reduce`` and
-``is_groebner_basis`` build one per call, ``buchberger`` builds one of the
-prefix it is told is a basis (``groebner_prefix``), and a
-:class:`GroebnerBasis` built elsewhere than in ``buchberger`` builds its
-own on first use (``buchberger`` hands over its sorted reducers).  Every
-other call reads the table a basis keeps:
+denominators and content, in two places only: ``reduce`` and
+``is_groebner_basis`` build one per call, and a :class:`GroebnerBasis`
+built elsewhere than in ``buchberger`` builds its own on first use
+(``buchberger`` hands over its sorted reducers).  ``buchberger`` starts
+from generators alone; a basis grows only through ``extend``, whether it
+is a kept basis or one lifted to a larger ring and wrapped in a
+:class:`GroebnerBasis` under that ring's order.  Every other call reads
+the table a basis keeps:
 ``contains`` (behind ``ideals.ideal_membership``) packs only the tested
 polynomial; ``contains_ideal`` reduces one basis's table against
 another's; ``product_cover`` multiplies its factors' tables as packed
@@ -83,7 +85,7 @@ therefore the same, term for term and in the same dict order, as a scan of
 the whole pending set on every step would give.
 
 Every element h enters as a nonzero normal form against the reducers,
-from a generator past ``groebner_prefix`` or from a critical pair.
+from a generator or from a critical pair.
 Critical pairs are pruned when h is installed, by the Gebauer-Moeller
 criteria (J. Symb. Comp. 6, 1988) in the form of Becker and Weispfenning's
 UPDATE (Groebner Bases, 1993, p. 230):
@@ -335,13 +337,15 @@ class GroebnerBasis:
 
         An element that lies in this ideal I is dropped first, since every
         product with it lies in I; a factor with none left makes the product
-        lie in I, and the answer is empty.  The products are then built one
-        factor at a time as packed integer dicts, where a monomial product
-        is an int sum.  A partial product that lies in I, or whose square
-        does, is in sqrt(I), an ideal, and so is every extension of it: it
-        is dropped.  The last step's survivors come back as polynomials, a
-        nonzero integer multiple of each product, for the caller's radical
-        test."""
+        lie in I, and the answer is empty.  An element of the first factor
+        whose square lies in I is dropped next.  The products are then built
+        one factor at a time as packed integer dicts, where a monomial
+        product is an int sum.  A partial product that lies in I, or whose
+        square does, is in sqrt(I), an ideal, and so is every extension of
+        it: it is dropped.  ``cap`` bounds only these products, so a single
+        factor never gives None.  The last step's survivors come back as
+        polynomials, a nonzero integer multiple of each product, for the
+        caller's radical test."""
         if not factors:
             raise ValueError("no factors")
         for basis in factors:
@@ -353,11 +357,15 @@ class GroebnerBasis:
             def outside(terms: dict) -> bool:
                 return bool(_normal_form(dict(terms), leads, P)[0])
 
+            def square_outside(terms: dict) -> bool:
+                return bool(_normal_form(_times(terms, terms, P), leads, P)[0])
+
             kept = [[e.terms for e in basis._leads_at(P) if outside(e.terms)] for basis in factors]
             if not all(kept):
                 return []
-            partial = [{0: 1}]  # the packed constant 1
-            for terms in kept:
+            # the first factor's elements are outside I already
+            partial = [g for g in kept[0] if square_outside(g)]
+            for terms in kept[1:]:
                 if len(partial) * len(terms) > cap:
                     return None
                 products = {}
@@ -365,20 +373,18 @@ class GroebnerBasis:
                     for g in terms:
                         pg = _times(p, g, P)
                         products.setdefault(frozenset(pg.items()), pg)
-                partial = [
-                    p
-                    for p in products.values()
-                    if outside(p) and _normal_form(_times(p, p, P), leads, P)[0]
-                ]
+                partial = [p for p in products.values() if outside(p) and square_outside(p)]
             return [Polynomial._of(factors[0].elements[0].table, P.unpack_terms(p)) for p in partial]
 
         return _widening(self._packing(), run)
 
     def extend(self, gens) -> "GroebnerBasis":
         """The reduced basis of this ideal plus ``gens`` under the same
-        order.  The computation starts from this basis's own lead table, a
-        reduced Groebner basis already, so only pairs with the new
-        generators are formed."""
+        order, the one way a basis grows.  The computation starts from this
+        basis's own lead table, a reduced Groebner basis already, so only
+        pairs with the new generators are formed.  A basis built elsewhere
+        than in ``buchberger``, such as one lifted to a larger ring, packs
+        its table here on first use."""
         gens = list(gens)
         if not self.elements:
             return buchberger(gens, self.order)
@@ -617,27 +623,22 @@ def _has_multiple(e: _Lead, h: int, guard: int) -> bool:
     return False
 
 
-def buchberger(gens, order: MonomialOrder, *, groebner_prefix: int = 0) -> GroebnerBasis:
+def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     The result is canonical: independent of generator order and duplicates.
     An all-zero (or empty) generator list yields the empty basis for the zero
-    ideal.  ``groebner_prefix=k`` asserts that the first k generators are
-    already a reduced Groebner basis under ``order``, so their mutual pairs
-    are skipped: a basis lifted to a larger ring extends this way, and a
-    kept basis through ``GroebnerBasis.extend``, which skips the packing.
-    The later generators wait in the pair queue, keyed by their leading
-    monomial as a pair is by its lcm, and a generator goes before a pair
-    on a tie.  Each generator and each S-polynomial enters as its normal
-    form against the reducers, which stay minimal and auto-reduced.
+    ideal.  Every run starts from generators alone; a known basis grows
+    through ``GroebnerBasis.extend``.  The generators wait in the pair
+    queue, keyed by their leading monomial as a pair is by its lcm, and a
+    generator goes before a pair on a tie.  Each generator and each
+    S-polynomial enters as its normal form against the reducers, which stay
+    minimal and auto-reduced.
     """
     gens = list(gens)
     if not any(gens):
         return GroebnerBasis(order, ())
-    prefix, later = gens[:groebner_prefix], gens[groebner_prefix:]
-    return _widening(
-        _packing(order), lambda P: _buchberger(_lead_table(prefix, P), later, gens[0].table, P)
-    )
+    return _widening(_packing(order), lambda P: _buchberger([], gens, gens[0].table, P))
 
 
 def _buchberger(basis: list[_Lead], gens: list[Polynomial], table, P: _Packing) -> GroebnerBasis:

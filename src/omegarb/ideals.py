@@ -10,15 +10,17 @@ Elimination reads the basis under ``poly.elimination_order``, a grevlex
 elimination order, so what it keeps is a reduced grevlex basis, and the
 result carries it in its cache (``Ideal.from_basis``).
 Intersection (t*I + (1-t)*J) and saturation (I + <1 - t*f>) share one
-routine that adjoins a tag t and eliminates it.  Saturation seeds that
-elimination with I's cached reduced grevlex basis, lifted: the elimination
-order of t agrees with grevlex on t-free monomials, so the lifted basis is
-already a reduced Groebner basis there and only the pairs with 1 - t*f are
-formed.  The Rabinowitsch test of radical membership extends the cached
-basis the same way, and the child I + <v> of a split extends it from its
-packed lead table (``GroebnerBasis.extend``).  Containment of ideals and
-the radical cover of a decomposition read the packed lead tables of the
-cached bases, and pack no polynomial again.
+routine that eliminates an adjoined tag t from a finished basis.  A basis
+grows only through ``GroebnerBasis.extend``.  Saturation and the
+Rabinowitsch test of radical membership lift I's cached reduced grevlex
+basis to the ring with t adjoined, as a basis under the elimination order
+of t or under grevlex: both agree with grevlex on t-free monomials, so the
+lift is already a reduced Groebner basis there, and extending it by
+1 - t*f forms only the pairs with 1 - t*f.  The child I + <v> of a split
+extends the cached basis itself.  Containment of ideals and the radical
+cover of a decomposition read the packed lead tables of the cached bases,
+and pack no polynomial again; the cover has one radical test, Rabinowitsch
+on the products that no normal form settles.
 
 Primality is certified, never decided.  A certificate is a set S of
 inverted variables, nothing more.  It checks when I : (prod S)^inf = I, so
@@ -44,7 +46,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .groebner import GroebnerBasis, buchberger, exact_divide
 from .poly import (
@@ -214,19 +216,27 @@ def _with_fresh_variable(I: Ideal, stem: str) -> tuple[VariableTable, str]:
     return I.table.extend(name), name
 
 
-def _eliminate_tag(I: Ideal, tagged: Callable[[Polynomial], list[Polynomial]], prefix: int = 0) -> Ideal:
-    """The ideal generated by ``tagged(t)``, for t a fresh tag variable
-    adjoined to I's table, intersected with I's ring: adjoin the tag,
-    eliminate it, and restrict the result to I's table.  The first
-    ``prefix`` tagged generators must be a reduced Groebner basis under
-    the elimination order; the basis computation skips their pairs."""
+def _lift_with_tag(I: Ideal, eliminate: bool) -> tuple[GroebnerBasis, Polynomial]:
+    """A fresh tag t adjoined last to I's table, and I's cached reduced
+    grevlex basis lifted there as a basis under the elimination order of t
+    (``eliminate``) or under grevlex.  Both orders agree with grevlex on
+    t-free monomials, and the S-polynomials and reductions of t-free
+    polynomials stay t-free, so the lift is still a reduced Groebner basis,
+    and ``extend`` forms only the pairs with what it adds."""
     ext, tname = _with_fresh_variable(I, "t_")
-    order = elimination_order(ext, [tname])
-    gb = buchberger(tagged(Polynomial.variable(ext, tname)), order, groebner_prefix=prefix)
-    eliminated = elimination(Ideal.from_basis(ext, gb), I.table.names)
+    order = elimination_order(ext, [tname]) if eliminate else grevlex_order(ext)
+    lifted = tuple(g.lift(ext) for g in I.groebner().elements)
+    return GroebnerBasis(order, lifted), Polynomial.variable(ext, tname)
+
+
+def _eliminate_tag(tagged: Ideal, table: VariableTable) -> Ideal:
+    """``tagged``, an ideal over ``table`` with a tag adjoined last and its
+    basis under the elimination order of the tag cached, intersected with
+    ``table``'s ring."""
+    eliminated = elimination(tagged, table.names)
     # t is the last variable, so restricting keeps the basis reduced grevlex
-    restricted = tuple(g.restrict(I.table) for g in eliminated.generators)
-    return Ideal.from_basis(I.table, GroebnerBasis(I.default_order(), restricted))
+    restricted = tuple(g.restrict(table) for g in eliminated.generators)
+    return Ideal.from_basis(table, GroebnerBasis(grevlex_order(table), restricted))
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -234,11 +244,11 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     _same_table(I, J)
     if I.is_zero_ideal() or J.is_zero_ideal():
         return make_ideal(I.table, ())
-    return _eliminate_tag(
-        I,
-        lambda t: [t * g.lift(t.table) for g in I.generators]
-        + [(1 - t) * g.lift(t.table) for g in J.generators],
-    )
+    ext, tname = _with_fresh_variable(I, "t_")
+    t = Polynomial.variable(ext, tname)
+    gens = [t * g.lift(ext) for g in I.generators] + [(1 - t) * g.lift(ext) for g in J.generators]
+    gb = buchberger(gens, elimination_order(ext, [tname]))
+    return _eliminate_tag(Ideal.from_basis(ext, gb), I.table)
 
 
 def colon(I: Ideal, f: Polynomial) -> Ideal:
@@ -257,24 +267,16 @@ def colon(I: Ideal, f: Polynomial) -> Ideal:
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity = (I + <1 - t*f>) cap Q[x], by one elimination of a
-    fresh variable t (Rabinowitsch).
-
-    The elimination starts from I's cached reduced grevlex basis, lifted,
-    as a reduced Groebner basis prefix: the elimination order of t agrees
-    with grevlex on t-free monomials, and the S-polynomials and reductions
-    of t-free polynomials stay t-free, so the lifted basis is still a
-    reduced Groebner basis there.  Only pairs with 1 - t*f are formed."""
+    fresh variable t (Rabinowitsch): I's cached basis, lifted under the
+    elimination order of t, extended by 1 - t*f."""
     _same_table(I, f)
     if f.is_zero():
         raise ValueError("saturation by the zero polynomial")
     if f.is_constant():
         return I
-    basis = I.groebner().elements
-    return _eliminate_tag(
-        I,
-        lambda t: [g.lift(t.table) for g in basis] + [1 - t * f.lift(t.table)],
-        len(basis),
-    )
+    lifted, t = _lift_with_tag(I, True)
+    gb = lifted.extend([1 - t * f.lift(t.table)])
+    return _eliminate_tag(Ideal.from_basis(t.table, gb), I.table)
 
 
 def product(I: Ideal, J: Ideal) -> Ideal:
@@ -290,18 +292,10 @@ def _in_radical_by_square(f: Polynomial, I: Ideal) -> bool:
 
 
 def _rabinowitsch(f: Polynomial, I: Ideal) -> bool:
-    """f in sqrt(I), via 1 in I + <1 - t*f> in an extended ring.
-
-    The cached basis of I lifts to a Groebner basis of the extension, so the
-    extended computation only processes pairs involving the new generator.
-    """
-    ext, tname = _with_fresh_variable(I, "t_")
-    t = Polynomial.variable(ext, tname)
-    gens = [g.lift(ext) for g in I.groebner().elements]
-    prefix = len(gens)
-    gens.append(Polynomial.constant(ext, 1) - t * f.lift(ext))
-    gb = buchberger(gens, grevlex_order(ext), groebner_prefix=prefix)
-    return gb.contains_one()
+    """f in sqrt(I), via 1 in I + <1 - t*f> in an extended ring: I's cached
+    basis, lifted under grevlex, extended by 1 - t*f."""
+    lifted, t = _lift_with_tag(I, False)
+    return lifted.extend([1 - t * f.lift(t.table)]).contains_one()
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
@@ -611,9 +605,10 @@ def verify_components(
     products, and a candidate with none left lies in I and covers V(I)
     alone.  The products are built one candidate at a time, and a partial
     product that lies in I, or whose square does, is dropped with all its
-    extensions; only the last step's survivors get the Rabinowitsch test.
-    Past 60 products in one step the intersection of the candidates is
-    tested instead, since sqrt(prod p_i) = sqrt(cap p_i); (iii) each
+    extensions.  Past 60 products in one step the intersection of the
+    candidates is the one factor instead, since sqrt(prod p_i) =
+    sqrt(cap p_i).  Either way the survivors get the Rabinowitsch test,
+    the cover's one radical test; (iii) each
     primality certificate validates; (iv) no candidate contains another.
     Containment (i) and (iv) compare the packed lead tables of two reduced
     bases.  ``confirmed`` requires all four.  The report holds one
@@ -630,16 +625,16 @@ def verify_components(
         else:
             status = "passed" if check_primality(ideal_p, cert) else "failed"
         reports.append(CandidateReport(ideal_p, cert, contains, status, krull_dim(ideal_p)))
-    survivors = I.groebner().product_cover([p.groebner() for p, _ in candidates], _COVER_CAP)
+    cover = I.groebner().product_cover
+    survivors = cover([p.groebner() for p, _ in candidates], _COVER_CAP)
     if survivors is None:
-        # sqrt(product) = sqrt(intersection): test the far smaller
-        # intersection generating set against sqrt(I) instead
+        # sqrt(product) = sqrt(intersection): the far smaller intersection
+        # basis is the one factor, which the cap does not bound
         meet = candidates[0][0]
         for ideal_p, _ in candidates[1:]:
             meet = intersect(meet, ideal_p)
-        in_radical = radical_contains(I, meet)
-    else:
-        in_radical = all(_rabinowitsch(p, I) for p in survivors)
+        survivors = cover([meet.groebner()], _COVER_CAP)
+    in_radical = all(_rabinowitsch(p, I) for p in survivors)
     irredundant = not any(
         ideal_contains(pj, pi)  # p_i subseteq p_j
         for i, (pi, _) in enumerate(candidates)

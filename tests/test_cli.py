@@ -280,6 +280,30 @@ def test_bad_row_alpha_names_the_file_and_row(tmp_path, capsys):
     assert err == f"error: {path}: row #1: 'alpha': bad rational literal 'zz'\n"
 
 
+def test_empty_candidates_file_is_usage_error(tmp_path, capsys):
+    # an empty list would leave the variety with no components to verify
+    path = tmp_path / "cands.yaml"
+    path.write_text("[]\n")
+    code, out, err = run(capsys, "solve", "L1", "bc", "--candidates", str(path))
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err == f"error: {path}: candidates file must be a nonempty YAML list\n"
+
+
+def test_known_discrepancy_of_an_unpublished_field_is_usage_error(tmp_path, capsys):
+    # 'dimension' is not a published field: the row would FAIL with no hint
+    path = tmp_path / "exp.yaml"
+    path.write_text(
+        "profile: bi1\nrows:\n  - {algebra: L1, dim: 4, candidates: table2_L1,"
+        " known_discrepancies: {dimension: 3}}\n"
+    )
+    code, out, err = run(capsys, "table", "2", "--expect", str(path))
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err == (
+        f"error: {path}: row #0: 'known_discrepancies': 'dimension' is not a published field;"
+        " expected one of dim, components, component_dims, labels\n"
+    )
+
+
 def test_construct_left_symmetric(tmp_path, capsys):
     op = tmp_path / "op.yaml"
     op.write_text(

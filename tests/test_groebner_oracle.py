@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from omegarb import ideals
 from omegarb.groebner import buchberger
 from omegarb.ideals import elimination, make_ideal
 from omegarb.poly import Polynomial, VariableTable, elimination_order, grevlex_order, lex_order
@@ -135,37 +136,43 @@ def test_elimination_order_eliminates_the_ideal_sympy_lex_does(gens):
     assert ours == buchberger(lex, order).elements
 
 
+def _lifted_extension(gens, f, eliminate):
+    """The shape of ideals.saturate (``eliminate``) and ideals._rabinowitsch:
+    a cached grevlex basis, lifted with a tag t adjoined, extended by
+    1 - t*f.  Returns the extended basis and the generators it stands for."""
+    lifted, t = ideals._lift_with_tag(make_ideal(XYZ, gens), eliminate)
+    new = 1 - t * f.lift(t.table)
+    return lifted.extend([new]), list(lifted.elements) + [new]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.lists(small_polys(XYZ, SMALL_COEFF), min_size=1, max_size=3), small_polys(XYZ, SMALL_COEFF))
 def test_prefix_extension_matches_sympy(gens, f):
-    # the shape of ideals.radical_membership: a cached basis, lifted, plus
-    # 1 - t*f, with no pairs among the cached elements
-    gb = buchberger(gens, grevlex_order(XYZ)).elements
-    t = Polynomial.variable(XYZT, "t")
-    ext = [g.lift(XYZT) for g in gb] + [1 - t * f.lift(XYZT)]
-    order = grevlex_order(XYZT)
-    with_prefix = buchberger(ext, order, groebner_prefix=len(gb)).elements
-    assert with_prefix == buchberger(ext, order).elements
-    assert set(with_prefix) == sympy_basis(ext, XYZT, order)
+    # the lifted basis extends under grevlex with no pairs among its elements
+    extended, ext = _lifted_extension(gens, f, False)
+    table = ext[-1].table
+    order = grevlex_order(table)
+    assert extended.order == order
+    assert extended.elements == buchberger(ext, order).elements
+    assert set(extended.elements) == sympy_basis(ext, table, order)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.lists(small_polys(XYZ, SMALL_COEFF), min_size=1, max_size=3), small_polys(XYZ, SMALL_COEFF))
 def test_seeded_elimination_matches_sympy(gens, f):
-    # the shape of ideals.saturate: a cached grevlex basis, lifted, plus
-    # 1 - t*f under the elimination order of t, with the lifted basis as a
-    # reduced Groebner basis prefix
-    gb = buchberger(gens, grevlex_order(XYZ)).elements
-    t = Polynomial.variable(XYZT, "t")
-    ext = [g.lift(XYZT) for g in gb] + [1 - t * f.lift(XYZT)]
-    order = elimination_order(XYZT, ["t"])
-    seeded = buchberger(ext, order, groebner_prefix=len(gb)).elements
-    assert seeded == buchberger(ext, order).elements
-    tag = XYZT.index("t")
-    ours = {g.restrict(XYZ) for g in seeded if not any(m[tag] for m in g.terms)}
+    # the lifted basis extends under the elimination order of t, and its
+    # t-free elements generate what sympy's lex elimination keeps
+    extended, ext = _lifted_extension(gens, f, True)
+    table = ext[-1].table
+    tname = table.names[-1]
+    order = elimination_order(table, [tname])
+    assert extended.order == order
+    assert extended.elements == buchberger(ext, order).elements
+    tag = table.index(tname)
+    ours = {g.restrict(XYZ) for g in extended.elements if not any(m[tag] for m in g.terms)}
     lex = [
         g.restrict(XYZ)
-        for g in sympy_basis(ext, XYZT, lex_order(XYZT, ["t", "x", "y", "z"]))
+        for g in sympy_basis(ext, table, lex_order(table, [tname, "x", "y", "z"]))
         if not any(m[tag] for m in g.terms)
     ]
     assert ours == (sympy_basis(lex, XYZ) if lex else set())

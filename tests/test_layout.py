@@ -279,3 +279,46 @@ def test_the_check_sees_a_call(tmp_path):
         "P = groebner._Packing(None)\n"
     )
     assert call_sites(probe, "_Packing") == ["groebner.wider", "groebner._packing", "groebner"]
+
+
+# a basis grows only through ``GroebnerBasis.extend``: ``buchberger`` takes
+# generators and an order, nothing more, at every call in the package
+def wide_buchberger_calls(path: Path) -> list[str]:
+    """The enclosing function, as in ``enclosing_uses``, of every call of
+    ``buchberger`` in ``path`` that passes more than ``(gens, order)``: a
+    third positional argument, a keyword, or an unpacked argument list."""
+    return [
+        where
+        for where, node in enclosing_nodes(path)
+        if isinstance(node, ast.Call)
+        and "buchberger" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and (
+            len(node.args) > 2
+            or node.keywords
+            or any(isinstance(a, ast.Starred) for a in node.args)
+        )
+    ]
+
+
+def test_buchberger_takes_generators_and_an_order_only():
+    assert [u for p in sorted(PACKAGE.glob("*.py")) for u in wide_buchberger_calls(p)] == []
+    assert call_sites(PACKAGE / "ideals.py", "buchberger")  # the calls are seen
+
+
+def test_the_check_sees_a_wide_buchberger_call(tmp_path):
+    probe = tmp_path / "ideals.py"
+    probe.write_text(
+        '"""buchberger(gens, order, groebner_prefix=2) in a docstring is no call."""\n'
+        "def saturate(gens, order):\n"
+        "    return buchberger(gens, order, groebner_prefix=2)\n"
+        "def rabinowitsch(gens, order):\n"
+        "    return groebner.buchberger(gens, order, 2)\n"
+        "def intersect(gens, order):\n"
+        "    return buchberger(*gens)\n"
+        "def plain(gens, order):\n"
+        "    return buchberger(gens, order)\n"
+        "G = groebner.buchberger(gens=[], order=None)\n"
+    )
+    assert wide_buchberger_calls(probe) == [
+        "ideals.saturate", "ideals.rabinowitsch", "ideals.intersect", "ideals"
+    ]
