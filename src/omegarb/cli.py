@@ -237,6 +237,16 @@ def _row_candidates(row: dict, dim: int):
     return _load_builtin_candidates(name, _candidate_table(dim)) if name else None
 
 
+def _is_shipped(L: OmegaAlgebra, name: str) -> bool:
+    """L is the shipped algebra ``name`` at L's parameters: the one algebra
+    that the shipped candidates of ``name`` fit."""
+    entry = load_builtin_catalog().get(name)
+    try:
+        return entry is not None and entry.instantiate(dict(L.params or ())) == L
+    except CatalogError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # component labels (Hom-Lie structure per component, sampled)
 
@@ -441,7 +451,8 @@ def cmd_solve(args) -> int:
     if args.candidates:
         candidates = _load_candidates_file(args.candidates, _candidate_table(L.dim))
     else:
-        candidates = _row_candidates(_shipped_row(args.algebra, args.profile), L.dim)
+        row = _shipped_row(args.algebra, args.profile) if _is_shipped(L, args.algebra) else {}
+        candidates = _row_candidates(row, L.dim)
     t0 = time.monotonic()
     rep = analyze_variety(L, profile, candidates)
     elapsed = time.monotonic() - t0
@@ -502,6 +513,12 @@ def cmd_table(args) -> int:
         expectations = _load_expectations_file(args.expect)
     else:
         expectations = _builtin_expectations(args.table_id)
+    for row in expectations["rows"] if args.catalog else ():
+        entry, alpha = catalog.get(row["algebra"]), row.get("alpha")
+        if "candidates" in row and entry and entry.has_definition:
+            L, _ = _algebra_for(entry, None if alpha is None else str(alpha))
+            if not _is_shipped(L, entry.name):  # a redefined algebra is split
+                del row["candidates"]
     t0 = time.monotonic()
     report = run_table(args.table_id, expectations, catalog)
     elapsed = time.monotonic() - t0

@@ -3,8 +3,8 @@
 Ideal algebra (membership, elimination, intersection, colon, saturation,
 product, radical membership), Krull dimension via independent variable sets
 on the leading-term ideal, certificate-checked primality, rational points on
-certified components, and verification of candidate irreducible-component
-decompositions.
+certified components, and decompositions into irreducible components: a
+split's leaves by construction, given candidates by ``verify_components``.
 
 Elimination reads the basis under ``poly.elimination_order``, a grevlex
 elimination order, so what it keeps is a reduced grevlex basis, and the
@@ -18,7 +18,7 @@ of t or under grevlex: both agree with grevlex on t-free monomials, so the
 lift is already a reduced Groebner basis there, and extending it by
 1 - t*f forms only the pairs with 1 - t*f.  The child I + <v> of a split
 extends the cached basis itself.  Containment of ideals and the radical
-cover of a decomposition read the packed lead tables of the cached bases,
+cover of given candidates read the packed lead tables of the cached bases,
 and pack no polynomial again; the cover has one radical test, Rabinowitsch
 on the products that no normal form settles.
 
@@ -595,7 +595,8 @@ def verify_components(
     I: Ideal,
     candidates: Sequence[tuple[Ideal, Optional[PrimalityCertificate]]],
 ) -> ComponentReport:
-    """Certify that V(I) is the union of the candidate prime varieties.
+    """Certify that V(I) is the union of the prime varieties of candidates
+    given from outside; a split's leaves need no check (``split_components``).
 
     Checks: (i) I subseteq p_i, so V(p_i) subseteq V(I); (ii) the product of
     the candidates lies in sqrt(I), so V(I) is covered.  The factors of the
@@ -697,18 +698,26 @@ def _split_leaves(J: Ideal, depth: int, leaves: list[Ideal]) -> bool:
 def split_heuristic(I: Ideal) -> SplitResult:
     """Cover V(I) by splitting V(I) = V(I + <v>) cup V(I : v^inf) on
     variables that factor out of a generator.  A branch deeper than
-    ``_SPLIT_DEPTH`` splits is kept whole as a leaf, and the result is then
-    marked incomplete.  Output is advisory: not guaranteed minimal or
-    prime, and must be confirmed by :func:`verify_components`."""
-    if I.contains_one():
-        return SplitResult([], True)
+    ``_SPLIT_DEPTH`` splits is kept whole, as V(J), and the result is then
+    marked incomplete.  Every leaf contains I and each split covers its
+    parent, and a leaf that contains or equals another is dropped, so the
+    kept leaves cover V(I) and none lies inside another."""
     leaves: list[Ideal] = []
     complete = _split_leaves(I, 0, leaves)
-    # deduplicate, then drop leaves whose variety sits inside another leaf:
-    # the deduplicated leaves are distinct, so K subseteq J is strict
-    unique: list[Ideal] = []
-    for J in leaves:
-        if not any(ideal_equal(J, K) for K in unique):
-            unique.append(J)
-    kept = [J for J in unique if not any(K is not J and ideal_contains(J, K) for K in unique)]
+    kept: list[Ideal] = []
+    for J in leaves:  # the first of equal leaves is kept, in leaf order
+        if not any(ideal_contains(J, K) for K in kept):
+            kept = [K for K in kept if not ideal_contains(K, J)] + [J]
     return SplitResult(kept, complete)
+
+
+def split_components(split: SplitResult) -> Optional[ComponentReport]:
+    """The leaves of ``split`` as its components, None without any: they are
+    the components by construction, so only each leaf's dimension and greedy
+    certificate, checked once by :func:`find_certificate`, are computed."""
+    certs = [find_certificate(J) for J in split.ideals]
+    reports = [
+        CandidateReport(J, c, True, "passed" if c else "unverified", krull_dim(J))
+        for J, c in zip(split.ideals, certs)
+    ]
+    return ComponentReport(reports, True, True) if reports else None

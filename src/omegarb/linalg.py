@@ -14,20 +14,24 @@ from math import lcm
 from operator import attrgetter
 from typing import Iterable
 
+from .poly import parse_rational
+
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
 def _exact(v) -> Fraction:
-    if isinstance(v, (int, str)):
+    if isinstance(v, str):
+        return parse_rational(v)
+    if isinstance(v, int):
         return Fraction(v)
     raise TypeError(f"{v!r} is not an int, a Fraction or p/q text; use exact rationals")
 
 
 def vec(values: Iterable) -> Vector:
     """The values as Fractions: a Fraction is immutable and kept as given,
-    an int or a rational literal such as ``"1/2"`` is converted.  Any other
-    type, a float among them, raises TypeError."""
+    an int or a rational literal (``poly.parse_rational``, such as ``"1/2"``)
+    is converted.  Any other type, a float among them, raises TypeError."""
     return tuple(v if isinstance(v, Fraction) else _exact(v) for v in values)
 
 

@@ -34,9 +34,9 @@ from .ideals import (
     Ideal,
     PrimalityCertificate,
     SplitResult,
-    find_certificate,
     krull_dim,
     make_ideal,
+    split_components,
     split_heuristic,
     verify_components,
 )
@@ -205,19 +205,20 @@ def analyze_variety(
     profile: ConstraintProfile,
     candidates: Optional[Sequence[tuple[Ideal, Optional[PrimalityCertificate]]]] = None,
 ) -> VarietyReport:
-    """Groebner basis, dimension, and component verification for one cell.
+    """Groebner basis, dimension, and components for one cell.
 
-    With candidates supplied they are verified as the irreducible
-    components; otherwise the splitting heuristic proposes components and
-    certificates are searched for automatically.
+    Candidates supplied are verified as the irreducible components by
+    ``verify_components``; otherwise the split's leaves are the components
+    by construction (``split_components``).
     """
     I = generate_system(L, profile)
     dim = krull_dim(I)
     split = None
     if candidates is None:
         split = split_heuristic(I)
-        candidates = [(J, find_certificate(J)) for J in split.ideals]
-    comp = verify_components(I, candidates) if candidates else None
+        comp = split_components(split)
+    else:
+        comp = verify_components(I, candidates) if candidates else None
     flags = []
     if comp is not None and comp.confirmed and dim is not EMPTY_VARIETY:
         dims = [d for d in comp.dims if d is not EMPTY_VARIETY]

@@ -494,6 +494,52 @@ def test_solve_reads_the_candidates_of_the_shipped_row(tmp_path, capsys):
     assert json.loads(shipped)["heuristic_components"] is False
 
 
+def _catalog_entry(name: str, like: str) -> str:
+    """The shipped catalog entry ``like``, verbatim but for its name."""
+    from importlib import resources
+
+    text = resources.files("omegarb").joinpath("data/catalog.yaml").read_text("utf-8")
+    start = text.index(f"- name: {like}\n") + len(f"- name: {like}\n")
+    return f"- name: {name}\n" + text[start : text.index("\n\n", start)] + "\n"
+
+
+def test_solve_splits_a_redefined_algebra(tmp_path, capsys):
+    # an L1 with L2's relations is L2 under another name: the shipped L1's
+    # candidates do not apply, so it is split like any other algebra
+    redefined = tmp_path / "redefined.yaml"
+    redefined.write_text(_catalog_entry("L1", like="L2"))
+    renamed = tmp_path / "renamed.yaml"
+    renamed.write_text(_catalog_entry("L2copy", like="L2"))
+    _, out, _ = run(capsys, "solve", "L1", "bc", "--catalog", str(redefined), "--json")
+    got = json.loads(out)
+    _, out, _ = run(capsys, "solve", "L2copy", "bc", "--catalog", str(renamed), "--json")
+    want = json.loads(out)
+    assert (got["dim"], got["decomposition_confirmed"], got["heuristic_components"]) == (2, True, True)
+    assert [c["dim"] for c in got["components"]] == [2, 2, 2]
+    assert got["components"] == want["components"]
+
+
+def test_solve_reads_the_candidates_of_a_verbatim_copy(tmp_path, capsys):
+    copy = tmp_path / "copy.yaml"
+    copy.write_text(_catalog_entry("L1", like="L1"))
+    _, out, _ = run(capsys, "solve", "L1", "bc", "--catalog", str(copy), "--json")
+    data = json.loads(out)
+    assert data["heuristic_components"] is False
+    assert data["decomposition_confirmed"] is True and len(data["components"]) == 2
+
+
+def test_table_splits_a_redefined_algebra(tmp_path, capsys):
+    redefined = tmp_path / "redefined.yaml"
+    redefined.write_text(_catalog_entry("L1", like="L2") + "\n" + _catalog_entry("L2", like="L2"))
+    _, out, _ = run(capsys, "table", "1", "--catalog", str(redefined), "--json")
+    rows = {r["algebra"]: r for r in json.loads(out)["rows"]}
+    computed = rows["L1"]["computed"]
+    assert (computed["dim"], computed["components"], computed["component_dims"]) == (2, 3, [2, 2, 2])
+    assert computed["decomposition_confirmed"] is True
+    # L2 is the shipped one, so its row still reads the shipped candidates
+    assert rows["L2"]["status"] == "PASS"
+
+
 def test_candidate_certificate_is_the_inverted_list(tmp_path, capsys):
     # p2 of table1_L1 needs x12 inverted; the old mapping form is refused
     def solve(certificate):

@@ -322,3 +322,32 @@ def test_the_check_sees_a_wide_buchberger_call(tmp_path):
     assert wide_buchberger_calls(probe) == [
         "ideals.saturate", "ideals.rabinowitsch", "ideals.intersect", "ideals"
     ]
+
+
+# a component report is built next to what justifies it: the split whose
+# leaves are the components by construction, and the one verifier of
+# candidates given from outside, both in ``ideals``
+REPORTS = ("CandidateReport", "ComponentReport")
+
+
+def report_builders(path: Path) -> list[str]:
+    """The enclosing function, as in ``enclosing_uses``, of every call of a
+    report class in ``path``."""
+    return [u for name in REPORTS for u in call_sites(path, name)]
+
+
+def test_only_ideals_builds_component_reports():
+    builders = {p.name for p in PACKAGE.glob("*.py") if report_builders(p)}
+    assert builders == {"ideals.py"}
+
+
+def test_the_check_sees_a_report_built_elsewhere(tmp_path):
+    probe = tmp_path / "solver.py"
+    probe.write_text(
+        '"""ComponentReport(records, True, True) in a docstring is no call."""\n'
+        "from .ideals import CandidateReport, ComponentReport\n"
+        "def analyze(records):\n"
+        "    return ComponentReport(records, True, True)\n"
+        "R = ideals.CandidateReport(None, None, True, 'passed', 0)\n"
+    )
+    assert report_builders(probe) == ["solver", "solver.analyze"]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegarb.algebras import OmegaAlgebra, OperatorMatrix, SingularOperatorError, Subspace
+from omegarb.constructions import ModuleAction
 from omegarb.linalg import (
     det,
     fraction_free_rref,
@@ -23,6 +24,7 @@ from omegarb.linalg import (
     rref,
     vec,
 )
+from omegarb.poly import PolyParseError
 
 # zeros are drawn often, so zero rows and columns come up; negative
 # fractions come from the range
@@ -146,6 +148,23 @@ def test_vec_keeps_fractions_and_converts_the_rest():
     v = vec([q, 1, "1/2"])
     assert v[0] is q
     assert v[1:] == (Fraction(1), Fraction(1, 2)) and all(type(x) is Fraction for x in v)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", " 1_0 ", "1e5000"])
+def test_text_entries_are_read_as_rational_literals(text):
+    # Fraction(text) reads all four (1e5000 as a 5,001-digit integer); the
+    # package's one literal reader refuses them
+    with pytest.raises(PolyParseError):
+        vec([text])
+    with pytest.raises(PolyParseError):
+        OperatorMatrix([[text]])
+    with pytest.raises(PolyParseError):
+        ModuleAction.from_matrices(1, [[[text]]])
+
+
+def test_text_entries_keep_signs_and_spaces():
+    assert vec(["-3/4", " 2 "]) == (Fraction(-3, 4), Fraction(2))
+    assert OperatorMatrix([["-3/4"]]).entries == ((Fraction(-3, 4),),)
 
 
 def test_float_entries_are_rejected():
