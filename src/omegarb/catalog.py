@@ -14,9 +14,10 @@ Every relation, bracket or omega, is read by one loop: its right-hand side
 is polynomial text over the basis names, evaluated by
 ``poly.evaluate_expression`` with each parameter bound to its value, so a
 bracket must come out linear and an omega value constant, and integral
-coefficients stay ints.  Operator-file entries are rational expressions
-over named parameters (:func:`evaluate_rational_expression`), read by the
-same grammar; only operator entries may divide.
+coefficients stay ints.  A bracket or omega pair given twice, in either
+order, is refused.  Operator-file entries are rational expressions over
+named parameters (:func:`evaluate_rational_expression`), read by the same
+grammar; only operator entries may divide.
 """
 
 from __future__ import annotations
@@ -127,12 +128,17 @@ class CatalogEntry:
         omega: dict[tuple[int, int], Scalar] = {}
         relations = [(rel, _BRACKET) for rel in self.bracket_relations]
         relations += [(rel, _OMEGA) for rel in self.omega_relations]
+        given: dict[tuple, str] = {}  # (kind, unordered pair) -> its relation
         for rel, (pattern, kind, degree, what) in relations:
             m = pattern.match(rel)
             if not m:
                 raise CatalogError(f"{self.name}: bad {kind} relation {rel!r}")
             a, b, rhs = m.groups()
             key = self._basis_index(a), self._basis_index(b)
+            pair = kind, frozenset(key)
+            if pair in given:
+                raise CatalogError(f"{self.name}: {given[pair]!r} and {rel!r} give the same pair")
+            given[pair] = rel
             try:
                 terms = evaluate_expression(rhs, leaf).terms
             except PolyParseError as exc:

@@ -554,7 +554,10 @@ def _parse_param_overrides(pairs) -> dict[str, Fraction]:
         if "=" not in pair:
             raise UsageError(f"--param expects name=value, got {pair!r}")
         k, v = pair.split("=", 1)
-        out[k.strip()] = parse_rational(v)
+        k = k.strip()
+        if k in out:
+            raise UsageError(f"--param {k} is given twice")
+        out[k] = parse_rational(v)
     return out
 
 

@@ -125,13 +125,15 @@ def generate_equations(
     return R, out
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def generate_system(L: OmegaAlgebra, profile: ConstraintProfile) -> Ideal:
     """The variety-defining ideal: generated equations, made primitive with
     positive leading coefficient, deduplicated, zeros dropped.
 
-    Cached per (algebra, profile): the returned Ideal also carries the
-    Groebner cache, so repeated membership tests amortize."""
+    The cache holds one cell, the last (algebra, profile): the returned
+    Ideal carries its Groebner bases, which the cell's analysis and report
+    read back.  No cell reads another's ideal, so a table run holds one
+    cell's system at a time, not every row's."""
     R, equations = generate_equations(L, profile)
     order = grevlex_order(R.table)
     seen = dict.fromkeys(p.primitive(order) for p in equations if not p.is_zero())

@@ -38,9 +38,23 @@ def test_builtin_catalog_loads(catalog):
 
 
 def test_all_shipped_entries_validate(catalog):
-    for name in SHIPPED:
+    # every defined entry instantiates, so none sets one pair twice
+    defined = {n for n, e in catalog.items() if e.has_definition}
+    assert defined >= SHIPPED
+    for name in sorted(defined):
         algebra = catalog[name].instantiate()
         assert validate_algebra(algebra).ok
+
+
+def test_a_pair_given_twice_names_both_relations():
+    [twice, once] = parse_catalog_text(
+        "- {name: X, dim: 2, basis: [a, b], brackets: ['[a,b] = a', '[ b , a ] = -a']}\n"
+        "- {name: Y, dim: 2, basis: [a, b], brackets: ['[a,b] = 0'], omega: ['w(b,a) = 1']}\n"
+    )
+    with pytest.raises(CatalogError, match=r"X: '\[a,b\] = a' and '\[ b , a \] = -a'"):
+        twice.instantiate()
+    # a bracket and an omega value on one pair are two relations, not one twice
+    assert once.instantiate().dim == 2
 
 
 def test_stub_instantiation_rejected(catalog):

@@ -114,6 +114,31 @@ def test_validate_rejects_identity_violation(tmp_path, capsys):
     assert "REJECTED" in out and "x, y, z" in out
 
 
+# one pair set by two relations, in the same or the opposite order, is
+# refused, not read with the last relation's value
+REPEATED_PAIRS = {
+    "bracket": ('["[a,b] = a", "[a,b] = b"]', "[]"),
+    "swapped": ('["[a,b] = a", "[b,a] = a"]', "[]"),
+    "omega": ("[]", '["w(a,b) = 1", "w(a,b) = 2"]'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_PAIRS))
+def test_a_pair_given_twice_is_refused(tmp_path, capsys, case):
+    brackets, omega = REPEATED_PAIRS[case]
+    path = tmp_path / "cat.yaml"
+    path.write_text(
+        f"- name: X\n  dim: 2\n  basis: [a, b]\n  brackets: {brackets}\n  omega: {omega}\n"
+    )
+    first, second = yaml.safe_load(brackets if case != "omega" else omega)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.startswith("X: REJECTED") and repr(first) in out and repr(second) in out
+    code, out, err = run(capsys, "solve", "X", "b", "--catalog", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert "give the same pair" in err and "Traceback" not in err
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.yaml")
     assert code == 2
@@ -387,6 +412,19 @@ def test_classify_rejects_a_parameter_the_file_does_not_use(tmp_path, capsys):
     op.write_text("rows:\n  - ['0','0','d']\n  - ['0','0','0']\n  - ['0','0','0']\n")
     code, out, _ = run(capsys, "classify", "L1", "--op", str(op), "--param", "d=5", "--json")
     assert code == 0 and json.loads(out)["rota_baxter"]
+
+
+def test_a_repeated_param_is_a_usage_error(tmp_path, capsys):
+    # two values for one name are refused, not read last-wins
+    op = tmp_path / "op.yaml"
+    op.write_text("rows:\n  - ['0','0','a']\n  - ['0','0','0']\n  - ['0','0','0']\n")
+    for command in (["classify", "L1", "--weight", "0"], ["construct", "lsa", "L1"]):
+        argv = [*command, "--op", str(op), "--param", "a=2", "--param", " a =3", "--json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--param a is given twice" in err
+        code, out, _ = run(capsys, *argv[:-3], "--json")
+        assert code == 0 and json.loads(out)
 
 
 def test_classify_dimension_mismatch_is_usage_error(tmp_path, capsys):

@@ -351,3 +351,35 @@ def test_the_check_sees_a_report_built_elsewhere(tmp_path):
         "R = ideals.CandidateReport(None, None, True, 'passed', 0)\n"
     )
     assert report_builders(probe) == ["solver", "solver.analyze"]
+
+
+# tracemalloc counts the objects parked in CPython's free lists, and only a
+# full collection empties them: a ``gc`` call in the package would move the
+# benchmark's allocation peak without the package holding any less
+def gc_imports(path: Path) -> list[str]:
+    """The enclosing function, as in ``enclosing_uses``, of every import of
+    ``gc`` or of a name from it in ``path``."""
+    return [
+        where
+        for where, node in enclosing_nodes(path)
+        if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc" and not node.level)
+    ]
+
+
+def test_no_module_imports_gc():
+    assert [u for p in sorted(PACKAGE.glob("*.py")) for u in gc_imports(p)] == []
+
+
+def test_the_check_sees_a_gc_import(tmp_path):
+    probe = tmp_path / "solver.py"
+    probe.write_text(
+        '"""import gc in a docstring is no import."""\n'
+        "import os, gc as collector\n"
+        "from . import gc as sibling\n"
+        "def analyze():\n"
+        "    from gc import collect\n"
+        "    collect()\n"
+        "import gcd\n"
+    )
+    assert gc_imports(probe) == ["solver", "solver.analyze"]

@@ -1,8 +1,10 @@
 """System generation against the published 3-dimensional computation, the
 membership/classification cross-oracle, and the component machinery."""
 
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from omegarb.algebras import (
     operator_square,
     structure_product,
 )
+from omegarb.cli import _builtin_expectations, run_table
 from omegarb.ideals import (
     ideal_contains,
     ideal_equal,
@@ -236,6 +239,25 @@ def test_membership_agrees_with_classification(L1, L2, rng):
                 assert membership_check(L, profile, R) == profile_flags_match(
                     L, profile, R
                 )
+
+
+def test_a_table_run_keeps_one_cell(catalog, L1, L2, monkeypatch):
+    # no row reads another's ideal, so a table run keeps only the last
+    # cell's system and bases
+    generate_system.cache_clear()
+    report = run_table(1, _builtin_expectations(1), catalog)
+    assert [r["status"] for r in report["rows"][:2]] == ["PASS", "PASS"]
+    assert generate_system.cache_info().currsize == 1
+    I = generate_system(L2, PROFILES["bc"])  # the run's last cell, kept
+    monkeypatch.setattr("omegarb.ideals.buchberger", None)
+    I.groebner()  # with its basis: no Buchberger run
+    monkeypatch.undo()
+    first = weakref.ref(generate_system(L1, PROFILES["bc"]))
+    J = generate_system(L2, PROFILES["bc"])
+    gc.collect()
+    assert first() is None
+    assert generate_system(L2, PROFILES["bc"]) is J
+    assert generate_system.cache_info().currsize == 1
 
 
 def test_membership_agrees_on_variety_points(L1, rng):
